@@ -47,6 +47,7 @@ from .volterra import (
     BlockSaddleSystem,
     ErrorConstants,
     HistoryBuffer,
+    L1NormAccumulator,
     StabilityConstants,
     TimeGrid,
     VolterraStepper,
@@ -61,7 +62,6 @@ from .beam import (
     BeamProblem,
     assemble_beam_a,
     assemble_beam_b,
-    beam_errors,
     beam_exact_reference,
     beam_rhs,
     joined_profile,
@@ -74,7 +74,6 @@ from .laplace_mem import (
     assemble_rt0_div,
     assemble_rt0_mass,
     interpolate_rt0,
-    laplace_errors,
 )
 from .report import ConvergenceReport, LevelRow, rates_from_errors
 

@@ -34,7 +34,8 @@ import scipy.sparse as sp
 from .errors import ConfigError, OracleError
 from .kernels import CreepFactor, MemoryKernel, creep_factor
 from .mesh import Mesh1D, uniform_mesh1d
-from .volterra import BlockSaddleSystem, TimeGrid, VolterraStepper, trapezoid_weights
+from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
+                       VolterraStepper, split_load)
 
 __all__ = [
     "BeamConfig",
@@ -48,7 +49,7 @@ __all__ = [
     "beam_gram_v",
     "beam_gram_q",
     "beam_exact_reference",
-    "beam_errors",
+    "beam_accumulator",
     "beam_reference_norms",
     "BEAM_FIELDS",
 ]
@@ -349,86 +350,42 @@ def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
     return BeamReference(cfg, mesh, u, p, phi)
 
 
-class _ErrorAccumulator:
-    """Trapezoid-in-time L1 accumulation of spatial error norms."""
+def beam_accumulator(mesh: Mesh1D, reference: BeamReference,
+                     grid: TimeGrid) -> L1NormAccumulator:
+    """L1-in-time errors against the oracle: e0 of every field, e1 of M, V.
 
-    def __init__(self, mesh: Mesh1D, reference: BeamReference, grid: TimeGrid):
-        self.grid = grid
-        self.xq, self.wq = _gauss_points(mesh, _G4)
-        self.phi_basis = _p1_at(_G4)
-        self.ell = mesh.cell_lengths
-        self.n = mesh.n_elements
-        self.ref = reference.spatial(self.xq.ravel())
-        self.ref = {k: v.reshape(self.xq.shape) for k, v in self.ref.items()}
-        self.phi = reference.phi
-        self.e0 = {name: 0.0 for name in BEAM_FIELDS}
-        self.e1 = {name: 0.0 for name in ("M", "V")}
-        self._weights = trapezoid_weights(grid, grid.n_steps)
-
-    def add_step(self, n: int, t: float, u: np.ndarray, p: np.ndarray):
-        w_t = self._weights[n]
-        fields = _split_fields_quad(self.n, self.phi_basis, self.ell, u, p)
-        factor = float(self.phi(t))
-        for name in BEAM_FIELDS:
-            diff = fields[name] - factor * self.ref[name]
-            l2sq = float(np.sum(self.wq * diff * diff))
-            if name in self.e1:
-                ddiff = fields["d" + name] - factor * self.ref["d" + name]
-                h1sq = l2sq + float(np.sum(self.wq * ddiff * ddiff))
-                self.e1[name] += w_t * math.sqrt(h1sq)
-            self.e0[name] += w_t * math.sqrt(l2sq)
-
-    def result(self):
-        out = {}
-        for name in BEAM_FIELDS:
-            entry = {"e0": self.e0[name]}
-            if name in self.e1:
-                entry["e1"] = self.e1[name]
-            out[name] = entry
-        return out
-
-
-def _split_fields_quad(n, phi_basis, ell, u, p):
-    """Numeric field (and derivative) values at the 4-point Gauss nodes."""
-    m_nodes, v_nodes = u[: n + 1], u[n + 1:]
-    conn = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    out = {}
-    for name, coeff in (("M", m_nodes), ("V", v_nodes)):
-        nodal = coeff[conn]
-        out[name] = nodal @ phi_basis.T
-        out["d" + name] = ((nodal[:, 1] - nodal[:, 0]) / ell)[:, None] \
-            * np.ones((1, phi_basis.shape[0]))
-    out["beta"] = p[:n, None] * np.ones((1, phi_basis.shape[0]))
-    out["w"] = p[n:, None] * np.ones((1, phi_basis.shape[0]))
-    return out
-
-
-def beam_errors(series, reference: BeamReference, grid: TimeGrid,
-                mesh: Mesh1D):
-    """L1-in-time errors of a stepped solution series against the oracle.
-
-    ``series`` is an iterable of (u_n, p_n) pairs covering every node of
-    the grid.  Returns e0 for all four fields and e1 for M and V.
+    Fields are evaluated at the 4-point Gauss nodes; the state is (M, V)
+    at the mesh nodes followed by (beta, w) on the cells.
     """
-    acc = _ErrorAccumulator(mesh, reference, grid)
-    count = 0
-    for n, (u, p) in enumerate(series):
-        acc.add_step(n, grid.times[n], u, p)
-        count += 1
-    if count != grid.n_steps + 1:
-        raise ValueError(f"series holds {count} states, grid needs "
-                         f"{grid.n_steps + 1}")
-    return acc.result()
+    n = mesh.n_elements
+    xq, wq = _gauss_points(mesh, _G4)
+    n_q = xq.shape[1]
+    # (left, right) nodal values of every element
+    ends = sp.csr_matrix((np.ones(2 * n), np.add.outer(np.arange(n), [0, 1]).ravel(),
+                          np.arange(2 * n + 1)), shape=(2 * n, n + 1))
+    value = sp.kron(sp.identity(n), _p1_at(_G4)) @ ends
+    slope = sp.kron(sp.diags(1.0 / mesh.cell_lengths), [[-1.0, 1.0]] * n_q) @ ends
+    cell = sp.kron(sp.identity(n), np.ones((n_q, 1)))
+    e = sp.block_diag([sp.vstack([value, slope])] * 2 + [cell] * 2, format="csr")
+    ref = reference.spatial(xq.ravel())
+    fields = {name: (e[i * xq.size:(i + 1) * xq.size], wq, ref[name])
+              for i, name in enumerate(("M", "dM", "V", "dV", "beta", "w"))}
+    norms = {}
+    for name in BEAM_FIELDS:
+        norms[(name, "e0")] = (name,)
+        if name in ("M", "V"):
+            norms[(name, "e1")] = (name, "d" + name)
+    return L1NormAccumulator(grid, reference.phi, fields, norms)
 
 
 def beam_reference_norms(reference: BeamReference, grid: TimeGrid,
                          mesh: Mesh1D):
     """L1-in-time field norms of the oracle itself (for relative errors)."""
-    acc = _ErrorAccumulator(mesh, reference, grid)
+    acc = beam_accumulator(mesh, reference, grid)
     zero_u = np.zeros(2 * (mesh.n_elements + 1))
     zero_p = np.zeros(2 * mesh.n_elements)
-    for n, t in enumerate(grid.times):
-        acc.add_step(n, t, zero_u, zero_p)
+    for n in range(grid.n_steps + 1):
+        acc.add(n, zero_u, zero_p)
     return acc.result()
 
 
@@ -466,16 +423,14 @@ class BeamProblem:
             audit: bool = False, collect: Optional[Callable] = None):
         """Step through the grid; returns (errors, stepper)."""
         stepper = VolterraStepper(self.system, grid, audit=audit)
-        acc = None
-        if reference is not None:
-            acc = _ErrorAccumulator(self.mesh, reference, grid)
+        acc = None if reference is None else \
+            beam_accumulator(self.mesh, reference, grid)
 
         def on_step(n, t, u, p):
             if acc is not None:
-                acc.add_step(n, t, u, p)
+                acc.add(n, u, p)
             if collect is not None:
                 collect(n, t, u, p)
 
-        stepper.run(lambda t: self.rhs(t)[0], lambda t: self.rhs(t)[1],
-                    on_step=on_step)
+        stepper.run(*split_load(self.rhs), on_step=on_step)
         return (acc.result() if acc is not None else None), stepper

@@ -378,6 +378,16 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
         beta = infsup_estimate(gram_v, gram_q, system.b)
         norm_a = operator_norm_estimate(system.a, gram_v)
 
+    # constants first: a bound that overflows fails before the run
+    kern = prob.kernel
+    c_k = kern.bound if kern is not None else 0.0
+    T = grid.T
+    stab = stability_constants(alpha0, beta, norm_a, c_k1=0.0, c_k2=0.0,
+                               c_k3=c_k, c_ktilde=c_k, T=T)
+    norm_b = operator_norm_b(prob.system.b, gram_v, gram_q)
+    err = error_constants(alpha0, beta, norm_a, norm_b, c_k1=0.0, c_k2=0.0,
+                          c_k3=c_k, c_ktilde=c_k, T=T)
+
     norms = RunNorms(gram_v, gram_q, grid)
 
     def collect(n, t, u, p):
@@ -389,14 +399,6 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
     else:
         prob.run(grid, collect=collect)
 
-    kern = prob.kernel
-    c_k = kern.bound if kern is not None else 0.0
-    T = grid.T
-    stab = stability_constants(alpha0, beta, norm_a, c_k1=0.0, c_k2=0.0,
-                               c_k3=c_k, c_ktilde=c_k, T=T)
-    norm_b = operator_norm_b(prob.system.b, gram_v, gram_q)
-    err = error_constants(alpha0, beta, norm_a, norm_b, c_k1=0.0, c_k2=0.0,
-                          c_k3=c_k, c_ktilde=c_k, T=T)
     lhs = norms.u_l1 + norms.p_l1
     rhs = (stab.c1 + stab.c3) * norms.f_dual_l1 \
         + (stab.c2 + stab.c4) * norms.g_dual_l1

@@ -37,8 +37,9 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .kernels import MemoryKernel, fickian_kernel
-from .mesh import TriMesh, build_dofmap, structured_unit_square
-from .volterra import BlockSaddleSystem, TimeGrid, VolterraStepper, trapezoid_weights
+from .mesh import TriMesh, structured_unit_square
+from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
+                       VolterraStepper, split_load)
 
 __all__ = [
     "RT0Space",
@@ -50,8 +51,7 @@ __all__ = [
     "gram_p0",
     "interpolate_rt0",
     "manufactured_rhs",
-    "laplace_errors",
-    "probe",
+    "laplace_accumulator",
     "probe_cell_index",
     "LAPLACE_FIELDS",
 ]
@@ -64,8 +64,6 @@ class RT0Space:
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
-        self.edge_map = build_dofmap(mesh, "RT0")
-        self.cell_map = build_dofmap(mesh, "P0_tri")
         p = mesh.vertices
         t = mesh.triangles
         self.areas = mesh.areas
@@ -93,14 +91,15 @@ class RT0Space:
     def n_cells(self) -> int:
         return self.mesh.n_triangles
 
-    def flux_values(self, dofs: np.ndarray) -> np.ndarray:
-        """Vector field values at the quadrature points, (nt, 3, 2)."""
-        local = dofs[self.mesh.tri_edges]                # (nt, 3)
-        return np.einsum("kqld,kl->kqd", self.basis_q, local)
-
-    def div_values(self, dofs: np.ndarray) -> np.ndarray:
-        """Cellwise-constant divergence values, (nt,)."""
-        return np.einsum("kl,kl->k", self.div, dofs[self.mesh.tri_edges])
+    def flux_operator(self) -> sp.csr_matrix:
+        """Sparse map from edge dofs to the vector field at the quadrature
+        points, rows ordered (cell, point, component)."""
+        nt = self.n_cells
+        shape = self.basis_q.shape                       # (nt, q, loc, 2)
+        rows = np.broadcast_to(np.arange(6 * nt).reshape(nt, 3, 1, 2), shape)
+        cols = np.broadcast_to(self.mesh.tri_edges[:, None, :, None], shape)
+        return sp.csr_matrix((self.basis_q.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(6 * nt, self.n_edges))
 
 
 def assemble_rt0_mass(space: RT0Space) -> sp.csr_matrix:
@@ -242,55 +241,20 @@ def probe_cell_index(m: int, point) -> int:
     return 2 * (j * m + i) + (0 if lower else 1)
 
 
-def probe(series, point, m: int) -> np.ndarray:
-    """Cell values of u_h at the probe point for a stored state series.
-
-    ``series`` is an iterable of (sigma_n, u_n) pairs; the returned array
-    holds one cell-constant value per time node, CSV-ready.
-    """
-    cell = probe_cell_index(m, point)
-    return np.array([u[cell] for _, u in series])
-
-
-class _LaplaceErrorAccumulator:
-    """Trapezoid-in-time L1 accumulation of the sigma and u errors."""
-
-    def __init__(self, space: RT0Space, manufactured: ManufacturedSolution,
-                 grid: TimeGrid):
-        xq = space.quad_x
-        self.space = space
-        self.sigma_spatial = manufactured.sigma(xq[..., 0], xq[..., 1], 0.0)
-        self.u_spatial = manufactured.shape(xq[..., 0], xq[..., 1])
-        self.weights = trapezoid_weights(grid, grid.n_steps)
-        self.e0 = {"sigma": 0.0, "u": 0.0}
-
-    def add_step(self, n: int, t: float, sig: np.ndarray, u: np.ndarray):
-        w_t = self.weights[n]
-        cos_t = math.cos(t)
-        dsig = self.space.flux_values(sig) - cos_t * self.sigma_spatial
-        err_sig = math.sqrt(float(np.sum(self.space.quad_w
-                                         * np.sum(dsig * dsig, axis=-1))))
-        du = u[:, None] - cos_t * self.u_spatial
-        err_u = math.sqrt(float(np.sum(self.space.quad_w * du * du)))
-        self.e0["sigma"] += w_t * err_sig
-        self.e0["u"] += w_t * err_u
-
-    def result(self):
-        return {"sigma": {"e0": self.e0["sigma"]}, "u": {"e0": self.e0["u"]}}
-
-
-def laplace_errors(series, manufactured: ManufacturedSolution,
-                   grid: TimeGrid, space: RT0Space):
-    """L1-in-time L2 errors of a (sigma, u) series against the oracle."""
-    acc = _LaplaceErrorAccumulator(space, manufactured, grid)
-    count = 0
-    for n, (sig, u) in enumerate(series):
-        acc.add_step(n, grid.times[n], sig, u)
-        count += 1
-    if count != grid.n_steps + 1:
-        raise ValueError(f"series holds {count} states, grid needs "
-                         f"{grid.n_steps + 1}")
-    return acc.result()
+def laplace_accumulator(space: RT0Space, manufactured: ManufacturedSolution,
+                        grid: TimeGrid) -> L1NormAccumulator:
+    """L1-in-time L2 errors of sigma and u against the manufactured solution."""
+    xq = space.quad_x
+    w = space.quad_w.ravel()
+    cells = sp.kron(sp.identity(space.n_cells), np.ones((3, 1)))
+    e = sp.block_diag([space.flux_operator(), cells], format="csr")
+    fields = {
+        "sigma": (e[:2 * w.size], np.repeat(w, 2),
+                  manufactured.sigma(xq[..., 0], xq[..., 1], 0.0)),
+        "u": (e[2 * w.size:], w, manufactured.shape(xq[..., 0], xq[..., 1])),
+    }
+    return L1NormAccumulator(grid, np.cos, fields,
+                             {(name, "e0"): (name,) for name in LAPLACE_FIELDS})
 
 
 class LaplaceProblem:
@@ -328,7 +292,7 @@ class LaplaceProblem:
             collect: Optional[Callable] = None):
         """Step through the grid; returns (errors, probe series, stepper)."""
         stepper = VolterraStepper(self.system, grid, audit=audit)
-        acc = _LaplaceErrorAccumulator(self.space, self.manufactured, grid)
+        acc = laplace_accumulator(self.space, self.manufactured, grid)
         probe_vals = None
         cell = None
         if probe_point is not None:
@@ -336,12 +300,11 @@ class LaplaceProblem:
             probe_vals = np.empty(grid.n_steps + 1)
 
         def on_step(n, t, sig, u):
-            acc.add_step(n, t, sig, u)
+            acc.add(n, sig, u)
             if probe_vals is not None:
                 probe_vals[n] = u[cell]
             if collect is not None:
                 collect(n, t, sig, u)
 
-        stepper.run(lambda t: self.rhs(t)[0], lambda t: self.rhs(t)[1],
-                    on_step=on_step)
+        stepper.run(*split_load(self.rhs), on_step=on_step)
         return acc.result(), probe_vals, stepper

@@ -24,13 +24,15 @@ of the underlying well-posedness theory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import StabilityGateError
+from .errors import EstimatorError, StabilityGateError
 from .kernels import MemoryKernel
 from .sparsela import SaddleFactorization, as_csr, factorize_saddle
 
@@ -39,9 +41,11 @@ __all__ = [
     "BlockSaddleSystem",
     "HistoryBuffer",
     "VolterraStepper",
+    "L1NormAccumulator",
     "StabilityConstants",
     "ErrorConstants",
     "trapezoid_weights",
+    "split_load",
     "step",
     "step_gammas",
     "history_sum",
@@ -67,9 +71,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.n_steps
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return self.T * np.arange(self.n_steps + 1) / self.n_steps
+        """The n_steps + 1 nodes, computed once and read-only."""
+        times = self.T * np.arange(self.n_steps + 1) / self.n_steps
+        times.flags.writeable = False
+        return times
 
 
 def trapezoid_weights(grid: TimeGrid, n: int) -> np.ndarray:
@@ -86,6 +93,60 @@ def trapezoid_weights(grid: TimeGrid, n: int) -> np.ndarray:
     return w
 
 
+class L1NormAccumulator:
+    """Trapezoid-in-time L1 norms of point-evaluated errors.
+
+    A field is a triple ``(E, w, r)``: a sparse operator ``E`` from the
+    state ``x = (u, p)`` to the field's values at quadrature nodes, the
+    nodes' weights ``w`` and the oracle's spatial part ``r`` there.  The
+    oracle separates, so its value at time t is ``c(t) r``.  Each norm
+    names the fields whose squares it sums, and step n adds
+
+        w_n sqrt(sum over its fields of sum(w d^2)),   d = E x_n - c(t_n) r.
+
+    The difference ``d`` is formed node by node and never expanded as
+    ``x.Gx - 2c x.g + c^2 r.r``, which cancels catastrophically once the
+    error is small against the field.
+    """
+
+    def __init__(self, grid: TimeGrid, factor: Callable, fields: dict,
+                 norms: dict):
+        """``fields`` maps names to ``(E, w, r)``, ``norms`` maps each
+        ``(field, norm)`` key to the field names it sums; ``factor`` is
+        the vectorized c(t)."""
+        e, w, r = zip(*fields.values())
+        self._e = sp.vstack(e, format="csr")
+        self._w = np.concatenate([np.ravel(x) for x in w])
+        self._r = np.concatenate([np.ravel(x) for x in r])
+        self._starts = np.cumsum([0] + [np.size(x) for x in w])[:-1]
+        self._keys = list(norms)
+        self._pick = np.array([[name in parts for name in fields]
+                               for parts in norms.values()], dtype=float)
+        self._scale = np.asarray(factor(grid.times), dtype=float)
+        self._weights = trapezoid_weights(grid, grid.n_steps)
+        self._sums = np.zeros(len(self._keys))
+        self._count = 0
+
+    def add(self, n: int, u: np.ndarray, p: np.ndarray) -> None:
+        d = self._e @ np.concatenate((u, p))
+        d -= self._scale[n] * self._r
+        wdd = self._w * d
+        wdd *= d
+        squares = np.add.reduceat(wdd, self._starts)
+        self._sums += self._weights[n] * np.sqrt(self._pick @ squares)
+        self._count += 1
+
+    def result(self) -> dict:
+        """``{field: {norm: value}}``; needs every node of the grid."""
+        if self._count != len(self._weights):
+            raise ValueError(f"{self._count} states added, grid needs "
+                             f"{len(self._weights)}")
+        out = {}
+        for (name, norm), value in zip(self._keys, self._sums):
+            out.setdefault(name, {})[norm] = float(value)
+        return out
+
+
 class BlockSaddleSystem:
     """Sparse blocks A (n_v x n_v), B (n_q x n_v) with kernel attachments.
 
@@ -95,6 +156,7 @@ class BlockSaddleSystem:
     """
 
     SYMMETRY_TOL = 1e-12
+    FACTOR_CACHE_SIZE = 2   # the step-0 and the steady factor of a run
 
     def __init__(self, a, b, k1: Optional[MemoryKernel] = None,
                  k2: Optional[MemoryKernel] = None,
@@ -128,12 +190,14 @@ class BlockSaddleSystem:
         return (self.k1, self.k2, self.k3)
 
     def factorization(self, gammas) -> SaddleFactorization:
-        """Factor for the given gamma triple, cached across steps."""
+        """Factor for the given gamma triple; the most recent are cached."""
         key = tuple(float(g) for g in gammas)
-        fact = self._factor_cache.get(key)
+        fact = self._factor_cache.pop(key, None)
         if fact is None:
             fact = factorize_saddle(self.a, self.b, *key)
-            self._factor_cache[key] = fact
+        self._factor_cache[key] = fact
+        while len(self._factor_cache) > self.FACTOR_CACHE_SIZE:
+            del self._factor_cache[next(iter(self._factor_cache))]
         return fact
 
 
@@ -315,6 +379,13 @@ def step(sys: BlockSaddleSystem, grid: TimeGrid, n: int, hist: HistoryBuffer,
     return u_n, p_n
 
 
+def split_load(load: Callable):
+    """``load(t) -> (f, g)`` as the two callbacks of :meth:`VolterraStepper.run`,
+    with one ``load`` call per time node."""
+    last = functools.lru_cache(maxsize=1)(load)
+    return (lambda t: last(t)[0]), (lambda t: last(t)[1])
+
+
 class VolterraStepper:
     """Single-owner driver object for stepping a system through a grid."""
 
@@ -407,12 +478,20 @@ def stability_constants(alpha0: float, beta: float, norm_a: float,
     """
     _check_constant_inputs(alpha0, beta, norm_a, (c_k1, c_k2, c_k3, c_ktilde), T)
     d = (norm_a / alpha0) * c_ktilde + c_k3
-    growth = 1.0 + T * d * math.exp(T * d)
-    bracket = 1.0 + c_k1 + c_k2 * math.exp(T * c_k2) * (1.0 + T * c_k1)
+    try:
+        growth = 1.0 + T * d * math.exp(T * d)
+        creep = c_k2 * math.exp(T * c_k2)
+    except OverflowError:
+        growth = creep = math.inf
+    bracket = 1.0 + c_k1 + creep * (1.0 + T * c_k1)
     c1 = growth / alpha0
     c2 = (1.0 / beta) * (1.0 + norm_a / alpha0) * growth
-    c3 = 1.0 + c_k2 * math.exp(T * c_k2) + c1 * norm_a * bracket
+    c3 = 1.0 + creep + c1 * norm_a * bracket
     c4 = c2 * norm_a * bracket
+    if not all(map(math.isfinite, (c1, c2, c3, c4))):
+        raise EstimatorError(
+            f"the stability bound overflows at this horizon: T*D = {T * d:.4g}, "
+            f"T*C_k2 = {T * c_k2:.4g} at T = {T:g} (e^x overflows above 709.78)")
     return StabilityConstants(c1=c1, c2=c2, c3=c3, c4=c4, alpha0=alpha0,
                               beta=beta, norm_a=norm_a, c_k1=c_k1, c_k2=c_k2,
                               c_k3=c_k3, c_ktilde=c_ktilde, T=T)

@@ -1,0 +1,163 @@
+"""The L1-in-time error accumulator of both drivers.
+
+The references below are the drivers' earlier error formulas, kept here
+verbatim in substance: field values from the RT0 basis tables or a split
+of the beam's nodal/cell vectors, differences against ``c(t) r`` at the
+quadrature nodes, trapezoid weights in time.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from memfem.beam import (
+    BEAM_FIELDS,
+    _G4,
+    _gauss_points,
+    _p1_at,
+    beam_accumulator,
+    beam_exact_reference,
+    beam_mesh,
+    joined_profile,
+)
+from memfem.kernels import PronySLS, beam_kernel
+from memfem.laplace_mem import LaplaceProblem, laplace_accumulator
+from memfem.volterra import L1NormAccumulator, TimeGrid, trapezoid_weights
+
+EPS = 1e-10
+
+
+def reference_laplace_errors(space, manufactured, grid, series):
+    xq = space.quad_x
+    sigma_spatial = manufactured.sigma(xq[..., 0], xq[..., 1], 0.0)
+    u_spatial = manufactured.shape(xq[..., 0], xq[..., 1])
+    weights = trapezoid_weights(grid, grid.n_steps)
+    e0 = {"sigma": 0.0, "u": 0.0}
+    for n, (sig, u) in enumerate(series):
+        cos_t = math.cos(grid.times[n])
+        flux = np.einsum("kqld,kl->kqd", space.basis_q,
+                         sig[space.mesh.tri_edges])
+        dsig = flux - cos_t * sigma_spatial
+        e0["sigma"] += weights[n] * math.sqrt(float(np.sum(
+            space.quad_w * np.sum(dsig * dsig, axis=-1))))
+        du = u[:, None] - cos_t * u_spatial
+        e0["u"] += weights[n] * math.sqrt(float(np.sum(space.quad_w * du * du)))
+    return {"sigma": {"e0": e0["sigma"]}, "u": {"e0": e0["u"]}}
+
+
+def reference_beam_errors(mesh, reference, grid, series):
+    xq, wq = _gauss_points(mesh, _G4)
+    phi_basis = _p1_at(_G4)
+    ell = mesh.cell_lengths
+    n = mesh.n_elements
+    ref = {k: v.reshape(xq.shape)
+           for k, v in reference.spatial(xq.ravel()).items()}
+    weights = trapezoid_weights(grid, grid.n_steps)
+    conn = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    ones = np.ones((1, phi_basis.shape[0]))
+    out = {name: {"e0": 0.0} for name in BEAM_FIELDS}
+    out["M"]["e1"] = out["V"]["e1"] = 0.0
+    for step, (u, p) in enumerate(series):
+        fields = {}
+        for name, coeff in (("M", u[: n + 1]), ("V", u[n + 1:])):
+            nodal = coeff[conn]
+            fields[name] = nodal @ phi_basis.T
+            fields["d" + name] = ((nodal[:, 1] - nodal[:, 0]) / ell)[:, None] * ones
+        fields["beta"] = p[:n, None] * ones
+        fields["w"] = p[n:, None] * ones
+        factor = float(reference.phi(grid.times[step]))
+        w_t = weights[step]
+        for name in BEAM_FIELDS:
+            diff = fields[name] - factor * ref[name]
+            l2sq = float(np.sum(wq * diff * diff))
+            if "e1" in out[name]:
+                ddiff = fields["d" + name] - factor * ref["d" + name]
+                h1sq = l2sq + float(np.sum(wq * ddiff * ddiff))
+                out[name]["e1"] += w_t * math.sqrt(h1sq)
+            out[name]["e0"] += w_t * math.sqrt(l2sq)
+    return out
+
+
+def laplace_case():
+    prob = LaplaceProblem(4, delta=0.01)
+    grid = TimeGrid(T=0.3, n_steps=12)
+    return (lambda: laplace_accumulator(prob.space, prob.manufactured, grid),
+            lambda series: reference_laplace_errors(
+                prob.space, prob.manufactured, grid, series),
+            (prob.space.n_edges, prob.space.n_cells), grid)
+
+
+def beam_case():
+    cfg = joined_profile(d=0.01)
+    grid = TimeGrid(T=2.0, n_steps=12)
+    kern = beam_kernel(PronySLS(1.0, 1.0, 1.0))
+    ref = beam_exact_reference(cfg, np.exp, None, grid, kern, n_ref=64)
+    mesh = beam_mesh(cfg, 8)
+    n = mesh.n_elements
+    return (lambda: beam_accumulator(mesh, ref, grid),
+            lambda series: reference_beam_errors(mesh, ref, grid, series),
+            (2 * (n + 1), 2 * n), grid)
+
+
+CASES = {"laplace": laplace_case, "beam": beam_case}
+
+
+def accumulate(acc, series):
+    for n, (u, p) in enumerate(series):
+        acc.add(n, u, p)
+    return acc.result()
+
+
+@pytest.mark.parametrize("driver", sorted(CASES))
+def test_matches_reference_formula_on_random_states(driver):
+    build, reference, (n_v, n_q), grid = CASES[driver]()
+    rng = np.random.default_rng(7)
+    series = [(rng.standard_normal(n_v), rng.standard_normal(n_q))
+              for _ in range(grid.n_steps + 1)]
+    got = accumulate(build(), series)
+    want = reference(series)
+    assert list(got) == list(want)
+    for name in want:
+        assert list(got[name]) == list(want[name])
+        for norm, value in want[name].items():
+            assert_allclose(got[name][norm], value, rtol=1e-13)
+
+
+@pytest.mark.parametrize("driver", sorted(CASES))
+def test_small_error_is_not_cancelled(driver):
+    # a state whose evaluation equals the reference exactly, perturbed in
+    # one dof by EPS: the norm is EPS ||E e_k||_w at every node of [0, T]
+    build, _, (n_v, n_q), grid = CASES[driver]()
+    driver_acc = build()
+    e, w = driver_acc._e, driver_acc._w
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal(n_v + n_q)
+    k = int(np.argmax(np.abs(e).sum(axis=0)))
+    x = x0.copy()
+    x[k] += EPS
+    acc = L1NormAccumulator(grid, np.ones_like, {"f": (e, w, e @ x0)},
+                            {("f", "e0"): ("f",)})
+    got = accumulate(acc, [(x[:n_v], x[n_v:])] * (grid.n_steps + 1))["f"]["e0"]
+    ek = np.zeros_like(x0)
+    ek[k] = 1.0
+    col = e @ ek
+    want = grid.T * EPS * math.sqrt(float(np.sum(w * col * col)))
+    assert_allclose(got, want, rtol=1e-6)
+
+    # the expanded quadratic form x.Gx - 2 x.g + r.Wr loses it entirely
+    r = e @ x0
+    gram = e.T @ (w[:, None] * e.toarray())
+    g = e.T @ (w * r)
+    expanded = float(x @ gram @ x - 2.0 * x @ g + r @ (w * r))
+    per_node = math.sqrt(expanded) if expanded >= 0.0 else math.nan
+    assert not abs(grid.T * per_node - want) <= 1e-2 * want
+
+
+def test_result_needs_every_node():
+    build, _, (n_v, n_q), grid = CASES["laplace"]()
+    acc = build()
+    acc.add(0, np.zeros(n_v), np.zeros(n_q))
+    with pytest.raises(ValueError, match="grid needs"):
+        acc.result()

@@ -12,7 +12,7 @@ from memfem.beam import (
     BeamProblem,
     assemble_beam_a,
     assemble_beam_b,
-    beam_errors,
+    beam_accumulator,
     beam_exact_reference,
     beam_gram_q,
     beam_gram_v,
@@ -197,6 +197,13 @@ def test_exact_reference_sls_time_ratio():
             mask = np.abs(base[name]) > 1e-12
             assert_allclose(vals[name][mask] / base[name][mask], expect,
                             rtol=1e-10)
+
+
+def beam_errors(series, ref, grid, mesh):
+    acc = beam_accumulator(mesh, ref, grid)
+    for n, (u, p) in enumerate(series):
+        acc.add(n, u, p)
+    return acc.result()
 
 
 def test_beam_errors_vanish_on_reference_itself():

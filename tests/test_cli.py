@@ -9,6 +9,7 @@ from memfem.cli import (
     EXIT_CONFIG,
     EXIT_GATE,
     EXIT_OK,
+    EXIT_SOLVER,
     build_kernel,
     config_hash,
     emit_certificate,
@@ -189,6 +190,18 @@ def test_cli_solver_failure_mapping(monkeypatch):
     monkeypatch.setattr(cli, "load_config", lambda *a, **k: {"problem": "beam"})
     code = cli.main(["run"])
     assert code == 3
+
+
+def test_cli_beam_certificate_overflow_exits_3(tmp_path):
+    # the default beam certificate (T = 15) on a small mesh: e^{T D}
+    # overflows, reported as an estimator failure, not a crash
+    proc = run_cli("certificate", "--set", "problem=\"beam\"",
+                   "--set", "n_elements=4", "--set", "n_steps=150",
+                   "--set", f"output_dir=\"{tmp_path}\"")
+    assert proc.returncode == EXIT_SOLVER
+    assert "overflows at this horizon" in proc.stderr
+    assert "T*D = " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_audit_subcommand(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from memfem.errors import StabilityGateError
+from memfem.errors import EstimatorError, StabilityGateError
 from memfem.kernels import MemoryKernel, PronySLS, beam_kernel, fickian_kernel
 from memfem.volterra import (
     BlockSaddleSystem,
@@ -14,6 +14,7 @@ from memfem.volterra import (
     VolterraStepper,
     error_constants,
     history_sum,
+    split_load,
     stability_constants,
     step,
     step_gammas,
@@ -35,6 +36,63 @@ def test_timegrid_basic():
         TimeGrid(T=1.0, n_steps=0)
     with pytest.raises(ValueError):
         TimeGrid(T=0.0, n_steps=3)
+
+
+def test_timegrid_times_cached_and_read_only():
+    grid = TimeGrid(T=1.0, n_steps=10)
+    assert grid.times is grid.times
+    assert not grid.times.flags.writeable
+    with pytest.raises(ValueError):
+        grid.times[3] = 0.0
+    # the cache does not enter equality or hashing of the frozen grid
+    assert grid == TimeGrid(T=1.0, n_steps=10)
+    assert hash(grid) == hash(TimeGrid(T=1.0, n_steps=10))
+
+
+def test_split_load_calls_load_once_per_node():
+    calls = []
+
+    def load(t):
+        calls.append(t)
+        return np.array([t]), np.array([2.0 * t])
+
+    sys_ = scalar_system(k3=MemoryKernel.exp_convolution(c=-1.0, rate=1.0))
+    grid = TimeGrid(T=1.0, n_steps=8)
+    f_of_t, g_of_t = split_load(load)
+    states = []
+    VolterraStepper(sys_, grid).run(
+        f_of_t, g_of_t, on_step=lambda n, t, u, p: states.append((u, p)))
+    assert_array_equal(calls, grid.times)
+    # same states as two independent load callbacks
+    ref = []
+    VolterraStepper(scalar_system(k3=sys_.k3), grid).run(
+        lambda t: load(t)[0], lambda t: load(t)[1],
+        on_step=lambda n, t, u, p: ref.append((u, p)))
+    for (u, p), (u_ref, p_ref) in zip(states, ref):
+        assert_array_equal(u, u_ref)
+        assert_array_equal(p, p_ref)
+
+
+def test_factor_cache_bounded_for_time_varying_kernel():
+    # k(t,t) = -(1 + t) changes every step, so every step factors anew;
+    # only the two most recent factorizations may stay alive
+    kernel = MemoryKernel.from_callable(
+        lambda t, s: -(1.0 + np.asarray(t, float))
+        * np.exp(-(np.asarray(t, float) - np.asarray(s, float))), bound=3.0)
+    sys_ = scalar_system(k3=kernel)
+    grid = TimeGrid(T=1.0, n_steps=200)
+    VolterraStepper(sys_, grid).run(lambda t: np.zeros(1), lambda t: np.ones(1))
+    assert len(sys_._factor_cache) <= 2
+    last = step_gammas(sys_, grid, grid.n_steps)
+    assert tuple(last) in sys_._factor_cache
+
+
+def test_factor_cache_keeps_step0_and_steady_factors():
+    sys_ = scalar_system(k3=MemoryKernel.exp_convolution(c=-1.0, rate=1.0))
+    grid = TimeGrid(T=1.0, n_steps=20)
+    VolterraStepper(sys_, grid).run(lambda t: np.zeros(1), lambda t: np.ones(1))
+    assert set(sys_._factor_cache) == {(1.0, 1.0, 1.0),
+                                       step_gammas(sys_, grid, 1)}
 
 
 def test_trapezoid_weights():
@@ -220,6 +278,22 @@ def test_stability_constants_single_exponential():
     out = stability_constants(alpha0=1.0, beta=1.0, norm_a=1.0,
                               c_k1=0.0, c_k2=0.0, c_k3=0.0, c_ktilde=1.0, T=1.0)
     assert_allclose(out.c1, 1.0 + math.e, rtol=1e-15)
+
+
+def test_stability_constants_overflow_raises_estimator_error():
+    # T D = 15 * 80 = 1200: e^{T D} overflows a double
+    with pytest.raises(EstimatorError,
+                       match=r"overflows at this horizon.*T\*D = 1200"):
+        stability_constants(alpha0=1.0, beta=1.0, norm_a=79.0, c_k1=0.0,
+                            c_k2=0.0, c_k3=1.0, c_ktilde=1.0, T=15.0)
+    # e^{T D} itself fits, T D e^{T D} does not
+    with pytest.raises(EstimatorError, match="overflows"):
+        stability_constants(1.0, 1.0, 708.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(EstimatorError, match="overflows"):
+        error_constants(1.0, 1.0, 79.0, 1.0, 0.0, 0.0, 1.0, 1.0, 15.0)
+    # just inside the range the constants stay finite
+    ok = stability_constants(1.0, 1.0, 79.0, 0.0, 0.0, 1.0, 1.0, 8.0)
+    assert math.isfinite(ok.c4)
 
 
 def test_stability_constants_validation():
