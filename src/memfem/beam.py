@@ -340,7 +340,7 @@ def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
     f_fn = None if f_space is None else (lambda x, t: f_space(x))
     g_fn = None if g_space is None else (lambda x, t: g_space(x))
     rhs_f, rhs_g = beam_rhs(cfg, mesh, f_fn, g_fn, 0.0, e0=e0)
-    u, p = system.factorization((1.0, 1.0, 1.0)).solve(rhs_f, rhs_g)
+    u, p = system.factorization().solve(rhs_f, rhs_g)
     if kernel is None:
         phi = CreepFactor(times=grid.times.copy(),
                           samples=np.ones(grid.n_steps + 1), residual=0.0,

@@ -39,44 +39,56 @@ def as_csr(matrix) -> sp.csr_matrix:
 
 
 class SaddleFactorization:
-    """Reusable LU factorization of ``[[g1 A, g2 B^T], [g3 B, 0]]``."""
+    """Reusable LU factorization of ``K = [[A, B^T], [B, 0]]``.
 
-    def __init__(self, lu, n_v: int, n_q: int, gammas):
+    Scalar block scalings need no factorization of their own:
+
+        [[g1 A, g2 B^T], [g3 B, 0]] = diag(g1 I, g3 I) K diag(I, (g2/g1) I),
+
+    so :meth:`solve` applies them to the right-hand side and to ``p``.
+    """
+
+    def __init__(self, lu, n_v: int, n_q: int):
         self._lu = lu
         self.n_v = n_v
         self.n_q = n_q
-        self.gammas = gammas
 
-    def solve(self, f: np.ndarray, g: np.ndarray):
-        """Solve for (u, p) given block right-hand sides."""
+    def solve(self, f: np.ndarray, g: np.ndarray, gammas=(1.0, 1.0, 1.0)):
+        """Solve ``[[g1 A, g2 B^T], [g3 B, 0]] (u, p) = (f, g)``; a zero or
+        non-finite gamma or solution raises :class:`SaddleSolverError`."""
+        g1, g2, g3 = gammas
+        if not (g1 and g2 and g3 and math.isfinite(g1)
+                and math.isfinite(g2) and math.isfinite(g3)):
+            raise SaddleSolverError(f"block scalings {gammas!r} are singular")
+        n_v = self.n_v
         rhs = np.concatenate([np.asarray(f, float), np.asarray(g, float)])
+        if g1 != 1.0:
+            rhs[:n_v] /= g1
+        if g3 != 1.0:
+            rhs[n_v:] /= g3
         sol = self._lu.solve(rhs)
+        if g1 != g2:
+            sol[n_v:] *= g1 / g2
         if not np.all(np.isfinite(sol)):
             raise SaddleSolverError(
-                f"saddle solve produced non-finite values (gammas={self.gammas})")
-        return sol[: self.n_v], sol[self.n_v:]
+                f"saddle solve produced non-finite values (gammas={gammas})")
+        return sol[:n_v], sol[n_v:]
 
 
-def factorize_saddle(a, b, g1: float = 1.0, g2: float = 1.0,
-                     g3: float = 1.0) -> SaddleFactorization:
-    """Factor the block system ``[[g1 A, g2 B^T], [g3 B, 0]]``.
+def factorize_saddle(a, b) -> SaddleFactorization:
+    """Factor the block system ``[[A, B^T], [B, 0]]``.
 
     Parameters
     ----------
     a : sparse (n_v, n_v), symmetric positive semi-definite
     b : sparse (n_q, n_v), full row rank
-    g1, g2, g3 : nonzero block scalings
 
     Raises
     ------
     SaddleSolverError
-        On structural or numerical singularity; the message carries block
-        diagnostics (the gammas, and rank deficiency when B has an
-        exactly zero row).
+        On structural or numerical singularity; the message reports rank
+        deficiency when B has an exactly zero row.
     """
-    for name, g in (("g1", g1), ("g2", g2), ("g3", g3)):
-        if g == 0.0 or not np.isfinite(g):
-            raise SaddleSolverError(f"block scaling {name}={g!r} is singular")
     a = as_csr(a)
     b = as_csr(b)
     n_v = a.shape[0]
@@ -84,7 +96,7 @@ def factorize_saddle(a, b, g1: float = 1.0, g2: float = 1.0,
     if a.shape[1] != n_v or b.shape[1] != n_v:
         raise SaddleSolverError(
             f"inconsistent block shapes A{a.shape} B{b.shape}")
-    kkt = sp.bmat([[g1 * a, g2 * b.T], [g3 * b, None]], format="csc")
+    kkt = sp.bmat([[a, b.T], [b, None]], format="csc")
     try:
         lu = spla.splu(kkt)
     except RuntimeError as exc:
@@ -94,9 +106,8 @@ def factorize_saddle(a, b, g1: float = 1.0, g2: float = 1.0,
             dead = int(np.argmin(row_norms))
             detail = f"; B is rank deficient (zero row {dead})"
         raise SaddleSolverError(
-            f"saddle factorization failed with gammas=({g1:g},{g2:g},{g3:g})"
-            f"{detail}: {exc}") from exc
-    return SaddleFactorization(lu, n_v, n_q, (g1, g2, g3))
+            f"saddle factorization failed{detail}: {exc}") from exc
+    return SaddleFactorization(lu, n_v, n_q)
 
 
 def _dense_schur(gram_v, b) -> np.ndarray:

@@ -13,10 +13,12 @@ with data (f_0, g_0) (Volterra equations of the second kind need no
 initial condition).  Scheme well-posedness requires the stability gate
 ``|w_{n,n} k(t_n, t_n)| < 1`` for every attached kernel.
 
-History sums are evaluated on raw stored vectors (one matrix-vector
-product per block per step); kernels with convolution structure support
-an O(1) exponential recurrence in place of direct summation, and both
-paths can be audited against each other.
+The scalings are scalars, so every step shares one LU of the unscaled
+``K = [[A, B^T], [B, 0]]`` (see :class:`SaddleFactorization`).  A direct
+history sum is one product of the weight row with the stored ``(N+1, n)``
+history array; kernels with convolution structure support an O(1)
+exponential recurrence in place of direct summation, and both paths can
+be audited against each other.
 
 The module also evaluates the closed-form stability and error constants
 of the underlying well-posedness theory.
@@ -152,11 +154,11 @@ class BlockSaddleSystem:
 
     A must be symmetric (checked to 1e-12 entrywise on construction) and
     positive semi-definite; B must have full row rank.  Each of the three
-    kernel slots is a :class:`MemoryKernel` or None (absent).
+    kernel slots is a :class:`MemoryKernel` or None (absent).  One LU of
+    the unscaled system, built on first use, serves every step's scalings.
     """
 
     SYMMETRY_TOL = 1e-12
-    FACTOR_CACHE_SIZE = 2   # the step-0 and the steady factor of a run
 
     def __init__(self, a, b, k1: Optional[MemoryKernel] = None,
                  k2: Optional[MemoryKernel] = None,
@@ -175,7 +177,7 @@ class BlockSaddleSystem:
         self.k1 = k1
         self.k2 = k2
         self.k3 = k3
-        self._factor_cache: dict[tuple, SaddleFactorization] = {}
+        self._fact: Optional[SaddleFactorization] = None
 
     @property
     def n_v(self) -> int:
@@ -189,23 +191,20 @@ class BlockSaddleSystem:
     def kernels(self):
         return (self.k1, self.k2, self.k3)
 
-    def factorization(self, gammas) -> SaddleFactorization:
-        """Factor for the given gamma triple; the most recent are cached."""
-        key = tuple(float(g) for g in gammas)
-        fact = self._factor_cache.pop(key, None)
-        if fact is None:
-            fact = factorize_saddle(self.a, self.b, *key)
-        self._factor_cache[key] = fact
-        while len(self._factor_cache) > self.FACTOR_CACHE_SIZE:
-            del self._factor_cache[next(iter(self._factor_cache))]
-        return fact
+    def factorization(self) -> SaddleFactorization:
+        """The LU of the unscaled system, factored on the first call."""
+        if self._fact is None:
+            self._fact = factorize_saddle(self.a, self.b)
+        return self._fact
 
 
 class HistoryBuffer:
     """Stored past (u_j, p_j) plus optional exponential-sum accumulators.
 
-    Accumulators are keyed by the convolution parameters ``(c, rate)``
-    and the vector family ("u" or "p"); each holds
+    With ``store_full`` the states are the rows of two ``(n_steps + 1, n)``
+    arrays, allocated on the first append.  Accumulators are keyed by the
+    convolution parameters ``(c, rate)`` and the vector family ("u" or
+    "p"); each holds
 
         U_k = sum_{j<=k} dt * c * exp(-rate (t_k - t_j)) x_j
 
@@ -215,9 +214,8 @@ class HistoryBuffer:
     def __init__(self, grid: TimeGrid, store_full: bool = True):
         self.grid = grid
         self.store_full = store_full
-        self.us: list[np.ndarray] = []
-        self.ps: list[np.ndarray] = []
         self._count = 0
+        self._stored: dict[str, np.ndarray] = {}
         self._first: dict[str, np.ndarray] = {}
         self._acc: dict[tuple, np.ndarray] = {}
         self.audit_max_rel = 0.0
@@ -235,35 +233,32 @@ class HistoryBuffer:
         key = (kernel.c, kernel.rate, which)
         if key not in self._acc and self._count:
             raise ValueError("attach recurrence before the first append")
-        self._acc.setdefault(key, None)
+        self._acc.setdefault(key, 0.0)
 
     def append(self, u: np.ndarray, p: np.ndarray) -> None:
-        u = np.asarray(u, dtype=float)
-        p = np.asarray(p, dtype=float)
         dt = self.grid.dt
         for which, x in (("u", u), ("p", p)):
+            x = np.asarray(x, dtype=float)
             if self._count == 0:
                 self._first[which] = x.copy()
+                if self.store_full:
+                    self._stored[which] = np.empty((self.grid.n_steps + 1, x.size))
+            if self.store_full:
+                self._stored[which][self._count] = x
             for key in self._acc:
                 c, rate, fam = key
-                if fam != which:
-                    continue
-                if self._acc[key] is None:
-                    self._acc[key] = dt * c * x
-                else:
+                if fam == which:
                     self._acc[key] = math.exp(-rate * dt) * self._acc[key] + dt * c * x
-        if self.store_full:
-            self.us.append(u.copy())
-            self.ps.append(p.copy())
         self._count += 1
 
     def first(self, which: str) -> np.ndarray:
         return self._first[which]
 
-    def vectors(self, which: str) -> list[np.ndarray]:
+    def vectors(self, which: str) -> np.ndarray:
+        """The stored states of one family, one filled row per append."""
         if not self.store_full:
             raise ValueError("history vectors were not stored (store_full=False)")
-        return self.us if which == "u" else self.ps
+        return self._stored.get(which, np.empty((0, 0)))[:self._count]
 
     def accumulator(self, kernel: MemoryKernel, which: str) -> np.ndarray:
         key = (kernel.c, kernel.rate, which)
@@ -310,15 +305,9 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, grid: TimeGrid,
         head = kernel.c * math.exp(-kernel.rate * times[n])
         return decay * acc - 0.5 * grid.dt * head * x0
 
-    xs = hist.vectors(which)[:n]
     w = trapezoid_weights(grid, n)[:n]
     kv = np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
-    coeff = w * kv
-    out = np.zeros_like(xs[0])
-    for cj, xj in zip(coeff, xs):
-        if cj != 0.0:
-            out += cj * xj
-    return out
+    return (w * kv) @ hist.vectors(which)[:n]
 
 
 def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
@@ -373,8 +362,7 @@ def step(sys: BlockSaddleSystem, grid: TimeGrid, n: int, hist: HistoryBuffer,
         if sys.k3 is not None:
             rhs_g += sys.b @ summed(sys.k3, "u")
 
-    fact = sys.factorization(gammas)
-    u_n, p_n = fact.solve(rhs_f, rhs_g)
+    u_n, p_n = sys.factorization().solve(rhs_f, rhs_g, gammas)
     hist.append(u_n, p_n)
     return u_n, p_n
 

@@ -244,7 +244,7 @@ def test_criterion_8_structural_properties():
     worst_zero = 0.0
     grid = TimeGrid(T=0.5, n_steps=10)
     lp = laplace_mod.LaplaceProblem(4, delta=0.01, kernel=None)
-    fact = lp.system.factorization((1.0, 1.0, 1.0))
+    fact = lp.system.factorization()
     states = []
     lp.run(grid, collect=lambda n, t, s, u: states.append((t, s, u)))
     for t, sig, u in states:
@@ -256,7 +256,7 @@ def test_criterion_8_structural_properties():
                          np.max(np.abs(u - u_ref)) / scale)
     bp = beam_mod.BeamProblem(beam_mod.joined_profile(0.001), 8, None, 1.0,
                               EXP_LOAD, None)
-    bfact = bp.system.factorization((1.0, 1.0, 1.0))
+    bfact = bp.system.factorization()
     bstates = []
     bp.run(grid, collect=lambda n, t, u, p: bstates.append((t, u, p)))
     for t, u, p in bstates:

@@ -305,7 +305,7 @@ def test_elastic_limit_matches_primal_solve():
     cfg = joined_profile(d=0.1)
     prob = BeamProblem(cfg, 64, None, 1.0, EXP_LOAD, None)
     f0, g0 = prob.rhs(0.0)
-    u, p = prob.system.factorization((1.0, 1.0, 1.0)).solve(f0, g0)
+    u, p = prob.system.factorization().solve(f0, g0)
     n = prob.mesh.n_elements
     beta_mixed, w_mixed = p[:n], p[n:]
     pmesh, beta_p, w_p = primal_timoshenko(cfg, 512, np.exp)
@@ -327,7 +327,7 @@ def test_full_run_separability_consistency():
     n = 16
     prob = BeamProblem(cfg, n, kern, 1.0, EXP_LOAD, None)
     f0, g0 = prob.rhs(0.0)
-    u_el, p_el = prob.system.factorization((1.0, 1.0, 1.0)).solve(f0, g0)
+    u_el, p_el = prob.system.factorization().solve(f0, g0)
     phi = 2.0 / 3.0 + np.exp(-3.0 * grid.times) / 3.0
     worst = 0.0
 
@@ -367,7 +367,7 @@ def test_thickness_robustness_of_estimators():
 
 
 def test_gate_boundary_run_succeeds():
-    # |w_nn k(t,t)| = dt/2 just below 1 still factorizes and runs
+    # |w_nn k(t,t)| = dt/2 just below 1 still solves and runs
     cfg = joined_profile(d=0.01)
     kern = beam_kernel(PronySLS(1.0, 1.0, 1.0))   # k(t,t) = -1
     prob = BeamProblem(cfg, 4, kern, 1.0, EXP_LOAD, None)

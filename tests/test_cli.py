@@ -211,6 +211,21 @@ def test_cli_audit_subcommand(tmp_path):
     assert "max relative deviation" in proc.stdout
 
 
+@pytest.mark.parametrize("problem", ["beam", "laplace"])
+def test_cli_audit_deviation_within_bound(tmp_path, capsys, problem):
+    # the direct sum runs over the stored history array; it must agree
+    # with the recurrence to the stepper's audit bound
+    from memfem.cli import main
+
+    code = main(["audit", "--set", f'problem="{problem}"', "--set", "m=4",
+                 "--set", "n_elements=8", "--set", "n_steps=60",
+                 "--set", "T=0.5", "--set", f'output_dir="{tmp_path}"'])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "audited 60 steps" in out
+    assert float(out.rsplit("=", 1)[1]) <= 1e-12
+
+
 def test_cli_convergence_subcommand(tmp_path):
     proc = run_cli("convergence", "--set", "problem=\"laplace\"",
                    "--set", "levels=[2,4]", "--set", "T=0.05",

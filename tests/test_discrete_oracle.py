@@ -1,0 +1,83 @@
+"""Round-off oracle for the stepper with a general (non-convolution) kernel.
+
+Both drivers load only the constraint row, with a fixed vector times a
+scalar ``c(t)``, and the kernel sits on that row.  The fully discrete
+solution is then exactly ``x_n = s_n x_*``: ``x_*`` is one spatial solve
+and ``s_n`` is the scalar trapezoid recurrence on the same grid,
+
+    s_0 = c(t_0),
+    (1 - dt/2 k(t_n,t_n)) s_n = c(t_n) + sum_{j<n} w_nj k(t_n,t_j) s_j.
+
+A kernel whose ``k(t,t)`` varies moves every step's block scaling, so the
+check covers the scalings applied in each solve and the direct history
+sum, step by step.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from memfem.beam import BeamProblem, joined_profile
+from memfem.kernels import MemoryKernel
+from memfem.laplace_mem import LaplaceProblem
+from memfem.volterra import TimeGrid
+
+
+def varying_kernel(c, rate, a):
+    """c e^{-rate (t-s)} (1 + a sin(t + s)): k(t,t) changes every step."""
+    def k(t, s):
+        t = np.asarray(t, float)
+        s = np.asarray(s, float)
+        return c * np.exp(-rate * (t - s)) * (1.0 + a * np.sin(t + s))
+
+    return MemoryKernel.from_callable(k, bound=abs(c) * (1.0 + a))
+
+
+def scalar_factor(kernel, grid, load):
+    times, dt = grid.times, grid.dt
+    s = np.empty(grid.n_steps + 1)
+    s[0] = load(times[0])
+    for n in range(1, grid.n_steps + 1):
+        w = np.full(n, dt)
+        w[0] = 0.5 * dt
+        k_row = np.asarray(kernel.eval(times[n], times[:n]), float)
+        s[n] = (load(times[n]) + np.dot(w * k_row, s[:n])) \
+            / (1.0 - 0.5 * dt * float(kernel.eval(times[n], times[n])))
+    return s
+
+
+def max_factor_deviation(states, s):
+    """Largest ``max|x_n - s_n x_*| / max|x_n|`` over the run."""
+    assert len(states) == len(s)
+    x_star = states[0] / s[0]
+    return max(float(np.max(np.abs(x - s_n * x_star)) / np.max(np.abs(x)))
+               for x, s_n in zip(states, s))
+
+
+def collector(states):
+    return lambda n, t, u, p: states.append(np.concatenate([u, p]))
+
+
+@pytest.mark.parametrize("c, rate, a", [(-1.5, 1.0, 0.5), (0.8, 2.0, 0.3)])
+def test_laplace_general_kernel_is_scalar_times_spatial(c, rate, a):
+    kernel = varying_kernel(c, rate, a)
+    grid = TimeGrid(T=1.0, n_steps=40)
+    # delta=None: the load is cos(t) times a fixed cell vector
+    prob = LaplaceProblem(4, delta=None, kernel=kernel)
+    states = []
+    prob.run(grid, collect=collector(states))
+    s = scalar_factor(kernel, grid, math.cos)
+    assert max_factor_deviation(states, s) <= 1e-12
+
+
+@pytest.mark.parametrize("c, rate, a", [(-1.0, 1.0, 0.5), (0.6, 0.5, 0.7)])
+def test_beam_general_kernel_is_scalar_times_spatial(c, rate, a):
+    kernel = varying_kernel(c, rate, a)
+    grid = TimeGrid(T=3.0, n_steps=60)
+    # unit step load on the constraint row
+    prob = BeamProblem(joined_profile(d=0.001), 8, kernel, 1.0, np.exp, None)
+    states = []
+    prob.run(grid, collect=collector(states))
+    s = scalar_factor(kernel, grid, lambda t: 1.0)
+    assert max_factor_deviation(states, s) <= 1e-12

@@ -238,7 +238,7 @@ def test_stability_gate_rejects_large_dt():
 
 
 def test_gate_boundary_factorizes():
-    # just below the gate the scaled factorization still succeeds
+    # just below the gate the scaled solve still succeeds
     prob = LaplaceProblem(2, delta=0.01)
     grid = TimeGrid(T=0.038, n_steps=2)  # dt = 0.019 < 0.02
     errs, _, _ = prob.run(grid)
@@ -284,7 +284,7 @@ def test_memoryless_mixed_matches_primal_poisson():
     # cross-checked against an independent primal P1 solve
     prob = LaplaceProblem(16, delta=None, kernel=None)
     f0, g0 = prob.rhs(0.0)
-    sig, u = prob.system.factorization((1.0, 1.0, 1.0)).solve(f0, g0)
+    sig, u = prob.system.factorization().solve(f0, g0)
     _, primal_means = primal_poisson_p0_means(16)
     rel = np.linalg.norm(u - primal_means) / np.linalg.norm(primal_means)
     assert rel < 0.02
@@ -293,7 +293,7 @@ def test_memoryless_mixed_matches_primal_poisson():
 def test_zero_kernel_run_reproduces_stationary_solves():
     grid = TimeGrid(T=0.5, n_steps=8)
     prob = LaplaceProblem(4, delta=0.01, kernel=None)
-    fact = prob.system.factorization((1.0, 1.0, 1.0))
+    fact = prob.system.factorization()
     states = []
     prob.run(grid, collect=lambda n, t, s, u: states.append((t, s, u)))
     for t, sig, u in states:

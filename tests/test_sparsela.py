@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from memfem.errors import SaddleSolverError
@@ -34,28 +37,55 @@ def test_factorize_saddle_zero_row_is_rank_deficiency():
         factorize_saddle(a, b)
 
 
-def test_factorize_saddle_rejects_zero_gamma():
+def test_solve_rejects_singular_gammas():
     a = sp.identity(2, format="csr")
     b = sp.csr_matrix(np.array([[1.0, 0.0]]))
-    with pytest.raises(SaddleSolverError):
-        factorize_saddle(a, b, g3=0.0)
+    fact = factorize_saddle(a, b)
+    f, g = np.array([1.0, 0.0]), np.array([1.0])
+    for gammas in ((1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, math.inf, 1.0),
+                   (1.0, 1.0, math.nan), (-math.inf, 1.0, 1.0)):
+        with pytest.raises(SaddleSolverError, match="singular"):
+            fact.solve(f, g, gammas)
+
+
+def scaled_kkt(a, b, g1, g2, g3):
+    m = b.shape[0]
+    return np.block([[g1 * a, g2 * b.T], [g3 * b, np.zeros((m, m))]])
 
 
 def test_factor_solve_random_residuals():
+    # one unscaled factorization serves every gamma triple, down to the
+    # 1e-3 scalings met next to the stability gate
     rng = np.random.RandomState(42)
     for trial in range(100):
         n, m = 30, 10
         a = random_spd(n, rng)
         b = rng.standard_normal((m, n))
-        g1, g2, g3 = rng.uniform(0.5, 2.0, size=3)
-        fact = factorize_saddle(sp.csr_matrix(a), sp.csr_matrix(b), g1, g2, g3)
+        g1, g2, g3 = rng.uniform(1e-3, 2.0, size=3)
+        fact = factorize_saddle(sp.csr_matrix(a), sp.csr_matrix(b))
         f = rng.standard_normal(n)
         g = rng.standard_normal(m)
-        u, p = fact.solve(f, g)
-        kkt = np.block([[g1 * a, g2 * b.T], [g3 * b, np.zeros((m, m))]])
+        u, p = fact.solve(f, g, (g1, g2, g3))
+        kkt = scaled_kkt(a, b, g1, g2, g3)
         rhs = np.concatenate([f, g])
         res = np.linalg.norm(kkt @ np.concatenate([u, p]) - rhs)
         assert res / np.linalg.norm(rhs) < 1e-10
+
+
+def test_scaled_solve_matches_lu_of_scaled_kkt():
+    rng = np.random.RandomState(7)
+    n, m = 40, 12
+    a = random_spd(n, rng)
+    b = rng.standard_normal((m, n))
+    fact = factorize_saddle(sp.csr_matrix(a), sp.csr_matrix(b))
+    for g1, g2, g3 in ((1.0, 1.0, 0.925), (0.6, 0.6, 1.0), (0.7, 1.3, 0.2)):
+        f = rng.standard_normal(n)
+        g = rng.standard_normal(m)
+        u, p = fact.solve(f, g, (g1, g2, g3))
+        ref = spla.splu(sp.csc_matrix(scaled_kkt(a, b, g1, g2, g3))).solve(
+            np.concatenate([f, g]))
+        x = np.concatenate([u, p])
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_factor_matches_dense_reference():

@@ -6,7 +6,9 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from memfem.errors import EstimatorError, StabilityGateError
+from memfem import volterra
 from memfem.kernels import MemoryKernel, PronySLS, beam_kernel, fickian_kernel
+from memfem.sparsela import SaddleFactorization
 from memfem.volterra import (
     BlockSaddleSystem,
     HistoryBuffer,
@@ -73,26 +75,53 @@ def test_split_load_calls_load_once_per_node():
         assert_array_equal(p, p_ref)
 
 
-def test_factor_cache_bounded_for_time_varying_kernel():
-    # k(t,t) = -(1 + t) changes every step, so every step factors anew;
-    # only the two most recent factorizations may stay alive
+def count_factorizations(monkeypatch):
+    """Calls of ``factorize_saddle`` made by the stepper, counted."""
+    calls = []
+    orig = volterra.factorize_saddle
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return orig(a, b)
+
+    monkeypatch.setattr(volterra, "factorize_saddle", counted)
+    return calls
+
+
+def test_time_varying_kernel_factors_once(monkeypatch):
+    # k(t,t) = -(1 + t) changes the gamma of every step; the gammas are
+    # applied in the solves, so 200 steps share one factorization
+    calls = count_factorizations(monkeypatch)
     kernel = MemoryKernel.from_callable(
         lambda t, s: -(1.0 + np.asarray(t, float))
         * np.exp(-(np.asarray(t, float) - np.asarray(s, float))), bound=3.0)
     sys_ = scalar_system(k3=kernel)
     grid = TimeGrid(T=1.0, n_steps=200)
     VolterraStepper(sys_, grid).run(lambda t: np.zeros(1), lambda t: np.ones(1))
-    assert len(sys_._factor_cache) <= 2
-    last = step_gammas(sys_, grid, grid.n_steps)
-    assert tuple(last) in sys_._factor_cache
+    assert len(calls) == 1
+    assert len({step_gammas(sys_, grid, n) for n in range(1, 201)}) == 200
 
 
-def test_factor_cache_keeps_step0_and_steady_factors():
+def test_step0_and_steady_steps_share_one_factor(monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    solves = []
+    orig = SaddleFactorization.solve
+
+    def recorded(fact, f, g, gammas=(1.0, 1.0, 1.0)):
+        solves.append((id(fact), tuple(gammas)))
+        return orig(fact, f, g, gammas)
+
+    monkeypatch.setattr(SaddleFactorization, "solve", recorded)
     sys_ = scalar_system(k3=MemoryKernel.exp_convolution(c=-1.0, rate=1.0))
     grid = TimeGrid(T=1.0, n_steps=20)
+    # built on first use, not with the system
+    assert calls == []
     VolterraStepper(sys_, grid).run(lambda t: np.zeros(1), lambda t: np.ones(1))
-    assert set(sys_._factor_cache) == {(1.0, 1.0, 1.0),
-                                       step_gammas(sys_, grid, 1)}
+    assert len(calls) == 1
+    assert {fact for fact, _ in solves} == {id(sys_.factorization())}
+    steady = step_gammas(sys_, grid, 1)
+    assert steady != (1.0, 1.0, 1.0)
+    assert [g for _, g in solves] == [(1.0, 1.0, 1.0)] + [steady] * 20
 
 
 def test_trapezoid_weights():
@@ -135,7 +164,7 @@ def test_zero_kernel_reduces_to_stationary_solve():
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=6)
     stepper = VolterraStepper(sys, grid)
-    fact = sys.factorization((1.0, 1.0, 1.0))
+    fact = sys.factorization()
     for t in grid.times:
         f = np.sin(t + np.arange(n, dtype=float))
         g = np.cos(t + np.arange(m, dtype=float))
@@ -196,6 +225,66 @@ def test_history_sum_recurrence_matches_direct():
             denom = np.max(np.abs(direct))
             assert np.max(np.abs(direct - recur)) <= 1e-12 * max(denom, 1e-30)
         hist.append(rng.standard_normal(7), np.zeros(1))
+
+
+def loop_history_sum(xs, grid, kernel, n):
+    """The direct sum as a Python loop over stored vectors (reference)."""
+    times = grid.times
+    w = trapezoid_weights(grid, n)[:n]
+    coeff = w * np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
+    out = np.zeros_like(xs[0])
+    for cj, xj in zip(coeff, xs[:n]):
+        if cj != 0.0:
+            out += cj * xj
+    return out
+
+
+def test_direct_history_sum_matches_loop():
+    rng = np.random.RandomState(8)
+    grid = TimeGrid(T=3.0, n_steps=90)
+    kernel = MemoryKernel.from_callable(
+        lambda t, s: np.cos(3.0 * np.asarray(s, float)) * (2.0 + np.sin(t)),
+        bound=3.0)
+    hist = HistoryBuffer(grid)
+    us, ps = [], []
+    for n in range(grid.n_steps + 1):
+        if n >= 1:
+            for which, xs in (("u", us), ("p", ps)):
+                out = history_sum(hist, kernel, grid, n, which, mode="direct")
+                ref = loop_history_sum(xs, grid, kernel, n)
+                assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        us.append(rng.standard_normal(11))
+        ps.append(rng.standard_normal(4))
+        hist.append(us[-1], ps[-1])
+
+
+def test_history_vectors_are_the_filled_rows():
+    rng = np.random.RandomState(9)
+    grid = TimeGrid(T=1.0, n_steps=10)
+    hist = HistoryBuffer(grid)
+    us = [rng.standard_normal(5) for _ in range(4)]
+    for u in us:
+        hist.append(u, np.zeros(2))
+        u[:] = 0.0     # the buffer keeps its own copy
+    assert hist.vectors("u").shape == (4, 5)
+    assert hist.vectors("p").shape == (4, 2)
+    rng = np.random.RandomState(9)
+    assert_array_equal(hist.vectors("u"),
+                       [rng.standard_normal(5) for _ in range(4)])
+    # bytes of the stored states, as a per-vector sum reads them
+    assert sum(x.nbytes for w in ("u", "p") for x in hist.vectors(w)) \
+        == 4 * (5 + 2) * 8
+
+
+def test_history_without_store_allocates_nothing():
+    grid = TimeGrid(T=1.0, n_steps=50)
+    kernel = beam_kernel(PronySLS(1.0, 1.0, 1.0))
+    stepper = VolterraStepper(scalar_system(k3=kernel), grid)
+    assert not stepper.hist.store_full
+    stepper.run(lambda t: np.zeros(1), lambda t: np.ones(1))
+    assert stepper.hist._stored == {}
+    with pytest.raises(ValueError, match="store_full"):
+        stepper.hist.vectors("u")
 
 
 def test_history_sum_mode_errors():
