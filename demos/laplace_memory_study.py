@@ -30,12 +30,14 @@ print("written:", ", ".join(str(p) for p in paths.values()))
 # is dominated by the mesh term, not the time step.
 
 # %%
-from memfem.laplace_mem import LaplaceProblem
+from memfem.laplace_mem import LaplaceProblem, probe_cell_index
 from memfem.volterra import TimeGrid
 
 grid = TimeGrid(T=0.5, n_steps=1000)
 prob = LaplaceProblem(16, delta=0.01)
-_, probe, _ = prob.run(grid, probe_point=(0.5, 0.5))
+cell = probe_cell_index(prob.m, (0.5, 0.5))
+probe = []
+prob.run(grid, collect=lambda n, t, sigma, u: probe.append(u[cell]))
 exact = 0.0625 * np.cos(grid.times)
 print(f"max |u_h(0.5,0.5,t) - 0.0625 cos t| = "
       f"{np.max(np.abs(probe - exact)):.3e}")

@@ -27,14 +27,7 @@ from .kernels import (
     modulus_kernel,
     sls_relaxation,
 )
-from .mesh import (
-    DofMap,
-    Mesh1D,
-    TriMesh,
-    build_dofmap,
-    structured_unit_square,
-    uniform_mesh1d,
-)
+from .mesh import Mesh1D, TriMesh, structured_unit_square, uniform_mesh1d
 from .sparsela import (
     KernelEllipticity,
     SaddleFactorization,

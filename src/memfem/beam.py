@@ -415,13 +415,26 @@ class BeamProblem:
         # tables index the nodal pair only
         return self.n_v
 
+    @property
+    def h(self) -> float:
+        # L/n exactly: Mesh1D.h, the largest cell length, can differ in
+        # the last bit and would change the report tables
+        return self.cfg.L / self.mesh.n_elements
+
+    def grams(self):
+        """(H1 x H1 Gram, L2 x L2 Gram): the norms of the two unknowns."""
+        return beam_gram_v(self.mesh), beam_gram_q(self.mesh)
+
     def rhs(self, t: float):
         # unit step load: active from t = 0 on
         return np.zeros(self.n_v), self._load_row.copy()
 
     def run(self, grid: TimeGrid, reference: Optional[BeamReference] = None,
             audit: bool = False, collect: Optional[Callable] = None):
-        """Step through the grid; returns (errors, stepper)."""
+        """Step through the grid; returns (errors, stepper).
+
+        Errors against ``reference`` are None when no reference is given.
+        """
         stepper = VolterraStepper(self.system, grid, audit=audit)
         acc = None if reference is None else \
             beam_accumulator(self.mesh, reference, grid)

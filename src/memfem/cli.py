@@ -12,6 +12,7 @@ failure, 4 time-step stability gate violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -35,7 +36,8 @@ from .errors import (
 )
 from .kernels import MemoryKernel, PronySLS, beam_kernel
 from .report import ConvergenceReport, LevelRow, render_csv, render_markdown, render_svg
-from .sparsela import infsup_estimate, kernel_ellipticity, operator_norm_estimate
+from .sparsela import (infsup_estimate, kernel_ellipticity, operator_norm_b,
+                       operator_norm_estimate)
 from .volterra import TimeGrid, error_constants, stability_constants, trapezoid_weights
 
 __all__ = ["main", "load_config", "run_study", "emit_report", "emit_certificate"]
@@ -276,16 +278,14 @@ class RunNorms:
             self.g_dual_l1 += w * math.sqrt(float(g @ z))
 
 
+# problem name -> (builder, config key of the single-run mesh size)
+_BUILDERS = {"beam": (build_beam_problem, "n_elements"),
+            "laplace": (build_laplace_problem, "m")}
+
+
 def _single_problem(cfg: dict):
-    if cfg["problem"] == "beam":
-        return build_beam_problem(cfg, int(cfg["n_elements"]))
-    return build_laplace_problem(cfg, int(cfg["m"]))
-
-
-def _grams(cfg: dict, prob):
-    if cfg["problem"] == "beam":
-        return beam_mod.beam_gram_v(prob.mesh), beam_mod.beam_gram_q(prob.mesh)
-    return laplace_mod.gram_hdiv(prob.space), laplace_mod.gram_p0(prob.space)
+    build, size = _BUILDERS[cfg["problem"]]
+    return build(cfg, int(cfg[size]))
 
 
 def run_study(cfg: dict) -> ConvergenceReport:
@@ -295,27 +295,26 @@ def run_study(cfg: dict) -> ConvergenceReport:
     rows = []
     started = time.perf_counter()
     problem = cfg["problem"]
+    build, _ = _BUILDERS[problem]
+    # what the errors are measured against: one fine-mesh oracle for every
+    # beam level, each Laplace level's own manufactured solution
     if problem == "beam":
-        coarse = build_beam_problem(cfg, levels[0])
-        ref = beam_mod.beam_exact_reference(
+        coarse = build(cfg, levels[0])
+        beam_ref = beam_mod.beam_exact_reference(
             coarse.cfg, coarse.f_space, coarse.g_space, grid,
             coarse.kernel, e0=coarse.e0,
             n_ref=int(cfg["ref_factor"]) * max(levels))
+        reference = lambda prob: beam_ref
         fields = beam_mod.BEAM_FIELDS
     else:
+        reference = lambda prob: prob.manufactured
         fields = laplace_mod.LAPLACE_FIELDS
     for level in levels:
         try:
-            if problem == "beam":
-                prob = build_beam_problem(cfg, level)
-                errors, _ = prob.run(grid, reference=ref,
-                                     audit=bool(cfg["audit_history"]))
-                rows.append(LevelRow(dofs=prob.dofs, h=prob.cfg.L / level,
-                                     errors=errors))
-            else:
-                prob = build_laplace_problem(cfg, level)
-                errors, _, _ = prob.run(grid, audit=bool(cfg["audit_history"]))
-                rows.append(LevelRow(dofs=prob.dofs, h=prob.h, errors=errors))
+            prob = build(cfg, level)
+            errors, _ = prob.run(grid, reference=reference(prob),
+                                 audit=bool(cfg["audit_history"]))
+            rows.append(LevelRow(dofs=prob.dofs, h=prob.h, errors=errors))
         except MemfemError as exc:
             if rows:
                 partial = ConvergenceReport(
@@ -361,7 +360,7 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
     stream = stream or sys.stdout
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
     prob = _single_problem(cfg)
-    gram_v, gram_q = _grams(cfg, prob)
+    gram_v, gram_q = prob.grams()
     if not cfg.get("estimators", True):
         missing = [k for k in ("alpha0", "beta", "norm_a") if k not in cfg]
         if missing:
@@ -389,15 +388,13 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
                           c_k3=c_k, c_ktilde=c_k, T=T)
 
     norms = RunNorms(gram_v, gram_q, grid)
+    # the stepper's split_load and the norms share one load call per node
+    prob.rhs = functools.lru_cache(maxsize=1)(prob.rhs)
 
     def collect(n, t, u, p):
-        f, g = prob.rhs(t)
-        norms.add(n, u, p, f, g)
+        norms.add(n, u, p, *prob.rhs(t))
 
-    if cfg["problem"] == "beam":
-        prob.run(grid, reference=None, collect=collect)
-    else:
-        prob.run(grid, collect=collect)
+    prob.run(grid, collect=collect)
 
     lhs = norms.u_l1 + norms.p_l1
     rhs = (stab.c1 + stab.c3) * norms.f_dual_l1 \
@@ -427,43 +424,32 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
             "lhs": lhs, "rhs": rhs, "slack": slack, "null_dim": null_dim}
 
 
-def operator_norm_b(b, gram_v, gram_q) -> float:
-    """Norm of the constraint form: largest weighted singular value.
-
-    Square root of the largest eigenvalue of the pencil
-    (B Gv^{-1} B^T, Gq), evaluated densely like the inf-sup estimator
-    (the spectrum clusters at the top, which defeats power iteration).
-    """
-    import scipy.linalg
-
-    from .sparsela import _dense_schur
-    s = _dense_schur(gram_v, b)
-    gq = sp.csr_matrix(gram_q).toarray()
-    eigs = scipy.linalg.eigh(s, gq, eigvals_only=True)
-    return math.sqrt(max(float(eigs[-1]), 0.0))
-
-
 def _cmd_run(cfg: dict) -> int:
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
     out_dir = Path(cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    prob = _single_problem(cfg)
+    # the output files are the one per-problem choice
     if cfg["problem"] == "laplace":
-        prob = build_laplace_problem(cfg, int(cfg["m"]))
         probe_pt = cfg.get("probe")
-        errors, probe, _ = prob.run(grid, probe_point=probe_pt)
+        lines = ["t,u_h,u_exact"]
+        collect = None
+        if probe_pt is not None:
+            x, y = probe_pt
+            cell = laplace_mod.probe_cell_index(prob.m, probe_pt)
+
+            def collect(n, t, sig, u):
+                exact = prob.manufactured.u(x, y, t)
+                lines.append("%.6e,%.6e,%.6e" % (t, u[cell], exact))
+
+        errors, _ = prob.run(grid, reference=prob.manufactured, collect=collect)
         print(f"laplace m={cfg['m']}: e0(sigma)={errors['sigma']['e0']:.6e} "
               f"e0(u)={errors['u']['e0']:.6e}")
-        if probe is not None:
-            man = prob.manufactured
-            lines = ["t,u_h,u_exact"]
-            for n, t in enumerate(grid.times):
-                exact = man.u(probe_pt[0], probe_pt[1], t)
-                lines.append("%.6e,%.6e,%.6e" % (t, probe[n], exact))
+        if probe_pt is not None:
             path = out_dir / "probe.csv"
             path.write_text("\n".join(lines) + "\n")
             print(f"probe series written to {path}")
         return EXIT_OK
-    prob = build_beam_problem(cfg, int(cfg["n_elements"]))
     last = {}
 
     def keep(n, t, u, p):
@@ -510,11 +496,7 @@ def _cmd_certificate(cfg: dict) -> int:
 
 def _cmd_audit(cfg: dict) -> int:
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
-    prob = _single_problem(cfg)
-    if cfg["problem"] == "beam":
-        _, stepper = prob.run(grid, reference=None, audit=True)
-    else:
-        _, _, stepper = prob.run(grid, audit=True)
+    _, stepper = _single_problem(cfg).run(grid, audit=True)
     hist = stepper.hist
     print(f"audited {hist.audit_steps} steps: max relative deviation "
           f"between direct and recurrence history sums = "

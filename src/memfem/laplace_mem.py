@@ -288,23 +288,27 @@ class LaplaceProblem:
         g = float(self.manufactured.load_factor(t)) * self._rhs_base
         return np.zeros(self.space.n_edges), g
 
-    def run(self, grid: TimeGrid, probe_point=None, audit: bool = False,
-            collect: Optional[Callable] = None):
-        """Step through the grid; returns (errors, probe series, stepper)."""
+    def grams(self):
+        """(H(div) Gram, L2 Gram): the norms of the two unknowns."""
+        return gram_hdiv(self.space), gram_p0(self.space)
+
+    def run(self, grid: TimeGrid,
+            reference: Optional[ManufacturedSolution] = None,
+            audit: bool = False, collect: Optional[Callable] = None):
+        """Step through the grid; returns (errors, stepper).
+
+        Errors against ``reference`` (usually ``self.manufactured``) are
+        None when no reference is given.
+        """
         stepper = VolterraStepper(self.system, grid, audit=audit)
-        acc = laplace_accumulator(self.space, self.manufactured, grid)
-        probe_vals = None
-        cell = None
-        if probe_point is not None:
-            cell = probe_cell_index(self.m, probe_point)
-            probe_vals = np.empty(grid.n_steps + 1)
+        acc = None if reference is None else \
+            laplace_accumulator(self.space, reference, grid)
 
         def on_step(n, t, sig, u):
-            acc.add(n, sig, u)
-            if probe_vals is not None:
-                probe_vals[n] = u[cell]
+            if acc is not None:
+                acc.add(n, sig, u)
             if collect is not None:
                 collect(n, t, sig, u)
 
         stepper.run(*split_load(self.rhs), on_step=on_step)
-        return acc.result(), probe_vals, stepper
+        return (acc.result() if acc is not None else None), stepper

@@ -1,5 +1,4 @@
-"""Interval partitions, structured triangulations of the unit square, and
-degree-of-freedom maps.
+"""Interval partitions and structured triangulations of the unit square.
 
 All meshes are exactly uniform and deterministically numbered: vertices
 in lexicographic grid order, triangles cell by cell (each square cell
@@ -15,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
 __all__ = [
     "Mesh1D",
     "TriMesh",
-    "DofMap",
     "uniform_mesh1d",
     "structured_unit_square",
-    "build_dofmap",
 ]
 
 
@@ -144,18 +139,6 @@ class TriMesh:
         vec = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         return np.hypot(vec[:, 0], vec[:, 1])
 
-    def dump(self) -> str:
-        """Plain-text vertex/element listing for debugging."""
-        lines = [f"vertices {self.n_vertices}"]
-        lines += [f"  {i} {x:.17g} {y:.17g}"
-                  for i, (x, y) in enumerate(self.vertices)]
-        lines.append(f"triangles {self.n_triangles}")
-        lines += [f"  {k} {a} {b} {c}"
-                  for k, (a, b, c) in enumerate(self.triangles)]
-        lines.append(f"edges {self.n_edges}")
-        lines += [f"  {e} {a} {b}" for e, (a, b) in enumerate(self.edges)]
-        return "\n".join(lines)
-
 
 def structured_unit_square(m: int) -> TriMesh:
     """Structured triangulation of the unit square, ``2*m*m`` triangles.
@@ -180,46 +163,3 @@ def structured_unit_square(m: int) -> TriMesh:
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
     return TriMesh(vertices, np.array(tris, dtype=int))
-
-
-_VALID_1D = ("P1_continuous", "P0_discontinuous")
-_VALID_2D = ("RT0", "P0_tri")
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Entity-to-global-index table for one discrete space."""
-
-    space: str
-    n_dofs: int
-    entity_to_dof: np.ndarray
-
-    def __post_init__(self):
-        if self.entity_to_dof.size != self.n_dofs:
-            raise ValueError("entity table size mismatch")
-
-
-def build_dofmap(mesh, space: str) -> DofMap:
-    """Degree-of-freedom map for ``space`` on ``mesh``.
-
-    1D meshes support continuous P1 (one dof per node) and discontinuous
-    P0 (one per element); triangulations support RT0 (one per edge) and
-    elementwise constants (one per triangle).
-    """
-    if isinstance(mesh, Mesh1D):
-        if space == "P1_continuous":
-            n = mesh.nodes.size
-        elif space == "P0_discontinuous":
-            n = mesh.n_elements
-        else:
-            raise ConfigError(f"space {space!r} is not defined on 1D meshes")
-    elif isinstance(mesh, TriMesh):
-        if space == "RT0":
-            n = mesh.n_edges
-        elif space == "P0_tri":
-            n = mesh.n_triangles
-        else:
-            raise ConfigError(f"space {space!r} is not defined on triangulations")
-    else:
-        raise ConfigError(f"unsupported mesh type {type(mesh).__name__}")
-    return DofMap(space=space, n_dofs=n, entity_to_dof=np.arange(n))

@@ -26,6 +26,7 @@ __all__ = [
     "factorize_saddle",
     "infsup_estimate",
     "kernel_ellipticity",
+    "operator_norm_b",
     "operator_norm_estimate",
 ]
 
@@ -157,6 +158,19 @@ def infsup_estimate(gram_v, gram_q, b, tol: float = 1e-10,
         x = y
     raise EstimatorError(
         f"inf-sup inverse iteration stalled at lambda={lam_prev:.6e}")
+
+
+def operator_norm_b(b, gram_v, gram_q) -> float:
+    """Norm of the constraint form: largest weighted singular value.
+
+    Square root of the largest eigenvalue of the pencil
+    (B Gv^{-1} B^T, Gq), evaluated densely like the inf-sup estimator
+    (the spectrum clusters at the top, which defeats power iteration).
+    """
+    s = _dense_schur(gram_v, b)
+    gq = sp.csr_matrix(gram_q).toarray()
+    eigs = scipy.linalg.eigh(s, gq, eigvals_only=True)
+    return math.sqrt(max(float(eigs[-1]), 0.0))
 
 
 class KernelEllipticity(NamedTuple):

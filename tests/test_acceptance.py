@@ -60,7 +60,13 @@ def laplace_study():
 def laplace_probe_run():
     grid = TimeGrid(T=1.0, n_steps=2000)
     prob = laplace_mod.LaplaceProblem(32, delta=0.01)
-    _, probe, _ = prob.run(grid, probe_point=(0.5, 0.5))
+    cell = laplace_mod.probe_cell_index(prob.m, (0.5, 0.5))
+    probe = np.empty(grid.n_steps + 1)
+
+    def read_probe(n, t, sig, u):
+        probe[n] = u[cell]
+
+    prob.run(grid, collect=read_probe)
     return grid, prob, probe
 
 

@@ -18,6 +18,7 @@ from memfem.cli import (
     run_study,
 )
 from memfem.errors import ConfigError, SaddleSolverError
+from memfem.volterra import TimeGrid
 
 
 def run_cli(*args):
@@ -163,6 +164,50 @@ def test_cli_exit_code_ok(tmp_path):
     assert header == "t,u_h,u_exact"
 
 
+@pytest.mark.parametrize("problem", ["laplace", "beam"])
+def test_cli_run_outputs_match_collected_states(tmp_path, problem):
+    # memfem run writes what a collect observer sees: the probe cell's u
+    # at every step (laplace), the final fields (beam)
+    from memfem.cli import build_beam_problem, build_laplace_problem, main
+    from memfem.laplace_mem import probe_cell_index
+
+    overrides = [f'problem="{problem}"', "m=4", "n_elements=6", "T=0.2",
+                 "n_steps=12", f'output_dir="{tmp_path}"']
+    assert main(["run", *(a for o in overrides for a in ("--set", o))]) == EXIT_OK
+    cfg = load_config(None, overrides=overrides)
+    grid = TimeGrid(T=0.2, n_steps=12)
+    if problem == "laplace":
+        prob = build_laplace_problem(cfg, 4)
+    else:
+        prob = build_beam_problem(cfg, 6)
+    states = []
+    prob.run(grid, collect=lambda n, t, u, p: states.append((t, u.copy(), p.copy())))
+    assert len(states) == grid.n_steps + 1
+
+    def read(name):
+        return (tmp_path / name).read_text().splitlines()
+
+    if problem == "laplace":
+        probe = read("probe.csv")
+        assert probe[0] == "t,u_h,u_exact"
+        assert len(probe) == grid.n_steps + 2
+        px, py = cfg["probe"]
+        cell = probe_cell_index(4, (px, py))
+        assert probe[1:] == ["%.6e,%.6e,%.6e" % (t, p[cell], prob.manufactured.u(px, py, t))
+                             for t, _, p in states]
+        return
+    _, u, p = states[-1]
+    n = prob.mesh.n_elements
+    nodes = prob.mesh.nodes
+    nodal, cells = read("beam_nodal.csv"), read("beam_cells.csv")
+    assert nodal[0] == "x,M,V" and len(nodal) == n + 2
+    assert cells[0] == "x,beta,w" and len(cells) == n + 1
+    assert nodal[1:] == ["%.6e,%.6e,%.6e" % (nodes[i], u[i], u[n + 1 + i])
+                         for i in range(n + 1)]
+    assert cells[1:] == ["%.6e,%.6e,%.6e" % (0.5 * (nodes[i] + nodes[i + 1]),
+                                             p[i], p[n + i]) for i in range(n)]
+
+
 def test_cli_exit_code_config_error():
     proc = run_cli("run", "--set", "delta=-1", "--set", "problem=\"laplace\"")
     assert proc.returncode == EXIT_CONFIG
@@ -244,6 +289,31 @@ def test_certificate_inprocess(tmp_path):
     assert out["slack"] >= 0.0
     assert out["null_dim"] == 2
     assert np.isfinite(out["rhs"])
+
+
+@pytest.mark.parametrize("driver, size", [("laplace", "m=4"),
+                                          ("beam", "n_elements=8")])
+def test_certificate_evaluates_load_once_per_node(monkeypatch, driver, size):
+    # the run norms reuse the load the stepper received at each node
+    import io
+
+    from memfem.beam import BeamProblem
+    from memfem.laplace_mem import LaplaceProblem
+
+    cls = LaplaceProblem if driver == "laplace" else BeamProblem
+    rhs = cls.rhs
+    calls = []
+
+    def counted(self, t):
+        calls.append(t)
+        return rhs(self, t)
+
+    monkeypatch.setattr(cls, "rhs", counted)
+    cfg = load_config(None, overrides=[f'problem="{driver}"', size,
+                                       "T=0.5", "n_steps=30"])
+    out = emit_certificate(cfg, stream=io.StringIO())
+    assert len(calls) == cfg["n_steps"] + 1
+    assert out["slack"] >= 0.0
 
 
 def test_certificate_requires_estimates(tmp_path):

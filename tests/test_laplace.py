@@ -209,23 +209,27 @@ def test_probe_cell_index():
         probe_cell_index(4, (1.2, 0.5))
 
 
+def probe_series(prob, grid, point):
+    """u of the cell holding ``point`` at every step, via a collect observer."""
+    cell = probe_cell_index(prob.m, point)
+    series = []
+    prob.run(grid, collect=lambda n, t, s, u: series.append(u[cell]))
+    return np.array(series)
+
+
 def test_probe_series_tracks_exact_center_value():
     grid = TimeGrid(T=0.5, n_steps=100)
     prob = LaplaceProblem(8, delta=0.01)
-    series = []
-    _, probe_vals, _ = prob.run(grid, probe_point=(0.5, 0.5),
-                                collect=lambda n, t, s, u: series.append((s, u)))
+    probe_vals = probe_series(prob, grid, (0.5, 0.5))
+    assert probe_vals.shape == grid.times.shape
     exact = 0.0625 * np.cos(grid.times)
     assert np.max(np.abs(probe_vals - exact)) < 5.0 * (prob.h ** 2 + grid.dt)
-    # the probe reads the u value of the probe cell from every state
-    cell = probe_cell_index(8, (0.5, 0.5))
-    assert_allclose([u[cell] for _, u in series], probe_vals, rtol=0, atol=0)
 
 
 def test_probe_at_boundary_is_small():
     grid = TimeGrid(T=0.2, n_steps=40)
     prob = LaplaceProblem(8, delta=0.01)
-    _, probe, _ = prob.run(grid, probe_point=(1.0, 0.5))
+    probe = probe_series(prob, grid, (1.0, 0.5))
     # exact u vanishes on the boundary; the boundary cell value is O(h)
     assert np.max(np.abs(probe)) < 0.5 / 8
 
@@ -241,7 +245,7 @@ def test_gate_boundary_factorizes():
     # just below the gate the scaled solve still succeeds
     prob = LaplaceProblem(2, delta=0.01)
     grid = TimeGrid(T=0.038, n_steps=2)  # dt = 0.019 < 0.02
-    errs, _, _ = prob.run(grid)
+    errs, _ = prob.run(grid, reference=prob.manufactured)
     assert np.isfinite(errs["sigma"]["e0"])
 
 
@@ -295,7 +299,8 @@ def test_zero_kernel_run_reproduces_stationary_solves():
     prob = LaplaceProblem(4, delta=0.01, kernel=None)
     fact = prob.system.factorization()
     states = []
-    prob.run(grid, collect=lambda n, t, s, u: states.append((t, s, u)))
+    errs, _ = prob.run(grid, collect=lambda n, t, s, u: states.append((t, s, u)))
+    assert errs is None   # no reference, no error norms
     for t, sig, u in states:
         f, g = prob.rhs(t)
         sig_ref, u_ref = fact.solve(f, g)
@@ -314,7 +319,8 @@ def test_laplace_errors_series_op():
     grid = TimeGrid(T=0.2, n_steps=20)
     prob = LaplaceProblem(4, delta=0.01)
     series = []
-    errs_online, _, _ = prob.run(grid, collect=lambda n, t, s, u: series.append((s, u)))
+    errs_online, _ = prob.run(grid, reference=prob.manufactured,
+                              collect=lambda n, t, s, u: series.append((s, u)))
     errs_series = laplace_series_errors(prob, grid, series)
     assert errs_series == errs_online
     # interpolating the exact fields gives strictly smaller errors than

