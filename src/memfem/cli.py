@@ -174,9 +174,12 @@ def validate_config(cfg: dict) -> None:
         need("m", int, positive=True)
         probe = cfg.get("probe")
         if probe is not None:
+            # the comparisons also reject NaN and infinities
             if (not isinstance(probe, list) or len(probe) != 2
-                    or not all(isinstance(c, (int, float)) for c in probe)):
-                raise ConfigError("probe must be a coordinate pair")
+                    or not all(isinstance(c, (int, float)) and 0 <= c <= 1
+                               for c in probe)):
+                raise ConfigError(
+                    f"probe must be a point of the unit square, got {probe!r}")
 
 
 def config_hash(cfg: dict) -> str:

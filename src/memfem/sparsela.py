@@ -3,9 +3,8 @@ stability certificates.
 
 Matrices are stored as scipy CSR/CSC (compressed row storage with sorted,
 duplicate-free indices); factorization is direct sparse LU, which is
-robust at the desk scales this package targets.  The estimators
-(``infsup_estimate``, ``kernel_ellipticity``, ``operator_norm_estimate``)
-are test and certificate utilities and may densify small matrices.
+robust at the desk scales this package targets.  Of the estimators, only
+``operator_norm_b`` densifies: an ``n_q x n_q`` Schur complement, O(n_q^3).
 """
 
 from __future__ import annotations
@@ -111,66 +110,48 @@ def factorize_saddle(a, b) -> SaddleFactorization:
     return SaddleFactorization(lu, n_v, n_q)
 
 
-def _dense_schur(gram_v, b) -> np.ndarray:
-    """Dense S = B Gv^{-1} B^T via one multi-RHS sparse solve."""
-    gram_v = sp.csc_matrix(gram_v)
-    b = as_csr(b)
-    lu = spla.splu(gram_v)
-    x = lu.solve(b.T.toarray())
-    s = b @ x
-    return 0.5 * (s + s.T)
-
-
-def infsup_estimate(gram_v, gram_q, b, tol: float = 1e-10,
-                    max_iter: int = 500) -> float:
+def infsup_estimate(gram_v, gram_q, b) -> float:
     """Discrete inf-sup constant of ``b`` in the norms of the two Grams.
 
-    Equals the smallest singular value of ``Gq^{-1/2} B Gv^{-1/2}``,
-    computed by inverse iteration on the generalized eigenproblem
-    ``(B Gv^{-1} B^T) q = lambda Gq q``.  A singular Schur complement
-    (rank-deficient B) returns 0.0.
-
-    Raises
-    ------
-    EstimatorError
-        If the iteration does not converge; the message reports the last
-        iterate.
+    The smallest singular value of ``Gq^{-1/2} B Gv^{-1/2}``: the square
+    root of the smallest eigenvalue of ``(S, Gq)``, ``S = B Gv^{-1} B^T``,
+    by shift-invert Lanczos at zero, where ``S^{-1} y`` is minus the
+    q-block of ``[[Gv, B^T], [B, 0]]^{-1} (0, y)``.  Rank-deficient B
+    returns 0.0; a Lanczos failure raises :class:`EstimatorError`.
     """
-    s = _dense_schur(gram_v, b)
-    gq = np.asarray(sp.csr_matrix(gram_q).todense())
     try:
-        cho = scipy.linalg.cho_factor(s)
-    except scipy.linalg.LinAlgError:
+        saddle = factorize_saddle(gram_v, b)
+    except SaddleSolverError:
         return 0.0
-    rng = np.random.RandomState(0)
-    x = rng.standard_normal(s.shape[0])
-    x /= math.sqrt(x @ gq @ x)
-    lam_prev = math.inf
-    for _ in range(max_iter):
-        y = scipy.linalg.cho_solve(cho, gq @ x)
-        if not np.all(np.isfinite(y)):
-            return 0.0
-        y /= math.sqrt(y @ gq @ y)
-        lam = float(y @ s @ y)
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return math.sqrt(max(lam, 0.0))
-        lam_prev = lam
-        x = y
-    raise EstimatorError(
-        f"inf-sup inverse iteration stalled at lambda={lam_prev:.6e}")
+    n_q, n_v = saddle.n_q, saddle.n_v
+    gv_lu = spla.splu(sp.csc_matrix(gram_v))
+    schur = spla.LinearOperator(
+        (n_q, n_q), dtype=float, matvec=lambda x: b @ gv_lu.solve(b.T @ x))
+    schur_inv = spla.LinearOperator(
+        (n_q, n_q), dtype=float,
+        matvec=lambda y: -saddle.solve(np.zeros(n_v), y)[1])
+    try:
+        lam = spla.eigsh(schur, k=1, M=as_csr(gram_q), sigma=0.0,
+                         OPinv=schur_inv, v0=np.ones(n_q),
+                         return_eigenvectors=False)
+    except spla.ArpackError as exc:
+        raise EstimatorError(f"inf-sup Lanczos failed: {exc}") from exc
+    return math.sqrt(max(float(lam[0]), 0.0))
 
 
 def operator_norm_b(b, gram_v, gram_q) -> float:
     """Norm of the constraint form: largest weighted singular value.
 
     Square root of the largest eigenvalue of the pencil
-    (B Gv^{-1} B^T, Gq), evaluated densely like the inf-sup estimator
-    (the spectrum clusters at the top, which defeats power iteration).
+    (B Gv^{-1} B^T, Gq), evaluated densely (the spectrum clusters at the
+    top, which stalls power iteration and Lanczos alike).
     """
-    s = _dense_schur(gram_v, b)
-    gq = sp.csr_matrix(gram_q).toarray()
-    eigs = scipy.linalg.eigh(s, gq, eigvals_only=True)
-    return math.sqrt(max(float(eigs[-1]), 0.0))
+    b = as_csr(b)
+    s = b @ spla.splu(sp.csc_matrix(gram_v)).solve(b.T.toarray())
+    lam = scipy.linalg.eigh(0.5 * (s + s.T), sp.csr_matrix(gram_q).toarray(),
+                            eigvals_only=True,
+                            subset_by_index=[b.shape[0] - 1] * 2)
+    return math.sqrt(max(float(lam[0]), 0.0))
 
 
 class KernelEllipticity(NamedTuple):
@@ -183,18 +164,32 @@ class KernelEllipticity(NamedTuple):
 def kernel_ellipticity(a, b, gram_v) -> KernelEllipticity:
     """Smallest generalized eigenvalue of ``a`` restricted to null(B).
 
-    Extracts the nullspace densely (test utility: intended for small
-    meshes only) and solves the projected pencil ``(Z^T A Z, Z^T Gv Z)``.
-    An empty nullspace yields ``alpha = inf`` with ``null_dim = 0``.
+    Shift-invert Lanczos on ``(A, Gv)``: the v-block of
+    ``[[A - shift Gv, B^T], [B, 0]]^{-1} (y, 0)`` inverts the shifted pencil
+    on null(B) and lies in it, so the start vector ``OPinv(Gv 1)`` does too.
+    B has full row rank when that LU succeeds, so ``null_dim = n_v - n_q``;
+    an empty nullspace yields ``alpha = inf``.  Rank-deficient B or a
+    Lanczos failure raises :class:`EstimatorError`.
     """
-    b_dense = sp.csr_matrix(b).toarray()
-    z = scipy.linalg.null_space(b_dense)
-    if z.shape[1] == 0:
+    n_q, n_v = b.shape
+    if n_v == n_q:
         return KernelEllipticity(alpha=math.inf, null_dim=0)
-    a_z = z.T @ (sp.csr_matrix(a) @ z)
-    g_z = z.T @ (sp.csr_matrix(gram_v) @ z)
-    eigs = scipy.linalg.eigh(a_z, g_z, eigvals_only=True)
-    return KernelEllipticity(alpha=float(eigs[0]), null_dim=z.shape[1])
+    shift = -1e-3   # below the spectrum of a semi-definite a
+    gram_v = as_csr(gram_v)
+    try:
+        saddle = factorize_saddle(as_csr(a) - shift * gram_v, b)
+    except SaddleSolverError as exc:
+        raise EstimatorError(f"ellipticity estimate: {exc}") from exc
+    op_inv = spla.LinearOperator(
+        (n_v, n_v), dtype=float,
+        matvec=lambda y: saddle.solve(y, np.zeros(n_q))[0])
+    try:
+        lam = spla.eigsh(a, k=1, M=gram_v, sigma=shift,
+                         OPinv=op_inv, v0=op_inv.matvec(gram_v @ np.ones(n_v)),
+                         return_eigenvectors=False)
+    except spla.ArpackError as exc:
+        raise EstimatorError(f"ellipticity Lanczos failed: {exc}") from exc
+    return KernelEllipticity(alpha=float(lam[0]), null_dim=n_v - n_q)
 
 
 def operator_norm_estimate(a, gram_v, tol: float = 1e-10,

@@ -214,6 +214,24 @@ def test_cli_exit_code_config_error():
     assert "configuration error" in proc.stderr
 
 
+@pytest.mark.parametrize("probe", ["[2,0.5]", "[-0.1,0.5]", "[0.5,NaN]",
+                                   "[Infinity,0.5]"])
+def test_cli_probe_outside_unit_square_is_config_error(probe):
+    from memfem.cli import main
+    code = main(["run", "--set", 'problem="laplace"', "--set", f"probe={probe}"])
+    assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("probe", ["[0,0]", "[1,1]"])
+def test_cli_probe_at_corner_runs(tmp_path, probe):
+    from memfem.cli import main
+    code = main(["run", "--set", 'problem="laplace"', "--set", "m=4",
+                 "--set", "T=0.05", "--set", "n_steps=50",
+                 "--set", f"probe={probe}", "--set", f'output_dir="{tmp_path}"'])
+    assert code == EXIT_OK
+    assert len((tmp_path / "probe.csv").read_text().splitlines()) == 52
+
+
 def test_cli_exit_code_stability_gate(tmp_path):
     # dt = 0.03 >= 2 delta at delta = 0.01: documented rejection
     proc = run_cli("run", "--set", "problem=\"laplace\"", "--set", "m=2",
@@ -289,6 +307,16 @@ def test_certificate_inprocess(tmp_path):
     assert out["slack"] >= 0.0
     assert out["null_dim"] == 2
     assert np.isfinite(out["rhs"])
+
+
+def test_certificate_fine_beam_inprocess():
+    # the sparse estimators reach the study's finest beam level
+    import io
+    cfg = load_config(None, overrides=["n_elements=160", "n_steps=50", "T=0.5"])
+    stream = io.StringIO()
+    out = emit_certificate(cfg, stream=stream)
+    assert out["slack"] >= 0.0
+    assert "  null(B) dimension: 2\n" in stream.getvalue()
 
 
 @pytest.mark.parametrize("driver, size", [("laplace", "m=4"),

@@ -22,7 +22,7 @@ from memfem.laplace_mem import (
     probe_cell_index,
 )
 from memfem.mesh import TriMesh, structured_unit_square
-from memfem.sparsela import kernel_ellipticity
+from memfem.sparsela import infsup_estimate, kernel_ellipticity
 from memfem.volterra import TimeGrid
 
 
@@ -150,6 +150,17 @@ def test_kernel_ellipticity_is_one_on_divfree():
     assert out.null_dim == space.n_edges - space.n_cells
     assert out.alpha >= 1.0 - 1e-10
     assert out.alpha <= 1.0 + 1e-10
+
+
+def test_infsup_and_ellipticity_are_h_uniform():
+    # the two mixed-method hypotheses hold with mesh-independent constants
+    for m in (8, 16, 32, 48):
+        prob = LaplaceProblem(m)
+        gv, gq = prob.grams()
+        beta = infsup_estimate(gv, gq, prob.system.b)
+        alpha = kernel_ellipticity(prob.system.a, prob.system.b, gv).alpha
+        assert 0.9755 <= beta <= 0.9757, (m, beta)
+        assert abs(alpha - 1.0) <= 1e-10, (m, alpha)
 
 
 def test_manufactured_solution_values():

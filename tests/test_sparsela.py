@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from memfem.errors import SaddleSolverError
+from memfem.errors import EstimatorError, SaddleSolverError
 from memfem.sparsela import (
     factorize_saddle,
     infsup_estimate,
@@ -240,3 +240,40 @@ def test_operator_norm_estimate():
     lam = operator_norm_estimate(sp.csr_matrix(a), sp.csr_matrix(gv))
     ref = np.max(scipy.linalg.eigh(a, gv, eigvals_only=True))
     assert_allclose(lam, ref, rtol=1e-7)
+
+
+@pytest.mark.parametrize("driver", ["laplace", "joined", "smooth"])
+def test_sparse_estimators_match_dense_reference(driver):
+    # dense references: the Schur pencil (B Gv^{-1} B^T, Gq) and the
+    # pencil (A, Gv) projected onto an SVD basis of null(B)
+    from memfem.beam import BeamProblem, joined_profile, smooth_profile
+    from memfem.laplace_mem import LaplaceProblem
+    if driver == "laplace":
+        prob = LaplaceProblem(8)
+    else:
+        profile = joined_profile(0.001) if driver == "joined" else smooth_profile()
+        prob = BeamProblem(profile, 8, None, 1.0, np.exp, None)
+    gv, gq = prob.grams()
+    a, b = prob.system.a, prob.system.b
+    ad, bd, gvd, gqd = (m.toarray() for m in (a, b, gv, gq))
+    s = bd @ np.linalg.solve(gvd, bd.T)
+    beta_ref = math.sqrt(scipy.linalg.eigh(0.5 * (s + s.T), gqd,
+                                           eigvals_only=True)[0])
+    z = scipy.linalg.null_space(bd)
+    alpha_ref = scipy.linalg.eigh(z.T @ ad @ z, z.T @ gvd @ z,
+                                  eigvals_only=True)[0]
+    assert_allclose(infsup_estimate(gv, gq, b), beta_ref, rtol=1e-10)
+    out = kernel_ellipticity(a, b, gv)
+    assert_allclose(out.alpha, alpha_ref, rtol=1e-10)
+    assert out.null_dim == z.shape[1]
+
+
+def test_kernel_ellipticity_zero_row_raises():
+    rng = np.random.RandomState(13)
+    n, m = 12, 4
+    a = random_spd(n, rng)
+    b = rng.standard_normal((m, n))
+    b[1] = 0.0
+    with pytest.raises(EstimatorError, match="rank deficient"):
+        kernel_ellipticity(sp.csr_matrix(a), sp.csr_matrix(b),
+                           sp.csr_matrix(random_spd(n, rng)))
