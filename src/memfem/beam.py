@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, OracleError
+from .errors import ConfigError
 from .kernels import CreepFactor, MemoryKernel, creep_factor
 from .mesh import Mesh1D, uniform_mesh1d
 from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
@@ -321,16 +321,13 @@ class BeamReference:
 def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
                          g_space: Optional[Callable], grid: TimeGrid,
                          kernel: Optional[MemoryKernel], e0: float = 1.0,
-                         n_ref: int = 4096,
-                         separable: bool = True) -> BeamReference:
+                         n_ref: int = 4096) -> BeamReference:
     """Reference evaluator for a separable step load ``q(x) H(t)``.
 
     Solves the memory-free mixed system on a fine mesh (``n_ref``
     elements) and modulates it with the closed-form creep factor of the
     attached kernel.
     """
-    if not separable:
-        raise OracleError("the exact-solution oracle needs a separable step load")
     if cfg.profile == "joined" and n_ref % 2 != 0:
         n_ref += 1
     mesh = beam_mesh(cfg, n_ref)

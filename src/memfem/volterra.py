@@ -14,11 +14,11 @@ initial condition).  Scheme well-posedness requires the stability gate
 ``|w_{n,n} k(t_n, t_n)| < 1`` for every attached kernel.
 
 The scalings are scalars, so every step shares one LU of the unscaled
-``K = [[A, B^T], [B, 0]]`` (see :class:`SaddleFactorization`).  A direct
-history sum is one product of the weight row with the stored ``(N+1, n)``
-history array; kernels with convolution structure support an O(1)
-exponential recurrence in place of direct summation, and both paths can
-be audited against each other.
+``K = [[A, B^T], [B, 0]]`` (see :class:`SaddleFactorization`).  The
+history kept is what the attached kernels read: a convolution kernel
+gets an O(1) exponential recurrence, and a general kernel one product of
+the weight row with the stored ``(N+1, n)`` states of the family it
+reads.  An audit checks each recurrence sum against the direct one.
 
 The module also evaluates the closed-form stability and error constants
 of the underlying well-posedness theory.
@@ -199,115 +199,122 @@ class BlockSaddleSystem:
 
 
 class HistoryBuffer:
-    """Stored past (u_j, p_j) plus optional exponential-sum accumulators.
+    """Past states of a system, kept in the form its kernels read.
 
-    With ``store_full`` the states are the rows of two ``(n_steps + 1, n)``
-    arrays, allocated on the first append.  Accumulators are keyed by the
-    convolution parameters ``(c, rate)`` and the vector family ("u" or
-    "p"); each holds
+    Each kernel slot reads one family of states: ``k1`` reads ``u`` (as
+    ``A u``), ``k2`` reads ``p`` (as ``B^T p``) and ``k3`` reads ``u``
+    (as ``B u``).  The attached kernels fix what is kept:
 
-        U_k = sum_{j<=k} dt * c * exp(-rate (t_k - t_j)) x_j
+    * an exponential kernel gets a recurrence per (kernel, family),
+      updated in O(1) per step, that holds after the k-th append
 
-    after the k-th append, updated in O(1) per step.
+          U_k = sum_{j<=k} dt * c * exp(-rate (t_k - t_j)) x_j;
+
+    * a family is stored, as the rows of an ``(n_steps + 1, n)`` array
+      allocated on the first append, only when a general kernel reads it
+      or, with ``audit``, an exponential one does.  That costs
+      ``(n_steps + 1) * n * 8`` bytes, with ``n = n_v`` for ``u`` and
+      ``n = n_q`` for ``p``;
+    * a family that no kernel reads is never stored.
+
+    With ``audit`` every recurrence sum is also summed directly, and the
+    largest relative deviation is kept in ``audit_max_rel``.
     """
 
-    def __init__(self, grid: TimeGrid, store_full: bool = True):
+    def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid,
+                 audit: bool = False):
         self.grid = grid
-        self.store_full = store_full
-        self._count = 0
-        self._stored: dict[str, np.ndarray] = {}
+        self.audit = audit
+        reads = [(kernel, which) for kernel, which
+                 in zip(sys.kernels, ("u", "p", "u")) if kernel is not None]
+        # U_k per (kernel, family); equal exponential kernels share one
+        self._recur = {key: 0.0 for key in reads if key[0].is_exp}
+        # family -> (n_steps + 1, n) rows, allocated on the first append
+        self._stored = dict.fromkeys(which for kernel, which in reads
+                                     if audit or not kernel.is_exp)
         self._first: dict[str, np.ndarray] = {}
-        self._acc: dict[tuple, np.ndarray] = {}
+        self._count = 0
         self.audit_max_rel = 0.0
         self.audit_steps = 0
 
     def __len__(self) -> int:
         return self._count
 
-    def attach_recurrence(self, kernel: MemoryKernel, which: str) -> None:
-        """Register an accumulator for an exponential kernel."""
-        if not kernel.is_exp:
-            raise ValueError("recurrence accumulators need an exponential kernel")
-        if which not in ("u", "p"):
-            raise ValueError(f"unknown vector family {which!r}")
-        key = (kernel.c, kernel.rate, which)
-        if key not in self._acc and self._count:
-            raise ValueError("attach recurrence before the first append")
-        self._acc.setdefault(key, 0.0)
+    @property
+    def store_full(self) -> bool:
+        """Whether the states of any family are stored."""
+        return bool(self._stored)
 
     def append(self, u: np.ndarray, p: np.ndarray) -> None:
         dt = self.grid.dt
-        for which, x in (("u", u), ("p", p)):
-            x = np.asarray(x, dtype=float)
-            if self._count == 0:
-                self._first[which] = x.copy()
-                if self.store_full:
-                    self._stored[which] = np.empty((self.grid.n_steps + 1, x.size))
-            if self.store_full:
-                self._stored[which][self._count] = x
-            for key in self._acc:
-                c, rate, fam = key
-                if fam == which:
-                    self._acc[key] = math.exp(-rate * dt) * self._acc[key] + dt * c * x
+        states = {"u": np.asarray(u, dtype=float), "p": np.asarray(p, dtype=float)}
+        if self._count == 0:
+            self._stored = {which: np.empty((self.grid.n_steps + 1,
+                                             states[which].size))
+                            for which in self._stored}
+            for _, which in self._recur:
+                self._first[which] = states[which].copy()
+        for which, rows in self._stored.items():
+            rows[self._count] = states[which]
+        for key, acc in self._recur.items():
+            kernel, which = key
+            self._recur[key] = math.exp(-kernel.rate * dt) * acc \
+                + dt * kernel.c * states[which]
         self._count += 1
 
-    def first(self, which: str) -> np.ndarray:
-        return self._first[which]
-
     def vectors(self, which: str) -> np.ndarray:
-        """The stored states of one family, one filled row per append."""
-        if not self.store_full:
-            raise ValueError("history vectors were not stored (store_full=False)")
-        return self._stored.get(which, np.empty((0, 0)))[:self._count]
+        """The stored states of one family, one filled row per append;
+        empty for a family that is not stored."""
+        rows = self._stored.get(which)
+        return np.empty((0, 0)) if rows is None else rows[:self._count]
 
-    def accumulator(self, kernel: MemoryKernel, which: str) -> np.ndarray:
-        key = (kernel.c, kernel.rate, which)
-        if key not in self._acc:
-            raise ValueError("no recurrence accumulator attached for this kernel")
-        return self._acc[key]
-
-    def record_audit(self, rel: float) -> None:
-        self.audit_max_rel = max(self.audit_max_rel, rel)
-        self.audit_steps += 1
+    def recurrence_sum(self, kernel: MemoryKernel, which: str,
+                       n: int) -> Optional[np.ndarray]:
+        """The history sum at step n from the recurrence of ``(kernel,
+        which)``, ``exp(-rate dt) U_{n-1} - (dt/2) k(t_n, t_0) x_0``, at
+        the buffer head (n == len); None without such a recurrence."""
+        key = (kernel, which)
+        if key not in self._recur:
+            return None
+        if n != self._count:
+            raise ValueError(
+                f"recurrence sum only available at the buffer head "
+                f"(n={n}, stored={self._count})")
+        grid = self.grid
+        decay = math.exp(-kernel.rate * grid.dt)
+        head = kernel.c * math.exp(-kernel.rate * grid.times[n])
+        return decay * self._recur[key] - 0.5 * grid.dt * head * self._first[which]
 
 
 def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, grid: TimeGrid,
-                n: int, which: str, mode: str = "auto") -> np.ndarray:
+                n: int, which: str) -> np.ndarray:
     """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j``.
 
-    ``mode`` is "direct", "recurrence", or "auto" (recurrence whenever an
-    accumulator is available for this kernel).  The recurrence applies
-    the trapezoid endpoint correction
-
-        sum = exp(-rate dt) U_{n-1} - (dt/2) k(t_n, t_0) x_0
-
-    and is only defined at the current head of the buffer (n == len).
+    Taken from the buffer's recurrence for ``(kernel, which)`` when it
+    holds one, and otherwise as one product of the weight row with the
+    stored states.  An auditing buffer also sums a recurrence's history
+    directly and records the relative deviation of the two.
     """
     if n < 1:
         raise ValueError("history sums start at step 1")
-    if mode not in ("auto", "direct", "recurrence"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "recurrence" and not kernel.is_exp:
-        raise ValueError("recurrence mode requires an exponential kernel")
-    if mode == "auto":
-        key = (kernel.c, kernel.rate, which) if kernel.is_exp else None
-        mode = "recurrence" if key in hist._acc else "direct"
-
+    recur = hist.recurrence_sum(kernel, which, n)
+    if recur is not None and not hist.audit:
+        return recur
+    xs = hist.vectors(which)
+    if len(xs) < n:
+        raise ValueError(f"history sum at step {n} needs {n} stored states "
+                         f"of {which!r}, the buffer holds {len(xs)}")
     times = grid.times
-    if mode == "recurrence":
-        if n != len(hist):
-            raise ValueError(
-                f"recurrence sum only available at the buffer head "
-                f"(n={n}, stored={len(hist)})")
-        acc = hist.accumulator(kernel, which)
-        x0 = hist.first(which)
-        decay = math.exp(-kernel.rate * grid.dt)
-        head = kernel.c * math.exp(-kernel.rate * times[n])
-        return decay * acc - 0.5 * grid.dt * head * x0
-
     w = trapezoid_weights(grid, n)[:n]
     kv = np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
-    return (w * kv) @ hist.vectors(which)[:n]
+    direct = (w * kv) @ xs[:n]
+    if recur is None:
+        return direct
+    denom = float(np.max(np.abs(direct)))
+    rel = float(np.max(np.abs(recur - direct))) / (denom + 1e-300)
+    hist.audit_max_rel = max(hist.audit_max_rel, rel)
+    hist.audit_steps += 1
+    return recur
 
 
 def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
@@ -331,36 +338,23 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
 
 
 def step(sys: BlockSaddleSystem, grid: TimeGrid, n: int, hist: HistoryBuffer,
-         f_n: np.ndarray, g_n: np.ndarray, mode: str = "auto",
-         audit: bool = False):
+         f_n: np.ndarray, g_n: np.ndarray):
     """Advance one step: solve the implicit trapezoid system and append.
 
-    Requires the history to be complete through step ``n - 1``.  With
-    ``audit=True`` the direct and recurrence history sums are both
-    evaluated and their relative deviation recorded on the buffer.
+    Requires the history to be complete through step ``n - 1``.
     """
     if len(hist) != n:
         raise ValueError(f"history holds {len(hist)} entries, expected {n}")
     gammas = step_gammas(sys, grid, n)
-
-    def summed(kernel, which):
-        s = history_sum(hist, kernel, grid, n, which, mode=mode)
-        if audit and kernel.is_exp:
-            other = history_sum(hist, kernel, grid, n, which, mode="direct")
-            denom = float(np.max(np.abs(other)))
-            rel = float(np.max(np.abs(s - other))) / (denom + 1e-300)
-            hist.record_audit(rel)
-        return s
-
     rhs_f = np.array(f_n, dtype=float, copy=True)
     rhs_g = np.array(g_n, dtype=float, copy=True)
     if n >= 1:
         if sys.k1 is not None:
-            rhs_f += sys.a @ summed(sys.k1, "u")
+            rhs_f += sys.a @ history_sum(hist, sys.k1, grid, n, "u")
         if sys.k2 is not None:
-            rhs_f += sys.b.T @ summed(sys.k2, "p")
+            rhs_f += sys.b.T @ history_sum(hist, sys.k2, grid, n, "p")
         if sys.k3 is not None:
-            rhs_g += sys.b @ summed(sys.k3, "u")
+            rhs_g += sys.b @ history_sum(hist, sys.k3, grid, n, "u")
 
     u_n, p_n = sys.factorization().solve(rhs_f, rhs_g, gammas)
     hist.append(u_n, p_n)
@@ -375,23 +369,18 @@ def split_load(load: Callable):
 
 
 class VolterraStepper:
-    """Single-owner driver object for stepping a system through a grid."""
+    """Single-owner driver object for stepping a system through a grid.
+
+    The history it keeps is what the system's kernels read (see
+    :class:`HistoryBuffer`); ``audit`` also checks each recurrence sum
+    against the direct one.
+    """
 
     def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid,
-                 mode: str = "auto", audit: bool = False,
-                 store_full: Optional[bool] = None):
+                 audit: bool = False):
         self.sys = sys
         self.grid = grid
-        self.mode = mode
-        self.audit = audit
-        all_exp = all(k is None or k.is_exp for k in sys.kernels)
-        if store_full is None:
-            store_full = audit or not all_exp or mode == "direct"
-        self.hist = HistoryBuffer(grid, store_full=store_full)
-        if mode in ("auto", "recurrence"):
-            for kernel, which in ((sys.k1, "u"), (sys.k2, "p"), (sys.k3, "u")):
-                if kernel is not None and kernel.is_exp:
-                    self.hist.attach_recurrence(kernel, which)
+        self.hist = HistoryBuffer(sys, grid, audit)
         self._n = 0
 
     @property
@@ -399,8 +388,7 @@ class VolterraStepper:
         return self._n
 
     def advance(self, f_n: np.ndarray, g_n: np.ndarray):
-        u, p = step(self.sys, self.grid, self._n, self.hist, f_n, g_n,
-                    mode=self.mode, audit=self.audit)
+        u, p = step(self.sys, self.grid, self._n, self.hist, f_n, g_n)
         self._n += 1
         return u, p
 

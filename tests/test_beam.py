@@ -246,14 +246,6 @@ def test_beam_series_length_checked():
         beam_errors([(np.zeros(2 * n + 2), np.zeros(2 * n))], ref, grid, mesh)
 
 
-def test_reference_requires_separable_load():
-    cfg = joined_profile(d=0.01)
-    grid = TimeGrid(T=1.0, n_steps=4)
-    from memfem.errors import OracleError
-    with pytest.raises(OracleError):
-        beam_exact_reference(cfg, EXP_LOAD, None, grid, None, separable=False)
-
-
 def primal_timoshenko(cfg, n, load, e0=1.0):
     """Independent P1 displacement Timoshenko oracle (clamped ends)."""
     mesh = uniform_mesh1d(cfg.L, n)

@@ -10,13 +10,17 @@ and ``s_n`` is the scalar trapezoid recurrence on the same grid,
 
 A kernel whose ``k(t,t)`` varies moves every step's block scaling, so the
 check covers the scalings applied in each solve and the direct history
-sum, step by step.
+sum, step by step.  A property test draws convolution kernels and checks
+the identity for both history forms: the recurrence of the exponential
+kernel and the direct sum of the same kernel as a general callable.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from memfem.beam import BeamProblem, joined_profile
 from memfem.kernels import MemoryKernel
@@ -55,6 +59,20 @@ def max_factor_deviation(states, s):
                for x, s_n in zip(states, s))
 
 
+def max_scaled_deviation(states, s):
+    """Largest ``max|x_n - s_n x_*|`` over the largest state up to step n.
+
+    Step n solves for x_n from the load and a sum of the earlier states,
+    so its round-off scales with those.  Dividing by ``max|x_n|`` alone
+    would blow up wherever ``s_n`` crosses zero.
+    """
+    assert len(states) == len(s)
+    x_star = states[0] / s[0]
+    scale = np.maximum.accumulate([np.max(np.abs(x)) for x in states])
+    return max(float(np.max(np.abs(x - s_n * x_star))) / sc
+               for x, s_n, sc in zip(states, s, scale))
+
+
 def collector(states):
     return lambda n, t, u, p: states.append(np.concatenate([u, p]))
 
@@ -81,3 +99,29 @@ def test_beam_general_kernel_is_scalar_times_spatial(c, rate, a):
     prob.run(grid, collect=collector(states))
     s = scalar_factor(kernel, grid, lambda t: 1.0)
     assert max_factor_deviation(states, s) <= 1e-12
+
+
+DRIVERS = {
+    # (problem for a kernel, c(t) of its constraint-row load)
+    "laplace": (lambda k: LaplaceProblem(4, delta=None, kernel=k), math.cos),
+    "beam": (lambda k: BeamProblem(joined_profile(d=0.001), 8, k, 1.0, np.exp,
+                                   None), lambda t: 1.0),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(-5.0, 5.0), rate=st.floats(0.0, 5.0),
+       T=st.floats(0.1, 3.0), n_steps=st.integers(1, 40))
+def test_convolution_kernel_is_scalar_times_spatial(driver, c, rate, T,
+                                                    n_steps):
+    grid = TimeGrid(T=T, n_steps=n_steps)
+    assume(abs(grid.dt * c / 2.0) < 0.9)    # inside the stability gate
+    problem, load = DRIVERS[driver]
+    exp = MemoryKernel.exp_convolution(c=c, rate=rate)
+    s = scalar_factor(exp, grid, load)
+    # the recurrence, then the direct sum of the same kernel
+    for kernel in (exp, MemoryKernel.from_callable(exp.eval, bound=exp.bound)):
+        states = []
+        problem(kernel).run(grid, collect=collector(states))
+        assert max_scaled_deviation(states, s) <= 1e-12

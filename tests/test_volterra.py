@@ -30,6 +30,18 @@ def scalar_system(k3=None):
     return BlockSaddleSystem(a, b, k3=k3)
 
 
+def sized_system(n_v, n_q, **kernels):
+    """A system with n_v velocities and n_q pressures; its kernels fix
+    the history a buffer keeps."""
+    return BlockSaddleSystem(sp.identity(n_v, format="csr"),
+                             sp.csr_matrix(np.eye(n_q, n_v)), **kernels)
+
+
+def direct_form(kernel):
+    """The same kernel as a general one, which takes the direct sum."""
+    return MemoryKernel.from_callable(kernel.eval, bound=kernel.bound)
+
+
 def test_timegrid_basic():
     grid = TimeGrid(T=2.0, n_steps=4)
     assert grid.dt == 0.5
@@ -148,7 +160,7 @@ def test_step_hand_solvable_system():
     b = sp.csr_matrix(np.array([[1.0, 0.0]]))
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=2)
-    hist = HistoryBuffer(grid)
+    hist = HistoryBuffer(sys, grid)
     u, p = step(sys, grid, 0, hist, np.array([1.0, 0.0]), np.array([1.0]))
     assert_allclose(u, [1.0, 0.0], atol=1e-14)
     assert_allclose(p, [0.0], atol=1e-14)
@@ -186,7 +198,7 @@ def test_gamma_values_fickian():
 def test_stability_gate_violation():
     sys = scalar_system(k3=fickian_kernel(0.01))
     grid = TimeGrid(T=1.0, n_steps=33)  # dt ~ 0.0303 >= 2 delta
-    hist = HistoryBuffer(grid)
+    hist = HistoryBuffer(sys, grid)
     step(sys, grid, 0, hist, np.zeros(1), np.ones(1))
     with pytest.raises(StabilityGateError, match="dt too large"):
         step(sys, grid, 1, hist, np.zeros(1), np.ones(1))
@@ -194,37 +206,43 @@ def test_stability_gate_violation():
 
 def test_history_sum_single_panel_constant_kernel():
     grid = TimeGrid(T=1.0, n_steps=4)
-    hist = HistoryBuffer(grid)
     const = MemoryKernel.exp_convolution(c=3.0, rate=0.0)
     x0 = np.array([2.0, -1.0])
-    hist.append(x0, np.zeros(1))
-    out = history_sum(hist, const, grid, 1, "u", mode="direct")
-    assert_allclose(out, 0.5 * grid.dt * 3.0 * x0, rtol=1e-15)
+    # the recurrence and the direct sum
+    for kernel in (const, direct_form(const)):
+        hist = HistoryBuffer(sized_system(2, 1, k3=kernel), grid)
+        hist.append(x0, np.zeros(1))
+        out = history_sum(hist, kernel, grid, 1, "u")
+        assert_allclose(out, 0.5 * grid.dt * 3.0 * x0, rtol=1e-15)
 
 
 def test_history_sum_zero_kernel():
     grid = TimeGrid(T=1.0, n_steps=4)
-    hist = HistoryBuffer(grid)
     zero = MemoryKernel.exp_convolution(c=0.0, rate=1.0)
-    for _ in range(3):
-        hist.append(np.ones(3), np.zeros(1))
-    assert_array_equal(history_sum(hist, zero, grid, 3, "u", mode="direct"),
-                       np.zeros(3))
+    for kernel in (zero, direct_form(zero)):
+        hist = HistoryBuffer(sized_system(3, 1, k3=kernel), grid)
+        for _ in range(3):
+            hist.append(np.ones(3), np.zeros(1))
+        assert_array_equal(history_sum(hist, kernel, grid, 3, "u"), np.zeros(3))
 
 
 def test_history_sum_recurrence_matches_direct():
     rng = np.random.RandomState(4)
     grid = TimeGrid(T=2.0, n_steps=60)
     kernel = MemoryKernel.exp_convolution(c=-0.8, rate=1.7)
-    hist = HistoryBuffer(grid)
-    hist.attach_recurrence(kernel, "u")
+    general = direct_form(kernel)
+    recur_hist = HistoryBuffer(sized_system(7, 1, k3=kernel), grid)
+    direct_hist = HistoryBuffer(sized_system(7, 1, k3=general), grid)
+    assert not recur_hist.store_full and direct_hist.store_full
     for n in range(51):
         if n >= 1:
-            direct = history_sum(hist, kernel, grid, n, "u", mode="direct")
-            recur = history_sum(hist, kernel, grid, n, "u", mode="recurrence")
+            direct = history_sum(direct_hist, general, grid, n, "u")
+            recur = history_sum(recur_hist, kernel, grid, n, "u")
             denom = np.max(np.abs(direct))
             assert np.max(np.abs(direct - recur)) <= 1e-12 * max(denom, 1e-30)
-        hist.append(rng.standard_normal(7), np.zeros(1))
+        x = rng.standard_normal(7)
+        recur_hist.append(x, np.zeros(1))
+        direct_hist.append(x, np.zeros(1))
 
 
 def loop_history_sum(xs, grid, kernel, n):
@@ -245,12 +263,13 @@ def test_direct_history_sum_matches_loop():
     kernel = MemoryKernel.from_callable(
         lambda t, s: np.cos(3.0 * np.asarray(s, float)) * (2.0 + np.sin(t)),
         bound=3.0)
-    hist = HistoryBuffer(grid)
+    # k2 reads p and k3 reads u, so both families are stored
+    hist = HistoryBuffer(sized_system(11, 4, k2=kernel, k3=kernel), grid)
     us, ps = [], []
     for n in range(grid.n_steps + 1):
         if n >= 1:
             for which, xs in (("u", us), ("p", ps)):
-                out = history_sum(hist, kernel, grid, n, which, mode="direct")
+                out = history_sum(hist, kernel, grid, n, which)
                 ref = loop_history_sum(xs, grid, kernel, n)
                 assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         us.append(rng.standard_normal(11))
@@ -261,7 +280,8 @@ def test_direct_history_sum_matches_loop():
 def test_history_vectors_are_the_filled_rows():
     rng = np.random.RandomState(9)
     grid = TimeGrid(T=1.0, n_steps=10)
-    hist = HistoryBuffer(grid)
+    general = direct_form(MemoryKernel.exp_convolution(c=1.0, rate=1.0))
+    hist = HistoryBuffer(sized_system(5, 2, k2=general, k3=general), grid)
     us = [rng.standard_normal(5) for _ in range(4)]
     for u in us:
         hist.append(u, np.zeros(2))
@@ -276,6 +296,33 @@ def test_history_vectors_are_the_filled_rows():
         == 4 * (5 + 2) * 8
 
 
+def test_history_stores_only_the_families_kernels_read():
+    grid = TimeGrid(T=1.0, n_steps=10)
+    exp = MemoryKernel.exp_convolution(c=-1.0, rate=2.0)
+    general = direct_form(exp)
+    cases = [  # (kernels, audit) -> stored families
+        ({"k3": general}, False, {"u"}),
+        ({"k2": general}, False, {"p"}),
+        ({"k1": exp, "k2": general}, False, {"p"}),
+        ({"k2": exp}, True, {"p"}),
+        ({"k1": exp, "k3": exp}, True, {"u"}),
+        ({"k1": exp, "k2": exp, "k3": exp}, False, set()),
+        ({}, True, set()),
+    ]
+    for kernels, audit, stored in cases:
+        hist = HistoryBuffer(sized_system(6, 3, **kernels), grid, audit)
+        assert hist.store_full == bool(stored)
+        for _ in range(grid.n_steps + 1):
+            hist.append(np.ones(6), np.ones(3))
+        for which, n in (("u", 6), ("p", 3)):
+            rows = hist.vectors(which)
+            # a family no general or audited kernel reads stays empty
+            assert rows.shape == ((11, n) if which in stored else (0, 0))
+        # (N + 1) n_family 8 bytes for each stored family
+        assert sum(x.nbytes for w in ("u", "p") for x in hist.vectors(w)) \
+            == sum(11 * {"u": 6, "p": 3}[w] * 8 for w in stored)
+
+
 def test_history_without_store_allocates_nothing():
     grid = TimeGrid(T=1.0, n_steps=50)
     kernel = beam_kernel(PronySLS(1.0, 1.0, 1.0))
@@ -283,20 +330,29 @@ def test_history_without_store_allocates_nothing():
     assert not stepper.hist.store_full
     stepper.run(lambda t: np.zeros(1), lambda t: np.ones(1))
     assert stepper.hist._stored == {}
-    with pytest.raises(ValueError, match="store_full"):
-        stepper.hist.vectors("u")
+    assert stepper.hist.vectors("u").size == 0
+    assert stepper.hist.vectors("p").size == 0
 
 
-def test_history_sum_mode_errors():
+def test_history_sum_errors():
     grid = TimeGrid(T=1.0, n_steps=4)
-    hist = HistoryBuffer(grid)
-    general = MemoryKernel.from_callable(lambda t, s: np.ones_like(np.asarray(s, float)),
-                                         bound=1.0)
-    hist.append(np.ones(2), np.zeros(1))
-    with pytest.raises(ValueError, match="exponential"):
-        history_sum(hist, general, grid, 1, "u", mode="recurrence")
-    with pytest.raises(ValueError):
-        history_sum(hist, general, grid, 0, "u")
+    kernel = MemoryKernel.exp_convolution(c=1.0, rate=0.5)
+    hist = HistoryBuffer(sized_system(2, 1, k3=kernel), grid)
+    for _ in range(3):
+        hist.append(np.ones(2), np.zeros(1))
+    # a recurrence sum is only defined at the buffer head
+    assert history_sum(hist, kernel, grid, 3, "u").shape == (2,)
+    with pytest.raises(ValueError, match="buffer head"):
+        history_sum(hist, kernel, grid, 2, "u")
+    with pytest.raises(ValueError, match="start at step 1"):
+        history_sum(hist, kernel, grid, 0, "u")
+    # p is read by no kernel, so it has neither a recurrence nor rows
+    with pytest.raises(ValueError, match="stored states"):
+        history_sum(hist, kernel, grid, 3, "p")
+    general = direct_form(kernel)
+    with pytest.raises(ValueError, match="start at step 1"):
+        history_sum(HistoryBuffer(sized_system(2, 1, k3=general), grid),
+                    general, grid, 0, "u")
 
 
 def test_scalar_stepper_tracks_creep_factor_second_order():
@@ -327,7 +383,9 @@ def test_stepper_audit_recurrence_vs_direct():
     assert stepper.hist.audit_max_rel <= 1e-12
 
 
-def test_stepper_direct_and_recurrence_paths_agree():
+def assert_stepper_paths_agree(*slots):
+    """An exponential kernel object on each slot steps the same states
+    as the same eval wrapped in ``from_callable`` (the direct sum)."""
     kernel = MemoryKernel.exp_convolution(c=-0.6, rate=1.2)
     rng = np.random.RandomState(17)
     n, m = 8, 3
@@ -336,20 +394,32 @@ def test_stepper_direct_and_recurrence_paths_agree():
     b = sp.csr_matrix(rng.standard_normal((m, n)))
     grid = TimeGrid(T=1.5, n_steps=40)
 
-    def run(mode):
-        sys = BlockSaddleSystem(a, b, k1=kernel, k3=kernel)
-        stepper = VolterraStepper(sys, grid, mode=mode)
+    def run(k):
+        stepper = VolterraStepper(BlockSaddleSystem(a, b, **dict.fromkeys(slots, k)),
+                                  grid)
         out = []
         stepper.run(lambda t: np.full(n, math.sin(t)),
                     lambda t: np.full(m, math.cos(t)),
                     on_step=lambda nn, t, u, p: out.append((u.copy(), p.copy())))
         return out
 
-    direct = run("direct")
-    recur = run("auto")
+    direct = run(direct_form(kernel))
+    recur = run(kernel)
+    assert len(direct) == len(recur) == grid.n_steps + 1
     for (ud, pd), (ur, pr) in zip(direct, recur):
         assert np.max(np.abs(ud - ur)) <= 1e-11 * max(1.0, np.max(np.abs(ud)))
         assert np.max(np.abs(pd - pr)) <= 1e-11 * max(1.0, np.max(np.abs(pd)))
+
+
+def test_stepper_direct_and_recurrence_paths_agree():
+    # k1 and k3 both read u: one recurrence serves the two slots
+    assert_stepper_paths_agree("k1", "k3")
+
+
+def test_stepper_same_kernel_on_u_and_p_families():
+    # k1 reads u and k2 reads p: the one kernel object needs a
+    # recurrence for each family
+    assert_stepper_paths_agree("k1", "k2")
 
 
 def test_stability_constants_zero_kernels():
