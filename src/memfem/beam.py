@@ -214,21 +214,16 @@ def assemble_beam_b(mesh: Mesh1D) -> sp.csr_matrix:
     """
     n = mesh.n_elements
     n_nodes = n + 1
-    ell = mesh.cell_lengths
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        # beta-row, M columns: integral of the P1 derivatives
-        rows += [i, i]
-        cols += [i, i + 1]
-        vals += [-1.0, 1.0]
-        # beta-row, V columns: -(integral of the P1 basis)
-        rows += [i, i]
-        cols += [n_nodes + i, n_nodes + i + 1]
-        vals += [-0.5 * ell[i], -0.5 * ell[i]]
-        # w-row, V columns: -(integral of the P1 derivatives)
-        rows += [n + i, n + i]
-        cols += [n_nodes + i, n_nodes + i + 1]
-        vals += [1.0, -1.0]
+    i = np.arange(n)
+    one = np.ones(n)
+    half = -0.5 * mesh.cell_lengths
+    # per element: the beta-row against M (integrals of the P1 derivatives)
+    # and V (minus integrals of the P1 basis), the w-row against V (minus
+    # integrals of the P1 derivatives)
+    rows = np.column_stack([i, i, i, i, n + i, n + i]).ravel()
+    cols = np.column_stack([i, i + 1, n_nodes + i, n_nodes + i + 1,
+                            n_nodes + i, n_nodes + i + 1]).ravel()
+    vals = np.column_stack([-one, one, half, half, one, -one]).ravel()
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(2 * n, 2 * n_nodes)).tocsr()
 
@@ -255,16 +250,14 @@ def beam_gram_v(mesh: Mesh1D) -> sp.csr_matrix:
     """H1 x H1 Gram matrix of the (M, V) space."""
     n = mesh.n_elements
     ell = mesh.cell_lengths
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        li = ell[i]
-        local = np.array([[li / 3.0, li / 6.0], [li / 6.0, li / 3.0]]) \
-            + np.array([[1.0, -1.0], [-1.0, 1.0]]) / li
-        for a in range(2):
-            for b in range(2):
-                rows.append(i + a)
-                cols.append(i + b)
-                vals.append(local[a, b])
+    i = np.arange(n)
+    # element matrix: mass [[l/3, l/6], [l/6, l/3]] plus stiffness
+    # [[1, -1], [-1, 1]] / l
+    diag = ell / 3.0 + 1.0 / ell
+    off = ell / 6.0 - 1.0 / ell
+    rows = np.column_stack([i, i, i + 1, i + 1]).ravel()
+    cols = np.column_stack([i, i + 1, i, i + 1]).ravel()
+    vals = np.column_stack([diag, off, off, diag]).ravel()
     h1 = sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
     return sp.block_diag([h1, h1], format="csr")
 

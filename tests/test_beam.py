@@ -24,7 +24,7 @@ from memfem.beam import (
 )
 from memfem.errors import ConfigError
 from memfem.kernels import PronySLS, beam_kernel
-from memfem.mesh import uniform_mesh1d
+from memfem.mesh import Mesh1D, uniform_mesh1d
 from memfem.sparsela import infsup_estimate, kernel_ellipticity
 from memfem.volterra import TimeGrid
 
@@ -108,6 +108,36 @@ def test_beam_b_single_element_rows():
     # beta row against (M0, M1, V0, V1), then w row
     assert_allclose(b[0], [-1.0, 1.0, -0.5, -0.5], rtol=1e-15)
     assert_allclose(b[1], [0.0, 0.0, 1.0, -1.0], rtol=1e-15)
+
+
+def test_beam_assembly_matches_element_loop():
+    # the vectorized B and H1 Gram reproduce the per-element loop bit for
+    # bit: B has no duplicate entries, and each shared Gram node sums two
+    rng = np.random.default_rng(3)
+    mesh = Mesh1D(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 9))]))
+    n = mesh.n_elements
+    ell = mesh.cell_lengths
+    b_rows, b_cols, b_vals, g_rows, g_cols, g_vals = ([] for _ in range(6))
+    for i in range(n):
+        b_rows += [i, i, i, i, n + i, n + i]
+        b_cols += [i, i + 1, n + 1 + i, n + 2 + i, n + 1 + i, n + 2 + i]
+        b_vals += [-1.0, 1.0, -0.5 * ell[i], -0.5 * ell[i], 1.0, -1.0]
+        local = np.array([[ell[i] / 3.0, ell[i] / 6.0],
+                          [ell[i] / 6.0, ell[i] / 3.0]]) \
+            + np.array([[1.0, -1.0], [-1.0, 1.0]]) / ell[i]
+        for a in range(2):
+            for c in range(2):
+                g_rows.append(i + a)
+                g_cols.append(i + c)
+                g_vals.append(local[a, c])
+    b_ref = sp.coo_matrix((b_vals, (b_rows, b_cols)),
+                          shape=(2 * n, 2 * (n + 1))).tocsr()
+    h1 = sp.coo_matrix((g_vals, (g_rows, g_cols)), shape=(n + 1, n + 1)).tocsr()
+    g_ref = sp.block_diag([h1, h1], format="csr")
+    for got, ref in ((assemble_beam_b(mesh), b_ref), (beam_gram_v(mesh), g_ref)):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert got.data.tobytes() == ref.data.tobytes()
 
 
 def test_beam_b_constant_moment_in_kernel():

@@ -319,6 +319,18 @@ def test_certificate_fine_beam_inprocess():
     assert "  null(B) dimension: 2\n" in stream.getvalue()
 
 
+def test_certificate_laplace_m64_inprocess():
+    # no estimator is dense any more, so the finest study level certifies
+    import io
+    cfg = load_config(None, overrides=[
+        'problem="laplace"', "m=64", "T=0.05", "n_steps=10"])
+    stream = io.StringIO()
+    out = emit_certificate(cfg, stream=stream)
+    assert out["slack"] >= 0.0
+    assert "  null(B) dimension: 4224\n" in stream.getvalue()
+    assert 0.99999 < out["norm_b"] < 1.0
+
+
 @pytest.mark.parametrize("driver, size", [("laplace", "m=4"),
                                           ("beam", "n_elements=8")])
 def test_certificate_evaluates_load_once_per_node(monkeypatch, driver, size):

@@ -151,6 +151,76 @@ def test_operator_norm_b_matches_dense_svd(driver):
     assert_allclose(norm, ref, rtol=1e-10)
 
 
+def test_definite_lu_reads_the_inertia():
+    # an unpivoted LU of a symmetric matrix is L D L^T up to scaling:
+    # definite iff every pivot is positive (Sylvester's law of inertia)
+    from memfem.sparsela import _definite_lu
+    rng = np.random.RandomState(14)
+    basis, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    for low, definite in ((1e-6, True), (-1e-6, False), (-1.0, False)):
+        m = basis @ np.diag(np.r_[low, np.linspace(1.0, 2.0, 11)]) @ basis.T
+        got = _definite_lu(sp.csc_matrix(0.5 * (m + m.T)))
+        assert (got is not None) == definite
+    for m in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 2.0]]):
+        assert _definite_lu(sp.csc_matrix(np.array(m))) is None
+
+
+def test_operator_norm_b_exact_case():
+    # B = [s I, 0] with identity Grams: every nonzero singular value is s
+    s_val = 2.5
+    b = sp.hstack([s_val * sp.identity(3), sp.csr_matrix((3, 2))], format="csr")
+    norm = operator_norm_b(b, sp.identity(5, format="csr"),
+                           sp.identity(3, format="csr"))
+    assert s_val <= norm <= s_val * (1.0 + 1e-12)
+
+
+def test_operator_norm_b_zero_form():
+    b = sp.csr_matrix((3, 5))
+    assert operator_norm_b(b, sp.identity(5, format="csr"),
+                           sp.identity(3, format="csr")) == 0.0
+
+
+@pytest.mark.parametrize("driver", ["laplace", "beam"])
+def test_operator_norm_b_is_certified(driver):
+    # Q(s) = [[Gv, B^T], [B, s Gq]] is definite exactly when s > ||b||^2:
+    # the bound holds at mu and is tight to 1e-9 (dense Cholesky decides)
+    if driver == "laplace":
+        from memfem.laplace_mem import LaplaceProblem
+        prob = LaplaceProblem(8)
+    else:
+        from memfem.beam import BeamProblem, joined_profile
+        prob = BeamProblem(joined_profile(0.001), 8, None, 1.0, np.exp, None)
+    gv, gq = prob.grams()
+    b = prob.system.b
+    mu = operator_norm_b(b, gv, gq) ** 2
+
+    def q(s):
+        return sp.bmat([[gv, b.T], [b, s * gq]]).toarray()
+
+    np.linalg.cholesky(q(mu))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(q(mu * (1.0 - 1e-9)))
+
+
+def test_operator_norm_b_allocates_no_dense_block():
+    # the dense path held two n_v x n_q arrays (51 MB each here); the
+    # bracket's numpy arrays grow with nnz, 3.5 MB at this size
+    import tracemalloc
+
+    from memfem.laplace_mem import LaplaceProblem
+    prob = LaplaceProblem(32)
+    gv, gq = prob.grams()
+    b = prob.system.b
+    n_q, n_v = b.shape
+    tracemalloc.start()
+    try:
+        operator_norm_b(b, gv, gq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_v * n_q   # an eighth of one n_v x n_q float64 array
+
+
 def test_infsup_rank_deficient_is_zero():
     rng = np.random.RandomState(7)
     n, m = 12, 4
@@ -240,6 +310,10 @@ def test_operator_norm_estimate():
     lam = operator_norm_estimate(sp.csr_matrix(a), sp.csr_matrix(gv))
     ref = np.max(scipy.linalg.eigh(a, gv, eigvals_only=True))
     assert_allclose(lam, ref, rtol=1e-7)
+    # certified: power iteration settles 1.3e-10 short of the top here,
+    # which the inertia test of lam (1 + 1e-10) Gv - A makes it go past
+    assert ref <= lam * (1.0 + 1e-10)
+    np.linalg.cholesky(lam * (1.0 + 1e-10) * gv - a)
 
 
 @pytest.mark.parametrize("driver", ["laplace", "joined", "smooth"])
