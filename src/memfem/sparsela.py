@@ -5,8 +5,9 @@ Matrices are stored as scipy CSR/CSC (compressed row storage with sorted,
 duplicate-free indices); factorization is direct sparse LU, which is
 robust at the desk scales this package targets.  No estimator forms a
 dense array: the spectral ones run shift-invert Lanczos on saddle LUs, and
-the two operator norms are certified from above by Sylvester's law of
-inertia, read off the pivots of an unpivoted LU (``_definite_lu``).
+the two operator norms are bounded from above by Sylvester's law of
+inertia, read off the pivots of an unpivoted LU (``_definite_lu``), up to
+the rounding of that LU.
 """
 
 from __future__ import annotations
@@ -145,6 +146,9 @@ def _definite_lu(matrix):
     ordering is ``L D L^T`` up to row scaling, so the matrix is definite
     iff the row and column orders agree and every pivot of ``U`` is
     positive.  An exactly zero pivot (``RuntimeError``) is not definite.
+    In floating point the answer is that of a matrix within about
+    ``n eps ||matrix||`` of the given one, so it decides definiteness only
+    up to the rounding of the LU.
     """
     try:
         lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
@@ -157,7 +161,7 @@ def _definite_lu(matrix):
 
 
 def operator_norm_b(b, gram_v, gram_q) -> float:
-    """Norm of the constraint form, certified from above.
+    """Norm of the constraint form, bounded from above by inertia tests.
 
     ``mu = ||b||^2`` is the largest eigenvalue of ``(S, Gq)``,
     ``S = B Gv^{-1} B^T``, and ``Q(s) = [[Gv, B^T], [B, s Gq]]`` is
@@ -166,7 +170,7 @@ def operator_norm_b(b, gram_v, gram_q) -> float:
 
     * the lower end starts at a Lanczos Ritz value of ``(B^T Gq^{-1} B, Gv)``,
       a Rayleigh quotient and so at most ``mu``; the upper end grows from
-      it until ``Q`` is definite there;
+      it by doubling steps until ``Q`` is definite there;
     * the inertia test then shrinks the bracket.  Each definite ``Q(s)``
       also runs four steps of inverse iteration with
       ``(s Gq - S)^{-1} Gq``, which raise the lower end to a Rayleigh
@@ -175,7 +179,10 @@ def operator_norm_b(b, gram_v, gram_q) -> float:
       settles, and is bisected while it does not.
 
     Returns the square root of the upper end once the bracket is 1e-13
-    wide, relative.  The spectrum clusters at the top (RT0: within 5e-7
+    wide, relative.  That end is an upper bound up to the rounding of the
+    inertia test (``_definite_lu``): at fine meshes the gap it must
+    resolve, ``(s - mu) lambda_min(Gq)``, falls below ``n eps ||Q||``, so
+    the last digits of the bound are only as good as the LU.  The spectrum clusters at the top (RT0: within 5e-7
     of ``mu`` at m = 24), where Lanczos alone stalls; nothing dense is
     formed.  At Laplace m = 24, 48 and 64 that takes 8, 9 and 10 tests
     (0.08, 0.38 and 0.73 s on a 2-core Xeon, one BLAS thread).
@@ -222,11 +229,11 @@ def operator_norm_b(b, gram_v, gram_q) -> float:
             # inverse iteration converges linearly: about ten of its last
             # steps remain to mu unless the contraction is slower than 0.9
             ahead = 10.0 * abs(rho - rho_prev)
-        if hi - lo <= rtol * hi:
-            return math.sqrt(hi)
         if math.isinf(hi):
             step *= 2.0
             trial = lo + step
+        elif hi - lo <= rtol * hi:
+            return math.sqrt(hi)
         else:
             trial = lo + min(max(ahead, 0.5 * rtol * hi), 0.5 * (hi - lo))
     raise EstimatorError(
@@ -280,7 +287,11 @@ def operator_norm_estimate(a, gram_v, tol: float = 1e-10,
     a factored Gram solve.  Its Rayleigh quotients approach from below, so
     once they settle to ``tol`` the iteration also needs
     ``lam (1 + tol) Gv - A`` to be positive definite before it returns
-    ``lam``: the returned value is within ``tol`` of an upper bound.
+    ``lam``: the returned value is within ``tol`` of an upper bound (up to
+    the rounding of that LU).  A settled ``lam`` that fails the test is
+    still short of the top; the iteration goes on and tests again only
+    once the change per step has fallen tenfold, so slow contraction costs
+    power steps, not one LU each.
     """
     a = as_csr(a)
     gram = as_csr(gram_v)
@@ -288,6 +299,7 @@ def operator_norm_estimate(a, gram_v, tol: float = 1e-10,
     rng = np.random.RandomState(1)
     x = rng.standard_normal(a.shape[0])
     lam_prev = 0.0
+    gate = tol
     for _ in range(max_iter):
         ax = a @ x
         lam = float(abs(x @ ax) / (x @ (gram @ x)))
@@ -296,9 +308,14 @@ def operator_norm_estimate(a, gram_v, tol: float = 1e-10,
         if norm == 0.0:
             return 0.0
         x = y / norm
-        if abs(lam - lam_prev) <= tol * max(lam, 1e-300) \
-                and _definite_lu(lam * (1.0 + tol) * gram - a) is not None:
-            return lam
+        change = abs(lam - lam_prev) / max(lam, 1e-300)
+        if change <= gate:
+            if _definite_lu(lam * (1.0 + tol) * gram - a) is not None:
+                return lam
+            if change == 0.0:
+                break   # fixed short of the top: more steps cannot help
+            gate = 0.1 * change
         lam_prev = lam
     raise EstimatorError(
-        f"operator norm power iteration stalled at {lam_prev:.6e}")
+        f"operator norm power iteration stalled at {lam_prev:.6e}"
+        " without a certified upper bound")

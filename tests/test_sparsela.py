@@ -174,6 +174,37 @@ def test_operator_norm_b_exact_case():
     assert s_val <= norm <= s_val * (1.0 + 1e-12)
 
 
+def test_operator_norm_b_grows_from_a_low_start(monkeypatch):
+    # a Ritz value far below mu must grow the upper end by doubling
+    # steps until Q is definite, never stop at an infinite upper end
+    from memfem import sparsela
+    from memfem.laplace_mem import LaplaceProblem
+    eigsh, definite_lu = sparsela.spla.eigsh, sparsela._definite_lu
+    tests = []
+
+    def low_ritz(*args, **kwargs):
+        return 0.5 * eigsh(*args, **kwargs)
+
+    def counted(matrix):
+        lu = definite_lu(matrix)
+        tests.append(lu is not None)
+        return lu
+
+    monkeypatch.setattr(sparsela.spla, "eigsh", low_ritz)
+    monkeypatch.setattr(sparsela, "_definite_lu", counted)
+    prob = LaplaceProblem(4, delta=0.01)
+    gv, gq = prob.grams()
+    b = prob.system.b
+    norm = operator_norm_b(b, gv, gq)
+    weighted = np.linalg.solve(gram_sqrt(gq.toarray()), b.toarray()) \
+        @ np.linalg.inv(gram_sqrt(gv.toarray()))
+    ref = np.linalg.svd(weighted, compute_uv=False).max()
+    assert np.isfinite(norm)
+    assert_allclose(norm, ref, rtol=1e-10)
+    # from mu / 2 with a first step of 1e-4 lo, 13 doublings reach mu
+    assert tests.index(True) >= 10
+
+
 def test_operator_norm_b_zero_form():
     b = sp.csr_matrix((3, 5))
     assert operator_norm_b(b, sp.identity(5, format="csr"),
@@ -314,6 +345,27 @@ def test_operator_norm_estimate():
     # which the inertia test of lam (1 + 1e-10) Gv - A makes it go past
     assert ref <= lam * (1.0 + 1e-10)
     np.linalg.cholesky(lam * (1.0 + 1e-10) * gv - a)
+
+
+def test_operator_norm_estimate_tests_inertia_sparingly(monkeypatch):
+    # a top gap of 1e-2 contracts slowly: the change per step is within
+    # tol long before lam is, and each failed test must not be repeated
+    # every step (that cost 195 LUs here) but wait for a tenfold fall
+    from memfem import sparsela
+    definite_lu = sparsela._definite_lu
+    tests = []
+
+    def counted(matrix):
+        lu = definite_lu(matrix)
+        tests.append(lu is not None)
+        return lu
+
+    monkeypatch.setattr(sparsela, "_definite_lu", counted)
+    d = np.r_[np.linspace(0.1, 0.9, 18), 1.0 - 1e-2, 1.0]
+    lam = operator_norm_estimate(sp.diags(d).tocsr(),
+                                 sp.identity(20, format="csr"))
+    assert lam <= 1.0 <= lam * (1.0 + 1e-10)
+    assert len(tests) <= 4 and tests[-1]
 
 
 @pytest.mark.parametrize("driver", ["laplace", "joined", "smooth"])
