@@ -13,8 +13,10 @@ with data (f_0, g_0) (Volterra equations of the second kind need no
 initial condition).  Scheme well-posedness requires the stability gate
 ``|w_{n,n} k(t_n, t_n)| < 1`` for every attached kernel.
 
-The scalings are scalars, so every step shares one LU of the unscaled
-``K = [[A, B^T], [B, 0]]`` (see :class:`SaddleFactorization`).  The
+The scalings are scalars, so every step shares one factorization of the
+unscaled ``K = [[A, B^T], [B, 0]]`` (see :class:`SaddleFactorization`):
+a SuperLU LU of ``K``, or for an element-assembled pair the LU of its
+hybridized SPD system on the shared v-dofs.  The
 history kept is what the attached kernels read: a convolution kernel
 gets an O(1) exponential recurrence, and a general kernel one product of
 the weight row with the stored ``(N+1, n)`` states of the family it
@@ -154,15 +156,17 @@ class BlockSaddleSystem:
 
     A must be symmetric (checked to 1e-12 entrywise on construction) and
     positive semi-definite; B must have full row rank.  Each of the three
-    kernel slots is a :class:`MemoryKernel` or None (absent).  One LU of
-    the unscaled system, built on first use, serves every step's scalings.
+    kernel slots is a :class:`MemoryKernel` or None (absent).  One
+    factorization of the unscaled system, built on first use, serves every
+    step's scalings; ``elements`` (see :func:`factorize_saddle`) makes it
+    the hybridized one of an element-assembled pair.
     """
 
     SYMMETRY_TOL = 1e-12
 
     def __init__(self, a, b, k1: Optional[MemoryKernel] = None,
                  k2: Optional[MemoryKernel] = None,
-                 k3: Optional[MemoryKernel] = None):
+                 k3: Optional[MemoryKernel] = None, elements=None):
         self.a = as_csr(a)
         self.b = as_csr(b)
         if self.a.shape[0] != self.a.shape[1]:
@@ -177,6 +181,7 @@ class BlockSaddleSystem:
         self.k1 = k1
         self.k2 = k2
         self.k3 = k3
+        self.elements = elements
         self._fact: Optional[SaddleFactorization] = None
 
     @property
@@ -192,9 +197,9 @@ class BlockSaddleSystem:
         return (self.k1, self.k2, self.k3)
 
     def factorization(self) -> SaddleFactorization:
-        """The LU of the unscaled system, factored on the first call."""
+        """The factorization of the unscaled system, built on the first call."""
         if self._fact is None:
-            self._fact = factorize_saddle(self.a, self.b)
+            self._fact = factorize_saddle(self.a, self.b, self.elements)
         return self._fact
 
 

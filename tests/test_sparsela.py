@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from memfem.errors import EstimatorError, SaddleSolverError
 from memfem.sparsela import (
+    HybridSaddle,
     factorize_saddle,
     infsup_estimate,
     kernel_ellipticity,
@@ -101,6 +102,78 @@ def test_factor_matches_dense_reference():
     kkt = np.block([[a, b.T], [b, np.zeros((m, m))]])
     ref = np.linalg.solve(kkt, np.concatenate([f, g]))
     assert_allclose(np.concatenate([u, p]), ref, rtol=1e-9, atol=1e-11)
+
+
+def laplace_blocks(m):
+    """``(a, b, elements)`` of the RT0 x P0 Laplace pair on an m x m mesh."""
+    from memfem.laplace_mem import LaplaceProblem
+    prob = LaplaceProblem(m)
+    return prob.a, prob.b, (prob.space.local_mass(), prob.mesh.tri_edges)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 24])
+def test_hybrid_solve_matches_lu_of_scaled_kkt(m):
+    # m = 1 joins its two elements by a single multiplier; a nonzero f
+    # checks that each f entry is sent to one element, not to both
+    a, b, elements = laplace_blocks(m)
+    fact = factorize_saddle(a, b, elements)
+    assert isinstance(fact._lu, HybridSaddle)
+    rng = np.random.RandomState(m)
+    for _ in range(3):
+        g1, g2, g3 = rng.uniform(1e-3, 2.0, size=3)
+        f = rng.standard_normal(b.shape[1])
+        g = rng.standard_normal(b.shape[0])
+        x = np.concatenate(fact.solve(f, g, (g1, g2, g3)))
+        kkt = sp.bmat([[g1 * a, g2 * b.T], [g3 * b, None]], format="csc")
+        ref = spla.splu(kkt).solve(np.concatenate([f, g]))
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_hybrid_solve_residual_at_m64():
+    a, b, elements = laplace_blocks(64)
+    fact = factorize_saddle(a, b, elements)
+    rng = np.random.RandomState(64)
+    gammas = (0.7, 1.3, 0.2)
+    f = rng.standard_normal(b.shape[1])
+    g = rng.standard_normal(b.shape[0])
+    u, p = fact.solve(f, g, gammas)
+    res = np.concatenate([gammas[0] * (a @ u) + gammas[1] * (b.T @ p) - f,
+                          gammas[2] * (b @ u) - g])
+    assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(np.concatenate([f, g]))
+    # the hybrid LU stores less than half of what SuperLU does for K
+    assert fact._lu.nnz < 0.5 * factorize_saddle(a, b)._lu.nnz
+
+
+def test_hybrid_rejects_local_blocks_that_miss_a():
+    from memfem.volterra import BlockSaddleSystem
+    a, b, (local_a, dofs) = laplace_blocks(4)
+    local_a = local_a.copy()
+    local_a[5, 0, 0] *= 1.0 + 1e-9
+    # checked when the system is factored, not when it is built
+    system = BlockSaddleSystem(a, b, elements=(local_a, dofs))
+    with pytest.raises(SaddleSolverError, match="do not assemble to A"):
+        system.factorization()
+
+
+def test_hybrid_rejects_a_dof_in_three_elements():
+    # three elements share v-dof 0; the pair itself is well posed
+    dofs = np.array([[0, 1], [0, 2], [0, 3]])
+    local_a = np.repeat(np.eye(2)[None], 3, axis=0)
+    a = sp.diags([3.0, 1.0, 1.0, 1.0], format="csr")
+    b = sp.csr_matrix((np.ones(6), (np.repeat(np.arange(3), 2), dofs.ravel())),
+                      shape=(3, 4))
+    factorize_saddle(a, b).solve(np.ones(4), np.ones(3))
+    with pytest.raises(SaddleSolverError, match="lies in 3 elements"):
+        factorize_saddle(a, b, (local_a, dofs))
+
+
+def test_hybrid_rejects_b_outside_its_element():
+    a, b, (local_a, dofs) = laplace_blocks(2)
+    outside = np.setdiff1d(np.arange(b.shape[1]), dofs[0])[0]
+    b = b.tolil()
+    b[0, outside] = 0.5
+    with pytest.raises(SaddleSolverError, match="outside its element"):
+        factorize_saddle(a, b, (local_a, dofs))
 
 
 def gram_sqrt(g):

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from memfem.errors import EstimatorError, StabilityGateError
 from memfem import volterra
 from memfem.kernels import MemoryKernel, PronySLS, beam_kernel, fickian_kernel
-from memfem.sparsela import SaddleFactorization
+from memfem.laplace_mem import LaplaceProblem
+from memfem.sparsela import HybridSaddle, SaddleFactorization
 from memfem.volterra import (
     BlockSaddleSystem,
     HistoryBuffer,
@@ -92,26 +93,39 @@ def count_factorizations(monkeypatch):
     calls = []
     orig = volterra.factorize_saddle
 
-    def counted(a, b):
+    def counted(a, b, elements=None):
         calls.append(a.shape)
-        return orig(a, b)
+        return orig(a, b, elements)
 
     monkeypatch.setattr(volterra, "factorize_saddle", counted)
     return calls
+
+
+def time_varying_kernel():
+    """k(t, s) = -(1 + t) e^{-(t - s)}: k(t, t) changes every step."""
+    return MemoryKernel.from_callable(
+        lambda t, s: -(1.0 + np.asarray(t, float))
+        * np.exp(-(np.asarray(t, float) - np.asarray(s, float))), bound=3.0)
 
 
 def test_time_varying_kernel_factors_once(monkeypatch):
     # k(t,t) = -(1 + t) changes the gamma of every step; the gammas are
     # applied in the solves, so 200 steps share one factorization
     calls = count_factorizations(monkeypatch)
-    kernel = MemoryKernel.from_callable(
-        lambda t, s: -(1.0 + np.asarray(t, float))
-        * np.exp(-(np.asarray(t, float) - np.asarray(s, float))), bound=3.0)
-    sys_ = scalar_system(k3=kernel)
+    sys_ = scalar_system(k3=time_varying_kernel())
     grid = TimeGrid(T=1.0, n_steps=200)
     VolterraStepper(sys_, grid).run(lambda t: np.zeros(1), lambda t: np.ones(1))
     assert len(calls) == 1
     assert len({step_gammas(sys_, grid, n) for n in range(1, 201)}) == 200
+
+
+def test_time_varying_kernel_factors_once_hybridized(monkeypatch):
+    # the same through the Laplace driver, whose system is hybridized
+    calls = count_factorizations(monkeypatch)
+    prob = LaplaceProblem(4, delta=None, kernel=time_varying_kernel())
+    prob.run(TimeGrid(T=1.0, n_steps=50))
+    assert len(calls) == 1
+    assert isinstance(prob.system.factorization()._lu, HybridSaddle)
 
 
 def test_step0_and_steady_steps_share_one_factor(monkeypatch):
