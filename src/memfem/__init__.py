@@ -29,7 +29,6 @@ from .kernels import (
 )
 from .mesh import Mesh1D, TriMesh, structured_unit_square, uniform_mesh1d
 from .sparsela import (
-    KernelEllipticity,
     SaddleFactorization,
     factorize_saddle,
     infsup_estimate,

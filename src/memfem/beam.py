@@ -85,8 +85,7 @@ class BeamConfig:
     """Geometry and material layout of one beam configuration.
 
     ``I`` and ``A`` are callables of position (vectorized); ``eps`` is
-    the thickness parameter with ``eps^2 = (1/L) int I/(A L^2)``.  The
-    ``d`` field records the physical thickness when the profile has one.
+    the thickness parameter with ``eps^2 = (1/L) int I/(A L^2)``.
     """
 
     profile: str
@@ -96,9 +95,6 @@ class BeamConfig:
     eps: float
     I: Callable
     A: Callable
-    d: Optional[float] = None
-    ihat_override: Optional[Callable] = None
-    kappa_override: Optional[Callable] = None
 
     def __post_init__(self):
         if not (self.L > 0.0 and self.eps > 0.0 and self.ks > 0.0):
@@ -110,26 +106,13 @@ class BeamConfig:
             raise ConfigError("Ihat and Ahat must be positive on the beam")
 
     def ihat(self, x):
-        if self.ihat_override is not None:
-            return self.ihat_override(x)
         return self.I(x) / self.eps ** 3
 
     def ahat(self, x):
         return self.ks * self.A(x) / self.eps
 
     def kappa(self, x):
-        if self.kappa_override is not None:
-            return self.kappa_override(x)
         return self.ahat(x) / (2.0 * (1.0 + self.nu))
-
-    @staticmethod
-    def from_hat(ihat: Callable, kappa: Callable, eps: float,
-                 L: float = 1.0) -> "BeamConfig":
-        """Direct coefficient override, mainly for tests and custom runs."""
-        return BeamConfig(profile="custom", L=L, nu=0.0, ks=1.0, eps=eps,
-                          I=lambda x: np.ones_like(np.asarray(x, float)),
-                          A=lambda x: np.ones_like(np.asarray(x, float)),
-                          ihat_override=ihat, kappa_override=kappa)
 
 
 def joined_profile(d: float, L: float = 1.0, nu: float = 0.35,
@@ -154,7 +137,7 @@ def joined_profile(d: float, L: float = 1.0, nu: float = 0.35,
 
     eps = math.sqrt(5.0 * d * d / (12.0 * L * L))
     return BeamConfig(profile="joined", L=L, nu=nu, ks=ks, eps=eps,
-                      I=inertia, A=area, d=d)
+                      I=inertia, A=area)
 
 
 def smooth_profile(L: float = 1.0, nu: float = 0.35,
@@ -228,9 +211,10 @@ def assemble_beam_b(mesh: Mesh1D) -> sp.csr_matrix:
                          shape=(2 * n, 2 * n_nodes)).tocsr()
 
 
-def beam_rhs(cfg: BeamConfig, mesh: Mesh1D, f: Callable, g: Callable,
-             t: float, e0: float = 1.0):
-    """Right-hand sides at time t: zero a-row and the load b-row.
+def beam_rhs(cfg: BeamConfig, mesh: Mesh1D, f: Optional[Callable],
+             g: Optional[Callable], e0: float = 1.0):
+    """Right-hand sides of the spatial loads f(x), g(x): zero a-row and
+    the load b-row.
 
     The b-row entries are -(f_E, v) on the w cells and -(g_E, eta) on the
     beta cells with f_E = f/E(0), integrated with 4-point Gauss (exact to
@@ -240,9 +224,9 @@ def beam_rhs(cfg: BeamConfig, mesh: Mesh1D, f: Callable, g: Callable,
     xq, wq = _gauss_points(mesh, _G4)
     rhs = np.zeros(2 * n)
     if g is not None:
-        rhs[:n] = -np.sum(wq * np.asarray(g(xq, t), float), axis=1) / e0
+        rhs[:n] = -np.sum(wq * np.asarray(g(xq), float), axis=1) / e0
     if f is not None:
-        rhs[n:] = -np.sum(wq * np.asarray(f(xq, t), float), axis=1) / e0
+        rhs[n:] = -np.sum(wq * np.asarray(f(xq), float), axis=1) / e0
     return np.zeros(2 * (n + 1)), rhs
 
 
@@ -323,21 +307,15 @@ def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
     """
     if cfg.profile == "joined" and n_ref % 2 != 0:
         n_ref += 1
-    mesh = beam_mesh(cfg, n_ref)
-    a = assemble_beam_a(cfg, mesh)
-    b = assemble_beam_b(mesh)
-    system = BlockSaddleSystem(a, b)
-    f_fn = None if f_space is None else (lambda x, t: f_space(x))
-    g_fn = None if g_space is None else (lambda x, t: g_space(x))
-    rhs_f, rhs_g = beam_rhs(cfg, mesh, f_fn, g_fn, 0.0, e0=e0)
-    u, p = system.factorization().solve(rhs_f, rhs_g)
+    fine = BeamProblem(cfg, n_ref, None, e0, f_space, g_space)
+    u, p = fine.system.factorization().solve(*fine.rhs(0.0))
     if kernel is None:
         phi = CreepFactor(times=grid.times.copy(),
                           samples=np.ones(grid.n_steps + 1), residual=0.0,
                           exact=lambda t: np.ones_like(np.asarray(t, float)))
     else:
         phi = creep_factor(kernel, grid)
-    return BeamReference(cfg, mesh, u, p, phi)
+    return BeamReference(cfg, fine.mesh, u, p, phi)
 
 
 def beam_accumulator(mesh: Mesh1D, reference: BeamReference,
@@ -394,9 +372,7 @@ class BeamProblem:
         self.a = assemble_beam_a(cfg, self.mesh)
         self.b = assemble_beam_b(self.mesh)
         self.system = BlockSaddleSystem(self.a, self.b, k3=kernel)
-        f_fn = None if f_space is None else (lambda x, t: f_space(x))
-        g_fn = None if g_space is None else (lambda x, t: g_space(x))
-        _, self._load_row = beam_rhs(cfg, self.mesh, f_fn, g_fn, 0.0, e0=e0)
+        _, self._load_row = beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)
         self.n_v = 2 * (self.mesh.n_elements + 1)
         self.n_q = 2 * self.mesh.n_elements
 

@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +161,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("config key 'kernel' must be an object with a type")
     if kernel["type"] not in ("sls", "fickian", "custom_exp", "none"):
         raise ConfigError(f"unknown kernel type {kernel['type']!r}")
+    if "delta" in kernel:
+        raise ConfigError("the kernel block takes no 'delta': the laplace "
+                          "problem's memory is set by the top-level 'delta'")
     if cfg["problem"] == "beam":
         need("d", (int, float), positive=True)
         need("nu", (int, float))
@@ -188,7 +190,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_kernel(cfg: dict):
-    """Memory kernel and E(0) divisor from the kernel config block."""
+    """Memory kernel and E(0) divisor of the beam from the kernel block."""
     spec = cfg["kernel"]
     kind = spec["type"]
     if kind == "none":
@@ -211,11 +213,7 @@ def build_kernel(cfg: dict):
             return kern, float(spec.get("e0", 1.0))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad custom_exp kernel: {exc}") from exc
-    # fickian: the Laplace driver wires the sign itself from delta
-    delta = float(spec.get("delta", cfg.get("delta", 0.01)))
-    if delta <= 0:
-        raise ConfigError(f"fickian kernel needs positive delta, got {delta}")
-    return "from_delta", 1.0
+    raise ConfigError("fickian kernels apply to the laplace problem")
 
 
 def build_beam_problem(cfg: dict, n_elements: int):
@@ -226,10 +224,7 @@ def build_beam_problem(cfg: dict, n_elements: int):
         else:
             bc = beam_mod.smooth_profile(nu=float(cfg["nu"]), ks=float(cfg["ks"]))
         kernel, e0 = build_kernel(cfg)
-        if kernel == "from_delta":
-            raise ConfigError("fickian kernels apply to the laplace problem")
-        return beam_mod.BeamProblem(bc, n_elements, kernel, e0,
-                                    lambda x: np.exp(x), None)
+        return beam_mod.BeamProblem(bc, n_elements, kernel, e0, np.exp, None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -239,11 +234,8 @@ def build_laplace_problem(cfg: dict, m: int):
         raise ConfigError(
             "the laplace driver's manufactured data supports kernel types "
             f"'fickian' and 'none', got {cfg['kernel']['type']!r}")
-    kernel, _ = build_kernel(cfg)
-    delta = float(cfg["delta"])
-    if kernel is None:
-        return laplace_mod.LaplaceProblem(m, delta=None, kernel=None)
-    return laplace_mod.LaplaceProblem(m, delta=delta)
+    delta = None if cfg["kernel"]["type"] == "none" else float(cfg["delta"])
+    return laplace_mod.LaplaceProblem(m, delta)
 
 
 class RunNorms:
@@ -296,7 +288,6 @@ def run_study(cfg: dict) -> ConvergenceReport:
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
     levels = cfg["levels"]
     rows = []
-    started = time.perf_counter()
     problem = cfg["problem"]
     build, _ = _BUILDERS[problem]
     # what the errors are measured against: one fine-mesh oracle for every
@@ -322,35 +313,35 @@ def run_study(cfg: dict) -> ConvergenceReport:
             if rows:
                 partial = ConvergenceReport(
                     fields=fields, rows=rows, problem=problem,
-                    config_hash=config_hash(cfg),
-                    wall_time=time.perf_counter() - started)
+                    config_hash=config_hash(cfg))
                 emit_report(partial, cfg, suffix="_partial")
             raise type(exc)(f"level {level}: {exc}") from exc
     return ConvergenceReport(fields=fields, rows=rows, problem=problem,
-                             config_hash=config_hash(cfg),
-                             wall_time=time.perf_counter() - started)
+                             config_hash=config_hash(cfg))
+
+
+def _write_outputs(cfg: dict, texts: dict) -> Path:
+    """Write ``{file name: text}`` into the output directory, creating it;
+    returns the directory.  Failing to write is a configuration error."""
+    out_dir = Path(cfg.get("output_dir", "out"))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out_dir / name).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
+    return out_dir
 
 
 def emit_report(report: ConvergenceReport, cfg: dict, suffix: str = ""):
     """Write CSV and Markdown (and optionally SVG); returns the paths."""
-    out_dir = Path(cfg.get("output_dir", "out"))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        paths = {}
-        base = f"{report.problem}_convergence{suffix}"
-        csv_path = out_dir / f"{base}.csv"
-        csv_path.write_text(render_csv(report))
-        paths["csv"] = csv_path
-        md_path = out_dir / f"{base}.md"
-        md_path.write_text(render_markdown(report))
-        paths["md"] = md_path
-        if cfg.get("emit_svg"):
-            svg_path = out_dir / f"{base}.svg"
-            svg_path.write_text(render_svg(report))
-            paths["svg"] = svg_path
-        return paths
-    except OSError as exc:
-        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
+    base = f"{report.problem}_convergence{suffix}"
+    texts = {"csv": render_csv(report), "md": render_markdown(report)}
+    if cfg.get("emit_svg"):
+        texts["svg"] = render_svg(report)
+    out_dir = _write_outputs(
+        cfg, {f"{base}.{ext}": text for ext, text in texts.items()})
+    return {ext: out_dir / f"{base}.{ext}" for ext in texts}
 
 
 def emit_certificate(cfg: dict, stream=None) -> dict:
@@ -364,21 +355,11 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
     prob = _single_problem(cfg)
     gram_v, gram_q = prob.grams()
-    if not cfg.get("estimators", True):
-        missing = [k for k in ("alpha0", "beta", "norm_a") if k not in cfg]
-        if missing:
-            raise ConfigError(
-                "estimators disabled and no explicit values given for "
-                f"{missing}; enable the estimator pass with "
-                '"estimators": true or supply alpha0/beta/norm_a')
-        alpha0, beta, norm_a = (float(cfg[k]) for k in ("alpha0", "beta", "norm_a"))
-        null_dim = None
-    else:
-        system = prob.system
-        ke = kernel_ellipticity(system.a, system.b, gram_v)
-        alpha0, null_dim = ke.alpha, ke.null_dim
-        beta = infsup_estimate(gram_v, gram_q, system.b)
-        norm_a = operator_norm_estimate(system.a, gram_v)
+    system = prob.system
+    alpha0 = kernel_ellipticity(system.a, system.b, gram_v)
+    beta = infsup_estimate(gram_v, gram_q, system.b)
+    norm_a = operator_norm_estimate(system.a, gram_v)
+    null_dim = system.n_v - system.n_q
 
     # constants first: a bound that overflows fails before the run
     kern = prob.kernel
@@ -386,7 +367,7 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
     T = grid.T
     stab = stability_constants(alpha0, beta, norm_a, c_k1=0.0, c_k2=0.0,
                                c_k3=c_k, c_ktilde=c_k, T=T)
-    norm_b = operator_norm_b(prob.system.b, gram_v, gram_q)
+    norm_b = operator_norm_b(system.b, gram_v, gram_q)
     err = error_constants(alpha0, beta, norm_a, norm_b, c_k1=0.0, c_k2=0.0,
                           c_k3=c_k, c_ktilde=c_k, T=T)
 
@@ -409,8 +390,7 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
     print(f"  estimates: alpha0={alpha0:.6e} beta={beta:.6e} "
           f"norm_a={norm_a:.6e} norm_b={norm_b:.6e} C_k={c_k:.6e}",
           file=stream)
-    if null_dim is not None:
-        print(f"  null(B) dimension: {null_dim}", file=stream)
+    print(f"  null(B) dimension: {null_dim}", file=stream)
     print(f"  constants: C1={stab.c1:.6e} C2={stab.c2:.6e} "
           f"C3={stab.c3:.6e} C4={stab.c4:.6e}", file=stream)
     print(f"  starred:   C1*={err.c1s:.6e} C2*={err.c2s:.6e} "
@@ -429,8 +409,6 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
 
 def _cmd_run(cfg: dict) -> int:
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
-    out_dir = Path(cfg.get("output_dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     prob = _single_problem(cfg)
     # the output files are the one per-problem choice
     if cfg["problem"] == "laplace":
@@ -449,9 +427,9 @@ def _cmd_run(cfg: dict) -> int:
         print(f"laplace m={cfg['m']}: e0(sigma)={errors['sigma']['e0']:.6e} "
               f"e0(u)={errors['u']['e0']:.6e}")
         if probe_pt is not None:
-            path = out_dir / "probe.csv"
-            path.write_text("\n".join(lines) + "\n")
-            print(f"probe series written to {path}")
+            out_dir = _write_outputs(cfg,
+                                     {"probe.csv": "\n".join(lines) + "\n"})
+            print(f"probe series written to {out_dir / 'probe.csv'}")
         return EXIT_OK
     last = {}
 
@@ -470,8 +448,8 @@ def _cmd_run(cfg: dict) -> int:
     for i in range(n):
         cells.append("%.6e,%.6e,%.6e"
                      % (mids[i], last["p"][i], last["p"][n + i]))
-    (out_dir / "beam_nodal.csv").write_text("\n".join(nodal) + "\n")
-    (out_dir / "beam_cells.csv").write_text("\n".join(cells) + "\n")
+    out_dir = _write_outputs(cfg, {"beam_nodal.csv": "\n".join(nodal) + "\n",
+                                   "beam_cells.csv": "\n".join(cells) + "\n"})
     print(f"beam n={n}: final fields written to {out_dir}/beam_nodal.csv "
           f"and {out_dir}/beam_cells.csv")
     return EXIT_OK
@@ -491,9 +469,7 @@ def _cmd_certificate(cfg: dict) -> int:
     out = emit_certificate(cfg, stream=buf)
     text = buf.getvalue()
     sys.stdout.write(text)
-    out_dir = Path(cfg.get("output_dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "certificate.txt").write_text(text)
+    _write_outputs(cfg, {"certificate.txt": text})
     return EXIT_OK if out["slack"] >= 0.0 else EXIT_SOLVER
 
 

@@ -266,21 +266,23 @@ def laplace_accumulator(space: RT0Space, manufactured: ManufacturedSolution,
 
 
 class LaplaceProblem:
-    """One structured-mesh discretization of the non-fickian flow model."""
+    """One structured-mesh discretization of the non-fickian flow model.
+
+    ``delta`` sets the memory of the manufactured load (None: no memory).
+    The constraint row carries ``kernel``, or without one the negated
+    fickian kernel of ``delta`` (none when ``delta`` is None).
+    """
 
     def __init__(self, m: int, delta: Optional[float] = 0.01,
-                 kernel: Optional[MemoryKernel] = "from_delta"):
+                 kernel: Optional[MemoryKernel] = None):
         self.m = m
         self.mesh = structured_unit_square(m)
         self.space = RT0Space(self.mesh)
         self.manufactured = ManufacturedSolution(delta)
-        if kernel == "from_delta":
-            if delta is None:
-                kernel = None
-            else:
-                # constraint row carries -k(t-s); see the module docstring
-                base = fickian_kernel(delta)
-                kernel = MemoryKernel.exp_convolution(c=-base.c, rate=base.rate)
+        if kernel is None and delta is not None:
+            # constraint row carries -k(t-s); see the module docstring
+            base = fickian_kernel(delta)
+            kernel = MemoryKernel.exp_convolution(c=-base.c, rate=base.rate)
         self.kernel = kernel
         self.a = assemble_rt0_mass(self.space)
         self.b = assemble_rt0_div(self.space)

@@ -59,7 +59,6 @@ class ConvergenceReport:
     rows: list
     problem: str = ""
     config_hash: str = ""
-    wall_time: float = 0.0
     rates: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -17,7 +17,6 @@ the rounding of that LU.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +27,6 @@ from .errors import EstimatorError, SaddleSolverError
 __all__ = [
     "HybridSaddle",
     "SaddleFactorization",
-    "KernelEllipticity",
     "factorize_saddle",
     "infsup_estimate",
     "kernel_ellipticity",
@@ -394,26 +392,19 @@ def operator_norm_b(b, gram_v, gram_q) -> float:
         " are the Grams positive definite?")
 
 
-class KernelEllipticity(NamedTuple):
-    """Coercivity constant of ``a`` on null(B) plus the nullspace size."""
-
-    alpha: float
-    null_dim: int
-
-
-def kernel_ellipticity(a, b, gram_v) -> KernelEllipticity:
+def kernel_ellipticity(a, b, gram_v) -> float:
     """Smallest generalized eigenvalue of ``a`` restricted to null(B).
 
     Shift-invert Lanczos on ``(A, Gv)``: the v-block of
     ``[[A - shift Gv, B^T], [B, 0]]^{-1} (y, 0)`` inverts the shifted pencil
     on null(B) and lies in it, so the start vector ``OPinv(Gv 1)`` does too.
-    B has full row rank when that LU succeeds, so ``null_dim = n_v - n_q``;
-    an empty nullspace yields ``alpha = inf``.  Rank-deficient B or a
+    B has full row rank when that LU succeeds, so null(B) has dimension
+    ``n_v - n_q``; an empty nullspace yields ``inf``.  Rank-deficient B or a
     Lanczos failure raises :class:`EstimatorError`.
     """
     n_q, n_v = b.shape
     if n_v == n_q:
-        return KernelEllipticity(alpha=math.inf, null_dim=0)
+        return math.inf
     shift = -1e-3   # below the spectrum of a semi-definite a
     gram_v = as_csr(gram_v)
     try:
@@ -429,22 +420,27 @@ def kernel_ellipticity(a, b, gram_v) -> KernelEllipticity:
                          return_eigenvectors=False)
     except spla.ArpackError as exc:
         raise EstimatorError(f"ellipticity Lanczos failed: {exc}") from exc
-    return KernelEllipticity(alpha=float(lam[0]), null_dim=n_v - n_q)
+    return float(lam[0])
 
 
-def operator_norm_estimate(a, gram_v, tol: float = 1e-10,
-                           max_iter: int = 2000) -> float:
+# relative tolerance and iteration cap of operator_norm_estimate
+NORM_RTOL = 1e-10
+NORM_MAX_ITER = 2000
+
+
+def operator_norm_estimate(a, gram_v) -> float:
     """Operator norm of the bilinear form ``a`` in the Gram norm.
 
     Largest generalized eigenvalue of ``(A, Gv)`` by power iteration with
     a factored Gram solve.  Its Rayleigh quotients approach from below, so
-    once they settle to ``tol`` the iteration also needs
-    ``lam (1 + tol) Gv - A`` to be positive definite before it returns
-    ``lam``: the returned value is within ``tol`` of an upper bound (up to
-    the rounding of that LU).  A settled ``lam`` that fails the test is
-    still short of the top; the iteration goes on and tests again only
-    once the change per step has fallen tenfold, so slow contraction costs
-    power steps, not one LU each.
+    once they settle to ``NORM_RTOL`` the iteration also needs
+    ``lam (1 + NORM_RTOL) Gv - A`` to be positive definite before it
+    returns ``lam``: the returned value is within ``NORM_RTOL`` of an upper
+    bound (up to the rounding of that LU).  A settled ``lam`` that fails
+    the test is still short of the top; the iteration goes on and tests
+    again only once the change per step has fallen tenfold, so slow
+    contraction costs power steps, not one LU each.  It gives up after
+    ``NORM_MAX_ITER`` steps.
     """
     a = as_csr(a)
     gram = as_csr(gram_v)
@@ -452,8 +448,8 @@ def operator_norm_estimate(a, gram_v, tol: float = 1e-10,
     rng = np.random.RandomState(1)
     x = rng.standard_normal(a.shape[0])
     lam_prev = 0.0
-    gate = tol
-    for _ in range(max_iter):
+    gate = NORM_RTOL
+    for _ in range(NORM_MAX_ITER):
         ax = a @ x
         lam = float(abs(x @ ax) / (x @ (gram @ x)))
         y = lu.solve(ax)
@@ -463,7 +459,7 @@ def operator_norm_estimate(a, gram_v, tol: float = 1e-10,
         x = y / norm
         change = abs(lam - lam_prev) / max(lam, 1e-300)
         if change <= gate:
-            if _definite_lu(lam * (1.0 + tol) * gram - a) is not None:
+            if _definite_lu(lam * (1.0 + NORM_RTOL) * gram - a) is not None:
                 return lam
             if change == 0.0:
                 break   # fixed short of the top: more steps cannot help

@@ -273,46 +273,38 @@ class HistoryBuffer:
         rows = self._stored.get(which)
         return np.empty((0, 0)) if rows is None else rows[:self._count]
 
-    def recurrence_sum(self, kernel: MemoryKernel, which: str,
-                       n: int) -> Optional[np.ndarray]:
-        """The history sum at step n from the recurrence of ``(kernel,
-        which)``, ``exp(-rate dt) U_{n-1} - (dt/2) k(t_n, t_0) x_0``, at
-        the buffer head (n == len); None without such a recurrence."""
-        key = (kernel, which)
-        if key not in self._recur:
-            return None
-        if n != self._count:
-            raise ValueError(
-                f"recurrence sum only available at the buffer head "
-                f"(n={n}, stored={self._count})")
-        grid = self.grid
-        decay = math.exp(-kernel.rate * grid.dt)
-        head = kernel.c * math.exp(-kernel.rate * grid.times[n])
-        return decay * self._recur[key] - 0.5 * grid.dt * head * self._first[which]
 
-
-def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, grid: TimeGrid,
-                n: int, which: str) -> np.ndarray:
-    """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j``.
+def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
+                which: str) -> np.ndarray:
+    """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j`` at step
+    ``n = len(hist)``, the step after the last one appended.
 
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
-    holds one, and otherwise as one product of the weight row with the
-    stored states.  An auditing buffer also sums a recurrence's history
-    directly and records the relative deviation of the two.
+    holds one, ``exp(-rate dt) U_{n-1} - (dt/2) k(t_n, t_0) x_0``, and
+    otherwise as one product of the weight row with the stored states.
+    An auditing buffer also sums a recurrence's history directly and
+    records the relative deviation of the two.
     """
+    n = len(hist)
     if n < 1:
         raise ValueError("history sums start at step 1")
-    recur = hist.recurrence_sum(kernel, which, n)
-    if recur is not None and not hist.audit:
-        return recur
-    xs = hist.vectors(which)
-    if len(xs) < n:
-        raise ValueError(f"history sum at step {n} needs {n} stored states "
-                         f"of {which!r}, the buffer holds {len(xs)}")
+    grid = hist.grid
     times = grid.times
+    recur = None
+    if (kernel, which) in hist._recur:
+        decay = math.exp(-kernel.rate * grid.dt)
+        head = kernel.c * math.exp(-kernel.rate * times[n])
+        recur = decay * hist._recur[kernel, which] \
+            - 0.5 * grid.dt * head * hist._first[which]
+        if not hist.audit:
+            return recur
+    xs = hist.vectors(which)
+    if not len(xs):
+        raise ValueError(f"history sum of {which!r} needs stored states, "
+                         "and no attached kernel stores them")
     w = trapezoid_weights(grid, n)[:n]
     kv = np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
-    direct = (w * kv) @ xs[:n]
+    direct = (w * kv) @ xs
     if recur is None:
         return direct
     denom = float(np.max(np.abs(direct)))
@@ -342,24 +334,21 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
     return tuple(gammas)
 
 
-def step(sys: BlockSaddleSystem, grid: TimeGrid, n: int, hist: HistoryBuffer,
-         f_n: np.ndarray, g_n: np.ndarray):
-    """Advance one step: solve the implicit trapezoid system and append.
-
-    Requires the history to be complete through step ``n - 1``.
-    """
-    if len(hist) != n:
-        raise ValueError(f"history holds {len(hist)} entries, expected {n}")
-    gammas = step_gammas(sys, grid, n)
+def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f_n: np.ndarray,
+         g_n: np.ndarray):
+    """Advance one step, ``n = len(hist)``: solve the implicit trapezoid
+    system and append the solution to the history."""
+    n = len(hist)
+    gammas = step_gammas(sys, hist.grid, n)
     rhs_f = np.array(f_n, dtype=float, copy=True)
     rhs_g = np.array(g_n, dtype=float, copy=True)
     if n >= 1:
         if sys.k1 is not None:
-            rhs_f += sys.a @ history_sum(hist, sys.k1, grid, n, "u")
+            rhs_f += sys.a @ history_sum(hist, sys.k1, "u")
         if sys.k2 is not None:
-            rhs_f += sys.b.T @ history_sum(hist, sys.k2, grid, n, "p")
+            rhs_f += sys.b.T @ history_sum(hist, sys.k2, "p")
         if sys.k3 is not None:
-            rhs_g += sys.b @ history_sum(hist, sys.k3, grid, n, "u")
+            rhs_g += sys.b @ history_sum(hist, sys.k3, "u")
 
     u_n, p_n = sys.factorization().solve(rhs_f, rhs_g, gammas)
     hist.append(u_n, p_n)
@@ -386,16 +375,13 @@ class VolterraStepper:
         self.sys = sys
         self.grid = grid
         self.hist = HistoryBuffer(sys, grid, audit)
-        self._n = 0
 
     @property
     def n_done(self) -> int:
-        return self._n
+        return len(self.hist)
 
     def advance(self, f_n: np.ndarray, g_n: np.ndarray):
-        u, p = step(self.sys, self.grid, self._n, self.hist, f_n, g_n)
-        self._n += 1
-        return u, p
+        return step(self.sys, self.hist, f_n, g_n)
 
     def run(self, f_of_t: Callable, g_of_t: Callable,
             on_step: Optional[Callable] = None):

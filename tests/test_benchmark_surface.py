@@ -1,0 +1,72 @@
+"""The benchmark's wrappers still fit memfem's public calls.
+
+``benchmark/tracing.py`` patches memfem's names from outside and calls
+through them with the arguments memfem passes, so a signature change
+that breaks a wrapper would otherwise show only when the benchmark runs.
+"""
+
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import memfem.cli as cli
+from memfem import MemoryKernel
+from memfem.beam import BeamProblem, joined_profile
+from memfem.volterra import TimeGrid
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+from tracing import TRACED, Patches, StepperMeter, Tracer  # noqa: E402
+
+
+def memfem_attributes() -> dict:
+    """Every attribute of the memfem modules and of the classes that
+    ``TRACED`` reaches into."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "memfem":
+            out.update({(name, k): v for k, v in vars(mod).items()})
+    for module_name, path in TRACED.values():
+        *outer, _ = path.split(".")
+        if outer:
+            cls = getattr(sys.modules[module_name], outer[0])
+            out.update({(cls.__qualname__, k): v for k, v in vars(cls).items()})
+    return out
+
+
+def test_tracer_and_meter_wrap_three_runs(tmp_path):
+    laplace = cli.load_config(None, overrides=[
+        'problem="laplace"', "levels=[2,4]", "T=0.05", "n_steps=10",
+        f'output_dir="{tmp_path}"'])
+    certificate = cli.load_config(None, overrides=[
+        "n_elements=4", "T=0.1", "n_steps=10", f'output_dir="{tmp_path}"'])
+    general = MemoryKernel.from_callable(
+        lambda t, s: -np.exp(-(np.asarray(t, float) - np.asarray(s, float)))
+        * (1.0 + 0.5 * np.sin(t)), bound=1.5)
+
+    before = memfem_attributes()
+    meter, tracer, patches = StepperMeter(), Tracer(), Patches()
+    meter.install(patches)
+    tracer.install(patches)
+    try:
+        cli.run_study(laplace)
+        cli.emit_certificate(certificate, stream=io.StringIO())
+        BeamProblem(joined_profile(d=0.001), 8, general, 1.0, np.exp,
+                    None).run(TimeGrid(T=0.5, n_steps=20))
+    finally:
+        patches.undo()
+    after = memfem_attributes()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+    names = {span[2] for span in tracer.spans}
+    assert {"volterra.step", "volterra.history_sum", "beam.beam_rhs",
+            "sparsela.kernel_ellipticity", "cli.norms_add",
+            "laplace_mem.on_step", "beam.on_step"} <= names
+    metrics = tracer.metrics(meter)
+    # two Laplace levels and the certificate at 11 nodes, the general run at 21
+    assert metrics["volterra.step_count"] == 3 * 11 + 21
+    assert meter.dof_steps > 0
+    # the general kernel stores the 21 states of u, 18 dofs on 8 elements
+    assert metrics["volterra.history_peak_bytes"] == 21 * 18 * 8

@@ -214,6 +214,45 @@ def test_cli_exit_code_config_error():
     assert "configuration error" in proc.stderr
 
 
+@pytest.mark.parametrize("delta", ["0.5", "-1"])
+def test_cli_kernel_delta_is_config_error(capsys, delta):
+    # the Laplace memory is the top-level delta, so a kernel-block delta
+    # is refused instead of ignored
+    from memfem.cli import main
+    code = main(["run", "--set", 'problem="laplace"', "--set", "m=4",
+                 "--set", "n_steps=20", "--set", "T=0.2",
+                 "--set", f"kernel.delta={delta}"])
+    assert code == EXIT_CONFIG
+    assert "top-level 'delta'" in capsys.readouterr().err
+
+
+def test_beam_kernel_none_keeps_other_kernel_keys():
+    from memfem.cli import build_beam_problem
+    cfg = load_config(None, overrides=['kernel.type="none"'])
+    assert cfg["kernel"] == {"type": "none", "k1": 1.0, "k2": 1.0, "eta2": 1.0}
+    assert build_beam_problem(cfg, 4).kernel is None
+
+
+def test_cli_fickian_kernel_on_beam_is_config_error(capsys):
+    from memfem.cli import main
+    code = main(["run", "--set", 'kernel={"type": "fickian"}',
+                 "--set", "n_elements=4", "--set", "n_steps=10"])
+    assert code == EXIT_CONFIG
+    assert "laplace problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "certificate", "convergence"])
+def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys, command):
+    from memfem.cli import main
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([command, "--set", 'problem="laplace"', "--set", "m=2",
+                 "--set", "levels=[2]", "--set", "n_steps=10",
+                 "--set", "T=0.1", "--set", f'output_dir="{blocker / "out"}"'])
+    assert code == EXIT_CONFIG
+    assert "cannot write to" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("probe", ["[2,0.5]", "[-0.1,0.5]", "[0.5,NaN]",
                                    "[Infinity,0.5]"])
 def test_cli_probe_outside_unit_square_is_config_error(probe):
@@ -354,13 +393,6 @@ def test_certificate_evaluates_load_once_per_node(monkeypatch, driver, size):
     out = emit_certificate(cfg, stream=io.StringIO())
     assert len(calls) == cfg["n_steps"] + 1
     assert out["slack"] >= 0.0
-
-
-def test_certificate_requires_estimates(tmp_path):
-    cfg = load_config(None, overrides=[
-        "n_elements=8", "n_steps=10", "T=0.1", "estimators=false"])
-    with pytest.raises(ConfigError, match="estimator pass"):
-        emit_certificate(cfg)
 
 
 def test_certificate_monotone_in_horizon(tmp_path):

@@ -175,7 +175,7 @@ def test_step_hand_solvable_system():
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=2)
     hist = HistoryBuffer(sys, grid)
-    u, p = step(sys, grid, 0, hist, np.array([1.0, 0.0]), np.array([1.0]))
+    u, p = step(sys, hist, np.array([1.0, 0.0]), np.array([1.0]))
     assert_allclose(u, [1.0, 0.0], atol=1e-14)
     assert_allclose(p, [0.0], atol=1e-14)
     assert len(hist) == 1
@@ -213,9 +213,9 @@ def test_stability_gate_violation():
     sys = scalar_system(k3=fickian_kernel(0.01))
     grid = TimeGrid(T=1.0, n_steps=33)  # dt ~ 0.0303 >= 2 delta
     hist = HistoryBuffer(sys, grid)
-    step(sys, grid, 0, hist, np.zeros(1), np.ones(1))
+    step(sys, hist, np.zeros(1), np.ones(1))
     with pytest.raises(StabilityGateError, match="dt too large"):
-        step(sys, grid, 1, hist, np.zeros(1), np.ones(1))
+        step(sys, hist, np.zeros(1), np.ones(1))
 
 
 def test_history_sum_single_panel_constant_kernel():
@@ -226,7 +226,7 @@ def test_history_sum_single_panel_constant_kernel():
     for kernel in (const, direct_form(const)):
         hist = HistoryBuffer(sized_system(2, 1, k3=kernel), grid)
         hist.append(x0, np.zeros(1))
-        out = history_sum(hist, kernel, grid, 1, "u")
+        out = history_sum(hist, kernel, "u")
         assert_allclose(out, 0.5 * grid.dt * 3.0 * x0, rtol=1e-15)
 
 
@@ -237,7 +237,7 @@ def test_history_sum_zero_kernel():
         hist = HistoryBuffer(sized_system(3, 1, k3=kernel), grid)
         for _ in range(3):
             hist.append(np.ones(3), np.zeros(1))
-        assert_array_equal(history_sum(hist, kernel, grid, 3, "u"), np.zeros(3))
+        assert_array_equal(history_sum(hist, kernel, "u"), np.zeros(3))
 
 
 def test_history_sum_recurrence_matches_direct():
@@ -250,8 +250,8 @@ def test_history_sum_recurrence_matches_direct():
     assert not recur_hist.store_full and direct_hist.store_full
     for n in range(51):
         if n >= 1:
-            direct = history_sum(direct_hist, general, grid, n, "u")
-            recur = history_sum(recur_hist, kernel, grid, n, "u")
+            direct = history_sum(direct_hist, general, "u")
+            recur = history_sum(recur_hist, kernel, "u")
             denom = np.max(np.abs(direct))
             assert np.max(np.abs(direct - recur)) <= 1e-12 * max(denom, 1e-30)
         x = rng.standard_normal(7)
@@ -283,7 +283,7 @@ def test_direct_history_sum_matches_loop():
     for n in range(grid.n_steps + 1):
         if n >= 1:
             for which, xs in (("u", us), ("p", ps)):
-                out = history_sum(hist, kernel, grid, n, which)
+                out = history_sum(hist, kernel, which)
                 ref = loop_history_sum(xs, grid, kernel, n)
                 assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         us.append(rng.standard_normal(11))
@@ -351,22 +351,18 @@ def test_history_without_store_allocates_nothing():
 def test_history_sum_errors():
     grid = TimeGrid(T=1.0, n_steps=4)
     kernel = MemoryKernel.exp_convolution(c=1.0, rate=0.5)
+    general = direct_form(kernel)
+    # the sum at step len(hist) needs a step 0 in the buffer
+    for k in (kernel, general):
+        with pytest.raises(ValueError, match="start at step 1"):
+            history_sum(HistoryBuffer(sized_system(2, 1, k3=k), grid), k, "u")
     hist = HistoryBuffer(sized_system(2, 1, k3=kernel), grid)
     for _ in range(3):
         hist.append(np.ones(2), np.zeros(1))
-    # a recurrence sum is only defined at the buffer head
-    assert history_sum(hist, kernel, grid, 3, "u").shape == (2,)
-    with pytest.raises(ValueError, match="buffer head"):
-        history_sum(hist, kernel, grid, 2, "u")
-    with pytest.raises(ValueError, match="start at step 1"):
-        history_sum(hist, kernel, grid, 0, "u")
+    assert history_sum(hist, kernel, "u").shape == (2,)
     # p is read by no kernel, so it has neither a recurrence nor rows
     with pytest.raises(ValueError, match="stored states"):
-        history_sum(hist, kernel, grid, 3, "p")
-    general = direct_form(kernel)
-    with pytest.raises(ValueError, match="start at step 1"):
-        history_sum(HistoryBuffer(sized_system(2, 1, k3=general), grid),
-                    general, grid, 0, "u")
+        history_sum(hist, kernel, "p")
 
 
 def test_scalar_stepper_tracks_creep_factor_second_order():
