@@ -65,7 +65,6 @@ from .laplace_mem import (
     RT0Space,
     assemble_rt0_div,
     assemble_rt0_mass,
-    interpolate_rt0,
 )
 from .report import ConvergenceReport, LevelRow, rates_from_errors
 

@@ -51,10 +51,7 @@ __all__ = [
     "beam_exact_reference",
     "beam_accumulator",
     "beam_reference_norms",
-    "BEAM_FIELDS",
 ]
-
-BEAM_FIELDS = ("M", "V", "w", "beta")
 
 # Gauss-Legendre nodes/weights on (-1, 1)
 _G2 = (np.array([-1.0, 1.0]) / math.sqrt(3.0), np.array([1.0, 1.0]))
@@ -78,6 +75,12 @@ def _p1_at(rule):
     """P1 basis values on the reference element for a Gauss rule."""
     xi, _ = rule
     return np.column_stack([0.5 * (1.0 - xi), 0.5 * (1.0 + xi)])
+
+
+def _split(n: int, u: np.ndarray, p: np.ndarray) -> dict:
+    """The fields of a state on n elements: (M, V) at the nodes, then
+    (beta, w) on the cells."""
+    return {"M": u[:n + 1], "V": u[n + 1:], "beta": p[:n], "w": p[n:]}
 
 
 @dataclass(frozen=True)
@@ -259,11 +262,7 @@ class BeamReference:
                  p: np.ndarray, phi: CreepFactor):
         self.cfg = cfg
         self.mesh = mesh
-        n = mesh.n_elements
-        self.m_coeff = u[: n + 1]
-        self.v_coeff = u[n + 1:]
-        self.beta_coeff = p[:n]
-        self.w_coeff = p[n:]
+        self.coeff = _split(mesh.n_elements, u, p)
         self.phi = phi
 
     def _locate(self, x):
@@ -279,12 +278,12 @@ class BeamReference:
         ell = self.mesh.cell_lengths[e]
         s = (x - x0) / ell
         out = {}
-        for name, coeff in (("M", self.m_coeff), ("V", self.v_coeff)):
-            left, right = coeff[e], coeff[e + 1]
+        for name in ("M", "V"):
+            left, right = self.coeff[name][e], self.coeff[name][e + 1]
             out[name] = (1.0 - s) * left + s * right
             out["d" + name] = (right - left) / ell
-        out["beta"] = self.beta_coeff[e]
-        out["w"] = self.w_coeff[e]
+        for name in ("beta", "w"):
+            out[name] = self.coeff[name][e]
         return out
 
     def __call__(self, x, t):
@@ -339,7 +338,7 @@ def beam_accumulator(mesh: Mesh1D, reference: BeamReference,
     fields = {name: (e[i * xq.size:(i + 1) * xq.size], wq, ref[name])
               for i, name in enumerate(("M", "dM", "V", "dV", "beta", "w"))}
     norms = {}
-    for name in BEAM_FIELDS:
+    for name in BeamProblem.FIELDS:
         norms[(name, "e0")] = (name,)
         if name in ("M", "V"):
             norms[(name, "e1")] = (name, "d" + name)
@@ -359,6 +358,8 @@ def beam_reference_norms(reference: BeamReference, grid: TimeGrid,
 
 class BeamProblem:
     """One beam discretization wired to loads and a memory kernel."""
+
+    FIELDS = ("M", "V", "w", "beta")
 
     def __init__(self, cfg: BeamConfig, n_elements: int,
                  kernel: Optional[MemoryKernel], e0: float,
@@ -394,6 +395,29 @@ class BeamProblem:
     def rhs(self, t: float):
         # unit step load: active from t = 0 on
         return np.zeros(self.n_v), self._load_row.copy()
+
+    def reference(self, grid: TimeGrid, finest: int) -> BeamReference:
+        """The study oracle of every level: the fine-mesh reference on 64
+        times the finest level's elements."""
+        return beam_exact_reference(self.cfg, self.f_space, self.g_space,
+                                    grid, self.kernel, e0=self.e0,
+                                    n_ref=64 * finest)
+
+    def write_run(self, grid: TimeGrid, cfg: dict, write: Callable) -> str:
+        """Step the grid and ``write`` the final fields at the nodes and the
+        cell midpoints; returns the line to print."""
+        last = {}
+        self.run(grid, collect=lambda n, t, u, p: last.update(u=u, p=p))
+        fields = _split(self.mesh.n_elements, last["u"], last["p"])
+        nodes = self.mesh.nodes
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        nodal = "x,M,V\n" + "".join("%.6e,%.6e,%.6e\n" % row for row in
+                                    zip(nodes, fields["M"], fields["V"]))
+        cells = "x,beta,w\n" + "".join("%.6e,%.6e,%.6e\n" % row for row in
+                                       zip(mids, fields["beta"], fields["w"]))
+        out_dir = write({"beam_nodal.csv": nodal, "beam_cells.csv": cells})
+        return (f"beam n={self.mesh.n_elements}: final fields written to "
+                f"{out_dir}/beam_nodal.csv and {out_dir}/beam_cells.csv")
 
     def run(self, grid: TimeGrid, reference: Optional[BeamReference] = None,
             audit: bool = False, collect: Optional[Callable] = None):

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,42 +47,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_GATE = 4
 
-BEAM_DEFAULTS = {
-    "problem": "beam",
-    "profile": "joined",
-    "d": 0.001,
-    "nu": 0.35,
-    "ks": 5.0 / 6.0,
-    "T": 15.0,
-    "n_steps": 1500,
-    "n_elements": 40,
-    "levels": [20, 40, 80, 160],
-    "ref_factor": 64,
-    "kernel": {"type": "sls", "k1": 1.0, "k2": 1.0, "eta2": 1.0},
-    "output_dir": "out",
-    "audit_history": False,
-    "emit_svg": False,
-}
-
-LAPLACE_DEFAULTS = {
-    "problem": "laplace",
-    "delta": 0.01,
-    "T": 1.0,
-    "n_steps": 2000,
-    "m": 32,
-    "levels": [8, 16, 32, 64],
-    "probe": [0.5, 0.5],
-    "kernel": {"type": "fickian"},
-    "output_dir": "out",
-    "audit_history": False,
-    "emit_svg": False,
-}
-
-FULL_SCALE = {
-    "beam": {"T": 15.0, "n_steps": 5000},
-    "laplace": {"T": 4.5, "n_steps": 3000},
-}
-
 
 def _parse_value(text: str):
     try:
@@ -108,10 +73,11 @@ def load_config(path=None, overrides=(), paper_scale: bool = False) -> dict:
         return value
 
     problem = effective("problem", "beam")
-    if problem not in ("beam", "laplace"):
+    if problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {problem!r} (beam or laplace)")
-    cfg = json.loads(json.dumps(
-        BEAM_DEFAULTS if problem == "beam" else LAPLACE_DEFAULTS))
+    driver = PROBLEMS[problem]
+    cfg = {"problem": problem, "output_dir": "out", "emit_svg": False,
+           **json.loads(json.dumps(driver.defaults))}
     kernel_given = "kernel" in doc or any(o.startswith("kernel") for o in overrides)
     if problem == "beam" and effective("profile", "joined") == "smooth" \
             and not kernel_given:
@@ -119,7 +85,7 @@ def load_config(path=None, overrides=(), paper_scale: bool = False) -> dict:
         cfg["kernel"] = {"type": "custom_exp", "c": -0.5, "rate": 1.0, "e0": 1.0}
     cfg.update(doc)
     if paper_scale:
-        cfg.update(FULL_SCALE[problem])
+        cfg.update(driver.full_scale)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
@@ -238,6 +204,30 @@ def build_laplace_problem(cfg: dict, m: int):
     return laplace_mod.LaplaceProblem(m, delta)
 
 
+class Driver(NamedTuple):
+    """How the CLI builds a problem, and the problem's configuration."""
+
+    build: Callable     # (cfg, mesh size) -> problem
+    size: str           # config key of the single-run mesh size
+    defaults: dict      # desk-scale defaults
+    full_scale: dict    # the paper's full-scale protocol
+
+
+PROBLEMS = {
+    "beam": Driver(build_beam_problem, "n_elements", {
+        "profile": "joined", "d": 0.001, "nu": 0.35, "ks": 5.0 / 6.0,
+        "T": 15.0, "n_steps": 1500, "n_elements": 40,
+        "levels": [20, 40, 80, 160],
+        "kernel": {"type": "sls", "k1": 1.0, "k2": 1.0, "eta2": 1.0}},
+        {"T": 15.0, "n_steps": 5000}),
+    "laplace": Driver(build_laplace_problem, "m", {
+        "delta": 0.01, "T": 1.0, "n_steps": 2000, "m": 32,
+        "levels": [8, 16, 32, 64], "probe": [0.5, 0.5],
+        "kernel": {"type": "fickian"}},
+        {"T": 4.5, "n_steps": 3000}),
+}
+
+
 class RunNorms:
     """Trapezoid-in-time L1 norms of a run: solution and dual load data."""
 
@@ -273,51 +263,36 @@ class RunNorms:
             self.g_dual_l1 += w * math.sqrt(float(g @ z))
 
 
-# problem name -> (builder, config key of the single-run mesh size)
-_BUILDERS = {"beam": (build_beam_problem, "n_elements"),
-            "laplace": (build_laplace_problem, "m")}
-
-
 def _single_problem(cfg: dict):
-    build, size = _BUILDERS[cfg["problem"]]
-    return build(cfg, int(cfg[size]))
+    driver = PROBLEMS[cfg["problem"]]
+    return driver.build(cfg, int(cfg[driver.size]))
 
 
 def run_study(cfg: dict) -> ConvergenceReport:
-    """Assemble, step, and measure every mesh level of the study."""
+    """Assemble, step, and measure every mesh level of the study against
+    the oracle of the coarsest level."""
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
     levels = cfg["levels"]
+    build = PROBLEMS[cfg["problem"]].build
+    coarse = build(cfg, levels[0])
+    reference = coarse.reference(grid, levels[-1])
     rows = []
-    problem = cfg["problem"]
-    build, _ = _BUILDERS[problem]
-    # what the errors are measured against: one fine-mesh oracle for every
-    # beam level, each Laplace level's own manufactured solution
-    if problem == "beam":
-        coarse = build(cfg, levels[0])
-        beam_ref = beam_mod.beam_exact_reference(
-            coarse.cfg, coarse.f_space, coarse.g_space, grid,
-            coarse.kernel, e0=coarse.e0,
-            n_ref=int(cfg["ref_factor"]) * max(levels))
-        reference = lambda prob: beam_ref
-        fields = beam_mod.BEAM_FIELDS
-    else:
-        reference = lambda prob: prob.manufactured
-        fields = laplace_mod.LAPLACE_FIELDS
+
+    def report():
+        return ConvergenceReport(fields=coarse.FIELDS, rows=rows,
+                                 problem=cfg["problem"],
+                                 config_hash=config_hash(cfg))
+
     for level in levels:
         try:
-            prob = build(cfg, level)
-            errors, _ = prob.run(grid, reference=reference(prob),
-                                 audit=bool(cfg["audit_history"]))
+            prob = coarse if level == levels[0] else build(cfg, level)
+            errors, _ = prob.run(grid, reference=reference)
             rows.append(LevelRow(dofs=prob.dofs, h=prob.h, errors=errors))
         except MemfemError as exc:
             if rows:
-                partial = ConvergenceReport(
-                    fields=fields, rows=rows, problem=problem,
-                    config_hash=config_hash(cfg))
-                emit_report(partial, cfg, suffix="_partial")
+                emit_report(report(), cfg, suffix="_partial")
             raise type(exc)(f"level {level}: {exc}") from exc
-    return ConvergenceReport(fields=fields, rows=rows, problem=problem,
-                             config_hash=config_hash(cfg))
+    return report()
 
 
 def _write_outputs(cfg: dict, texts: dict) -> Path:
@@ -409,49 +384,8 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
 
 def _cmd_run(cfg: dict) -> int:
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
-    prob = _single_problem(cfg)
-    # the output files are the one per-problem choice
-    if cfg["problem"] == "laplace":
-        probe_pt = cfg.get("probe")
-        lines = ["t,u_h,u_exact"]
-        collect = None
-        if probe_pt is not None:
-            x, y = probe_pt
-            cell = laplace_mod.probe_cell_index(prob.m, probe_pt)
-
-            def collect(n, t, sig, u):
-                exact = prob.manufactured.u(x, y, t)
-                lines.append("%.6e,%.6e,%.6e" % (t, u[cell], exact))
-
-        errors, _ = prob.run(grid, reference=prob.manufactured, collect=collect)
-        print(f"laplace m={cfg['m']}: e0(sigma)={errors['sigma']['e0']:.6e} "
-              f"e0(u)={errors['u']['e0']:.6e}")
-        if probe_pt is not None:
-            out_dir = _write_outputs(cfg,
-                                     {"probe.csv": "\n".join(lines) + "\n"})
-            print(f"probe series written to {out_dir / 'probe.csv'}")
-        return EXIT_OK
-    last = {}
-
-    def keep(n, t, u, p):
-        last["u"], last["p"] = u, p
-
-    prob.run(grid, collect=keep)
-    n = prob.mesh.n_elements
-    nodes = prob.mesh.nodes
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    nodal = ["x,M,V"]
-    for i in range(n + 1):
-        nodal.append("%.6e,%.6e,%.6e"
-                     % (nodes[i], last["u"][i], last["u"][n + 1 + i]))
-    cells = ["x,beta,w"]
-    for i in range(n):
-        cells.append("%.6e,%.6e,%.6e"
-                     % (mids[i], last["p"][i], last["p"][n + i]))
-    out_dir = _write_outputs(cfg, {"beam_nodal.csv": "\n".join(nodal) + "\n",
-                                   "beam_cells.csv": "\n".join(cells) + "\n"})
-    print(f"beam n={n}: final fields written to {out_dir}/beam_nodal.csv "
-          f"and {out_dir}/beam_cells.csv")
+    write = functools.partial(_write_outputs, cfg)
+    print(_single_problem(cfg).write_run(grid, cfg, write))
     return EXIT_OK
 
 
@@ -511,6 +445,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=args.set,
                           paper_scale=args.paper_scale)
+        if args.command != "audit":
+            # an unwritable output directory fails before any work
+            _write_outputs(cfg, {})
         return handlers[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

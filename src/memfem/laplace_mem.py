@@ -49,14 +49,9 @@ __all__ = [
     "assemble_rt0_div",
     "gram_hdiv",
     "gram_p0",
-    "interpolate_rt0",
-    "manufactured_rhs",
     "laplace_accumulator",
     "probe_cell_index",
-    "LAPLACE_FIELDS",
 ]
-
-LAPLACE_FIELDS = ("sigma", "u")
 
 
 class RT0Space:
@@ -148,27 +143,6 @@ def gram_p0(space: RT0Space) -> sp.csr_matrix:
     return sp.diags(space.areas, format="csr")
 
 
-def interpolate_rt0(space: RT0Space, field: Callable) -> np.ndarray:
-    """Canonical edge-flux interpolant: mean normal component per edge.
-
-    ``field(x, y)`` returns an (..., 2) array; the edge integral uses
-    2-point Gauss, exact for the polynomial test fields used here.
-    """
-    mesh = space.mesh
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    tang = b - a
-    elen = np.hypot(tang[:, 0], tang[:, 1])
-    normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / elen[:, None]
-    g = 0.5 / math.sqrt(3.0)
-    dofs = np.zeros(mesh.n_edges)
-    for s in (0.5 - g, 0.5 + g):
-        pt = a + s * tang
-        vals = np.asarray(field(pt[:, 0], pt[:, 1]), float)
-        dofs += 0.5 * np.einsum("ed,ed->e", vals, normal)
-    return dofs
-
-
 class ManufacturedSolution:
     """u = cos(t) x(1-x) y(1-y) with the exponential memory kernel.
 
@@ -217,13 +191,6 @@ class ManufacturedSolution:
         return self.shape_lap_factor(x, y) * float(self.load_factor(t))
 
 
-def manufactured_rhs(space: RT0Space, manufactured: ManufacturedSolution,
-                     t: float) -> np.ndarray:
-    """Cell data -(f, v) at time t via the midpoint rule."""
-    base = manufactured_rhs_base(space, manufactured)
-    return float(manufactured.load_factor(t)) * base
-
-
 def manufactured_rhs_base(space: RT0Space,
                           manufactured: ManufacturedSolution) -> np.ndarray:
     """Time-independent part of the load cells (the f factorizes)."""
@@ -261,8 +228,8 @@ def laplace_accumulator(space: RT0Space, manufactured: ManufacturedSolution,
                   manufactured.sigma(xq[..., 0], xq[..., 1], 0.0)),
         "u": (e[2 * w.size:], w, manufactured.shape(xq[..., 0], xq[..., 1])),
     }
-    return L1NormAccumulator(grid, np.cos, fields,
-                             {(name, "e0"): (name,) for name in LAPLACE_FIELDS})
+    norms = {(name, "e0"): (name,) for name in LaplaceProblem.FIELDS}
+    return L1NormAccumulator(grid, np.cos, fields, norms)
 
 
 class LaplaceProblem:
@@ -272,6 +239,8 @@ class LaplaceProblem:
     The constraint row carries ``kernel``, or without one the negated
     fickian kernel of ``delta`` (none when ``delta`` is None).
     """
+
+    FIELDS = ("sigma", "u")
 
     def __init__(self, m: int, delta: Optional[float] = 0.01,
                  kernel: Optional[MemoryKernel] = None):
@@ -304,6 +273,34 @@ class LaplaceProblem:
     def grams(self):
         """(H(div) Gram, L2 Gram): the norms of the two unknowns."""
         return gram_hdiv(self.space), gram_p0(self.space)
+
+    def reference(self, grid: TimeGrid, finest: int) -> ManufacturedSolution:
+        """The study oracle: the manufactured solution depends only on
+        ``delta``, so one object serves every level."""
+        return self.manufactured
+
+    def write_run(self, grid: TimeGrid, cfg: dict, write: Callable) -> str:
+        """Step the grid against the manufactured solution and ``write``
+        the u series of the cell holding ``cfg["probe"]``, if one is set;
+        returns the lines to print."""
+        probe = cfg.get("probe")
+        lines = ["t,u_h,u_exact"]
+        collect = None
+        if probe is not None:
+            x, y = probe
+            cell = probe_cell_index(self.m, probe)
+
+            def collect(n, t, sig, u):
+                lines.append("%.6e,%.6e,%.6e"
+                             % (t, u[cell], self.manufactured.u(x, y, t)))
+
+        errors, _ = self.run(grid, reference=self.manufactured, collect=collect)
+        text = (f"laplace m={self.m}: e0(sigma)={errors['sigma']['e0']:.6e} "
+                f"e0(u)={errors['u']['e0']:.6e}")
+        if probe is not None:
+            out_dir = write({"probe.csv": "\n".join(lines) + "\n"})
+            text += f"\nprobe series written to {out_dir / 'probe.csv'}"
+        return text
 
     def run(self, grid: TimeGrid,
             reference: Optional[ManufacturedSolution] = None,

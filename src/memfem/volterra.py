@@ -409,14 +409,6 @@ class StabilityConstants:
     c2: float
     c3: float
     c4: float
-    alpha0: float
-    beta: float
-    norm_a: float
-    c_k1: float
-    c_k2: float
-    c_k3: float
-    c_ktilde: float
-    T: float
 
 
 def _check_constant_inputs(alpha0, beta, norm_a, cks, T):
@@ -459,9 +451,7 @@ def stability_constants(alpha0: float, beta: float, norm_a: float,
         raise EstimatorError(
             f"the stability bound overflows at this horizon: T*D = {T * d:.4g}, "
             f"T*C_k2 = {T * c_k2:.4g} at T = {T:g} (e^x overflows above 709.78)")
-    return StabilityConstants(c1=c1, c2=c2, c3=c3, c4=c4, alpha0=alpha0,
-                              beta=beta, norm_a=norm_a, c_k1=c_k1, c_k2=c_k2,
-                              c_k3=c_k3, c_ktilde=c_ktilde, T=T)
+    return StabilityConstants(c1=c1, c2=c2, c3=c3, c4=c4)
 
 
 @dataclass(frozen=True)
@@ -480,15 +470,6 @@ class ErrorConstants:
     c1p: float
     c2u: float
     c2p: float
-    alpha0_star: float
-    beta_star: float
-    norm_a: float
-    norm_b: float
-    c_k1: float
-    c_k2: float
-    c_k3: float
-    c_ktilde: float
-    T: float
 
 
 def error_constants(alpha0_star: float, beta_star: float, norm_a: float,
@@ -516,7 +497,4 @@ def error_constants(alpha0_star: float, beta_star: float, norm_a: float,
     c2u = c3s * m * norm_a + c4s * norm_b * (1.0 + c_k3)
     c2p = c3s * m * norm_b + 1.0
     return ErrorConstants(c1s=c1s, c2s=c2s, c3s=c3s, c4s=c4s, c1u=c1u,
-                          c1p=c1p, c2u=c2u, c2p=c2p, alpha0_star=alpha0_star,
-                          beta_star=beta_star, norm_a=norm_a, norm_b=norm_b,
-                          c_k1=c_k1, c_k2=c_k2, c_k3=c_k3, c_ktilde=c_ktilde,
-                          T=T)
+                          c1p=c1p, c2u=c2u, c2p=c2p)

@@ -13,8 +13,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from memfem.beam import (
-    BEAM_FIELDS,
     _G4,
+    BeamProblem,
     _gauss_points,
     _p1_at,
     beam_accumulator,
@@ -57,7 +57,7 @@ def reference_beam_errors(mesh, reference, grid, series):
     weights = trapezoid_weights(grid, grid.n_steps)
     conn = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     ones = np.ones((1, phi_basis.shape[0]))
-    out = {name: {"e0": 0.0} for name in BEAM_FIELDS}
+    out = {name: {"e0": 0.0} for name in BeamProblem.FIELDS}
     out["M"]["e1"] = out["V"]["e1"] = 0.0
     for step, (u, p) in enumerate(series):
         fields = {}
@@ -69,7 +69,7 @@ def reference_beam_errors(mesh, reference, grid, series):
         fields["w"] = p[n:, None] * ones
         factor = float(reference.phi(grid.times[step]))
         w_t = weights[step]
-        for name in BEAM_FIELDS:
+        for name in BeamProblem.FIELDS:
             diff = fields[name] - factor * ref[name]
             l2sq = float(np.sum(wq * diff * diff))
             if "e1" in out[name]:

@@ -250,8 +250,8 @@ def test_beam_errors_vanish_on_reference_itself():
     n = 16
     ref = beam_exact_reference(cfg, EXP_LOAD, None, grid, kern, n_ref=n)
     mesh = beam_mesh(cfg, n)
-    u_el = np.concatenate([ref.m_coeff, ref.v_coeff])
-    p_el = np.concatenate([ref.beta_coeff, ref.w_coeff])
+    u_el = np.concatenate([ref.coeff["M"], ref.coeff["V"]])
+    p_el = np.concatenate([ref.coeff["beta"], ref.coeff["w"]])
     series = [(u_el * float(ref.phi(t)), p_el * float(ref.phi(t)))
               for t in grid.times]
     errs = beam_errors(series, ref, grid, mesh)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from memfem.cli import (
     EXIT_GATE,
     EXIT_OK,
     EXIT_SOLVER,
+    PROBLEMS,
     build_kernel,
     config_hash,
     emit_certificate,
@@ -208,6 +210,38 @@ def test_cli_run_outputs_match_collected_states(tmp_path, problem):
                                              p[i], p[n + i]) for i in range(n)]
 
 
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_driver_protocol(tmp_path, problem):
+    # each problem answers what the CLI asks of it: the report fields, a
+    # study oracle built once on the coarsest level, and the run output
+    cfg = load_config(None, overrides=[
+        f'problem="{problem}"', "levels=[4,8]", "m=4", "n_elements=4",
+        "T=0.2", "n_steps=20", f'output_dir="{tmp_path}"'])
+    build = PROBLEMS[problem].build
+    grid = TimeGrid(T=0.2, n_steps=20)
+    coarse = build(cfg, 4)
+    reference = coarse.reference(grid, 8)
+    report = run_study(cfg)
+    assert report.fields == coarse.FIELDS
+    for level, row in zip((4, 8), report.rows):
+        errors, _ = build(cfg, level).run(grid, reference=reference)
+        assert set(errors) == set(coarse.FIELDS)
+        assert all(math.isfinite(v) and v > 0.0
+                   for norms in errors.values() for v in norms.values())
+        assert row.errors == errors
+
+    written = {}
+
+    def write(texts):
+        written.update(texts)
+        return tmp_path
+
+    text = coarse.write_run(grid, cfg, write)
+    assert set(written) == {"laplace": {"probe.csv"},
+                            "beam": {"beam_nodal.csv", "beam_cells.csv"}}[problem]
+    assert str(tmp_path) in text
+
+
 def test_cli_exit_code_config_error():
     proc = run_cli("run", "--set", "delta=-1", "--set", "problem=\"laplace\"")
     assert proc.returncode == EXIT_CONFIG
@@ -242,13 +276,23 @@ def test_cli_fickian_kernel_on_beam_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "certificate", "convergence"])
-def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys, command):
-    from memfem.cli import main
+def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys,
+                                                   monkeypatch, command):
+    # the output directory is checked before any estimate or step
+    import memfem.cli as cli
+    from memfem.volterra import VolterraStepper
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output directory check")
+
+    monkeypatch.setattr(VolterraStepper, "run", no_work)
+    monkeypatch.setattr(cli, "kernel_ellipticity", no_work)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code = main([command, "--set", 'problem="laplace"', "--set", "m=2",
-                 "--set", "levels=[2]", "--set", "n_steps=10",
-                 "--set", "T=0.1", "--set", f'output_dir="{blocker / "out"}"'])
+    code = cli.main([command, "--set", 'problem="laplace"', "--set", "m=2",
+                     "--set", "levels=[2]", "--set", "n_steps=10",
+                     "--set", "T=0.1",
+                     "--set", f'output_dir="{blocker / "out"}"'])
     assert code == EXIT_CONFIG
     assert "cannot write to" in capsys.readouterr().err
 
@@ -281,7 +325,7 @@ def test_cli_exit_code_stability_gate(tmp_path):
     assert "2/C_k" in proc.stderr
 
 
-def test_cli_solver_failure_mapping(monkeypatch):
+def test_cli_solver_failure_mapping(monkeypatch, tmp_path):
     # documented mapping of solver failures to exit code 3
     import memfem.cli as cli
 
@@ -289,7 +333,8 @@ def test_cli_solver_failure_mapping(monkeypatch):
         raise SaddleSolverError("synthetic failure")
 
     monkeypatch.setitem(cli.__dict__, "_cmd_run", boom)
-    monkeypatch.setattr(cli, "load_config", lambda *a, **k: {"problem": "beam"})
+    monkeypatch.setattr(cli, "load_config", lambda *a, **k: {
+        "problem": "beam", "output_dir": str(tmp_path)})
     code = cli.main(["run"])
     assert code == 3
 
