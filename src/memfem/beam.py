@@ -34,6 +34,7 @@ import scipy.sparse as sp
 from .errors import ConfigError
 from .kernels import CreepFactor, MemoryKernel, creep_factor
 from .mesh import Mesh1D, uniform_mesh1d
+from .sparsela import assemble
 from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
                        VolterraStepper, split_load)
 
@@ -181,15 +182,9 @@ def assemble_beam_a(cfg: BeamConfig, mesh: Mesh1D) -> sp.csr_matrix:
     loc_v = np.einsum("eq,qi,qj->eij", w_v, phi, phi)
 
     n = mesh.n_elements
-    n_nodes = n + 1
     conn = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    rows = np.repeat(conn, 2, axis=1).ravel()
-    cols = np.tile(conn, (1, 2)).ravel()
-    a_m = sp.coo_matrix((loc_m.ravel(), (rows, cols)),
-                        shape=(n_nodes, n_nodes)).tocsr()
-    a_v = sp.coo_matrix((loc_v.ravel(), (rows, cols)),
-                        shape=(n_nodes, n_nodes)).tocsr()
-    return sp.block_diag([a_m, a_v], format="csr")
+    return sp.block_diag([assemble(loc, conn, (n + 1, n + 1))
+                          for loc in (loc_m, loc_v)], format="csr")
 
 
 def assemble_beam_b(mesh: Mesh1D) -> sp.csr_matrix:
@@ -237,15 +232,12 @@ def beam_gram_v(mesh: Mesh1D) -> sp.csr_matrix:
     """H1 x H1 Gram matrix of the (M, V) space."""
     n = mesh.n_elements
     ell = mesh.cell_lengths
-    i = np.arange(n)
     # element matrix: mass [[l/3, l/6], [l/6, l/3]] plus stiffness
     # [[1, -1], [-1, 1]] / l
     diag = ell / 3.0 + 1.0 / ell
     off = ell / 6.0 - 1.0 / ell
-    rows = np.column_stack([i, i, i + 1, i + 1]).ravel()
-    cols = np.column_stack([i, i + 1, i, i + 1]).ravel()
-    vals = np.column_stack([diag, off, off, diag]).ravel()
-    h1 = sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
+    local = np.column_stack([diag, off, off, diag]).reshape(n, 2, 2)
+    h1 = assemble(local, np.add.outer(np.arange(n), [0, 1]), (n + 1, n + 1))
     return sp.block_diag([h1, h1], format="csr")
 
 

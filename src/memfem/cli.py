@@ -176,7 +176,10 @@ def build_kernel(cfg: dict):
         try:
             kern = MemoryKernel.exp_convolution(float(spec["c"]),
                                                 float(spec["rate"]))
-            return kern, float(spec.get("e0", 1.0))
+            e0 = float(spec.get("e0", 1.0))
+            if not 0.0 < e0 < math.inf:
+                raise ValueError(f"e0={e0!r} must be positive and finite")
+            return kern, e0
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad custom_exp kernel: {exc}") from exc
     raise ConfigError("fickian kernels apply to the laplace problem")

@@ -116,8 +116,9 @@ class MemoryKernel:
     @staticmethod
     def exp_convolution(c: float, rate: float) -> "MemoryKernel":
         """Kernel ``c * exp(-rate*(t-s))`` with bound |c| (rate >= 0)."""
-        if rate < 0.0:
-            raise ValueError("exponential kernel needs a nonnegative rate")
+        if not (np.isfinite(c) and 0.0 <= rate < np.inf):
+            raise ValueError("exponential kernel needs finite c and finite, "
+                             f"nonnegative rate, got c={c!r}, rate={rate!r}")
 
         def _eval(t, s, _c=float(c), _r=float(rate)):
             return _c * np.exp(-_r * (np.asarray(t, float) - np.asarray(s, float)))

@@ -38,6 +38,7 @@ import scipy.sparse as sp
 from .errors import ConfigError
 from .kernels import MemoryKernel, fickian_kernel
 from .mesh import TriMesh, structured_unit_square
+from .sparsela import assemble
 from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
                        VolterraStepper, split_load)
 
@@ -110,12 +111,8 @@ def assemble_rt0_mass(space: RT0Space) -> sp.csr_matrix:
     """L2 mass matrix of the RT0 space (midpoint rule, exact here)."""
     if np.any(space.areas <= 0.0):
         raise ConfigError("degenerate triangle in the mesh")
-    local = space.local_mass()
-    te = space.mesh.tri_edges
-    rows = np.repeat(te, 3, axis=1).ravel()
-    cols = np.tile(te, (1, 3)).ravel()
     n = space.n_edges
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return assemble(space.local_mass(), space.mesh.tri_edges, (n, n))
 
 
 def assemble_rt0_div(space: RT0Space) -> sp.csr_matrix:
@@ -130,11 +127,8 @@ def assemble_rt0_div(space: RT0Space) -> sp.csr_matrix:
 def gram_hdiv(space: RT0Space) -> sp.csr_matrix:
     """H(div) Gram matrix: (sigma, tau) + (div sigma, div tau)."""
     local = np.einsum("k,kl,km->klm", space.areas, space.div, space.div)
-    te = space.mesh.tri_edges
-    rows = np.repeat(te, 3, axis=1).ravel()
-    cols = np.tile(te, (1, 3)).ravel()
     n = space.n_edges
-    divdiv = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    divdiv = assemble(local, space.mesh.tri_edges, (n, n))
     return (assemble_rt0_mass(space) + divdiv).tocsr()
 
 

@@ -95,32 +95,22 @@ class TriMesh:
             raise ValueError("triangles must be counterclockwise")
         self.areas = 0.5 * cross
 
-        edge_index: dict[tuple[int, int], int] = {}
-        tri_edges = np.empty_like(t)
-        tri_signs = np.empty_like(t)
-        edge_count: list[int] = []
-        for k in range(t.shape[0]):
-            for loc in range(3):
-                a = int(t[k, (loc + 1) % 3])
-                b = int(t[k, (loc + 2) % 3])
-                key = (a, b) if a < b else (b, a)
-                idx = edge_index.get(key)
-                if idx is None:
-                    idx = len(edge_index)
-                    edge_index[key] = idx
-                    edge_count.append(0)
-                edge_count[idx] += 1
-                tri_edges[k, loc] = idx
-                # CCW traversal of edge loc runs a -> b; the global
-                # orientation runs low -> high vertex index
-                tri_signs[k, loc] = 1 if a < b else -1
-        self.edges = np.array(list(edge_index.keys()), dtype=int)
-        self.tri_edges = tri_edges
-        self.tri_edge_signs = tri_signs
-        counts = np.array(edge_count)
+        # local edge l runs counterclockwise from a to b; edges are numbered
+        # in the order they first appear, oriented low -> high vertex index
+        a, b = t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
+        n_v = p.shape[0]
+        keys, first, inverse, counts = np.unique(
+            np.minimum(a, b) * n_v + np.maximum(a, b), return_index=True,
+            return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.edges = np.column_stack([keys[order] // n_v, keys[order] % n_v])
+        self.tri_edges = rank[inverse].reshape(t.shape)
+        self.tri_edge_signs = np.where(a < b, 1, -1).reshape(t.shape)
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: edge shared by > 2 triangles")
-        self.boundary_edge = counts == 1
+        self.boundary_edge = counts[order] == 1
 
     @property
     def n_vertices(self) -> int:

@@ -189,7 +189,7 @@ class HybridSaddle:
                     b, 0.0):
             raise SaddleSolverError(
                 "a row of B reaches v-dofs outside its element")
-        if _differs(_assemble(local_a, dofs, a.shape), a, self.ASSEMBLY_RTOL):
+        if _differs(assemble(local_a, dofs, a.shape), a, self.ASSEMBLY_RTOL):
             raise SaddleSolverError("the local blocks do not assemble to A")
 
         saddles = np.zeros((n_q, k + 1, k + 1))
@@ -222,7 +222,7 @@ class HybridSaddle:
             (np.tile([1.0, -1.0], n_l),
              (np.repeat(np.arange(n_l), 2),
               np.column_stack([first[shared], second]).ravel())), (n_l, n_b))
-        local_inv = _assemble(inv, slots, (n_b, n_b))
+        local_inv = assemble(inv, slots, (n_b, n_b))
         inv_enter = local_inv @ enter
         inv_jump = local_inv @ jump.T
         self._r = (jump @ inv_enter).tocsr()
@@ -244,7 +244,7 @@ class HybridSaddle:
         return sol
 
 
-def _assemble(blocks, index, shape) -> sp.csr_matrix:
+def assemble(blocks, index, shape) -> sp.csr_matrix:
     """``sum_T P_T^T blocks[T] P_T``, where ``P_T`` picks the entries
     ``index[T]``."""
     k = index.shape[1]

@@ -22,8 +22,10 @@ gets an O(1) exponential recurrence, and a general kernel one product of
 the weight row with the stored ``(N+1, n)`` states of the family it
 reads.  An audit checks each recurrence sum against the direct one.
 
-The module also evaluates the closed-form stability and error constants
-of the underlying well-posedness theory.
+L1-in-time error norms are taken in dof space: against the projection of
+the oracle, which leaves each step state-sized work that does not cancel
+(see :class:`L1NormAccumulator`).  The module also evaluates the
+closed-form stability and error constants of the underlying theory.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import EstimatorError, StabilityGateError
 from .kernels import MemoryKernel
@@ -98,19 +101,27 @@ def trapezoid_weights(grid: TimeGrid, n: int) -> np.ndarray:
 
 
 class L1NormAccumulator:
-    """Trapezoid-in-time L1 norms of point-evaluated errors.
+    """Trapezoid-in-time L1 norms of point-evaluated errors, in dof space.
 
     A field is a triple ``(E, w, r)``: a sparse operator ``E`` from the
     state ``x = (u, p)`` to the field's values at quadrature nodes, the
-    nodes' weights ``w`` and the oracle's spatial part ``r`` there.  The
-    oracle separates, so its value at time t is ``c(t) r``.  Each norm
-    names the fields whose squares it sums, and step n adds
+    nodes' weights ``w`` and the oracle's spatial part ``r`` there; the
+    oracle at time t is ``c(t) r``.  Norm k stacks the fields it sums into
+    ``(E, W, r)`` on the dofs ``S`` that ``E`` reads, and step n adds
+    ``w_n ||E x_n - c r||_W``.  The build takes the Gram ``G = E^T W E``,
+    the projection ``G rho = E^T W r``, and from ``t = r - E rho`` (in
+    long double) the terms ``s = E^T W t`` and ``res = t.W t``.  With
+    ``z = x_n[S] - c rho`` the error is ``E z - c t``, so for whatever
+    ``rho`` the solve returns
 
-        w_n sqrt(sum over its fields of sum(w d^2)),   d = E x_n - c(t_n) r.
+        ||E x_n - c r||_W^2 = z.(G z - 2c s) + c^2 res.
 
-    The difference ``d`` is formed node by node and never expanded as
-    ``x.Gx - 2c x.g + c^2 r.r``, which cancels catastrophically once the
-    error is small against the field.
+    ``z`` is the error against the projection and ``t`` the
+    best-approximation error, so every term has the size of the error,
+    unlike the expansion ``x.Gx - 2c x.g + c^2 r.Wr``, which cancels once
+    the error is small against the field.  A step costs one product with
+    the block-diagonal Gram and a few passes over the state, not over the
+    quadrature values.  ``G`` must be nonsingular on ``S``.
     """
 
     def __init__(self, grid: TimeGrid, factor: Callable, fields: dict,
@@ -118,26 +129,37 @@ class L1NormAccumulator:
         """``fields`` maps names to ``(E, w, r)``, ``norms`` maps each
         ``(field, norm)`` key to the field names it sums; ``factor`` is
         the vectorized c(t)."""
-        e, w, r = zip(*fields.values())
-        self._e = sp.vstack(e, format="csr")
-        self._w = np.concatenate([np.ravel(x) for x in w])
-        self._r = np.concatenate([np.ravel(x) for x in r])
-        self._starts = np.cumsum([0] + [np.size(x) for x in w])[:-1]
         self._keys = list(norms)
-        self._pick = np.array([[name in parts for name in fields]
-                               for parts in norms.values()], dtype=float)
+        take, grams, rho, s, res = zip(*(_project(fields, parts)
+                                         for parts in norms.values()))
+        n_state = next(iter(fields.values()))[0].shape[1]
+        self._take = np.concatenate(take)
+        if np.array_equal(self._take, np.arange(n_state)):
+            self._take = None                   # every dof once, in order
+        self._gram = sp.block_diag(grams, format="csr")
+        self._rho = np.concatenate(rho)
+        self._s = np.concatenate(s)
+        self._res = np.array(res)
+        self._starts = np.cumsum([0] + [x.size for x in take])[:-1]
         self._scale = np.asarray(factor(grid.times), dtype=float)
         self._weights = trapezoid_weights(grid, grid.n_steps)
         self._sums = np.zeros(len(self._keys))
         self._count = 0
 
     def add(self, n: int, u: np.ndarray, p: np.ndarray) -> None:
-        d = self._e @ np.concatenate((u, p))
-        d -= self._scale[n] * self._r
-        wdd = self._w * d
-        wdd *= d
-        squares = np.add.reduceat(wdd, self._starts)
-        self._sums += self._weights[n] * np.sqrt(self._pick @ squares)
+        if n != self._count:        # nodes come in order, from 0
+            raise ValueError(f"expected node {self._count}, got {n}")
+        c = self._scale[n]
+        z = np.concatenate((u, p))
+        if self._take is not None:
+            z = z[self._take]
+        z -= c * self._rho
+        q = self._gram @ z
+        q -= (2.0 * c) * self._s
+        q *= z
+        squares = np.add.reduceat(q, self._starts)
+        squares += c * c * self._res      # >= 0 up to round-off
+        self._sums += self._weights[n] * np.sqrt(np.maximum(squares, 0.0))
         self._count += 1
 
     def result(self) -> dict:
@@ -149,6 +171,29 @@ class L1NormAccumulator:
         for (name, norm), value in zip(self._keys, self._sums):
             out.setdefault(name, {})[norm] = float(value)
         return out
+
+
+def _project(fields: dict, parts) -> tuple:
+    """``(S, G, rho, s, res)`` of the norm summing the fields ``parts``
+    (see :class:`L1NormAccumulator`), on the dofs ``S`` it reads."""
+    es = [fields[name][0] for name in parts]
+    e = as_csr(es[0]) if len(es) == 1 else sp.vstack(es, format="csr")
+    w = np.concatenate([np.ravel(fields[name][1]) for name in parts])
+    r = np.concatenate([np.ravel(fields[name][2]) for name in parts])
+    ewt = e.T.tocsr()                   # E^T W, the one copy of E
+    ewt.data *= w[ewt.indices]
+    gram = ewt @ e
+    cols = np.flatnonzero(gram.diagonal())
+    gram = gram[cols][:, cols]
+    rho = np.zeros(e.shape[1])
+    rho[cols] = splu(gram.tocsc()).solve((ewt @ r)[cols])
+    # t is a small difference of near-equal vectors: in double, E rho would
+    # round at ulp(r), so it is formed in long double, 8192 rows at a time
+    rho_ld = rho.astype(np.longdouble)
+    t = np.concatenate([(r[i:i + 8192] - e[i:i + 8192].astype(np.longdouble)
+                         @ rho_ld).astype(float)
+                        for i in range(0, r.size, 8192)])
+    return cols, gram, rho[cols], (ewt @ t)[cols], float(t @ (w * t))
 
 
 class BlockSaddleSystem:

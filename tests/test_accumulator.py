@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from memfem.beam import (
@@ -80,13 +81,40 @@ def reference_beam_errors(mesh, reference, grid, series):
     return out
 
 
+def laplace_operator(space):
+    """sigma and u at the quadrature nodes, and the nodes' weights."""
+    w = space.quad_w.ravel()
+    cells = sp.kron(sp.identity(space.n_cells), np.ones((3, 1)))
+    e = sp.block_diag([space.flux_operator(), cells], format="csr")
+    return e, np.concatenate([np.repeat(w, 2), w])
+
+
+def beam_operator(mesh):
+    """M, dM, V and dV at the Gauss nodes, beta and w on the cells, and
+    the nodes' weights: the six fields of the driver, in its order."""
+    _, wq = _gauss_points(mesh, _G4)
+    phi = _p1_at(_G4)
+    n, n_g = mesh.n_elements, phi.shape[0]
+    nodal = np.zeros((n * n_g, n + 1))
+    slope = np.zeros((n * n_g, n + 1))
+    for i in range(n):
+        nodal[i * n_g:(i + 1) * n_g, i:i + 2] = phi
+        slope[i * n_g:(i + 1) * n_g, i:i + 2] = \
+            np.array([-1.0, 1.0]) / mesh.cell_lengths[i]
+    cell = np.kron(np.eye(n), np.ones((n_g, 1)))
+    value_slope = np.vstack([nodal, slope])
+    e = sp.block_diag([value_slope, value_slope, cell, cell], format="csr")
+    return e, np.tile(wq.ravel(), 6)
+
+
 def laplace_case():
     prob = LaplaceProblem(4, delta=0.01)
     grid = TimeGrid(T=0.3, n_steps=12)
     return (lambda: laplace_accumulator(prob.space, prob.manufactured, grid),
             lambda series: reference_laplace_errors(
                 prob.space, prob.manufactured, grid, series),
-            (prob.space.n_edges, prob.space.n_cells), grid)
+            (prob.space.n_edges, prob.space.n_cells), grid,
+            laplace_operator(prob.space))
 
 
 def beam_case():
@@ -98,7 +126,7 @@ def beam_case():
     n = mesh.n_elements
     return (lambda: beam_accumulator(mesh, ref, grid),
             lambda series: reference_beam_errors(mesh, ref, grid, series),
-            (2 * (n + 1), 2 * n), grid)
+            (2 * (n + 1), 2 * n), grid, beam_operator(mesh))
 
 
 CASES = {"laplace": laplace_case, "beam": beam_case}
@@ -112,7 +140,7 @@ def accumulate(acc, series):
 
 @pytest.mark.parametrize("driver", sorted(CASES))
 def test_matches_reference_formula_on_random_states(driver):
-    build, reference, (n_v, n_q), grid = CASES[driver]()
+    build, reference, (n_v, n_q), grid, _ = CASES[driver]()
     rng = np.random.default_rng(7)
     series = [(rng.standard_normal(n_v), rng.standard_normal(n_q))
               for _ in range(grid.n_steps + 1)]
@@ -129,9 +157,7 @@ def test_matches_reference_formula_on_random_states(driver):
 def test_small_error_is_not_cancelled(driver):
     # a state whose evaluation equals the reference exactly, perturbed in
     # one dof by EPS: the norm is EPS ||E e_k||_w at every node of [0, T]
-    build, _, (n_v, n_q), grid = CASES[driver]()
-    driver_acc = build()
-    e, w = driver_acc._e, driver_acc._w
+    _, _, (n_v, n_q), grid, (e, w) = CASES[driver]()
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(n_v + n_q)
     k = int(np.argmax(np.abs(e).sum(axis=0)))
@@ -155,9 +181,49 @@ def test_small_error_is_not_cancelled(driver):
     assert not abs(grid.T * per_node - want) <= 1e-2 * want
 
 
+@pytest.mark.parametrize("driver", sorted(CASES))
+def test_off_range_reference_matches_extended_precision(driver):
+    # a reference 1e-8 off the range of E, so that the best-approximation
+    # error t = r - E rho is not zero, and states c(t_n) rho perturbed by
+    # EPS: both parts of the error are small against the field, and each
+    # moves the norm by more than the tolerance
+    _, _, (n_v, n_q), grid, (e, w) = CASES[driver]()
+    rng = np.random.default_rng(5)
+    r = e @ rng.standard_normal(n_v + n_q) \
+        + 1e-8 * rng.standard_normal(e.shape[0])
+    sw = np.sqrt(w)
+    rho = np.linalg.lstsq(sw[:, None] * e.toarray(), sw * r, rcond=None)[0]
+    dx = EPS * rng.standard_normal(rho.size)
+    states = [math.cos(t) * rho + dx for t in grid.times]
+    acc = L1NormAccumulator(grid, np.cos, {"f": (e, w, r)},
+                            {("f", "e0"): ("f",)})
+    got = accumulate(acc, [(x[:n_v], x[n_v:]) for x in states])["f"]["e0"]
+
+    # node by node in extended precision
+    ld = np.longdouble
+    e_ld, w_ld, r_ld = e.toarray().astype(ld), w.astype(ld), r.astype(ld)
+    want = ld(0.0)
+    for w_n, t, x in zip(trapezoid_weights(grid, grid.n_steps), grid.times,
+                         states):
+        d = e_ld @ x.astype(ld) - ld(math.cos(t)) * r_ld
+        want += ld(w_n) * np.sqrt(np.sum(w_ld * d * d))
+    assert_allclose(got, float(want), rtol=1e-6)
+
+
 def test_result_needs_every_node():
-    build, _, (n_v, n_q), grid = CASES["laplace"]()
+    build, _, (n_v, n_q), grid, _ = CASES["laplace"]()
     acc = build()
     acc.add(0, np.zeros(n_v), np.zeros(n_q))
     with pytest.raises(ValueError, match="grid needs"):
         acc.result()
+
+
+@pytest.mark.parametrize("nodes", [[0, 1, 2, 2], [0, 1, 2, 4]])
+def test_nodes_are_added_in_order(nodes):
+    # a repeated or a skipped node is refused where it is added
+    build, _, (n_v, n_q), _, _ = CASES["laplace"]()
+    acc = build()
+    for n in nodes[:-1]:
+        acc.add(n, np.zeros(n_v), np.zeros(n_q))
+    with pytest.raises(ValueError, match="expected node 3, got"):
+        acc.add(nodes[-1], np.zeros(n_v), np.zeros(n_q))

@@ -100,6 +100,24 @@ def test_build_kernel_variants():
     cfg["kernel"] = {"type": "custom_exp", "c": 1.0, "rate": -2.0}
     with pytest.raises(ConfigError):
         build_kernel(cfg)
+    for bad in ({"rate": math.nan}, {"c": math.nan}, {"rate": math.inf},
+                {"c": -math.inf}, {"e0": 0.0}, {"e0": math.nan},
+                {"e0": -1.0}, {"e0": math.inf}):
+        cfg["kernel"] = {"type": "custom_exp", "c": -0.5, "rate": 1.0, **bad}
+        with pytest.raises(ConfigError, match="custom_exp"):
+            build_kernel(cfg)
+
+
+def test_cli_bad_custom_exp_is_config_error(tmp_path, capsys):
+    # a bad kernel parameter (the cases are in test_build_kernel_variants)
+    # is refused before any solve instead of failing in one
+    from memfem.cli import main
+    kernel = '{"type":"custom_exp","c":-0.5,"rate":NaN}'
+    code = main(["run", "--set", "n_elements=4", "--set", "n_steps=10",
+                 "--set", "T=0.1", "--set", f"kernel={kernel}",
+                 "--set", f'output_dir="{tmp_path}"'])
+    assert code == EXIT_CONFIG
+    assert "bad custom_exp kernel" in capsys.readouterr().err
 
 
 def test_laplace_rejects_foreign_kernels():
@@ -450,3 +468,26 @@ def test_certificate_monotone_in_horizon(tmp_path):
         outs.append(emit_certificate(cfg, stream=io.StringIO()))
     for key in ("c1", "c2", "c3", "c4"):
         assert getattr(outs[1]["stability"], key) >= getattr(outs[0]["stability"], key)
+
+
+# sha256 of render_csv for two small studies: the report CSVs are
+# documented as byte-stable, so a change to any reported digit fails here
+REPORT_DIGESTS = {
+    "laplace": ({"problem": "laplace", "levels": [4, 8, 16], "T": 0.5,
+                 "n_steps": 50},
+                "5eeafa4967b6174bad12785d8105daecd4826bcda27fb47a14806c4abf7840f7"),
+    "beam": ({"problem": "beam", "profile": "joined", "levels": [4, 8, 16],
+              "T": 1.0, "n_steps": 100},
+             "16bf7865f2a82406f6217c34b0a514ec0630b6f8f00b04d2b00704d63c1f129c"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(REPORT_DIGESTS))
+def test_report_csv_bytes_are_pinned(problem):
+    import hashlib
+    from memfem.report import render_csv
+    overrides, digest = REPORT_DIGESTS[problem]
+    cfg = load_config(None, overrides=[f"problem={json.dumps(problem)}"])
+    cfg.update(overrides)
+    text = render_csv(run_study(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text

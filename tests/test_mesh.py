@@ -101,3 +101,48 @@ def test_dofmap_counts():
     square = structured_unit_square(2)
     assert square.n_edges == 16
     assert square.n_triangles == 8
+
+
+def loop_edge_numbering(triangles):
+    """Edges, edge of each local edge, signs and boundary flags, numbered
+    one local edge at a time in order of first appearance."""
+    index, count = {}, []
+    tri_edges = np.empty_like(triangles)
+    signs = np.empty_like(triangles)
+    for k, tri in enumerate(triangles):
+        for loc in range(3):
+            a, b = int(tri[(loc + 1) % 3]), int(tri[(loc + 2) % 3])
+            key = (min(a, b), max(a, b))
+            if key not in index:
+                index[key] = len(index)
+                count.append(0)
+            count[index[key]] += 1
+            tri_edges[k, loc] = index[key]
+            signs[k, loc] = 1 if a < b else -1
+    return (np.array(list(index), dtype=int), tri_edges, signs,
+            np.array(count) == 1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_edge_numbering_matches_loop_reference(m):
+    from memfem.mesh import TriMesh
+    square = structured_unit_square(m)
+    # the structured mesh and one with its triangles shuffled and rotated
+    rng = np.random.default_rng(m)
+    tris = np.roll(square.triangles[rng.permutation(square.n_triangles)],
+                   1, axis=1)
+    for mesh in (square, TriMesh(square.vertices, tris)):
+        want = loop_edge_numbering(mesh.triangles)
+        got = (mesh.edges, mesh.tri_edges, mesh.tri_edge_signs,
+               mesh.boundary_edge)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert_array_equal(g, w)
+
+
+def test_trimesh_rejects_edge_in_three_triangles():
+    from memfem.mesh import TriMesh
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0],
+                         [0.5, 3.0]])
+    with pytest.raises(ValueError, match="non-conforming"):
+        TriMesh(vertices, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
