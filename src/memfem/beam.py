@@ -365,7 +365,9 @@ class BeamProblem:
         self.a = assemble_beam_a(cfg, self.mesh)
         self.b = assemble_beam_b(self.mesh)
         self.system = BlockSaddleSystem(self.a, self.b, k3=kernel)
-        _, self._load_row = beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)
+        self._rhs = beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)
+        for row in self._rhs:
+            row.flags.writeable = False
         self.n_v = 2 * (self.mesh.n_elements + 1)
         self.n_q = 2 * self.mesh.n_elements
 
@@ -385,8 +387,8 @@ class BeamProblem:
         return beam_gram_v(self.mesh), beam_gram_q(self.mesh)
 
     def rhs(self, t: float):
-        # unit step load: active from t = 0 on
-        return np.zeros(self.n_v), self._load_row.copy()
+        # unit step load from t = 0 on: every node shares the read-only rows
+        return self._rhs
 
     def reference(self, grid: TimeGrid, finest: int) -> BeamReference:
         """The study oracle of every level: the fine-mesh reference on 64

@@ -253,16 +253,15 @@ class RunNorms:
     def add(self, n: int, u, p, f, g):
         w = self.weights[n]
         self.u_l1 += w * math.sqrt(float(u @ (self.gram_v @ u)))
-        self.p_l1 += w * math.sqrt(float(p @ (self.gram_q @ p)))
+        gq_p = self.gram_q @ p if self._gq_diag is None else self._gq_diag * p
+        self.p_l1 += w * math.sqrt(float(p @ gq_p))
         if np.any(f):
             if self._gv_lu is None:
                 self._gv_lu = spla.splu(sp.csc_matrix(self.gram_v))
             self.f_dual_l1 += w * math.sqrt(float(f @ self._gv_lu.solve(f)))
         if np.any(g):
-            if self._gq_diag is not None:
-                z = g / self._gq_diag
-            else:
-                z = self._gq_lu.solve(g)
+            z = self._gq_lu.solve(g) if self._gq_diag is None \
+                else g / self._gq_diag
             self.g_dual_l1 += w * math.sqrt(float(g @ z))
 
 

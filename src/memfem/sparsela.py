@@ -36,10 +36,12 @@ __all__ = [
 
 
 def as_csr(matrix) -> sp.csr_matrix:
-    """Canonical CSR form: sorted, duplicate-free column indices."""
+    """Canonical CSR form: sorted, duplicate-free column indices; a CSR
+    input is copied, not rewritten, when it is not canonical."""
     out = sp.csr_matrix(matrix)
-    out.sum_duplicates()
-    out.sort_indices()
+    if not out.has_canonical_format:
+        out = out.copy()
+        out.sum_duplicates()            # sorts the indices too
     return out
 
 
@@ -70,7 +72,7 @@ class SaddleFactorization:
                 and math.isfinite(g2) and math.isfinite(g3)):
             raise SaddleSolverError(f"block scalings {gammas!r} are singular")
         n_v = self.n_v
-        rhs = np.concatenate([np.asarray(f, float), np.asarray(g, float)])
+        rhs = np.concatenate((f, g), dtype=float)
         if g1 != 1.0:
             rhs[:n_v] /= g1
         if g3 != 1.0:
@@ -78,7 +80,8 @@ class SaddleFactorization:
         sol = self._lu.solve(rhs)
         if g1 != g2:
             sol[n_v:] *= g1 / g2
-        if not np.all(np.isfinite(sol)):
+        # a finite sum proves every entry finite
+        if not (math.isfinite(sol.sum()) or np.isfinite(sol).all()):
             raise SaddleSolverError(
                 f"saddle solve produced non-finite values (gammas={gammas})")
         return sol[:n_v], sol[n_v:]

@@ -121,7 +121,8 @@ class L1NormAccumulator:
     unlike the expansion ``x.Gx - 2c x.g + c^2 r.Wr``, which cancels once
     the error is small against the field.  A step costs one product with
     the block-diagonal Gram and a few passes over the state, not over the
-    quadrature values.  ``G`` must be nonsingular on ``S``.
+    quadrature values, and :meth:`result` takes the roots and sums them
+    once.  ``G`` must be nonsingular on ``S``.
     """
 
     def __init__(self, grid: TimeGrid, factor: Callable, fields: dict,
@@ -136,14 +137,20 @@ class L1NormAccumulator:
         self._take = np.concatenate(take)
         if np.array_equal(self._take, np.arange(n_state)):
             self._take = None                   # every dof once, in order
-        self._gram = sp.block_diag(grams, format="csr")
+        sizes = [x.size for x in take]
+        self._starts = starts = np.cumsum(sizes) - sizes
+        nnz = np.cumsum([0] + [g.nnz for g in grams])
+        self._gram = sp.csr_matrix(     # block-diagonal, from the blocks' CSR
+            (np.concatenate([g.data for g in grams]),
+             np.concatenate([g.indices + k for g, k in zip(grams, starts)]),
+             np.concatenate([g.indptr[:-1] + k for g, k in zip(grams, nnz)]
+                            + [nnz[-1:]])), shape=(sum(sizes), sum(sizes)))
         self._rho = np.concatenate(rho)
         self._s = np.concatenate(s)
-        self._res = np.array(res)
-        self._starts = np.cumsum([0] + [x.size for x in take])[:-1]
         self._scale = np.asarray(factor(grid.times), dtype=float)
         self._weights = trapezoid_weights(grid, grid.n_steps)
-        self._sums = np.zeros(len(self._keys))
+        # per node and norm: c^2 res, and what add adds to it
+        self._squares = self._scale[:, None] ** 2 * np.array(res)
         self._count = 0
 
     def add(self, n: int, u: np.ndarray, p: np.ndarray) -> None:
@@ -157,9 +164,7 @@ class L1NormAccumulator:
         q = self._gram @ z
         q -= (2.0 * c) * self._s
         q *= z
-        squares = np.add.reduceat(q, self._starts)
-        squares += c * c * self._res      # >= 0 up to round-off
-        self._sums += self._weights[n] * np.sqrt(np.maximum(squares, 0.0))
+        self._squares[n] += np.add.reduceat(q, self._starts)
         self._count += 1
 
     def result(self) -> dict:
@@ -167,8 +172,10 @@ class L1NormAccumulator:
         if self._count != len(self._weights):
             raise ValueError(f"{self._count} states added, grid needs "
                              f"{len(self._weights)}")
+        # the squares are >= 0 up to round-off
+        sums = self._weights @ np.sqrt(np.maximum(self._squares, 0.0))
         out = {}
-        for (name, norm), value in zip(self._keys, self._sums):
+        for (name, norm), value in zip(self._keys, sums):
             out.setdefault(name, {})[norm] = float(value)
         return out
 
@@ -177,23 +184,24 @@ def _project(fields: dict, parts) -> tuple:
     """``(S, G, rho, s, res)`` of the norm summing the fields ``parts``
     (see :class:`L1NormAccumulator`), on the dofs ``S`` it reads."""
     es = [fields[name][0] for name in parts]
-    e = as_csr(es[0]) if len(es) == 1 else sp.vstack(es, format="csr")
+    e = sp.vstack(es, format="csr") if len(es) > 1 else es[0].tocsr(copy=True)
     w = np.concatenate([np.ravel(fields[name][1]) for name in parts])
     r = np.concatenate([np.ravel(fields[name][2]) for name in parts])
+    e.eliminate_zeros()                 # e is a copy, changed in place
+    used = np.bincount(e.indices) > 0   # the dofs S that E reads
+    e = sp.csr_matrix((e.data, (np.cumsum(used) - 1)[e.indices], e.indptr),
+                      shape=(e.shape[0], int(used.sum())))      # E on S
     ewt = e.T.tocsr()                   # E^T W, the one copy of E
     ewt.data *= w[ewt.indices]
     gram = ewt @ e
-    cols = np.flatnonzero(gram.diagonal())
-    gram = gram[cols][:, cols]
-    rho = np.zeros(e.shape[1])
-    rho[cols] = splu(gram.tocsc()).solve((ewt @ r)[cols])
+    rho = splu(gram.tocsc()).solve(ewt @ r)
     # t is a small difference of near-equal vectors: in double, E rho would
     # round at ulp(r), so it is formed in long double, 8192 rows at a time
     rho_ld = rho.astype(np.longdouble)
     t = np.concatenate([(r[i:i + 8192] - e[i:i + 8192].astype(np.longdouble)
                          @ rho_ld).astype(float)
                         for i in range(0, r.size, 8192)])
-    return cols, gram, rho[cols], (ewt @ t)[cols], float(t @ (w * t))
+    return np.flatnonzero(used), gram, rho, ewt @ t, float(t @ (w * t))
 
 
 class BlockSaddleSystem:
@@ -256,15 +264,12 @@ class HistoryBuffer:
     (as ``B u``).  The attached kernels fix what is kept:
 
     * an exponential kernel gets a recurrence per (kernel, family),
-      updated in O(1) per step, that holds after the k-th append
-
-          U_k = sum_{j<=k} dt * c * exp(-rate (t_k - t_j)) x_j;
-
-    * a family is stored, as the rows of an ``(n_steps + 1, n)`` array
-      allocated on the first append, only when a general kernel reads it
-      or, with ``audit``, an exponential one does.  That costs
-      ``(n_steps + 1) * n * 8`` bytes, with ``n = n_v`` for ``u`` and
-      ``n = n_q`` for ``p``;
+      updated in place in O(1) per append, that holds after the k-th
+      append the history sum of step k + 1 (see :func:`history_sum`);
+    * a family is stored, as the rows of an ``(n_steps + 1, n)`` array,
+      only when a general kernel reads it or, with ``audit``, an
+      exponential one does.  That costs ``(n_steps + 1) * n * 8`` bytes,
+      with ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
     * a family that no kernel reads is never stored.
 
     With ``audit`` every recurrence sum is also summed directly, and the
@@ -277,12 +282,15 @@ class HistoryBuffer:
         self.audit = audit
         reads = [(kernel, which) for kernel, which
                  in zip(sys.kernels, ("u", "p", "u")) if kernel is not None]
-        # U_k per (kernel, family); equal exponential kernels share one
-        self._recur = {key: 0.0 for key in reads if key[0].is_exp}
-        # family -> (n_steps + 1, n) rows, allocated on the first append
-        self._stored = dict.fromkeys(which for kernel, which in reads
-                                     if audit or not kernel.is_exp)
-        self._first: dict[str, np.ndarray] = {}
+        size = {"u": sys.n_v, "p": sys.n_q}
+        # (exp(-rate dt), recurrence) for each distinct (kernel, family)
+        self._recur = {key: (math.exp(-key[0].rate * grid.dt),
+                             np.zeros(size[key[1]]))
+                       for key in reads if key[0].is_exp}
+        # family -> (n_steps + 1, n) rows
+        self._stored = {which: np.empty((grid.n_steps + 1, size[which]))
+                        for kernel, which in reads
+                        if audit or not kernel.is_exp}
         self._count = 0
         self.audit_max_rel = 0.0
         self.audit_steps = 0
@@ -296,20 +304,14 @@ class HistoryBuffer:
         return bool(self._stored)
 
     def append(self, u: np.ndarray, p: np.ndarray) -> None:
-        dt = self.grid.dt
         states = {"u": np.asarray(u, dtype=float), "p": np.asarray(p, dtype=float)}
-        if self._count == 0:
-            self._stored = {which: np.empty((self.grid.n_steps + 1,
-                                             states[which].size))
-                            for which in self._stored}
-            for _, which in self._recur:
-                self._first[which] = states[which].copy()
         for which, rows in self._stored.items():
             rows[self._count] = states[which]
-        for key, acc in self._recur.items():
-            kernel, which = key
-            self._recur[key] = math.exp(-kernel.rate * dt) * acc \
-                + dt * kernel.c * states[which]
+        # the trapezoid weight of x_k in every later history sum
+        weight = self.grid.dt if self._count else 0.5 * self.grid.dt
+        for (kernel, which), (decay, acc) in self._recur.items():
+            acc += weight * kernel.c * states[which]
+            acc *= decay
         self._count += 1
 
     def vectors(self, which: str) -> np.ndarray:
@@ -325,29 +327,25 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
     ``n = len(hist)``, the step after the last one appended.
 
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
-    holds one, ``exp(-rate dt) U_{n-1} - (dt/2) k(t_n, t_0) x_0``, and
-    otherwise as one product of the weight row with the stored states.
-    An auditing buffer also sums a recurrence's history directly and
-    records the relative deviation of the two.
+    holds one, and otherwise as one product of the weight row with the
+    stored states.  An auditing buffer also sums a recurrence's history
+    directly and records the relative deviation of the two.
     """
     n = len(hist)
     if n < 1:
         raise ValueError("history sums start at step 1")
-    grid = hist.grid
-    times = grid.times
-    recur = None
-    if (kernel, which) in hist._recur:
-        decay = math.exp(-kernel.rate * grid.dt)
-        head = kernel.c * math.exp(-kernel.rate * times[n])
-        recur = decay * hist._recur[kernel, which] \
-            - 0.5 * grid.dt * head * hist._first[which]
+    recur = hist._recur.get((kernel, which))
+    if recur is not None:
+        # a copy: the next append updates the recurrence in place
+        recur = recur[1].copy()
         if not hist.audit:
             return recur
+    times = hist.grid.times
     xs = hist.vectors(which)
     if not len(xs):
         raise ValueError(f"history sum of {which!r} needs stored states, "
                          "and no attached kernel stores them")
-    w = trapezoid_weights(grid, n)[:n]
+    w = trapezoid_weights(hist.grid, n)[:n]
     kv = np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
     direct = (w * kv) @ xs
     if recur is None:
@@ -362,13 +360,13 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
 def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
     """Left-hand block scalings for step n, enforcing the stability gate."""
     w_nn = 0.0 if n == 0 else 0.5 * grid.dt
-    t_n = grid.times[n]
     gammas = []
     for kernel in sys.kernels:
-        if kernel is None:
-            gammas.append(1.0)
-            continue
-        k_nn = float(kernel.eval(t_n, t_n))
+        if kernel is None or kernel.is_exp:
+            # absent: zero; exponential: c exp(-rate 0), which is c exactly
+            k_nn = 0.0 if kernel is None else kernel.c
+        else:
+            k_nn = float(kernel.eval(grid.times[n], grid.times[n]))
         if abs(w_nn * k_nn) >= 1.0:
             bound = kernel.bound if kernel.bound > 0 else abs(k_nn)
             raise StabilityGateError(
@@ -385,17 +383,15 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f_n: np.ndarray,
     system and append the solution to the history."""
     n = len(hist)
     gammas = step_gammas(sys, hist.grid, n)
-    rhs_f = np.array(f_n, dtype=float, copy=True)
-    rhs_g = np.array(g_n, dtype=float, copy=True)
     if n >= 1:
         if sys.k1 is not None:
-            rhs_f += sys.a @ history_sum(hist, sys.k1, "u")
+            f_n = f_n + sys.a @ history_sum(hist, sys.k1, "u")
         if sys.k2 is not None:
-            rhs_f += sys.b.T @ history_sum(hist, sys.k2, "p")
+            f_n = f_n + sys.b.T @ history_sum(hist, sys.k2, "p")
         if sys.k3 is not None:
-            rhs_g += sys.b @ history_sum(hist, sys.k3, "u")
+            g_n = g_n + sys.b @ history_sum(hist, sys.k3, "u")
 
-    u_n, p_n = sys.factorization().solve(rhs_f, rhs_g, gammas)
+    u_n, p_n = sys.factorization().solve(f_n, g_n, gammas)
     hist.append(u_n, p_n)
     return u_n, p_n
 

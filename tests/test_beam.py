@@ -405,6 +405,15 @@ def test_gate_boundary_run_succeeds():
     assert stepper.n_done == grid.n_steps + 1
 
 
+def test_rhs_rows_are_shared_and_read_only():
+    prob = BeamProblem(joined_profile(d=0.01), 4, None, 1.0, EXP_LOAD, None)
+    f, g = prob.rhs(0.0)
+    assert prob.rhs(1.0)[0] is f and prob.rhs(1.0)[1] is g
+    for row in (f, g):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+
+
 def test_reference_norms_positive():
     cfg = smooth_profile()
     grid = TimeGrid(T=1.0, n_steps=8)

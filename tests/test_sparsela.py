@@ -5,11 +5,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from memfem.errors import EstimatorError, SaddleSolverError
 from memfem.sparsela import (
     HybridSaddle,
+    as_csr,
     factorize_saddle,
     infsup_estimate,
     kernel_ellipticity,
@@ -21,6 +22,20 @@ from memfem.sparsela import (
 def random_spd(n, rng):
     r = rng.standard_normal((n, n))
     return r @ r.T + n * np.eye(n)
+
+
+def test_as_csr_copies_rather_than_rewrites_its_input():
+    # a CSR matrix shares its arrays with sp.csr_matrix(m): sorting in
+    # place would reorder the caller's matrix
+    m = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]),
+                       np.array([0, 3])), shape=(1, 3))
+    out = as_csr(m)
+    assert_array_equal(out.indices, [0, 1, 2])
+    assert_array_equal(out.data, [2.0, 3.0, 1.0])
+    assert_array_equal(m.indices, [2, 0, 1])
+    assert_array_equal(m.data, [1.0, 2.0, 3.0])
+    # a canonical matrix is taken as it is, without a copy
+    assert np.shares_memory(as_csr(out).data, out.data)
 
 
 def test_factorize_saddle_hand_example():

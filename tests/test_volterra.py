@@ -209,6 +209,45 @@ def test_gamma_values_fickian():
     assert step_gammas(sys, grid, 0) == (1.0, 1.0, 1.0)
 
 
+def test_exponential_kernel_diagonal_is_read_not_evaluated():
+    # k(t, t) of an exponential kernel is its c, bit for bit: the stepper
+    # reads c and calls eval no more often over 500 steps than over 50
+    exp = MemoryKernel.exp_convolution(c=-1.0, rate=2.0)
+    calls = []
+
+    def counted(t, s):
+        calls.append(t)
+        return exp.eval(t, s)
+
+    kernel = MemoryKernel(eval=counted, bound=1.0, c=-1.0, rate=2.0)
+    counts = []
+    for n_steps in (50, 500):
+        calls.clear()
+        VolterraStepper(scalar_system(k3=kernel), TimeGrid(1.0, n_steps)).run(
+            lambda t: np.zeros(1), lambda t: np.ones(1))
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
+    # the same gammas as a general kernel that evaluates k(t_n, t_n)
+    grid = TimeGrid(1.0, 50)
+    for n in range(51):
+        assert step_gammas(scalar_system(k3=kernel), grid, n) \
+            == step_gammas(scalar_system(k3=direct_form(exp)), grid, n)
+
+
+def test_step_leaves_the_loads_unmodified():
+    # history sums are added out of place and the scalings applied to a
+    # copy: read-only loads pass through every step unchanged
+    kernel = MemoryKernel.exp_convolution(c=-0.5, rate=1.0)
+    sys_ = sized_system(3, 2, k1=kernel, k2=kernel, k3=kernel)
+    hist = HistoryBuffer(sys_, TimeGrid(T=1.0, n_steps=10))
+    f, g = np.array([1.0, 2.0, -3.0]), np.array([0.5, -1.0])
+    f.flags.writeable = g.flags.writeable = False
+    for _ in range(5):
+        step(sys_, hist, f, g)
+    assert_array_equal(f, [1.0, 2.0, -3.0])
+    assert_array_equal(g, [0.5, -1.0])
+
+
 def test_stability_gate_violation():
     sys = scalar_system(k3=fickian_kernel(0.01))
     grid = TimeGrid(T=1.0, n_steps=33)  # dt ~ 0.0303 >= 2 delta
