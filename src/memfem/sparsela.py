@@ -80,8 +80,7 @@ class SaddleFactorization:
         sol = self._lu.solve(rhs)
         if g1 != g2:
             sol[n_v:] *= g1 / g2
-        # a finite sum proves every entry finite
-        if not (math.isfinite(sol.sum()) or np.isfinite(sol).all()):
+        if not np.isfinite(sol).all():
             raise SaddleSolverError(
                 f"saddle solve produced non-finite values (gammas={gammas})")
         return sol[:n_v], sol[n_v:]

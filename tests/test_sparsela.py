@@ -65,6 +65,19 @@ def test_solve_rejects_singular_gammas():
             fact.solve(f, g, gammas)
 
 
+def test_solve_rejects_only_non_finite_solutions():
+    # u = (g, f2), p = f1 - g: entries of 1e308 are finite although any
+    # sum of them overflows, while an infinite or NaN load gives a
+    # non-finite solution
+    fact = factorize_saddle(sp.identity(2, format="csr"),
+                            sp.csr_matrix(np.array([[1.0, 0.0]])))
+    u, p = fact.solve(np.array([1e308, 1e308]), np.zeros(1))
+    assert_array_equal(np.concatenate([u, p]), [0.0, 1e308, 1e308])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(SaddleSolverError, match="non-finite"):
+            fact.solve(np.array([bad, 1.0]), np.zeros(1))
+
+
 def scaled_kkt(a, b, g1, g2, g3):
     m = b.shape[0]
     return np.block([[g1 * a, g2 * b.T], [g3 * b, np.zeros((m, m))]])
