@@ -65,8 +65,11 @@ class SaddleFactorization:
         self.n_q = n_q
 
     def solve(self, f: np.ndarray, g: np.ndarray, gammas=(1.0, 1.0, 1.0)):
-        """Solve ``[[g1 A, g2 B^T], [g3 B, 0]] (u, p) = (f, g)``; a zero or
-        non-finite gamma or solution raises :class:`SaddleSolverError`."""
+        """Solve ``[[g1 A, g2 B^T], [g3 B, 0]] (u, p) = (f, g)``, for one
+        right-hand side or, with ``f`` of shape ``(n_v, k)`` and ``g`` of
+        shape ``(n_q, k)``, for k columns at once; a zero or non-finite
+        gamma or a non-finite solution entry raises
+        :class:`SaddleSolverError`."""
         g1, g2, g3 = gammas
         if not (g1 and g2 and g3 and math.isfinite(g1)
                 and math.isfinite(g2) and math.isfinite(g3)):
@@ -239,7 +242,8 @@ class HybridSaddle:
             self.nnz = self._lu.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(u, p)`` stacked, for the stacked right-hand side ``(f, g)``."""
+        """``(u, p)`` stacked, for the stacked right-hand side ``(f, g)``:
+        one vector, or one column per right-hand side."""
         sol = self._x1 @ rhs
         if self._lu is not None:
             sol -= self._x2 @ self._lu.solve(self._r @ rhs)

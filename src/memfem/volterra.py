@@ -22,6 +22,15 @@ gets an O(1) exponential recurrence, and a general kernel one product of
 the weight row with the stored ``(N+1, n)`` states of the family it
 reads.  An audit checks each recurrence sum against the direct one.
 
+Row 2 alone fixes ``q_n = B u_n = (g_n + sum_{j<n} w_{n,j} k3 q_j) / g3``,
+so ``k3`` keeps its history on the ``n_q``-vectors ``q``.  Without ``k1``
+and ``k2``, and with ``k3`` exponential or absent, every right-hand side
+``(f_n, q_n)`` of the unscaled ``K`` is then known before any solve,
+and the stepper solves its nodes in blocks of
+``max(1, min(64, 65536 // (n_v + n_q)))``, one multi-column solve per
+block, whose right-hand side stays within 512 KiB.  Every other system,
+and an audited run, solves one node at a time on the same code.
+
 L1-in-time error norms are taken in dof space: against the projection of
 the oracle, which leaves each step state-sized work that does not cancel
 (see :class:`L1NormAccumulator`).  The module also evaluates the
@@ -260,16 +269,20 @@ class HistoryBuffer:
     """Past states of a system, kept in the form its kernels read.
 
     Each kernel slot reads one family of states: ``k1`` reads ``u`` (as
-    ``A u``), ``k2`` reads ``p`` (as ``B^T p``) and ``k3`` reads ``u``
-    (as ``B u``).  The attached kernels fix what is kept:
+    ``A u``), ``k2`` reads ``p`` (as ``B^T p``) and ``k3`` reads
+    ``q = B u``, which :func:`step` appends (:meth:`append_q`) before it
+    solves the node, and the solved ``(u, p)`` after (:meth:`append`).
+    The attached kernels fix what is kept:
 
     * an exponential kernel gets a recurrence per (kernel, family),
       updated in place in O(1) per append, that holds after the k-th
-      append the history sum of step k + 1 (see :func:`history_sum`);
-    * a family is stored, as the rows of an ``(n_steps + 1, n)`` array,
-      only when a general kernel reads it or, with ``audit``, an
-      exponential one does.  That costs ``(n_steps + 1) * n * 8`` bytes,
-      with ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
+      append of its family the history sum of step k + 1 (see
+      :func:`history_sum`);
+    * ``u`` or ``p`` is stored, as the rows of an ``(n_steps + 1, n)``
+      array, only when a general kernel reads it or, with ``audit``, an
+      exponential one does, where ``q`` counts as ``u``.  That costs
+      ``(n_steps + 1) * n * 8`` bytes, with ``n = n_v`` for ``u`` and
+      ``n = n_q`` for ``p``;
     * a family that no kernel reads is never stored.
 
     With ``audit`` every recurrence sum is also summed directly, and the
@@ -280,18 +293,23 @@ class HistoryBuffer:
                  audit: bool = False):
         self.grid = grid
         self.audit = audit
+        self.b = sys.b
         reads = [(kernel, which) for kernel, which
-                 in zip(sys.kernels, ("u", "p", "u")) if kernel is not None]
-        size = {"u": sys.n_v, "p": sys.n_q}
+                 in zip(sys.kernels, ("u", "p", "q")) if kernel is not None]
+        size = {"u": sys.n_v, "p": sys.n_q, "q": sys.n_q}
         # (exp(-rate dt), recurrence) for each distinct (kernel, family)
         self._recur = {key: (math.exp(-key[0].rate * grid.dt),
                              np.zeros(size[key[1]]))
                        for key in reads if key[0].is_exp}
-        # family -> (n_steps + 1, n) rows
-        self._stored = {which: np.empty((grid.n_steps + 1, size[which]))
+        # family -> (n_steps + 1, n) rows; the direct sum of q reads u
+        self._stored = {_ROWS[which]: np.empty((grid.n_steps + 1,
+                                                size[_ROWS[which]]))
                         for kernel, which in reads
                         if audit or not kernel.is_exp}
-        self._count = 0
+        self._count = 0         # solved states appended
+        self._q_count = 0       # constraint values appended
+        # w_{n,j} for j < n, the same for every n <= n_steps
+        self._weights = trapezoid_weights(grid, grid.n_steps)
         self.audit_max_rel = 0.0
         self.audit_steps = 0
 
@@ -304,15 +322,32 @@ class HistoryBuffer:
         return bool(self._stored)
 
     def append(self, u: np.ndarray, p: np.ndarray) -> None:
-        states = {"u": np.asarray(u, dtype=float), "p": np.asarray(p, dtype=float)}
-        for which, rows in self._stored.items():
-            rows[self._count] = states[which]
-        # the trapezoid weight of x_k in every later history sum
-        weight = self.grid.dt if self._count else 0.5 * self.grid.dt
-        for (kernel, which), (decay, acc) in self._recur.items():
-            acc += weight * kernel.c * states[which]
-            acc *= decay
-        self._count += 1
+        """Add solved states from node ``len(self)`` on: the vectors of
+        one node, or ``(n, k)`` arrays with one column per node."""
+        n = self._count
+        k = 1 if u.ndim == 1 else u.shape[1]
+        for which, x in (("u", u), ("p", p)):
+            rows = self._stored.get(which)
+            if rows is not None:
+                rows[n:n + k] = x.T
+            self._accumulate(which, x, n)
+        self._count += k
+
+    def append_q(self, q: np.ndarray) -> None:
+        """Add the constraint value ``q = B u`` of the next node."""
+        self._accumulate("q", q, self._q_count)
+        self._q_count += 1
+
+    def _accumulate(self, which: str, x: np.ndarray, n: int) -> None:
+        """Add the states of one family from node n on, a vector or one
+        column per node, to the recurrences reading it."""
+        dt = self.grid.dt
+        for (kernel, family), (decay, acc) in self._recur.items():
+            if family == which:
+                for j, x_j in enumerate(x.T if x.ndim == 2 else (x,), n):
+                    # the trapezoid weight of x_j in every later history sum
+                    acc += (dt if j else 0.5 * dt) * kernel.c * x_j
+                    acc *= decay
 
     def vectors(self, which: str) -> np.ndarray:
         """The stored states of one family, one filled row per append;
@@ -321,17 +356,24 @@ class HistoryBuffer:
         return np.empty((0, 0)) if rows is None else rows[:self._count]
 
 
+# the stored family a direct history sum of each family reads
+_ROWS = {"u": "u", "p": "p", "q": "u"}
+
+
 def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
                 which: str) -> np.ndarray:
-    """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j`` at step
-    ``n = len(hist)``, the step after the last one appended.
+    """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j`` of one
+    family at the step after its last append: ``n = len(hist)`` for
+    ``u`` and ``p``, and the number of constraint values appended for
+    ``q``.
 
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
     holds one, and otherwise as one product of the weight row with the
-    stored states.  An auditing buffer also sums a recurrence's history
-    directly and records the relative deviation of the two.
+    stored states (for ``q``, ``B`` times that of the stored ``u``).  An
+    auditing buffer also sums a recurrence's history directly and
+    records the relative deviation of the two.
     """
-    n = len(hist)
+    n = hist._q_count if which == "q" else len(hist)
     if n < 1:
         raise ValueError("history sums start at step 1")
     recur = hist._recur.get((kernel, which))
@@ -341,13 +383,14 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
         if not hist.audit:
             return recur
     times = hist.grid.times
-    xs = hist.vectors(which)
-    if not len(xs):
-        raise ValueError(f"history sum of {which!r} needs stored states, "
-                         "and no attached kernel stores them")
-    w = trapezoid_weights(hist.grid, n)[:n]
+    xs = hist.vectors(_ROWS[which])
+    if len(xs) < n:
+        raise ValueError(f"history sum of {which!r} at step {n} needs {n} "
+                         f"stored states, and the buffer holds {len(xs)}")
     kv = np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
-    direct = (w * kv) @ xs
+    direct = (hist._weights[:n] * kv) @ xs[:n]
+    if which == "q":
+        direct = hist.b @ direct
     if recur is None:
         return direct
     denom = float(np.max(np.abs(direct)))
@@ -377,23 +420,43 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
     return tuple(gammas)
 
 
-def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f_n: np.ndarray,
-         g_n: np.ndarray):
-    """Advance one step, ``n = len(hist)``: solve the implicit trapezoid
-    system and append the solution to the history."""
-    n = len(hist)
-    gammas = step_gammas(sys, hist.grid, n)
-    if n >= 1:
-        if sys.k1 is not None:
-            f_n = f_n + sys.a @ history_sum(hist, sys.k1, "u")
-        if sys.k2 is not None:
-            f_n = f_n + sys.b.T @ history_sum(hist, sys.k2, "p")
-        if sys.k3 is not None:
-            g_n = g_n + sys.b @ history_sum(hist, sys.k3, "u")
+def step(sys: BlockSaddleSystem, hist: HistoryBuffer, loads):
+    """Advance one block of nodes, ``n = len(hist), len(hist) + 1, ...``,
+    one per ``(f_n, g_n)`` that the iterable ``loads`` yields.
 
-    u_n, p_n = sys.factorization().solve(f_n, g_n, gammas)
-    hist.append(u_n, p_n)
-    return u_n, p_n
+    Node by node, in order, it checks the stability gate, adds the
+    history sums and forms ``q_n = B u_n`` from row 2.  Then one
+    multi-column solve with the columns ``(f_n, q_n)`` gives the block's
+    states, which are appended to the history.  The sums of ``k1`` and
+    ``k2`` read solved states, so a block of several nodes needs both
+    absent.  Returns the ``(u_n, p_n)`` of each node.
+    """
+    grid = hist.grid
+    fs, qs = [], []
+    for n, (f, g) in enumerate(loads, len(hist)):
+        if fs and (sys.k1 is not None or sys.k2 is not None):
+            raise ValueError("a block of several nodes needs k1 and k2 absent")
+        g1, g2, g3 = step_gammas(sys, grid, n)
+        if n >= 1:
+            if sys.k1 is not None:
+                f = f + sys.a @ history_sum(hist, sys.k1, "u")
+            if sys.k2 is not None:
+                f = f + sys.b.T @ history_sum(hist, sys.k2, "p")
+            if sys.k3 is not None:
+                g = g + history_sum(hist, sys.k3, "q")
+        q = g / g3
+        hist.append_q(q)
+        fs.append(f)
+        qs.append(q)
+    if len(fs) == 1:
+        f, q = fs[0], qs[0]
+    else:                       # one column per node
+        f, q = np.array(fs).T, np.array(qs).T
+    del fs, qs                  # not alive through the solve
+    # g3 is folded into q; g1 and g2 are those of every node of the block
+    u, p = sys.factorization().solve(f, q, (g1, g2, 1.0))
+    hist.append(u, p)
+    return [(u, p)] if u.ndim == 1 else list(zip(u.T, p.T))
 
 
 def split_load(load: Callable):
@@ -408,7 +471,9 @@ class VolterraStepper:
 
     The history it keeps is what the system's kernels read (see
     :class:`HistoryBuffer`); ``audit`` also checks each recurrence sum
-    against the direct one.
+    against the direct one.  ``width`` nodes share a solve (see the
+    module docstring): one for a system with ``k1``, ``k2`` or a general
+    ``k3``, and for an audit, whose direct sums read solved states.
     """
 
     def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid,
@@ -416,21 +481,33 @@ class VolterraStepper:
         self.sys = sys
         self.grid = grid
         self.hist = HistoryBuffer(sys, grid, audit)
+        blocked = not audit and sys.k1 is None and sys.k2 is None \
+            and (sys.k3 is None or sys.k3.is_exp)
+        self.width = max(1, min(64, 65536 // (sys.n_v + sys.n_q))) \
+            if blocked else 1
 
     @property
     def n_done(self) -> int:
         return len(self.hist)
 
-    def advance(self, f_n: np.ndarray, g_n: np.ndarray):
-        return step(self.sys, self.hist, f_n, g_n)
-
     def run(self, f_of_t: Callable, g_of_t: Callable,
             on_step: Optional[Callable] = None):
-        """Step through the whole grid, calling ``on_step(n, t, u, p)``."""
-        for n, t in enumerate(self.grid.times):
-            u, p = self.advance(f_of_t(t), g_of_t(t))
+        """Step through the whole grid, ``width`` nodes per :func:`step`.
+
+        The loads ``f_of_t(t)``, ``g_of_t(t)`` are requested once per
+        node, in node order, and ``on_step(n, t, u, p)`` is called for
+        every node once its block is solved; its states are views of
+        arrays that no later block writes.
+        """
+        times = self.grid.times
+        for start in range(0, len(times), self.width):
+            states = step(self.sys, self.hist,
+                          ((f_of_t(t), g_of_t(t))
+                           for t in times[start:start + self.width]))
             if on_step is not None:
-                on_step(n, t, u, p)
+                for n, (u, p) in enumerate(states, start):
+                    on_step(n, times[n], u, p)
+            del states                  # not alive through the next solve
         return self
 
 

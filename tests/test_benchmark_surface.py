@@ -65,8 +65,9 @@ def test_tracer_and_meter_wrap_three_runs(tmp_path):
             "sparsela.kernel_ellipticity", "cli.norms_add",
             "laplace_mem.on_step", "beam.on_step"} <= names
     metrics = tracer.metrics(meter)
-    # two Laplace levels and the certificate at 11 nodes, the general run at 21
-    assert metrics["volterra.step_count"] == 3 * 11 + 21
+    # a step solves one block: the two Laplace levels and the certificate
+    # take their 11 nodes in one block each, the general run one node a step
+    assert metrics["volterra.step_count"] == 3 * 1 + 21
     assert meter.dof_steps > 0
     # the general kernel stores the 21 states of u, 18 dofs on 8 elements
     assert metrics["volterra.history_peak_bytes"] == 21 * 18 * 8

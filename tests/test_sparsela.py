@@ -172,6 +172,44 @@ def test_hybrid_solve_residual_at_m64():
     assert fact._lu.nnz < 0.5 * factorize_saddle(a, b)._lu.nnz
 
 
+def block_factorizations():
+    """A SuperLU and a hybridized factorization, each with its blocks."""
+    rng = np.random.RandomState(5)
+    a, b = random_spd(30, rng), rng.standard_normal((10, 30))
+    superlu = factorize_saddle(sp.csr_matrix(a), sp.csr_matrix(b))
+    la, lb, elements = laplace_blocks(6)
+    return [superlu, factorize_saddle(la, lb, elements)]
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["superlu", "hybrid"])
+def test_column_block_solve_matches_column_solves(kind):
+    fact = block_factorizations()[kind]
+    rng = np.random.RandomState(11)
+    k = 7
+    f = rng.standard_normal((fact.n_v, k))
+    g = rng.standard_normal((fact.n_q, k))
+    for gammas in ((1.0, 1.0, 1.0), (0.7, 1.3, 0.2), (0.925, 0.925, 1.5)):
+        u, p = fact.solve(f, g, gammas)
+        assert u.shape == (fact.n_v, k) and p.shape == (fact.n_q, k)
+        for j in range(k):
+            uj, pj = fact.solve(f[:, j], g[:, j], gammas)
+            ref = np.concatenate([uj, pj])
+            x = np.concatenate([u[:, j], p[:, j]])
+            assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["superlu", "hybrid"])
+def test_column_block_solve_rejects_one_non_finite_column(kind):
+    fact = block_factorizations()[kind]
+    f = np.ones((fact.n_v, 5))
+    g = np.ones((fact.n_q, 5))
+    fact.solve(f, g, (0.7, 1.3, 0.2))
+    for bad in (math.inf, math.nan):
+        f[3, 2] = bad
+        with pytest.raises(SaddleSolverError, match="non-finite"):
+            fact.solve(f, g, (0.7, 1.3, 0.2))
+
+
 def test_hybrid_rejects_local_blocks_that_miss_a():
     from memfem.volterra import BlockSaddleSystem
     a, b, (local_a, dofs) = laplace_blocks(4)

@@ -128,26 +128,50 @@ def test_time_varying_kernel_factors_once_hybridized(monkeypatch):
     assert isinstance(prob.system.factorization()._lu, HybridSaddle)
 
 
-def test_step0_and_steady_steps_share_one_factor(monkeypatch):
-    calls = count_factorizations(monkeypatch)
+def record_solves(monkeypatch):
+    """``(factorization id, gammas, f, g)`` of every saddle solve."""
     solves = []
     orig = SaddleFactorization.solve
 
     def recorded(fact, f, g, gammas=(1.0, 1.0, 1.0)):
-        solves.append((id(fact), tuple(gammas)))
+        solves.append((id(fact), tuple(gammas), f.copy(), g.copy()))
         return orig(fact, f, g, gammas)
 
     monkeypatch.setattr(SaddleFactorization, "solve", recorded)
+    return solves
+
+
+def test_step0_and_steady_steps_share_one_factor(monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    solves = record_solves(monkeypatch)
+    gammas = []
+    orig_gammas = volterra.step_gammas
+
+    def recorded_gammas(sys, grid, n):
+        gammas.append((n, orig_gammas(sys, grid, n)))
+        return gammas[-1][1]
+
+    monkeypatch.setattr(volterra, "step_gammas", recorded_gammas)
     sys_ = scalar_system(k3=MemoryKernel.exp_convolution(c=-1.0, rate=1.0))
     grid = TimeGrid(T=1.0, n_steps=20)
     # built on first use, not with the system
     assert calls == []
-    VolterraStepper(sys_, grid).run(lambda t: np.zeros(1), lambda t: np.ones(1))
+    states = []
+    stepper = VolterraStepper(sys_, grid)
+    stepper.run(lambda t: np.zeros(1), lambda t: np.ones(1),
+                on_step=lambda n, t, u, p: states.append(u[0]))
     assert len(calls) == 1
-    assert {fact for fact, _ in solves} == {id(sys_.factorization())}
-    steady = step_gammas(sys_, grid, 1)
+    # the 21 nodes fit one block: one solve of 21 columns on that factor,
+    # with g3 folded into the constraint column q_n = B u_n
+    assert stepper.width == 64
+    assert [(fact, g, f.shape, q.shape) for fact, g, f, q in solves] \
+        == [(id(sys_.factorization()), (1.0, 1.0, 1.0), (1, 21), (1, 21))]
+    assert_array_equal(solves[0][3][0], states)
+    assert solves[0][3][0, 0] == 1.0
+    # the gate saw every node once, in order, with the steady scalings
+    steady = orig_gammas(sys_, grid, 1)
     assert steady != (1.0, 1.0, 1.0)
-    assert [g for _, g in solves] == [(1.0, 1.0, 1.0)] + [steady] * 20
+    assert gammas == [(0, (1.0, 1.0, 1.0))] + [(n, steady) for n in range(1, 21)]
 
 
 def test_trapezoid_weights():
@@ -175,7 +199,7 @@ def test_step_hand_solvable_system():
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=2)
     hist = HistoryBuffer(sys, grid)
-    u, p = step(sys, hist, np.array([1.0, 0.0]), np.array([1.0]))
+    [(u, p)] = step(sys, hist, [(np.array([1.0, 0.0]), np.array([1.0]))])
     assert_allclose(u, [1.0, 0.0], atol=1e-14)
     assert_allclose(p, [0.0], atol=1e-14)
     assert len(hist) == 1
@@ -189,13 +213,20 @@ def test_zero_kernel_reduces_to_stationary_solve():
     b = sp.csr_matrix(rng.standard_normal((m, n)))
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=6)
-    stepper = VolterraStepper(sys, grid)
     fact = sys.factorization()
-    for t in grid.times:
-        f = np.sin(t + np.arange(n, dtype=float))
-        g = np.cos(t + np.arange(m, dtype=float))
-        u, p = stepper.advance(f, g)
-        u_ref, p_ref = fact.solve(f, g)
+
+    def f_of_t(t):
+        return np.sin(t + np.arange(n, dtype=float))
+
+    def g_of_t(t):
+        return np.cos(t + np.arange(m, dtype=float))
+
+    states = []
+    VolterraStepper(sys, grid).run(
+        f_of_t, g_of_t, on_step=lambda n, t, u, p: states.append((t, u, p)))
+    assert [t for t, _, _ in states] == list(grid.times)
+    for t, u, p in states:
+        u_ref, p_ref = fact.solve(f_of_t(t), g_of_t(t))
         assert np.max(np.abs(u - u_ref)) <= 1e-12 * max(1.0, np.max(np.abs(u_ref)))
         assert np.max(np.abs(p - p_ref)) <= 1e-12 * max(1.0, np.max(np.abs(p_ref)))
 
@@ -243,7 +274,7 @@ def test_step_leaves_the_loads_unmodified():
     f, g = np.array([1.0, 2.0, -3.0]), np.array([0.5, -1.0])
     f.flags.writeable = g.flags.writeable = False
     for _ in range(5):
-        step(sys_, hist, f, g)
+        step(sys_, hist, [(f, g)])
     assert_array_equal(f, [1.0, 2.0, -3.0])
     assert_array_equal(g, [0.5, -1.0])
 
@@ -252,9 +283,30 @@ def test_stability_gate_violation():
     sys = scalar_system(k3=fickian_kernel(0.01))
     grid = TimeGrid(T=1.0, n_steps=33)  # dt ~ 0.0303 >= 2 delta
     hist = HistoryBuffer(sys, grid)
-    step(sys, hist, np.zeros(1), np.ones(1))
+    step(sys, hist, [(np.zeros(1), np.ones(1))])
     with pytest.raises(StabilityGateError, match="dt too large"):
-        step(sys, hist, np.zeros(1), np.ones(1))
+        step(sys, hist, [(np.zeros(1), np.ones(1))])
+
+
+def test_stability_gate_stops_the_block_before_its_solve(monkeypatch):
+    # the gate fails at node 1, inside the first block: no later load is
+    # requested and the block is never solved
+    solves = record_solves(monkeypatch)
+    sys = scalar_system(k3=fickian_kernel(0.01))
+    grid = TimeGrid(T=1.0, n_steps=33)
+    loads = []
+
+    def f_of_t(t):
+        loads.append(t)
+        return np.zeros(1)
+
+    stepper = VolterraStepper(sys, grid)
+    assert stepper.width == 64
+    with pytest.raises(StabilityGateError, match="at step 1;"):
+        stepper.run(f_of_t, lambda t: np.ones(1))
+    assert loads == list(grid.times[:2])
+    assert solves == []
+    assert len(stepper.hist) == 0
 
 
 def test_history_sum_single_panel_constant_kernel():
@@ -263,7 +315,7 @@ def test_history_sum_single_panel_constant_kernel():
     x0 = np.array([2.0, -1.0])
     # the recurrence and the direct sum
     for kernel in (const, direct_form(const)):
-        hist = HistoryBuffer(sized_system(2, 1, k3=kernel), grid)
+        hist = HistoryBuffer(sized_system(2, 1, k1=kernel), grid)
         hist.append(x0, np.zeros(1))
         out = history_sum(hist, kernel, "u")
         assert_allclose(out, 0.5 * grid.dt * 3.0 * x0, rtol=1e-15)
@@ -273,7 +325,7 @@ def test_history_sum_zero_kernel():
     grid = TimeGrid(T=1.0, n_steps=4)
     zero = MemoryKernel.exp_convolution(c=0.0, rate=1.0)
     for kernel in (zero, direct_form(zero)):
-        hist = HistoryBuffer(sized_system(3, 1, k3=kernel), grid)
+        hist = HistoryBuffer(sized_system(3, 1, k1=kernel), grid)
         for _ in range(3):
             hist.append(np.ones(3), np.zeros(1))
         assert_array_equal(history_sum(hist, kernel, "u"), np.zeros(3))
@@ -284,18 +336,26 @@ def test_history_sum_recurrence_matches_direct():
     grid = TimeGrid(T=2.0, n_steps=60)
     kernel = MemoryKernel.exp_convolution(c=-0.8, rate=1.7)
     general = direct_form(kernel)
-    recur_hist = HistoryBuffer(sized_system(7, 1, k3=kernel), grid)
-    direct_hist = HistoryBuffer(sized_system(7, 1, k3=general), grid)
+    b = sp.csr_matrix(rng.standard_normal((3, 7)))
+    # k1 sums u; k3 sums q = B u, the recurrence on q and the direct sum
+    # on the stored u
+    recur_hist = HistoryBuffer(BlockSaddleSystem(
+        sp.identity(7, format="csr"), b, k1=kernel, k3=kernel), grid)
+    direct_hist = HistoryBuffer(BlockSaddleSystem(
+        sp.identity(7, format="csr"), b, k1=general, k3=general), grid)
     assert not recur_hist.store_full and direct_hist.store_full
     for n in range(51):
         if n >= 1:
-            direct = history_sum(direct_hist, general, "u")
-            recur = history_sum(recur_hist, kernel, "u")
-            denom = np.max(np.abs(direct))
-            assert np.max(np.abs(direct - recur)) <= 1e-12 * max(denom, 1e-30)
+            for which in ("u", "q"):
+                direct = history_sum(direct_hist, general, which)
+                recur = history_sum(recur_hist, kernel, which)
+                denom = np.max(np.abs(direct))
+                assert np.max(np.abs(direct - recur)) \
+                    <= 1e-12 * max(denom, 1e-30)
         x = rng.standard_normal(7)
-        recur_hist.append(x, np.zeros(1))
-        direct_hist.append(x, np.zeros(1))
+        for hist in (recur_hist, direct_hist):
+            hist.append_q(b @ x)
+            hist.append(x, np.zeros(3))
 
 
 def loop_history_sum(xs, grid, kernel, n):
@@ -394,14 +454,24 @@ def test_history_sum_errors():
     # the sum at step len(hist) needs a step 0 in the buffer
     for k in (kernel, general):
         with pytest.raises(ValueError, match="start at step 1"):
-            history_sum(HistoryBuffer(sized_system(2, 1, k3=k), grid), k, "u")
-    hist = HistoryBuffer(sized_system(2, 1, k3=kernel), grid)
+            history_sum(HistoryBuffer(sized_system(2, 1, k1=k), grid), k, "u")
+        with pytest.raises(ValueError, match="start at step 1"):
+            history_sum(HistoryBuffer(sized_system(2, 1, k3=k), grid), k, "q")
+    hist = HistoryBuffer(sized_system(2, 1, k1=kernel), grid)
     for _ in range(3):
         hist.append(np.ones(2), np.zeros(1))
     assert history_sum(hist, kernel, "u").shape == (2,)
     # p is read by no kernel, so it has neither a recurrence nor rows
     with pytest.raises(ValueError, match="stored states"):
         history_sum(hist, kernel, "p")
+    # the direct q sum of a general k3 reads solved states: a q appended
+    # ahead of its solve leaves the sum one state short
+    hist = HistoryBuffer(sized_system(2, 1, k3=general), grid)
+    hist.append_q(np.ones(1))
+    hist.append(np.ones(2), np.zeros(1))
+    hist.append_q(np.ones(1))
+    with pytest.raises(ValueError, match="needs 2 stored states"):
+        history_sum(hist, general, "q")
 
 
 def test_scalar_stepper_tracks_creep_factor_second_order():
@@ -414,10 +484,11 @@ def test_scalar_stepper_tracks_creep_factor_second_order():
     for n_steps in (50, 100, 200):
         sys = scalar_system(k3=kernel)
         grid = TimeGrid(T=2.0, n_steps=n_steps)
-        stepper = VolterraStepper(sys, grid)
-        for t in grid.times:
-            u, _ = stepper.advance(np.zeros(1), np.ones(1))
-        errs.append(abs(u[0] - exact_T))
+        last = {}
+        VolterraStepper(sys, grid).run(
+            lambda t: np.zeros(1), lambda t: np.ones(1),
+            on_step=lambda n, t, u, p: last.update(u=u[0]))
+        errs.append(abs(last["u"] - exact_T))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.9)
 
@@ -461,7 +532,8 @@ def assert_stepper_paths_agree(*slots):
 
 
 def test_stepper_direct_and_recurrence_paths_agree():
-    # k1 and k3 both read u: one recurrence serves the two slots
+    # k1 reads u and k3 reads q = B u: the one kernel object needs a
+    # recurrence for each family
     assert_stepper_paths_agree("k1", "k3")
 
 
@@ -469,6 +541,60 @@ def test_stepper_same_kernel_on_u_and_p_families():
     # k1 reads u and k2 reads p: the one kernel object needs a
     # recurrence for each family
     assert_stepper_paths_agree("k1", "k2")
+
+
+def scalar_runner(kernel):
+    sys_ = scalar_system(k3=kernel)
+
+    def run(grid, collect):
+        stepper = VolterraStepper(sys_, grid)
+        stepper.run(lambda t: np.zeros(1), lambda t: np.array([1.0 + t]),
+                    on_step=collect)
+        return stepper
+    return run
+
+
+def beam_runner(kernel):
+    from memfem.beam import BeamProblem, joined_profile
+    prob = BeamProblem(joined_profile(d=0.001), 8, kernel, 1.0, np.exp, None)
+    return lambda grid, collect: prob.run(grid, collect=collect)[1]
+
+
+def laplace_runner(kernel):
+    prob = LaplaceProblem(24, delta=0.01, kernel=kernel)
+    return lambda grid, collect: prob.run(grid, collect=collect)[1]
+
+
+@pytest.mark.parametrize("runner, width, n_steps", [
+    (scalar_runner, 64, 150), (beam_runner, 64, 100),
+    (laplace_runner, 22, 50)], ids=["scalar", "beam", "laplace"])
+def test_blocked_states_match_the_direct_form(runner, width, n_steps):
+    # an exponential k3 steps in blocks, with a last block shorter than
+    # the rest; the same kernel as a general one steps one node at a time
+    kernel = beam_kernel(PronySLS(1.0, 1.0, 1.0)) if runner is not laplace_runner \
+        else MemoryKernel.exp_convolution(c=-100.0, rate=100.0)
+    grid = TimeGrid(T=0.5, n_steps=n_steps)
+    assert (n_steps + 1) % width != 0
+
+    def collector(kept, copies):
+        def collect(n, t, u, p):
+            kept.append((u, p))         # no copy: a view into its block
+            copies.append((u.copy(), p.copy()))
+        return collect
+
+    kept, copies, direct = [], [], []
+    blocked = runner(kernel)(grid, collector(kept, copies))
+    assert blocked.width == width
+    unblocked = runner(direct_form(kernel))(grid, collector(direct, []))
+    assert unblocked.width == 1
+    assert len(kept) == len(direct) == n_steps + 1
+    for (u, p), (u_copy, p_copy), (u_ref, p_ref) in zip(kept, copies, direct):
+        # later blocks never wrote over the states handed out
+        assert_array_equal(u, u_copy)
+        assert_array_equal(p, p_copy)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(p - p_ref)) <= 1e-12 * max(np.max(np.abs(p_ref)),
+                                                        1e-300)
 
 
 def test_stability_constants_zero_kernels():
