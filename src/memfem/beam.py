@@ -314,37 +314,41 @@ def beam_accumulator(mesh: Mesh1D, reference: BeamReference,
     """L1-in-time errors against the oracle: e0 of every field, e1 of M, V.
 
     Fields are evaluated at the 4-point Gauss nodes; the state is (M, V)
-    at the mesh nodes followed by (beta, w) on the cells.
+    at the mesh nodes followed by (beta, w) on the cells.  Each norm's
+    operator maps the state to them directly, one Gauss node per row.
     """
     n = mesh.n_elements
     xq, wq = _gauss_points(mesh, _G4)
     n_q = xq.shape[1]
-    # (left, right) nodal values of every element
-    ends = sp.csr_matrix((np.ones(2 * n), np.add.outer(np.arange(n), [0, 1]).ravel(),
-                          np.arange(2 * n + 1)), shape=(2 * n, n + 1))
-    value = sp.kron(sp.identity(n), _p1_at(_G4)) @ ends
-    slope = sp.kron(sp.diags(1.0 / mesh.cell_lengths), [[-1.0, 1.0]] * n_q) @ ends
-    cell = sp.kron(sp.identity(n), np.ones((n_q, 1)))
-    e = sp.block_diag([sp.vstack([value, slope])] * 2 + [cell] * 2, format="csr")
     ref = reference.spatial(xq.ravel())
-    fields = {name: (e[i * xq.size:(i + 1) * xq.size], wq, ref[name])
-              for i, name in enumerate(("M", "dM", "V", "dV", "beta", "w"))}
-    norms = {}
-    for name in BeamProblem.FIELDS:
-        norms[(name, "e0")] = (name,)
-        if name in ("M", "V"):
-            norms[(name, "e1")] = (name, "d" + name)
-    return L1NormAccumulator(grid, reference.phi, fields, norms)
+    # per Gauss node: its element's two nodes, their P1 values and slopes
+    ends = np.repeat(np.add.outer(np.arange(n), [0, 1]), n_q, axis=0).ravel()
+    value = np.tile(_p1_at(_G4).ravel(), n)
+    slope = np.repeat(1.0 / mesh.cell_lengths, 2 * n_q) * np.tile([-1.0, 1.0], n * n_q)
+
+    def operator(cols, data, per_row):
+        return sp.csr_matrix((data, cols, np.arange(0, data.size + 1, per_row)),
+                             shape=(data.size // per_row, 4 * n + 2))
+
+    norms = {}                  # in the order of BeamProblem.FIELDS
+    for name, first in (("M", 0), ("V", n + 1)):
+        norms[name, "e0"] = (operator(first + ends, value, 2), wq, ref[name])
+        norms[name, "e1"] = (operator(np.tile(first + ends, 2),
+                                      np.concatenate((value, slope)), 2),
+                             np.tile(wq.ravel(), 2),
+                             np.concatenate((ref[name], ref["d" + name])))
+    for name, first in (("w", 3 * n + 2), ("beta", 2 * n + 2)):
+        norms[name, "e0"] = (operator(first + np.repeat(np.arange(n), n_q),
+                                      np.ones(wq.size), 1), wq, ref[name])
+    return L1NormAccumulator(grid, reference.phi, norms)
 
 
 def beam_reference_norms(reference: BeamReference, grid: TimeGrid,
                          mesh: Mesh1D):
     """L1-in-time field norms of the oracle itself (for relative errors)."""
     acc = beam_accumulator(mesh, reference, grid)
-    zero_u = np.zeros(2 * (mesh.n_elements + 1))
-    zero_p = np.zeros(2 * mesh.n_elements)
-    for n in range(grid.n_steps + 1):
-        acc.add(n, zero_u, zero_p)
+    n, nodes = mesh.n_elements, grid.n_steps + 1     # every node in one block
+    acc.add(0, np.zeros((2 * n + 2, nodes)), np.zeros((2 * n, nodes)))
     return acc.result()
 
 
@@ -423,11 +427,12 @@ class BeamProblem:
         acc = None if reference is None else \
             beam_accumulator(self.mesh, reference, grid)
 
-        def on_step(n, t, u, p):
+        def on_step(n, times, u, p):
             if acc is not None:
                 acc.add(n, u, p)
             if collect is not None:
-                collect(n, t, u, p)
+                for j in range(len(times)):     # cheaper than iterating times
+                    collect(n + j, times[j], u[:, j], p[:, j])
 
         stepper.run(*split_load(self.rhs), on_step=on_step)
         return (acc.result() if acc is not None else None), stepper

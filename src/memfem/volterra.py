@@ -31,10 +31,10 @@ and the stepper solves its nodes in blocks of
 block, whose right-hand side stays within 512 KiB.  Every other system,
 and an audited run, solves one node at a time on the same code.
 
-L1-in-time error norms are taken in dof space: against the projection of
-the oracle, which leaves each step state-sized work that does not cancel
-(see :class:`L1NormAccumulator`).  The module also evaluates the
-closed-form stability and error constants of the underlying theory.
+L1-in-time error norms take each solved block at once, in dof space:
+against the projection of the oracle, which leaves state-sized work that
+does not cancel (see :class:`L1NormAccumulator`).  The module also
+evaluates the closed-form stability and error constants of the theory.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ def trapezoid_weights(grid: TimeGrid, n: int) -> np.ndarray:
 class L1NormAccumulator:
     """Trapezoid-in-time L1 norms of point-evaluated errors, in dof space.
 
-    A field is a triple ``(E, w, r)``: a sparse operator ``E`` from the
-    state ``x = (u, p)`` to the field's values at quadrature nodes, the
-    nodes' weights ``w`` and the oracle's spatial part ``r`` there; the
-    oracle at time t is ``c(t) r``.  Norm k stacks the fields it sums into
-    ``(E, W, r)`` on the dofs ``S`` that ``E`` reads, and step n adds
+    Each norm is a triple ``(E, w, r)``: a sparse operator ``E`` from the
+    state ``x = (u, p)`` to the values it sums at quadrature nodes (of a
+    field, or of a field and its slope), the nodes' weights ``w`` and the
+    oracle's spatial part ``r`` there; the oracle at time t is
+    ``c(t) r``.  Taken on the dofs ``S`` that ``E`` reads, node n adds
     ``w_n ||E x_n - c r||_W``.  The build takes the Gram ``G = E^T W E``,
     the projection ``G rho = E^T W r``, and from ``t = r - E rho`` (in
     long double) the terms ``s = E^T W t`` and ``res = t.W t``.  With
@@ -128,21 +128,18 @@ class L1NormAccumulator:
     ``z`` is the error against the projection and ``t`` the
     best-approximation error, so every term has the size of the error,
     unlike the expansion ``x.Gx - 2c x.g + c^2 r.Wr``, which cancels once
-    the error is small against the field.  A step costs one product with
-    the block-diagonal Gram and a few passes over the state, not over the
-    quadrature values, and :meth:`result` takes the roots and sums them
-    once.  ``G`` must be nonsingular on ``S``.
+    the error is small against the field.  :meth:`add` takes a block of
+    nodes, with one contiguous row of ``z`` per node and one product with
+    the block-diagonal Gram, and :meth:`result` takes the roots and sums
+    them once.  ``G`` must be nonsingular on ``S``.
     """
 
-    def __init__(self, grid: TimeGrid, factor: Callable, fields: dict,
-                 norms: dict):
-        """``fields`` maps names to ``(E, w, r)``, ``norms`` maps each
-        ``(field, norm)`` key to the field names it sums; ``factor`` is
-        the vectorized c(t)."""
+    def __init__(self, grid: TimeGrid, factor: Callable, norms: dict):
+        """``norms`` maps ``(field, norm)`` to ``(E, w, r)``; ``factor`` is c(t)."""
         self._keys = list(norms)
-        take, grams, rho, s, res = zip(*(_project(fields, parts)
-                                         for parts in norms.values()))
-        n_state = next(iter(fields.values()))[0].shape[1]
+        take, grams, rho, s, res = zip(*(_project(*norm)
+                                         for norm in norms.values()))
+        n_state = next(iter(norms.values()))[0].shape[1]
         self._take = np.concatenate(take)
         if np.array_equal(self._take, np.arange(n_state)):
             self._take = None                   # every dof once, in order
@@ -163,18 +160,28 @@ class L1NormAccumulator:
         self._count = 0
 
     def add(self, n: int, u: np.ndarray, p: np.ndarray) -> None:
+        """Add nodes ``n, n + 1, ...``: the vectors of one node, or
+        ``(n_v, k)`` and ``(n_q, k)`` arrays, one column per node.  A node
+        adds the same bits whatever block it comes in."""
+        u, p = u.T.reshape(-1, len(u)), p.T.reshape(-1, len(p))
+        k = len(u)                  # one row per node from here on
+        if len(p) != k:
+            raise ValueError(f"u holds {k} nodes and p {len(p)}")
         if n != self._count:        # nodes come in order, from 0
             raise ValueError(f"expected node {self._count}, got {n}")
-        c = self._scale[n]
-        z = np.concatenate((u, p))
+        if n + k > len(self._weights):
+            raise ValueError(f"nodes {n}..{n + k - 1} run past the last "
+                             f"node {len(self._weights) - 1} of the grid")
+        c = self._scale[n:n + k, None]
+        z = np.concatenate((u, p), axis=1)
         if self._take is not None:
-            z = z[self._take]
+            z = z[:, self._take]
         z -= c * self._rho
-        q = self._gram @ z
+        q = np.ascontiguousarray((self._gram @ z.T).T)     # a row per node
         q -= (2.0 * c) * self._s
         q *= z
-        self._squares[n] += np.add.reduceat(q, self._starts)
-        self._count += 1
+        self._squares[n:n + k] += np.add.reduceat(q, self._starts, axis=1)
+        self._count += k
 
     def result(self) -> dict:
         """``{field: {norm: value}}``; needs every node of the grid."""
@@ -189,13 +196,9 @@ class L1NormAccumulator:
         return out
 
 
-def _project(fields: dict, parts) -> tuple:
-    """``(S, G, rho, s, res)`` of the norm summing the fields ``parts``
-    (see :class:`L1NormAccumulator`), on the dofs ``S`` it reads."""
-    es = [fields[name][0] for name in parts]
-    e = sp.vstack(es, format="csr") if len(es) > 1 else es[0].tocsr(copy=True)
-    w = np.concatenate([np.ravel(fields[name][1]) for name in parts])
-    r = np.concatenate([np.ravel(fields[name][2]) for name in parts])
+def _project(e, w, r) -> tuple:
+    """``(S, G, rho, s, res)`` of a norm ``(E, w, r)`` on the dofs ``S`` it reads."""
+    e, w, r = e.tocsr(copy=True), np.ravel(w), np.ravel(r)
     e.eliminate_zeros()                 # e is a copy, changed in place
     used = np.bincount(e.indices) > 0   # the dofs S that E reads
     e = sp.csr_matrix((e.data, (np.cumsum(used) - 1)[e.indices], e.indptr),
@@ -429,7 +432,7 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, loads):
     multi-column solve with the columns ``(f_n, q_n)`` gives the block's
     states, which are appended to the history.  The sums of ``k1`` and
     ``k2`` read solved states, so a block of several nodes needs both
-    absent.  Returns the ``(u_n, p_n)`` of each node.
+    absent.  Returns ``(u, p)`` with one column per node.
     """
     grid = hist.grid
     fs, qs = [], []
@@ -448,15 +451,13 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, loads):
         hist.append_q(q)
         fs.append(f)
         qs.append(q)
-    if len(fs) == 1:
-        f, q = fs[0], qs[0]
-    else:                       # one column per node
-        f, q = np.array(fs).T, np.array(qs).T
+    # one column per node, or the vectors of a block of one
+    f, q = (fs[0], qs[0]) if len(fs) == 1 else (np.array(fs).T, np.array(qs).T)
     del fs, qs                  # not alive through the solve
     # g3 is folded into q; g1 and g2 are those of every node of the block
     u, p = sys.factorization().solve(f, q, (g1, g2, 1.0))
     hist.append(u, p)
-    return [(u, p)] if u.ndim == 1 else list(zip(u.T, p.T))
+    return u.reshape(len(u), -1), p.reshape(len(p), -1)
 
 
 def split_load(load: Callable):
@@ -495,19 +496,18 @@ class VolterraStepper:
         """Step through the whole grid, ``width`` nodes per :func:`step`.
 
         The loads ``f_of_t(t)``, ``g_of_t(t)`` are requested once per
-        node, in node order, and ``on_step(n, t, u, p)`` is called for
-        every node once its block is solved; its states are views of
-        arrays that no later block writes.
+        node, in node order.  ``on_step(n, times, u, p)`` gets each block
+        once it is solved: its nodes ``times`` from node ``n`` on, and
+        ``(n_v, k)``, ``(n_q, k)`` states that no later block writes.
         """
         times = self.grid.times
         for start in range(0, len(times), self.width):
-            states = step(self.sys, self.hist,
-                          ((f_of_t(t), g_of_t(t))
-                           for t in times[start:start + self.width]))
+            block = times[start:start + self.width]
+            u, p = step(self.sys, self.hist,
+                        ((f_of_t(t), g_of_t(t)) for t in block))
             if on_step is not None:
-                for n, (u, p) in enumerate(states, start):
-                    on_step(n, times[n], u, p)
-            del states                  # not alive through the next solve
+                on_step(start, block, u, p)
+            del u, p                    # not alive through the next solve
         return self
 
 

@@ -107,9 +107,9 @@ def beam_operator(mesh):
     return e, np.tile(wq.ravel(), 6)
 
 
-def laplace_case():
+def laplace_case(n_steps=12):
     prob = LaplaceProblem(4, delta=0.01)
-    grid = TimeGrid(T=0.3, n_steps=12)
+    grid = TimeGrid(T=0.3, n_steps=n_steps)
     return (lambda: laplace_accumulator(prob.space, prob.manufactured, grid),
             lambda series: reference_laplace_errors(
                 prob.space, prob.manufactured, grid, series),
@@ -117,9 +117,9 @@ def laplace_case():
             laplace_operator(prob.space))
 
 
-def beam_case():
+def beam_case(n_steps=12):
     cfg = joined_profile(d=0.01)
-    grid = TimeGrid(T=2.0, n_steps=12)
+    grid = TimeGrid(T=2.0, n_steps=n_steps)
     kern = beam_kernel(PronySLS(1.0, 1.0, 1.0))
     ref = beam_exact_reference(cfg, np.exp, None, grid, kern, n_ref=64)
     mesh = beam_mesh(cfg, 8)
@@ -132,10 +132,16 @@ def beam_case():
 CASES = {"laplace": laplace_case, "beam": beam_case}
 
 
-def accumulate(acc, series):
+def accumulate(build, series):
+    """``result()`` with the states added node by node, and with the
+    whole grid added as one block."""
+    by_node = build()
     for n, (u, p) in enumerate(series):
-        acc.add(n, u, p)
-    return acc.result()
+        by_node.add(n, u, p)
+    block = build()
+    block.add(0, np.array([u for u, _ in series]).T,
+              np.array([p for _, p in series]).T)
+    return by_node.result(), block.result()
 
 
 @pytest.mark.parametrize("driver", sorted(CASES))
@@ -144,13 +150,13 @@ def test_matches_reference_formula_on_random_states(driver):
     rng = np.random.default_rng(7)
     series = [(rng.standard_normal(n_v), rng.standard_normal(n_q))
               for _ in range(grid.n_steps + 1)]
-    got = accumulate(build(), series)
     want = reference(series)
-    assert list(got) == list(want)
-    for name in want:
-        assert list(got[name]) == list(want[name])
-        for norm, value in want[name].items():
-            assert_allclose(got[name][norm], value, rtol=1e-13)
+    for got in accumulate(build, series):
+        assert list(got) == list(want)
+        for name in want:
+            assert list(got[name]) == list(want[name])
+            for norm, value in want[name].items():
+                assert_allclose(got[name][norm], value, rtol=1e-13)
 
 
 @pytest.mark.parametrize("driver", sorted(CASES))
@@ -163,14 +169,15 @@ def test_small_error_is_not_cancelled(driver):
     k = int(np.argmax(np.abs(e).sum(axis=0)))
     x = x0.copy()
     x[k] += EPS
-    acc = L1NormAccumulator(grid, np.ones_like, {"f": (e, w, e @ x0)},
-                            {("f", "e0"): ("f",)})
-    got = accumulate(acc, [(x[:n_v], x[n_v:])] * (grid.n_steps + 1))["f"]["e0"]
+    got = accumulate(lambda: L1NormAccumulator(
+        grid, np.ones_like, {("f", "e0"): (e, w, e @ x0)}),
+        [(x[:n_v], x[n_v:])] * (grid.n_steps + 1))
     ek = np.zeros_like(x0)
     ek[k] = 1.0
     col = e @ ek
     want = grid.T * EPS * math.sqrt(float(np.sum(w * col * col)))
-    assert_allclose(got, want, rtol=1e-6)
+    for result in got:
+        assert_allclose(result["f"]["e0"], want, rtol=1e-6)
 
     # the expanded quadratic form x.Gx - 2 x.g + r.Wr loses it entirely
     r = e @ x0
@@ -195,9 +202,9 @@ def test_off_range_reference_matches_extended_precision(driver):
     rho = np.linalg.lstsq(sw[:, None] * e.toarray(), sw * r, rcond=None)[0]
     dx = EPS * rng.standard_normal(rho.size)
     states = [math.cos(t) * rho + dx for t in grid.times]
-    acc = L1NormAccumulator(grid, np.cos, {"f": (e, w, r)},
-                            {("f", "e0"): ("f",)})
-    got = accumulate(acc, [(x[:n_v], x[n_v:]) for x in states])["f"]["e0"]
+    got = accumulate(lambda: L1NormAccumulator(
+        grid, np.cos, {("f", "e0"): (e, w, r)}),
+        [(x[:n_v], x[n_v:]) for x in states])
 
     # node by node in extended precision
     ld = np.longdouble
@@ -207,7 +214,8 @@ def test_off_range_reference_matches_extended_precision(driver):
                          states):
         d = e_ld @ x.astype(ld) - ld(math.cos(t)) * r_ld
         want += ld(w_n) * np.sqrt(np.sum(w_ld * d * d))
-    assert_allclose(got, float(want), rtol=1e-6)
+    for result in got:
+        assert_allclose(result["f"]["e0"], float(want), rtol=1e-6)
 
 
 def test_result_needs_every_node():
@@ -218,12 +226,57 @@ def test_result_needs_every_node():
         acc.result()
 
 
-@pytest.mark.parametrize("nodes", [[0, 1, 2, 2], [0, 1, 2, 4]])
+@pytest.mark.parametrize("nodes", [
+    # (first node, columns) of each add: 0 columns for the vectors of one
+    # node, a pair for u and p of different widths; the last is refused
+    [(0, 0), (1, 0), (2, 0), (2, 0)],   # a repeated node
+    [(0, 0), (1, 0), (2, 0), (4, 0)],   # a skipped node
+    [(0, 3), (2, 4)],                   # a block that starts too early
+    [(0, 3), (4, 4)],                   # or too late
+    [(0, 3), (3, 11)],                  # one that runs past the 13 nodes
+    [(0, 3), (3, (2, 3))],              # u and p of different widths
+    [(0, 3), (3, (0, 2))],              # the vectors of one node and a block
+])
 def test_nodes_are_added_in_order(nodes):
-    # a repeated or a skipped node is refused where it is added
-    build, _, (n_v, n_q), _, _ = CASES["laplace"]()
+    # a bad add is refused where it is made, and changes nothing
+    build, _, (n_v, n_q), grid, _ = CASES["laplace"]()
     acc = build()
-    for n in nodes[:-1]:
-        acc.add(n, np.zeros(n_v), np.zeros(n_q))
-    with pytest.raises(ValueError, match="expected node 3, got"):
-        acc.add(nodes[-1], np.zeros(n_v), np.zeros(n_q))
+
+    def states(columns):
+        k_u, k_p = columns if isinstance(columns, tuple) else (columns,) * 2
+        return (np.zeros((n_v, k_u)) if k_u else np.zeros(n_v),
+                np.zeros((n_q, k_p)) if k_p else np.zeros(n_q))
+
+    for n, columns in nodes[:-1]:
+        acc.add(n, *states(columns))
+    n, columns = nodes[-1]
+    match = "u holds" if isinstance(columns, tuple) else \
+        "run past the last node 12 of the grid" if n == 3 \
+        else f"expected node 3, got {n}"
+    with pytest.raises(ValueError, match=match):
+        acc.add(n, *states(columns))
+    # the rest of the grid from node 3 on completes it
+    acc.add(3, *states(grid.n_steps - 2))
+    assert acc.result() == accumulate(build, [states(0)] * 13)[0]
+
+
+@pytest.mark.parametrize("driver", sorted(CASES))
+def test_blocks_add_what_their_nodes_add(driver):
+    # random states in blocks of 1, 3, 22 and 64 columns, the last block
+    # shorter than the rest, in the layouts both solvers return: the
+    # same result, bit for bit, as adding the nodes one by one
+    build, _, (n_v, n_q), grid, _ = CASES[driver](n_steps=150)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((n_v, grid.n_steps + 1))
+    p = rng.standard_normal((n_q, grid.n_steps + 1))
+    by_node = build()
+    for n in range(grid.n_steps + 1):
+        by_node.add(n, u[:, n], p[:, n])
+    want = by_node.result()
+    for width in (1, 3, 22, 64):
+        for order in "CF":
+            acc = build()
+            for n in range(0, grid.n_steps + 1, width):
+                acc.add(n, np.array(u[:, n:n + width], order=order),
+                        np.array(p[:, n:n + width], order=order))
+            assert acc.result() == want, (width, order)

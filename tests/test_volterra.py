@@ -76,13 +76,13 @@ def test_split_load_calls_load_once_per_node():
     f_of_t, g_of_t = split_load(load)
     states = []
     VolterraStepper(sys_, grid).run(
-        f_of_t, g_of_t, on_step=lambda n, t, u, p: states.append((u, p)))
+        f_of_t, g_of_t, on_step=lambda n, times, u, p: states.append((u, p)))
     assert_array_equal(calls, grid.times)
     # same states as two independent load callbacks
     ref = []
     VolterraStepper(scalar_system(k3=sys_.k3), grid).run(
         lambda t: load(t)[0], lambda t: load(t)[1],
-        on_step=lambda n, t, u, p: ref.append((u, p)))
+        on_step=lambda n, times, u, p: ref.append((u, p)))
     for (u, p), (u_ref, p_ref) in zip(states, ref):
         assert_array_equal(u, u_ref)
         assert_array_equal(p, p_ref)
@@ -156,17 +156,20 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     grid = TimeGrid(T=1.0, n_steps=20)
     # built on first use, not with the system
     assert calls == []
-    states = []
+    blocks = []
     stepper = VolterraStepper(sys_, grid)
     stepper.run(lambda t: np.zeros(1), lambda t: np.ones(1),
-                on_step=lambda n, t, u, p: states.append(u[0]))
+                on_step=lambda n, times, u, p: blocks.append((n, times, u)))
     assert len(calls) == 1
     # the 21 nodes fit one block: one solve of 21 columns on that factor,
     # with g3 folded into the constraint column q_n = B u_n
     assert stepper.width == 64
     assert [(fact, g, f.shape, q.shape) for fact, g, f, q in solves] \
         == [(id(sys_.factorization()), (1.0, 1.0, 1.0), (1, 21), (1, 21))]
-    assert_array_equal(solves[0][3][0], states)
+    [(n0, times, u)] = blocks
+    assert n0 == 0 and u.shape == (1, 21)
+    assert_array_equal(times, grid.times)
+    assert_array_equal(solves[0][3][0], u[0])
     assert solves[0][3][0, 0] == 1.0
     # the gate saw every node once, in order, with the steady scalings
     steady = orig_gammas(sys_, grid, 1)
@@ -199,9 +202,10 @@ def test_step_hand_solvable_system():
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=2)
     hist = HistoryBuffer(sys, grid)
-    [(u, p)] = step(sys, hist, [(np.array([1.0, 0.0]), np.array([1.0]))])
-    assert_allclose(u, [1.0, 0.0], atol=1e-14)
-    assert_allclose(p, [0.0], atol=1e-14)
+    u, p = step(sys, hist, [(np.array([1.0, 0.0]), np.array([1.0]))])
+    assert u.shape == (2, 1) and p.shape == (1, 1)
+    assert_allclose(u[:, 0], [1.0, 0.0], atol=1e-14)
+    assert_allclose(p[:, 0], [0.0], atol=1e-14)
     assert len(hist) == 1
 
 
@@ -223,7 +227,8 @@ def test_zero_kernel_reduces_to_stationary_solve():
 
     states = []
     VolterraStepper(sys, grid).run(
-        f_of_t, g_of_t, on_step=lambda n, t, u, p: states.append((t, u, p)))
+        f_of_t, g_of_t, on_step=lambda n, times, u, p: states.extend(
+            zip(times, u.T, p.T)))
     assert [t for t, _, _ in states] == list(grid.times)
     for t, u, p in states:
         u_ref, p_ref = fact.solve(f_of_t(t), g_of_t(t))
@@ -487,7 +492,7 @@ def test_scalar_stepper_tracks_creep_factor_second_order():
         last = {}
         VolterraStepper(sys, grid).run(
             lambda t: np.zeros(1), lambda t: np.ones(1),
-            on_step=lambda n, t, u, p: last.update(u=u[0]))
+            on_step=lambda n, times, u, p: last.update(u=u[0, -1]))
         errs.append(abs(last["u"] - exact_T))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.9)
@@ -520,7 +525,7 @@ def assert_stepper_paths_agree(*slots):
         out = []
         stepper.run(lambda t: np.full(n, math.sin(t)),
                     lambda t: np.full(m, math.cos(t)),
-                    on_step=lambda nn, t, u, p: out.append((u.copy(), p.copy())))
+                    on_step=lambda nn, times, u, p: out.append((u.copy(), p.copy())))
         return out
 
     direct = run(direct_form(kernel))
@@ -547,9 +552,13 @@ def scalar_runner(kernel):
     sys_ = scalar_system(k3=kernel)
 
     def run(grid, collect):
+        def on_step(n, times, u, p):
+            for j, t in enumerate(times):
+                collect(n + j, t, u[:, j], p[:, j])
+
         stepper = VolterraStepper(sys_, grid)
         stepper.run(lambda t: np.zeros(1), lambda t: np.array([1.0 + t]),
-                    on_step=collect)
+                    on_step=on_step)
         return stepper
     return run
 
@@ -595,6 +604,39 @@ def test_blocked_states_match_the_direct_form(runner, width, n_steps):
         assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
         assert np.max(np.abs(p - p_ref)) <= 1e-12 * max(np.max(np.abs(p_ref)),
                                                         1e-300)
+
+
+@pytest.mark.parametrize("n_v, n_q, width, n_steps", [
+    (1, 1, 64, 150), (2000, 900, 22, 50), (15000, 6000, 3, 10),
+    (3, 2, 1, 5)], ids=["64", "22", "3", "1"])
+def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
+    # the stepper's width follows from the system's size (one node at a
+    # time for a general kernel); the last block is shorter than the rest
+    kernel = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
+    if width == 1:
+        kernel = direct_form(kernel)
+    sys_ = BlockSaddleSystem(sp.identity(n_v, format="csr"),
+                             sp.eye(n_q, n_v, format="csr"), k3=kernel)
+    grid = TimeGrid(T=1.0, n_steps=n_steps)
+    blocks = []
+
+    def on_step(n, times, u, p):
+        blocks.append((n, times, u, p, u.copy(), p.copy()))
+
+    stepper = VolterraStepper(sys_, grid)
+    assert stepper.width == width
+    stepper.run(lambda t: np.full(n_v, t), lambda t: np.full(n_q, 1.0 + t),
+                on_step=on_step)
+    assert [n for n, *_ in blocks] == list(range(0, n_steps + 1, width))
+    assert width == 1 or (n_steps + 1) % width != 0
+    for n, times, u, p, u_copy, p_copy in blocks:
+        k = min(width, n_steps + 1 - n)
+        assert_array_equal(times, grid.times[n:n + k])
+        assert u.shape == (n_v, k) and p.shape == (n_q, k)
+        # later blocks never wrote over the arrays handed out
+        assert_array_equal(u, u_copy)
+        assert_array_equal(p, p_copy)
+    assert stepper.n_done == n_steps + 1
 
 
 def test_stability_constants_zero_kernels():
