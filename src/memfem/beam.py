@@ -418,12 +418,12 @@ class BeamProblem:
                 f"{out_dir}/beam_nodal.csv and {out_dir}/beam_cells.csv")
 
     def run(self, grid: TimeGrid, reference: Optional[BeamReference] = None,
-            audit: bool = False, collect: Optional[Callable] = None):
+            collect: Optional[Callable] = None):
         """Step through the grid; returns (errors, stepper).
 
         Errors against ``reference`` are None when no reference is given.
         """
-        stepper = VolterraStepper(self.system, grid, audit=audit)
+        stepper = VolterraStepper(self.system, grid)
         acc = None if reference is None else \
             beam_accumulator(self.mesh, reference, grid)
 

@@ -1,12 +1,13 @@
 """Command line driver: single runs, convergence studies, stability
-certificates, and history-recurrence audits.
+certificates, and audits of a run against its kernels in direct form.
 
 Configuration is a single JSON document; individual keys can be
 overridden on the command line with ``--set key=value`` (dotted paths
 reach into the kernel block, values parsed as JSON when possible).
 
 Exit codes: 0 success, 2 configuration error, 3 solver or estimator
-failure, 4 time-step stability gate violation.
+failure, a violated certificate bound or an audit deviation above
+1e-12, 4 time-step stability gate violation.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .kernels import MemoryKernel, PronySLS, beam_kernel
 from .report import ConvergenceReport, LevelRow, render_csv, render_markdown, render_svg
 from .sparsela import (infsup_estimate, kernel_ellipticity, operator_norm_b,
                        operator_norm_estimate)
-from .volterra import TimeGrid, error_constants, stability_constants, trapezoid_weights
+from .volterra import (TimeGrid, audit, error_constants, stability_constants,
+                       trapezoid_weights)
 
 __all__ = ["main", "load_config", "run_study", "emit_report", "emit_certificate"]
 
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_GATE = 4
+AUDIT_TOL = 1e-12       # the largest relative deviation an audit passes
 
 
 def _parse_value(text: str):
@@ -118,7 +121,8 @@ def validate_config(cfg: dict) -> None:
     levels = cfg.get("levels")
     if not isinstance(levels, list) or not levels:
         raise ConfigError("config key 'levels' must be a non-empty list")
-    if any(not isinstance(l, int) or l < 1 for l in levels):
+    if any(not isinstance(l, int) or isinstance(l, bool) or l < 1
+           for l in levels):
         raise ConfigError("mesh levels must be positive integers")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("mesh levels must be strictly refining")
@@ -144,7 +148,8 @@ def validate_config(cfg: dict) -> None:
         if probe is not None:
             # the comparisons also reject NaN and infinities
             if (not isinstance(probe, list) or len(probe) != 2
-                    or not all(isinstance(c, (int, float)) and 0 <= c <= 1
+                    or not all(isinstance(c, (int, float))
+                               and not isinstance(c, bool) and 0 <= c <= 1
                                for c in probe)):
                 raise ConfigError(
                     f"probe must be a point of the unit square, got {probe!r}")
@@ -166,7 +171,7 @@ def build_kernel(cfg: dict):
             sls = PronySLS(k1=float(spec.get("k1", 1.0)),
                            k2=float(spec.get("k2", 1.0)),
                            eta2=float(spec.get("eta2", 1.0)))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         return beam_kernel(sls), sls.e0
     if kind == "custom_exp":
@@ -423,12 +428,11 @@ def _cmd_certificate(cfg: dict) -> int:
 
 def _cmd_audit(cfg: dict) -> int:
     grid = TimeGrid(T=float(cfg["T"]), n_steps=int(cfg["n_steps"]))
-    _, stepper = _single_problem(cfg).run(grid, audit=True)
-    hist = stepper.hist
-    print(f"audited {hist.audit_steps} steps: max relative deviation "
-          f"between direct and recurrence history sums = "
-          f"{hist.audit_max_rel:.3e}")
-    return EXIT_OK
+    prob = _single_problem(cfg)
+    steps, deviation = audit(prob.system, grid, prob.rhs)
+    print(f"audited {steps} steps: max relative deviation between "
+          f"recurrence and direct-form states = {deviation:.3e}")
+    return EXIT_OK if deviation <= AUDIT_TOL else EXIT_SOLVER
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("run", "single simulation with probe/field CSV output"),
             ("convergence", "mesh refinement study and rate report"),
             ("certificate", "stability constants and bound check"),
-            ("audit", "compare direct and recurrence history sums")):
+            ("audit", "compare a run with its kernels in direct form; "
+                      "exit 3 above a relative deviation of 1e-12")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON configuration file")
         cmd.add_argument("--set", action="append", default=[],

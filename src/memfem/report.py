@@ -88,50 +88,34 @@ class ConvergenceReport:
         return [r for r in self.rates[(name, norm)] if r is not None]
 
 
-def _cell(value, kind):
-    if kind == "dof":
-        return str(int(value))
-    if value is None:
-        return "--"
-    return "%.6e" % value
+def _table(report: ConvergenceReport, formats: dict) -> list:
+    """The header and one row of cells per level, walking
+    ``report.columns()`` with one format per column kind; an undefined
+    rate is ``--``."""
+    cols = report.columns()
+    table = [[c[0] for c in cols]]
+    for i, row in enumerate(report.rows):
+        cells = []
+        for _, kind, name, norm in cols:
+            value = (row.dofs if kind == "dof" else row.h if kind == "h"
+                     else row.errors[name][norm] if kind == "err"
+                     else report.rates[(name, norm)][i])
+            cells.append("--" if value is None else formats[kind] % value)
+        table.append(cells)
+    return table
 
 
 def render_csv(report: ConvergenceReport) -> str:
-    cols = report.columns()
-    lines = [",".join(c[0] for c in cols)]
-    for i, row in enumerate(report.rows):
-        cells = []
-        for header, kind, name, norm in cols:
-            if kind == "dof":
-                cells.append(_cell(row.dofs, "dof"))
-            elif kind == "h":
-                cells.append(_cell(row.h, "h"))
-            elif kind == "err":
-                cells.append(_cell(row.errors[name][norm], "err"))
-            else:
-                cells.append(_cell(report.rates[(name, norm)][i], "rate"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    table = _table(report, {"dof": "%d", "h": "%.6e", "err": "%.6e",
+                            "rate": "%.6e"})
+    return "".join(",".join(cells) + "\n" for cells in table)
 
 
 def render_markdown(report: ConvergenceReport) -> str:
-    cols = report.columns()
-    head = "| " + " | ".join(c[0] for c in cols) + " |"
-    sep = "|" + "|".join(["---"] * len(cols)) + "|"
-    lines = [head, sep]
-    for i, row in enumerate(report.rows):
-        cells = []
-        for header, kind, name, norm in cols:
-            if kind == "dof":
-                cells.append(str(row.dofs))
-            elif kind == "h":
-                cells.append("%.4g" % row.h)
-            elif kind == "err":
-                cells.append("%.4e" % row.errors[name][norm])
-            else:
-                rate = report.rates[(name, norm)][i]
-                cells.append("--" if rate is None else "%.2f" % rate)
-        lines.append("| " + " | ".join(cells) + " |")
+    head, *rows = _table(report, {"dof": "%d", "h": "%.4g", "err": "%.4e",
+                                  "rate": "%.2f"})
+    lines = ["| " + " | ".join(cells) + " |" for cells in [head] + rows]
+    lines.insert(1, "|" + "|".join(["---"] * len(head)) + "|")
     if report.problem:
         lines.append("")
         lines.append(f"Problem: {report.problem}; config {report.config_hash}")

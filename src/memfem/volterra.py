@@ -20,7 +20,8 @@ hybridized SPD system on the shared v-dofs.  The
 history kept is what the attached kernels read: a convolution kernel
 gets an O(1) exponential recurrence, and a general kernel one product of
 the weight row with the stored ``(N+1, n)`` states of the family it
-reads.  An audit checks each recurrence sum against the direct one.
+reads.  :func:`audit` checks a run against the same kernels in that
+direct form.
 
 Row 2 alone fixes ``q_n = B u_n = (g_n + sum_{j<n} w_{n,j} k3 q_j) / g3``,
 so ``k3`` keeps its history on the ``n_q``-vectors ``q``.  Without ``k1``
@@ -28,8 +29,8 @@ and ``k2``, and with ``k3`` exponential or absent, every right-hand side
 ``(f_n, q_n)`` of the unscaled ``K`` is then known before any solve,
 and the stepper solves its nodes in blocks of
 ``max(1, min(64, 65536 // (n_v + n_q)))``, one multi-column solve per
-block, whose right-hand side stays within 512 KiB.  Every other system,
-and an audited run, solves one node at a time on the same code.
+block, whose right-hand side stays within 512 KiB.  Every other system
+solves one node at a time on the same code.
 
 L1-in-time error norms take each solved block at once, in dof space:
 against the projection of the oracle, which leaves state-sized work that
@@ -62,6 +63,7 @@ __all__ = [
     "ErrorConstants",
     "trapezoid_weights",
     "split_load",
+    "audit",
     "step",
     "step_gammas",
     "history_sum",
@@ -282,20 +284,14 @@ class HistoryBuffer:
       append of its family the history sum of step k + 1 (see
       :func:`history_sum`);
     * ``u`` or ``p`` is stored, as the rows of an ``(n_steps + 1, n)``
-      array, only when a general kernel reads it or, with ``audit``, an
-      exponential one does, where ``q`` counts as ``u``.  That costs
-      ``(n_steps + 1) * n * 8`` bytes, with ``n = n_v`` for ``u`` and
-      ``n = n_q`` for ``p``;
-    * a family that no kernel reads is never stored.
-
-    With ``audit`` every recurrence sum is also summed directly, and the
-    largest relative deviation is kept in ``audit_max_rel``.
+      array, only when a general kernel reads it, where ``q`` counts as
+      ``u``.  That costs ``(n_steps + 1) * n * 8`` bytes, with
+      ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
+    * a family that no general kernel reads is never stored.
     """
 
-    def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid,
-                 audit: bool = False):
+    def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid):
         self.grid = grid
-        self.audit = audit
         self.b = sys.b
         reads = [(kernel, which) for kernel, which
                  in zip(sys.kernels, ("u", "p", "q")) if kernel is not None]
@@ -307,14 +303,11 @@ class HistoryBuffer:
         # family -> (n_steps + 1, n) rows; the direct sum of q reads u
         self._stored = {_ROWS[which]: np.empty((grid.n_steps + 1,
                                                 size[_ROWS[which]]))
-                        for kernel, which in reads
-                        if audit or not kernel.is_exp}
+                        for kernel, which in reads if not kernel.is_exp}
         self._count = 0         # solved states appended
         self._q_count = 0       # constraint values appended
         # w_{n,j} for j < n, the same for every n <= n_steps
         self._weights = trapezoid_weights(grid, grid.n_steps)
-        self.audit_max_rel = 0.0
-        self.audit_steps = 0
 
     def __len__(self) -> int:
         return self._count
@@ -372,9 +365,7 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
 
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
     holds one, and otherwise as one product of the weight row with the
-    stored states (for ``q``, ``B`` times that of the stored ``u``).  An
-    auditing buffer also sums a recurrence's history directly and
-    records the relative deviation of the two.
+    stored states (for ``q``, ``B`` times that of the stored ``u``).
     """
     n = hist._q_count if which == "q" else len(hist)
     if n < 1:
@@ -382,9 +373,7 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
     recur = hist._recur.get((kernel, which))
     if recur is not None:
         # a copy: the next append updates the recurrence in place
-        recur = recur[1].copy()
-        if not hist.audit:
-            return recur
+        return recur[1].copy()
     times = hist.grid.times
     xs = hist.vectors(_ROWS[which])
     if len(xs) < n:
@@ -392,15 +381,7 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
                          f"stored states, and the buffer holds {len(xs)}")
     kv = np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
     direct = (hist._weights[:n] * kv) @ xs[:n]
-    if which == "q":
-        direct = hist.b @ direct
-    if recur is None:
-        return direct
-    denom = float(np.max(np.abs(direct)))
-    rel = float(np.max(np.abs(recur - direct))) / (denom + 1e-300)
-    hist.audit_max_rel = max(hist.audit_max_rel, rel)
-    hist.audit_steps += 1
-    return recur
+    return hist.b @ direct if which == "q" else direct
 
 
 def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
@@ -471,18 +452,16 @@ class VolterraStepper:
     """Single-owner driver object for stepping a system through a grid.
 
     The history it keeps is what the system's kernels read (see
-    :class:`HistoryBuffer`); ``audit`` also checks each recurrence sum
-    against the direct one.  ``width`` nodes share a solve (see the
+    :class:`HistoryBuffer`).  ``width`` nodes share a solve (see the
     module docstring): one for a system with ``k1``, ``k2`` or a general
-    ``k3``, and for an audit, whose direct sums read solved states.
+    ``k3``, whose sums read solved states.
     """
 
-    def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid,
-                 audit: bool = False):
+    def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid):
         self.sys = sys
         self.grid = grid
-        self.hist = HistoryBuffer(sys, grid, audit)
-        blocked = not audit and sys.k1 is None and sys.k2 is None \
+        self.hist = HistoryBuffer(sys, grid)
+        blocked = sys.k1 is None and sys.k2 is None \
             and (sys.k3 is None or sys.k3.is_exp)
         self.width = max(1, min(64, 65536 // (sys.n_v + sys.n_q))) \
             if blocked else 1
@@ -509,6 +488,33 @@ class VolterraStepper:
                 on_step(start, block, u, p)
             del u, p                    # not alive through the next solve
         return self
+
+
+def audit(sys: BlockSaddleSystem, grid: TimeGrid, load: Callable):
+    """Step ``sys`` under ``load(t) -> (f, g)`` as every run does, and in
+    lockstep the same system with each kernel in direct form (a general
+    kernel of the same ``eval``).  Returns ``(steps, deviation)``:
+    ``grid.n_steps``, or 0 when no kernel is exponential, and the larger
+    over ``u`` and ``p`` of ``max_n |x_n - x'_n|_inf / max_n |x'_n|_inf``
+    against the direct-form states ``x'``."""
+    direct = BlockSaddleSystem(sys.a, sys.b, *(
+        None if k is None else MemoryKernel.from_callable(k.eval, k.bound)
+        for k in sys.kernels), elements=sys.elements)
+    direct._fact = sys.factorization()      # the kernels do not enter it
+    hist = HistoryBuffer(direct, grid)
+    worst = np.zeros((2, 2))        # rows u, p: max |x - x'|, max |x'|
+
+    def compare(n, times, u, p):
+        for j, t in enumerate(times):
+            pairs = zip((u[:, j:j + 1], p[:, j:j + 1]),
+                        step(direct, hist, [load(t)]))
+            np.maximum(worst, [(abs(x - ref).max(), abs(ref).max())
+                               for x, ref in pairs], out=worst)
+
+    VolterraStepper(sys, grid).run(*split_load(load), on_step=compare)
+    exp = any(k is not None and k.is_exp for k in sys.kernels)
+    return (grid.n_steps if exp else 0,
+            float(np.max(worst[:, 0] / np.maximum(worst[:, 1], 1e-300))))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,11 @@ def test_config_validation_errors():
         load_config(None, overrides=["problem=\"heat\""])
     with pytest.raises(ConfigError):
         load_config(None, overrides=["profile=\"taper\""])
+    for bools in ('levels=[true,2]', 'levels=[1,true]', 'probe=[true,0.5]',
+                  'probe=[0.5,false]'):
+        # JSON booleans are ints to Python; no level or coordinate is one
+        with pytest.raises(ConfigError):
+            load_config(None, overrides=['problem="laplace"', bools])
 
 
 def test_config_hash_deterministic():
@@ -94,9 +99,10 @@ def test_build_kernel_variants():
     cfg["kernel"] = {"type": "custom_exp"}
     with pytest.raises(ConfigError):
         build_kernel(cfg)
-    cfg["kernel"] = {"type": "sls", "k1": -1.0}
-    with pytest.raises(ConfigError):
-        build_kernel(cfg)
+    for k1 in (-1.0, None, [1], {"a": 1}):
+        cfg["kernel"] = {"type": "sls", "k1": k1}
+        with pytest.raises(ConfigError):
+            build_kernel(cfg)
     cfg["kernel"] = {"type": "custom_exp", "c": 1.0, "rate": -2.0}
     with pytest.raises(ConfigError):
         build_kernel(cfg)
@@ -266,6 +272,21 @@ def test_cli_exit_code_config_error():
     assert "configuration error" in proc.stderr
 
 
+@pytest.mark.parametrize("command, problem, override", [
+    ("certificate", "beam", "kernel.k1=null"),
+    ("certificate", "beam", "kernel.k1=[1]"),
+    ("convergence", "laplace", "levels=[true,2]")])
+def test_cli_wrong_json_types_are_config_errors(tmp_path, command, problem,
+                                                override):
+    proc = run_cli(command, "--set", f'problem="{problem}"', "--set", "m=4",
+                   "--set", "n_elements=4", "--set", "n_steps=10",
+                   "--set", "T=0.1", "--set", override,
+                   "--set", f'output_dir="{tmp_path}"')
+    assert proc.returncode == EXIT_CONFIG
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("delta", ["0.5", "-1"])
 def test_cli_kernel_delta_is_config_error(capsys, delta):
     # the Laplace memory is the top-level delta, so a kernel-block delta
@@ -316,7 +337,7 @@ def test_cli_unwritable_output_dir_is_config_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("probe", ["[2,0.5]", "[-0.1,0.5]", "[0.5,NaN]",
-                                   "[Infinity,0.5]"])
+                                   "[Infinity,0.5]", "[true,0.5]"])
 def test_cli_probe_outside_unit_square_is_config_error(probe):
     from memfem.cli import main
     code = main(["run", "--set", 'problem="laplace"', "--set", f"probe={probe}"])
@@ -378,8 +399,8 @@ def test_cli_audit_subcommand(tmp_path):
 
 @pytest.mark.parametrize("problem", ["beam", "laplace"])
 def test_cli_audit_deviation_within_bound(tmp_path, capsys, problem):
-    # the direct sum runs over the stored history array; it must agree
-    # with the recurrence to the stepper's audit bound
+    # the run, blocked as studies step it, must agree with the same
+    # kernels in direct form to the audit's bound
     from memfem.cli import main
 
     code = main(["audit", "--set", f'problem="{problem}"', "--set", "m=4",
@@ -389,6 +410,28 @@ def test_cli_audit_deviation_within_bound(tmp_path, capsys, problem):
     out = capsys.readouterr().out
     assert "audited 60 steps" in out
     assert float(out.rsplit("=", 1)[1]) <= 1e-12
+
+
+def test_cli_audit_exits_3_when_the_direct_form_disagrees(tmp_path, capsys,
+                                                         monkeypatch):
+    # an eval 1e-9 off its (c, rate): the recurrence and the direct sums
+    # read different kernels, and the audit fails
+    import memfem.cli as cli
+    from memfem.kernels import MemoryKernel
+
+    def off_kernel(cfg):
+        c, rate = -0.5, 1.0
+        return MemoryKernel(eval=lambda t, s: (1.0 + 1e-9) * c * np.exp(
+            -rate * (np.asarray(t) - np.asarray(s))), bound=0.5, c=c,
+            rate=rate), 1.0
+
+    monkeypatch.setattr(cli, "build_kernel", off_kernel)
+    code = cli.main(["audit", "--set", "n_elements=8", "--set", "n_steps=60",
+                     "--set", "T=2.0", "--set", f'output_dir="{tmp_path}"'])
+    assert code == EXIT_SOLVER
+    out = capsys.readouterr().out
+    assert "audited 60 steps" in out
+    assert float(out.rsplit("=", 1)[1]) > 1e-12
 
 
 def test_cli_convergence_subcommand(tmp_path):

@@ -337,6 +337,19 @@ def test_laplace_steps_solve_hybridized_and_beam_does_not():
     assert not isinstance(beam.system.factorization()._lu, HybridSaddle)
 
 
+def test_rhs_flux_row_is_shared_and_read_only():
+    prob = LaplaceProblem(4)
+    f, g = prob.rhs(0.0)
+    assert prob.rhs(1.0)[0] is f and not f.any()
+    with pytest.raises(ValueError, match="read-only"):
+        f[0] = 1.0
+    # the constraint row follows the load factor, one array per node
+    g1 = prob.rhs(1.0)[1]
+    assert g1 is not g
+    assert_allclose(g1, float(prob.manufactured.load_factor(1.0))
+                    / float(prob.manufactured.load_factor(0.0)) * g)
+
+
 def test_zero_kernel_run_reproduces_stationary_solves():
     grid = TimeGrid(T=0.5, n_steps=8)
     prob = LaplaceProblem(4, delta=None)

@@ -15,6 +15,7 @@ from memfem.volterra import (
     HistoryBuffer,
     TimeGrid,
     VolterraStepper,
+    audit,
     error_constants,
     history_sum,
     split_load,
@@ -418,23 +419,23 @@ def test_history_stores_only_the_families_kernels_read():
     grid = TimeGrid(T=1.0, n_steps=10)
     exp = MemoryKernel.exp_convolution(c=-1.0, rate=2.0)
     general = direct_form(exp)
-    cases = [  # (kernels, audit) -> stored families
-        ({"k3": general}, False, {"u"}),
-        ({"k2": general}, False, {"p"}),
-        ({"k1": exp, "k2": general}, False, {"p"}),
-        ({"k2": exp}, True, {"p"}),
-        ({"k1": exp, "k3": exp}, True, {"u"}),
-        ({"k1": exp, "k2": exp, "k3": exp}, False, set()),
-        ({}, True, set()),
+    cases = [  # kernels -> stored families
+        ({"k3": general}, {"u"}),
+        ({"k2": general}, {"p"}),
+        ({"k1": exp, "k2": general}, {"p"}),
+        ({"k2": exp}, set()),
+        ({"k1": exp, "k3": exp}, set()),
+        ({"k1": exp, "k2": exp, "k3": exp}, set()),
+        ({}, set()),
     ]
-    for kernels, audit, stored in cases:
-        hist = HistoryBuffer(sized_system(6, 3, **kernels), grid, audit)
+    for kernels, stored in cases:
+        hist = HistoryBuffer(sized_system(6, 3, **kernels), grid)
         assert hist.store_full == bool(stored)
         for _ in range(grid.n_steps + 1):
             hist.append(np.ones(6), np.ones(3))
         for which, n in (("u", 6), ("p", 3)):
             rows = hist.vectors(which)
-            # a family no general or audited kernel reads stays empty
+            # a family no general kernel reads stays empty
             assert rows.shape == ((11, n) if which in stored else (0, 0))
         # (N + 1) n_family 8 bytes for each stored family
         assert sum(x.nbytes for w in ("u", "p") for x in hist.vectors(w)) \
@@ -500,12 +501,49 @@ def test_scalar_stepper_tracks_creep_factor_second_order():
 
 def test_stepper_audit_recurrence_vs_direct():
     kernel = beam_kernel(PronySLS(1.0, 1.0, 1.0))
-    sys = scalar_system(k3=kernel)
     grid = TimeGrid(T=2.0, n_steps=200)
-    stepper = VolterraStepper(sys, grid, audit=True)
-    stepper.run(lambda t: np.zeros(1), lambda t: np.ones(1))
-    assert stepper.hist.audit_steps == 200
-    assert stepper.hist.audit_max_rel <= 1e-12
+    steps, deviation = audit(scalar_system(k3=kernel), grid,
+                             lambda t: (np.zeros(1), np.ones(1)))
+    assert steps == 200
+    assert deviation <= 1e-12
+    # no exponential kernel, no recurrence to audit
+    assert audit(scalar_system(k3=direct_form(kernel)), grid,
+                 lambda t: (np.zeros(1), np.ones(1))) == (0, 0.0)
+
+
+def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
+    # the system as given steps in blocks, as every run of it does; its
+    # direct form steps one node at a time beside it
+    kernel = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
+    sys_ = sized_system(2000, 900, k3=kernel)
+    grid = TimeGrid(T=1.0, n_steps=50)
+    widths = {}
+    traced = volterra.step
+
+    def counted(sys, hist, loads):
+        u, p = traced(sys, hist, loads)
+        widths.setdefault(sys is sys_, []).append(u.shape[1])
+        return u, p
+
+    monkeypatch.setattr(volterra, "step", counted)
+    steps, deviation = audit(sys_, grid, lambda t: (np.full(2000, t),
+                                                    np.full(900, 1.0 + t)))
+    assert steps == 50 and deviation <= 1e-12
+    assert widths[True] == [22, 22, 7]
+    assert widths[False] == [1] * 51
+
+
+def test_audit_fails_when_eval_disagrees_with_the_recurrence():
+    # an eval 1e-9 relative off its (c, rate): the two forms step
+    # different kernels, and the deviation shows it
+    c, rate = -0.5, 1.0
+    off = MemoryKernel(eval=lambda t, s: (1.0 + 1e-9) * c * np.exp(
+        -rate * (np.asarray(t) - np.asarray(s))), bound=0.5, c=c, rate=rate)
+    grid = TimeGrid(T=2.0, n_steps=200)
+    steps, deviation = audit(scalar_system(k3=off), grid,
+                             lambda t: (np.zeros(1), np.ones(1)))
+    assert steps == 200
+    assert 1e-12 < deviation < 1e-8
 
 
 def assert_stepper_paths_agree(*slots):
