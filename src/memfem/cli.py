@@ -166,6 +166,9 @@ def build_kernel(cfg: dict):
     kind = spec["type"]
     if kind == "none":
         return None, 1.0
+    for key in ("k1", "k2", "eta2", "c", "rate", "e0"):
+        if isinstance(spec.get(key), bool):     # float(True) reads 1.0
+            raise ConfigError(f"kernel key {key!r} must be a number")
     if kind == "sls":
         try:
             sls = PronySLS(k1=float(spec.get("k1", 1.0)),

@@ -24,13 +24,13 @@ reads.  :func:`audit` checks a run against the same kernels in that
 direct form.
 
 Row 2 alone fixes ``q_n = B u_n = (g_n + sum_{j<n} w_{n,j} k3 q_j) / g3``,
-so ``k3`` keeps its history on the ``n_q``-vectors ``q``.  Without ``k1``
-and ``k2``, and with ``k3`` exponential or absent, every right-hand side
-``(f_n, q_n)`` of the unscaled ``K`` is then known before any solve,
-and the stepper solves its nodes in blocks of
-``max(1, min(64, 65536 // (n_v + n_q)))``, one multi-column solve per
-block, whose right-hand side stays within 512 KiB.  Every other system
-solves one node at a time on the same code.
+a scalar Volterra system on ``n_q``-vectors.  Without ``k1`` and ``k2``,
+and with ``k3`` exponential or absent (``HistoryBuffer.blocked``), every
+``(f_n, q_n)`` is known before any solve: the stepper solves blocks of
+``max(1, min(64, 65536 // (n_v + n_q)))`` nodes, each block one
+multi-column solve (at most 512 KiB of right-hand side) and, under an
+exponential ``k3``, one affine map of row 2.  Every other system solves
+one node at a time on the same code.
 
 L1-in-time error norms take each solved block at once, in dof space:
 against the projection of the oracle, which leaves state-sized work that
@@ -275,24 +275,26 @@ class HistoryBuffer:
 
     Each kernel slot reads one family of states: ``k1`` reads ``u`` (as
     ``A u``), ``k2`` reads ``p`` (as ``B^T p``) and ``k3`` reads
-    ``q = B u``, which :func:`step` appends (:meth:`append_q`) before it
-    solves the node, and the solved ``(u, p)`` after (:meth:`append`).
-    The attached kernels fix what is kept:
+    ``q = B u``.  The attached kernels fix what is kept:
 
     * an exponential kernel gets a recurrence per (kernel, family),
-      updated in place in O(1) per append, that holds after the k-th
-      append of its family the history sum of step k + 1 (see
-      :func:`history_sum`);
+      updated in place, that holds the history sum of node ``len(self)``
+      (see :func:`history_sum`): :meth:`append` advances those of ``u``
+      and ``p`` by one node, and :func:`step` that of ``q`` by a block;
     * ``u`` or ``p`` is stored, as the rows of an ``(n_steps + 1, n)``
       array, only when a general kernel reads it, where ``q`` counts as
       ``u``.  That costs ``(n_steps + 1) * n * 8`` bytes, with
       ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
     * a family that no general kernel reads is never stored.
+
+    ``blocked``: several nodes may share a solve (see the module docstring).
     """
 
     def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid):
         self.grid = grid
         self.b = sys.b
+        self.blocked = sys.k1 is None and sys.k2 is None \
+            and (sys.k3 is None or sys.k3.is_exp)
         reads = [(kernel, which) for kernel, which
                  in zip(sys.kernels, ("u", "p", "q")) if kernel is not None]
         size = {"u": sys.n_v, "p": sys.n_q, "q": sys.n_q}
@@ -304,8 +306,8 @@ class HistoryBuffer:
         self._stored = {_ROWS[which]: np.empty((grid.n_steps + 1,
                                                 size[_ROWS[which]]))
                         for kernel, which in reads if not kernel.is_exp}
+        self._maps = {}         # (block starts at node 0, k) -> row 2's map
         self._count = 0         # solved states appended
-        self._q_count = 0       # constraint values appended
         # w_{n,j} for j < n, the same for every n <= n_steps
         self._weights = trapezoid_weights(grid, grid.n_steps)
 
@@ -326,24 +328,13 @@ class HistoryBuffer:
             rows = self._stored.get(which)
             if rows is not None:
                 rows[n:n + k] = x.T
-            self._accumulate(which, x, n)
+        # k1 and k2 step one node at a time: node n's trapezoid weight
+        w = self.grid.dt if n else 0.5 * self.grid.dt
+        for (kernel, which), (decay, acc) in self._recur.items():
+            if which != "q":
+                acc += w * kernel.c * (u if which == "u" else p)
+                acc *= decay
         self._count += k
-
-    def append_q(self, q: np.ndarray) -> None:
-        """Add the constraint value ``q = B u`` of the next node."""
-        self._accumulate("q", q, self._q_count)
-        self._q_count += 1
-
-    def _accumulate(self, which: str, x: np.ndarray, n: int) -> None:
-        """Add the states of one family from node n on, a vector or one
-        column per node, to the recurrences reading it."""
-        dt = self.grid.dt
-        for (kernel, family), (decay, acc) in self._recur.items():
-            if family == which:
-                for j, x_j in enumerate(x.T if x.ndim == 2 else (x,), n):
-                    # the trapezoid weight of x_j in every later history sum
-                    acc += (dt if j else 0.5 * dt) * kernel.c * x_j
-                    acc *= decay
 
     def vectors(self, which: str) -> np.ndarray:
         """The stored states of one family, one filled row per append;
@@ -359,15 +350,13 @@ _ROWS = {"u": "u", "p": "p", "q": "u"}
 def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
                 which: str) -> np.ndarray:
     """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j`` of one
-    family at the step after its last append: ``n = len(hist)`` for
-    ``u`` and ``p``, and the number of constraint values appended for
-    ``q``.
+    family at the next node, ``n = len(hist)``.
 
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
     holds one, and otherwise as one product of the weight row with the
     stored states (for ``q``, ``B`` times that of the stored ``u``).
     """
-    n = hist._q_count if which == "q" else len(hist)
+    n = len(hist)
     if n < 1:
         raise ValueError("history sums start at step 1")
     recur = hist._recur.get((kernel, which))
@@ -404,41 +393,66 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
     return tuple(gammas)
 
 
-def step(sys: BlockSaddleSystem, hist: HistoryBuffer, loads):
-    """Advance one block of nodes, ``n = len(hist), len(hist) + 1, ...``,
-    one per ``(f_n, g_n)`` that the iterable ``loads`` yields.
+def step(sys: BlockSaddleSystem, hist: HistoryBuffer, loads, k=None):
+    """Advance ``k`` nodes, ``n = len(hist), ...``, one per ``(f_n, g_n)``
+    that ``loads`` yields (``k`` defaults to ``len(loads)``; more than one
+    needs ``hist.blocked``).  Returns ``(u, p)``, one column per node.
 
-    Node by node, in order, it checks the stability gate, adds the
-    history sums and forms ``q_n = B u_n`` from row 2.  Then one
-    multi-column solve with the columns ``(f_n, q_n)`` gives the block's
-    states, which are appended to the history.  The sums of ``k1`` and
-    ``k2`` read solved states, so a block of several nodes needs both
-    absent.  Returns ``(u, p)`` with one column per node.
+    The stability gate is checked before any load is requested, at node
+    n and, in a block holding node 0, at node 1, whose scalings every
+    later node shares.  Row 2 then gives ``q = B u`` of every node: under
+    an exponential ``k3`` as one affine map of the loads ``G`` and the
+    history ``H``, ``Q = G M + H v`` and ``H <- G d + e H``.  One
+    multi-column solve with the columns ``(f_n, q_n)`` gives the states.
     """
-    grid = hist.grid
-    fs, qs = [], []
-    for n, (f, g) in enumerate(loads, len(hist)):
-        if fs and (sys.k1 is not None or sys.k2 is not None):
-            raise ValueError("a block of several nodes needs k1 and k2 absent")
-        g1, g2, g3 = step_gammas(sys, grid, n)
-        if n >= 1:
-            if sys.k1 is not None:
-                f = f + sys.a @ history_sum(hist, sys.k1, "u")
-            if sys.k2 is not None:
-                f = f + sys.b.T @ history_sum(hist, sys.k2, "p")
-            if sys.k3 is not None:
-                g = g + history_sum(hist, sys.k3, "q")
-        q = g / g3
-        hist.append_q(q)
-        fs.append(f)
-        qs.append(q)
+    grid, n = hist.grid, len(hist)
+    k = len(loads) if k is None else k
+    if k > 1 and not hist.blocked:
+        raise ValueError("a block of several nodes needs k1 and k2 absent "
+                         "and k3 exponential or absent")
+    g1, g2, g3 = step_gammas(sys, grid, n)
+    if n == 0 and k > 1:
+        g3 = step_gammas(sys, grid, 1)[2]       # that of nodes 1, ..., k - 1
+    fs, gs = zip(*loads)
     # one column per node, or the vectors of a block of one
-    f, q = (fs[0], qs[0]) if len(fs) == 1 else (np.array(fs).T, np.array(qs).T)
-    del fs, qs                  # not alive through the solve
+    f, g = (fs[0], gs[0]) if k == 1 else (np.array(fs).T, np.array(gs).T)
+    del fs, gs                  # not alive through the solve
+    if n >= 1:                  # one node, unless the system is blocked
+        if sys.k1 is not None:
+            f = f + sys.a @ history_sum(hist, sys.k1, "u")
+        if sys.k2 is not None:
+            f = f + sys.b.T @ history_sum(hist, sys.k2, "p")
+        if sys.k3 is not None and not sys.k3.is_exp:
+            g = g + history_sum(hist, sys.k3, "q")
+    if sys.k3 is not None and sys.k3.is_exp:
+        decay, h = hist._recur[(sys.k3, "q")]
+        key = (n == 0, k)
+        if key not in hist._maps:
+            hist._maps[key] = _constraint_map(sys.k3.c, decay, grid.dt, g3, *key)
+        m, v, d, e = hist._maps[key]
+        gk = g.reshape(len(g), -1)
+        q = (gk @ m + np.outer(h, v)).reshape(g.shape)
+        h *= e
+        h += gk @ d
+    else:
+        q = g / g3
     # g3 is folded into q; g1 and g2 are those of every node of the block
     u, p = sys.factorization().solve(f, q, (g1, g2, 1.0))
     hist.append(u, p)
     return u.reshape(len(u), -1), p.reshape(len(p), -1)
+
+
+def _constraint_map(c, decay, dt, g3, first, k):
+    """``(M, v, d, e)`` of row 2 over k nodes under ``k3 = c e^{-rate t}``,
+    from the scalar trapezoid recurrence run once on k + 1 unit inputs:
+    the k loads, then the history.  Node 0 (``first``) has weight dt/2."""
+    q = np.eye(k + 1, k)                # one row per unit input
+    h = np.eye(k + 1)[k]
+    for i in range(k):
+        w, s = (0.5 * dt, 1.0) if first and i == 0 else (dt, g3)
+        q[:, i] = (q[:, i] + h) / s
+        h = (h + w * c * q[:, i]) * decay
+    return q[:k], q[k], h[:k], h[k]
 
 
 def split_load(load: Callable):
@@ -461,10 +475,8 @@ class VolterraStepper:
         self.sys = sys
         self.grid = grid
         self.hist = HistoryBuffer(sys, grid)
-        blocked = sys.k1 is None and sys.k2 is None \
-            and (sys.k3 is None or sys.k3.is_exp)
         self.width = max(1, min(64, 65536 // (sys.n_v + sys.n_q))) \
-            if blocked else 1
+            if self.hist.blocked else 1
 
     @property
     def n_done(self) -> int:
@@ -483,7 +495,7 @@ class VolterraStepper:
         for start in range(0, len(times), self.width):
             block = times[start:start + self.width]
             u, p = step(self.sys, self.hist,
-                        ((f_of_t(t), g_of_t(t)) for t in block))
+                        ((f_of_t(t), g_of_t(t)) for t in block), len(block))
             if on_step is not None:
                 on_step(start, block, u, p)
             del u, p                    # not alive through the next solve

@@ -106,6 +106,14 @@ def test_build_kernel_variants():
     cfg["kernel"] = {"type": "custom_exp", "c": 1.0, "rate": -2.0}
     with pytest.raises(ConfigError):
         build_kernel(cfg)
+    # JSON booleans are refused, not read as 1.0 and 0.0
+    for kind, key in [("sls", "k1"), ("sls", "k2"), ("sls", "eta2"),
+                      ("custom_exp", "c"), ("custom_exp", "rate"),
+                      ("custom_exp", "e0")]:
+        for flag in (True, False):
+            cfg["kernel"] = {"type": kind, "c": -0.5, "rate": 1.0, key: flag}
+            with pytest.raises(ConfigError, match=f"kernel key '{key}'"):
+                build_kernel(cfg)
     for bad in ({"rate": math.nan}, {"c": math.nan}, {"rate": math.inf},
                 {"c": -math.inf}, {"e0": 0.0}, {"e0": math.nan},
                 {"e0": -1.0}, {"e0": math.inf}):
@@ -275,6 +283,8 @@ def test_cli_exit_code_config_error():
 @pytest.mark.parametrize("command, problem, override", [
     ("certificate", "beam", "kernel.k1=null"),
     ("certificate", "beam", "kernel.k1=[1]"),
+    ("run", "beam", "kernel.k1=true"),
+    ("run", "beam", 'kernel={"type":"custom_exp","c":true,"rate":1}'),
     ("convergence", "laplace", "levels=[true,2]")])
 def test_cli_wrong_json_types_are_config_errors(tmp_path, command, problem,
                                                 override):

@@ -125,3 +125,24 @@ def test_convolution_kernel_is_scalar_times_spatial(driver, c, rate, T,
         states = []
         problem(kernel).run(grid, collect=collector(states))
         assert max_scaled_deviation(states, s) <= 1e-12
+
+
+@pytest.mark.parametrize("c, rate", [(-1.5, 0.7), (2.0, 0.3)])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_convolution_kernel_is_scalar_times_spatial_across_blocks(driver, c,
+                                                                  rate):
+    # 201 nodes: three full blocks of 64 and a tail of 9, so the history
+    # crosses three block boundaries through the affine map of row 2
+    grid = TimeGrid(T=2.0, n_steps=200)
+    problem, load = DRIVERS[driver]
+    exp = MemoryKernel.exp_convolution(c=c, rate=rate)
+    s = scalar_factor(exp, grid, load)
+    runs = []
+    for kernel in (exp, MemoryKernel.from_callable(exp.eval, bound=exp.bound)):
+        states = []
+        _, stepper = problem(kernel).run(grid, collect=collector(states))
+        assert max_scaled_deviation(states, s) <= 1e-12
+        runs.append((stepper.width, np.array(states)))
+    (width, blocked), (direct_width, direct) = runs
+    assert (width, direct_width) == (64, 1)
+    assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.max(np.abs(direct))

@@ -172,10 +172,15 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     assert_array_equal(times, grid.times)
     assert_array_equal(solves[0][3][0], u[0])
     assert solves[0][3][0, 0] == 1.0
-    # the gate saw every node once, in order, with the steady scalings
+    # the gate saw node 0 and node 1 only, before the block's loads
     steady = orig_gammas(sys_, grid, 1)
     assert steady != (1.0, 1.0, 1.0)
-    assert gammas == [(0, (1.0, 1.0, 1.0))] + [(n, steady) for n in range(1, 21)]
+    assert gammas == [(0, (1.0, 1.0, 1.0)), (1, steady)]
+    # node 1's scalings are those of every later node: the same kernel in
+    # direct form evaluates k(t_n, t_n) at each of them
+    direct = scalar_system(k3=direct_form(sys_.k3))
+    assert [orig_gammas(direct, grid, n) for n in range(21)] \
+        == [(1.0, 1.0, 1.0)] + [steady] * 20
 
 
 def test_trapezoid_weights():
@@ -295,8 +300,9 @@ def test_stability_gate_violation():
 
 
 def test_stability_gate_stops_the_block_before_its_solve(monkeypatch):
-    # the gate fails at node 1, inside the first block: no later load is
-    # requested and the block is never solved
+    # the gate fails at node 1, inside the first block, and is checked
+    # before the block's loads: no load is requested, the block is never
+    # solved and the history stays empty
     solves = record_solves(monkeypatch)
     sys = scalar_system(k3=fickian_kernel(0.01))
     grid = TimeGrid(T=1.0, n_steps=33)
@@ -310,9 +316,12 @@ def test_stability_gate_stops_the_block_before_its_solve(monkeypatch):
     assert stepper.width == 64
     with pytest.raises(StabilityGateError, match="at step 1;"):
         stepper.run(f_of_t, lambda t: np.ones(1))
-    assert loads == list(grid.times[:2])
+    assert loads == []
     assert solves == []
     assert len(stepper.hist) == 0
+    [(_, recurrence)] = stepper.hist._recur.values()
+    assert_array_equal(recurrence, [0.0])
+    assert stepper.hist._maps == {}
 
 
 def test_history_sum_single_panel_constant_kernel():
@@ -343,10 +352,11 @@ def test_history_sum_recurrence_matches_direct():
     kernel = MemoryKernel.exp_convolution(c=-0.8, rate=1.7)
     general = direct_form(kernel)
     b = sp.csr_matrix(rng.standard_normal((3, 7)))
-    # k1 sums u; k3 sums q = B u, the recurrence on q and the direct sum
-    # on the stored u
-    recur_hist = HistoryBuffer(BlockSaddleSystem(
-        sp.identity(7, format="csr"), b, k1=kernel, k3=kernel), grid)
+    # k1 sums u; k3 sums q = B u, the recurrence on the q that step takes
+    # from row 2 and the direct sum on the stored solved u
+    recur_sys = BlockSaddleSystem(sp.identity(7, format="csr"), b,
+                                  k1=kernel, k3=kernel)
+    recur_hist = HistoryBuffer(recur_sys, grid)
     direct_hist = HistoryBuffer(BlockSaddleSystem(
         sp.identity(7, format="csr"), b, k1=general, k3=general), grid)
     assert not recur_hist.store_full and direct_hist.store_full
@@ -358,10 +368,9 @@ def test_history_sum_recurrence_matches_direct():
                 denom = np.max(np.abs(direct))
                 assert np.max(np.abs(direct - recur)) \
                     <= 1e-12 * max(denom, 1e-30)
-        x = rng.standard_normal(7)
-        for hist in (recur_hist, direct_hist):
-            hist.append_q(b @ x)
-            hist.append(x, np.zeros(3))
+        u, _ = step(recur_sys, recur_hist, [(rng.standard_normal(7),
+                                             rng.standard_normal(3))])
+        direct_hist.append(u[:, 0], np.zeros(3))
 
 
 def loop_history_sum(xs, grid, kernel, n):
@@ -470,14 +479,9 @@ def test_history_sum_errors():
     # p is read by no kernel, so it has neither a recurrence nor rows
     with pytest.raises(ValueError, match="stored states"):
         history_sum(hist, kernel, "p")
-    # the direct q sum of a general k3 reads solved states: a q appended
-    # ahead of its solve leaves the sum one state short
-    hist = HistoryBuffer(sized_system(2, 1, k3=general), grid)
-    hist.append_q(np.ones(1))
-    hist.append(np.ones(2), np.zeros(1))
-    hist.append_q(np.ones(1))
-    with pytest.raises(ValueError, match="needs 2 stored states"):
-        history_sum(hist, general, "q")
+    # q is read by no kernel either: its direct sum would read stored u
+    with pytest.raises(ValueError, match="needs 3 stored states"):
+        history_sum(hist, kernel, "q")
 
 
 def test_scalar_stepper_tracks_creep_factor_second_order():
@@ -520,8 +524,8 @@ def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
     widths = {}
     traced = volterra.step
 
-    def counted(sys, hist, loads):
-        u, p = traced(sys, hist, loads)
+    def counted(sys, hist, loads, k=None):
+        u, p = traced(sys, hist, loads, k)
         widths.setdefault(sys is sys_, []).append(u.shape[1])
         return u, p
 
@@ -675,6 +679,58 @@ def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
         assert_array_equal(u, u_copy)
         assert_array_equal(p, p_copy)
     assert stepper.n_done == n_steps + 1
+
+
+def test_step_node_by_node_equals_a_blocked_run():
+    # the blocks of 64, 64 and 23 nodes that a run takes, against step fed
+    # one node at a time, each with the row-2 map of a block of one
+    rng = np.random.RandomState(21)
+    n, m = 8, 3
+    r = rng.standard_normal((n, n))
+    sys_ = BlockSaddleSystem(sp.csr_matrix(r @ r.T + n * np.eye(n)),
+                             sp.csr_matrix(rng.standard_normal((m, n))),
+                             k3=MemoryKernel.exp_convolution(c=-0.7, rate=1.3))
+    grid = TimeGrid(T=1.5, n_steps=150)
+
+    def load(t):
+        return np.sin(t + np.arange(n)), np.cos(2.0 * t + np.arange(m))
+
+    blocks = []
+    stepper = VolterraStepper(sys_, grid)
+    stepper.run(*split_load(load),
+                on_step=lambda n0, times, u, p: blocks.append((u, p)))
+    assert [u.shape[1] for u, _ in blocks] == [64, 64, 23]
+    assert set(stepper.hist._maps) == {(True, 64), (False, 64), (False, 23)}
+    hist = HistoryBuffer(sys_, grid)
+    single = [step(sys_, hist, [load(t)]) for t in grid.times]
+    assert set(hist._maps) == {(True, 1), (False, 1)}
+    for blocked, one in zip((np.hstack([u for u, _ in blocks]),
+                             np.hstack([p for _, p in blocks])),
+                            (np.hstack([u for u, _ in single]),
+                             np.hstack([p for _, p in single]))):
+        assert np.max(np.abs(blocked - one)) <= 1e-12 * np.max(np.abs(one))
+
+
+def test_blocked_run_has_no_per_node_python(monkeypatch):
+    # a blocked beam run: no history sum, the gate at most twice a block
+    # and the row-2 map built for the first block, the full blocks and the
+    # tail only
+    from memfem.beam import BeamProblem, joined_profile
+    calls = {"step": 0, "history_sum": 0, "step_gammas": 0,
+             "_constraint_map": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(volterra, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(volterra, name, counted)
+    prob = BeamProblem(joined_profile(d=0.001), 8,
+                       beam_kernel(PronySLS(1.0, 1.0, 1.0)), 1.0, np.exp, None)
+    _, stepper = prob.run(TimeGrid(T=2.0, n_steps=300))
+    assert stepper.width == 64 and stepper.n_done == 301
+    assert calls["step"] == 5                   # 4 x 64 + 45 nodes
+    assert calls["history_sum"] == 0
+    assert calls["step_gammas"] == calls["step"] + 1
+    assert calls["_constraint_map"] == 3
 
 
 def test_stability_constants_zero_kernels():
