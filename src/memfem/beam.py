@@ -144,16 +144,13 @@ def joined_profile(d: float, L: float = 1.0, nu: float = 0.35,
                       I=inertia, A=area)
 
 
-def smooth_profile(L: float = 1.0, nu: float = 0.35,
-                   ks: float = 5.0 / 6.0) -> BeamConfig:
-    """Clamped beam with I = e^x/12 and A = 12 e^{-x}.
+def smooth_profile(nu: float = 0.35, ks: float = 5.0 / 6.0) -> BeamConfig:
+    """Clamped unit-length beam with I = e^x/12 and A = 12 e^{-x}.
 
-    On the unit-length beam eps^2 = (e^2 - 1)/288, so eps ~ 0.14894.
+    There eps^2 = (e^2 - 1)/288, so eps ~ 0.14894.
     """
-    if L != 1.0:
-        raise ConfigError("the smooth profile is defined on a unit-length beam")
     eps = math.sqrt((math.e ** 2 - 1.0) / 288.0)
-    return BeamConfig(profile="smooth", L=L, nu=nu, ks=ks, eps=eps,
+    return BeamConfig(profile="smooth", L=1.0, nu=nu, ks=ks, eps=eps,
                       I=lambda x: np.exp(np.asarray(x, float)) / 12.0,
                       A=lambda x: 12.0 * np.exp(-np.asarray(x, float)))
 

@@ -39,8 +39,8 @@ from .kernels import MemoryKernel, PronySLS, beam_kernel
 from .report import ConvergenceReport, LevelRow, render_csv, render_markdown, render_svg
 from .sparsela import (infsup_estimate, kernel_ellipticity, operator_norm_b,
                        operator_norm_estimate)
-from .volterra import (TimeGrid, audit, error_constants, stability_constants,
-                       trapezoid_weights)
+from .volterra import (TimeGrid, VolterraStepper, audit, error_constants,
+                       split_load, stability_constants, trapezoid_weights)
 
 __all__ = ["main", "load_config", "run_study", "emit_report", "emit_certificate"]
 
@@ -118,6 +118,10 @@ def validate_config(cfg: dict) -> None:
 
     need("T", (int, float), positive=True)
     need("n_steps", int, positive=True)
+    if not isinstance(cfg.get("output_dir", "out"), str):
+        raise ConfigError("config key 'output_dir' must be a path string")
+    if not isinstance(cfg.get("emit_svg", False), bool):
+        raise ConfigError("config key 'emit_svg' must be true or false")
     levels = cfg.get("levels")
     if not isinstance(levels, list) or not levels:
         raise ConfigError("config key 'levels' must be a non-empty list")
@@ -242,19 +246,17 @@ PROBLEMS = {
 class RunNorms:
     """Trapezoid-in-time L1 norms of a run: solution and dual load data.
 
-    ``add_load`` takes the loads in node order, as the stepper requests
-    them, and ``add`` the solved states.
+    ``add`` is the stepper's block observer, and ``add_load`` takes the
+    loads in node order, as the stepper requests them.  The Q Gram must
+    be diagonal, as both drivers' are.
     """
 
     def __init__(self, gram_v, gram_q, grid: TimeGrid):
         self.gram_v = sp.csr_matrix(gram_v)
-        self.gram_q = sp.csr_matrix(gram_q)
-        self._gq_diag = None
-        diag = self.gram_q.diagonal()
-        if abs(self.gram_q - sp.diags(diag)).max() == 0.0:
-            self._gq_diag = diag
-        else:
-            self._gq_lu = spla.splu(sp.csc_matrix(self.gram_q))
+        gram_q = sp.csr_matrix(gram_q)
+        self._gq_diag = gram_q.diagonal()
+        if abs(gram_q - sp.diags(self._gq_diag)).max() != 0.0:
+            raise ValueError("RunNorms needs a diagonal Q Gram")
         self._gv_lu = None
         self.weights = trapezoid_weights(grid, grid.n_steps)
         self.u_l1 = 0.0
@@ -263,11 +265,11 @@ class RunNorms:
         self.g_dual_l1 = 0.0
         self._loads = 0
 
-    def add(self, n: int, u, p):
-        w = self.weights[n]
-        self.u_l1 += w * math.sqrt(float(u @ (self.gram_v @ u)))
-        gq_p = self.gram_q @ p if self._gq_diag is None else self._gq_diag * p
-        self.p_l1 += w * math.sqrt(float(p @ gq_p))
+    def add(self, n: int, times, u, p):
+        w = self.weights[n:n + len(times)]
+        self.u_l1 += w @ np.sqrt(np.einsum("ij,ij->j", u, self.gram_v @ u))
+        self.p_l1 += w @ np.sqrt(
+            np.einsum("ij,ij->j", p, self._gq_diag[:, None] * p))
 
     def add_load(self, f, g):
         w = self.weights[self._loads]
@@ -277,9 +279,7 @@ class RunNorms:
                 self._gv_lu = spla.splu(sp.csc_matrix(self.gram_v))
             self.f_dual_l1 += w * math.sqrt(float(f @ self._gv_lu.solve(f)))
         if np.any(g):
-            z = self._gq_lu.solve(g) if self._gq_diag is None \
-                else g / self._gq_diag
-            self.g_dual_l1 += w * math.sqrt(float(g @ z))
+            self.g_dual_l1 += w * math.sqrt(float(g @ (g / self._gq_diag)))
 
 
 def _single_problem(cfg: dict):
@@ -366,16 +366,15 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
                           c_k3=c_k, c_ktilde=c_k, T=T)
 
     norms = RunNorms(gram_v, gram_q, grid)
-    load = prob.rhs
 
     def measured_load(t):
-        f, g = load(t)
+        # the dual norms take each load as the stepper requests it
+        f, g = prob.rhs(t)
         norms.add_load(f, g)
         return f, g
 
-    # the dual norms take each load as the stepper requests it
-    prob.rhs = measured_load
-    prob.run(grid, collect=lambda n, t, u, p: norms.add(n, u, p))
+    VolterraStepper(system, grid).run(*split_load(measured_load),
+                                      on_step=norms.add)
 
     lhs = norms.u_l1 + norms.p_l1
     rhs = (stab.c1 + stab.c3) * norms.f_dual_l1 \

@@ -142,14 +142,8 @@ def structured_unit_square(m: int) -> TriMesh:
     xx, yy = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (m + 1) + i
-
-    tris = []
-    for j in range(m):
-        for i in range(m):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return TriMesh(vertices, np.array(tris, dtype=int))
+    # south-west vertex of each cell, cells row by row
+    v00 = (np.arange(m) + (m + 1) * np.arange(m)[:, None]).ravel()
+    v10, v01, v11 = v00 + 1, v00 + m + 1, v00 + m + 2
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    return TriMesh(vertices, tris)

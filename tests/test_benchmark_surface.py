@@ -63,7 +63,14 @@ def test_tracer_and_meter_wrap_three_runs(tmp_path):
     names = {span[2] for span in tracer.spans}
     assert {"volterra.step", "volterra.history_sum", "beam.beam_rhs",
             "sparsela.kernel_ellipticity", "cli.norms_add",
-            "laplace_mem.on_step", "beam.on_step"} <= names
+            "laplace_mem.on_step", "beam.on_step", "cli.on_step"} <= names
+    # the certificate steps its own system and adds its run norms once per
+    # block, inside that run: its 11 nodes are one block
+    adds = [span for span in tracer.spans if span[2] == "cli.norms_add"]
+    assert len(adds) == 1
+    observer = tracer.spans[adds[0][1]]
+    assert observer[2] == "cli.on_step"
+    assert tracer.spans[observer[1]][2] == "volterra.run"
     metrics = tracer.metrics(meter)
     # a step solves one block: the two Laplace levels and the certificate
     # take their 11 nodes in one block each, the general run one node a step

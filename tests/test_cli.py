@@ -285,13 +285,17 @@ def test_cli_exit_code_config_error():
     ("certificate", "beam", "kernel.k1=[1]"),
     ("run", "beam", "kernel.k1=true"),
     ("run", "beam", 'kernel={"type":"custom_exp","c":true,"rate":1}'),
-    ("convergence", "laplace", "levels=[true,2]")])
+    ("convergence", "laplace", "levels=[true,2]"),
+    ("run", "laplace", "output_dir=5"),
+    ("run", "beam", "output_dir=null"),
+    ("convergence", "laplace", 'emit_svg="no"'),
+    ("convergence", "laplace", "emit_svg=1")])
 def test_cli_wrong_json_types_are_config_errors(tmp_path, command, problem,
                                                 override):
     proc = run_cli(command, "--set", f'problem="{problem}"', "--set", "m=4",
                    "--set", "n_elements=4", "--set", "n_steps=10",
-                   "--set", "T=0.1", "--set", override,
-                   "--set", f'output_dir="{tmp_path}"')
+                   "--set", "T=0.1", "--set", f'output_dir="{tmp_path}"',
+                   "--set", override)
     assert proc.returncode == EXIT_CONFIG
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -521,6 +525,45 @@ def test_certificate_monotone_in_horizon(tmp_path):
         outs.append(emit_certificate(cfg, stream=io.StringIO()))
     for key in ("c1", "c2", "c3", "c4"):
         assert getattr(outs[1]["stability"], key) >= getattr(outs[0]["stability"], key)
+
+
+@pytest.mark.parametrize("width", [1, 3, 22])
+def test_run_norms_blocks_give_the_per_node_formula(width):
+    # the stepper hands RunNorms.add blocks of its width; every width must
+    # give sum_n w_n sqrt(x_n . G x_n) as the nodes would one by one
+    import scipy.sparse as sp
+
+    from memfem.cli import RunNorms
+    from memfem.volterra import trapezoid_weights
+
+    rng = np.random.default_rng(width)
+    grid = TimeGrid(T=1.0, n_steps=43)
+    m = rng.standard_normal((9, 9))
+    gram_v = m @ m.T + 9.0 * np.eye(9)
+    gram_q = rng.uniform(0.5, 2.0, 5)
+    u = rng.standard_normal((9, 44))
+    p = rng.standard_normal((5, 44))
+    norms = RunNorms(gram_v, sp.diags(gram_q), grid)
+    for n in range(0, 44, width):
+        block = slice(n, n + width)
+        norms.add(n, grid.times[block], u[:, block], p[:, block])
+
+    w = trapezoid_weights(grid, grid.n_steps)
+    u_l1 = sum(w[n] * math.sqrt(u[:, n] @ gram_v @ u[:, n]) for n in range(44))
+    p_l1 = sum(w[n] * math.sqrt(p[:, n] @ (gram_q * p[:, n]))
+               for n in range(44))
+    assert norms.u_l1 == pytest.approx(u_l1, rel=1e-15, abs=0.0)
+    assert norms.p_l1 == pytest.approx(p_l1, rel=1e-15, abs=0.0)
+
+
+def test_run_norms_refuse_a_non_diagonal_q_gram():
+    import scipy.sparse as sp
+
+    from memfem.cli import RunNorms
+
+    gram_q = sp.csr_matrix([[2.0, 0.5], [0.5, 2.0]])
+    with pytest.raises(ValueError, match="diagonal Q Gram"):
+        RunNorms(sp.identity(3), gram_q, TimeGrid(T=1.0, n_steps=4))
 
 
 # sha256 of render_csv for two small studies: the report CSVs are
