@@ -36,7 +36,7 @@ from .kernels import CreepFactor, MemoryKernel, creep_factor
 from .mesh import Mesh1D, uniform_mesh1d
 from .sparsela import assemble
 from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
-                       VolterraStepper, split_load)
+                       VolterraStepper)
 
 __all__ = [
     "BeamConfig",
@@ -207,11 +207,11 @@ def assemble_beam_b(mesh: Mesh1D) -> sp.csr_matrix:
 
 
 def beam_rhs(cfg: BeamConfig, mesh: Mesh1D, f: Optional[Callable],
-             g: Optional[Callable], e0: float = 1.0):
-    """Right-hand sides of the spatial loads f(x), g(x): zero a-row and
-    the load b-row.
+             g: Optional[Callable], e0: float = 1.0) -> np.ndarray:
+    """The b-row load of the spatial loads f(x), g(x); the a-row is not
+    loaded.
 
-    The b-row entries are -(f_E, v) on the w cells and -(g_E, eta) on the
+    Its entries are -(f_E, v) on the w cells and -(g_E, eta) on the
     beta cells with f_E = f/E(0), integrated with 4-point Gauss (exact to
     machine precision for the exponential loads used in practice).
     """
@@ -222,7 +222,7 @@ def beam_rhs(cfg: BeamConfig, mesh: Mesh1D, f: Optional[Callable],
         rhs[:n] = -np.sum(wq * np.asarray(g(xq), float), axis=1) / e0
     if f is not None:
         rhs[n:] = -np.sum(wq * np.asarray(f(xq), float), axis=1) / e0
-    return np.zeros(2 * (n + 1)), rhs
+    return rhs
 
 
 def beam_gram_v(mesh: Mesh1D) -> sp.csr_matrix:
@@ -296,7 +296,7 @@ def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
     if cfg.profile == "joined" and n_ref % 2 != 0:
         n_ref += 1
     fine = BeamProblem(cfg, n_ref, None, e0, f_space, g_space)
-    u, p = fine.system.factorization().solve(*fine.rhs(0.0))
+    u, p = fine.system.factorization().solve(np.zeros(fine.n_v), fine._row)
     if kernel is None:
         phi = CreepFactor(times=grid.times.copy(),
                           samples=np.ones(grid.n_steps + 1), residual=0.0,
@@ -366,9 +366,7 @@ class BeamProblem:
         self.a = assemble_beam_a(cfg, self.mesh)
         self.b = assemble_beam_b(self.mesh)
         self.system = BlockSaddleSystem(self.a, self.b, k3=kernel)
-        self._rhs = beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)
-        for row in self._rhs:
-            row.flags.writeable = False
+        self._row = beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)
         self.n_v = 2 * (self.mesh.n_elements + 1)
         self.n_q = 2 * self.mesh.n_elements
 
@@ -387,9 +385,9 @@ class BeamProblem:
         """(H1 x H1 Gram, L2 x L2 Gram): the norms of the two unknowns."""
         return beam_gram_v(self.mesh), beam_gram_q(self.mesh)
 
-    def rhs(self, t: float):
-        # unit step load from t = 0 on: every node shares the read-only rows
-        return self._rhs
+    def rhs(self, times) -> np.ndarray:
+        # row 2's (n_q, k) F-ordered load of the nodes times: a unit step
+        return np.tile(self._row, (len(times), 1)).T
 
     def reference(self, grid: TimeGrid, finest: int) -> BeamReference:
         """The study oracle of every level: the fine-mesh reference on 64
@@ -431,5 +429,5 @@ class BeamProblem:
                 for j in range(len(times)):     # cheaper than iterating times
                     collect(n + j, times[j], u[:, j], p[:, j])
 
-        stepper.run(*split_load(self.rhs), on_step=on_step)
+        stepper.run(self.system.zero_load, self.rhs, on_step=on_step)
         return (acc.result() if acc is not None else None), stepper

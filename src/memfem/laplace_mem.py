@@ -40,7 +40,7 @@ from .kernels import MemoryKernel, fickian_kernel
 from .mesh import TriMesh, structured_unit_square
 from .sparsela import assemble
 from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
-                       VolterraStepper, split_load)
+                       VolterraStepper)
 
 __all__ = [
     "RT0Space",
@@ -253,17 +253,16 @@ class LaplaceProblem:
             self.a, self.b, k3=kernel,
             elements=(self.space.local_mass(), self.mesh.tri_edges))
         self._rhs_base = manufactured_rhs_base(self.space, self.manufactured)
-        self._f = np.zeros(self.space.n_edges)
-        self._f.flags.writeable = False
         self.h = math.sqrt(2.0) / m
 
     @property
     def dofs(self) -> int:
         return self.space.n_edges + self.space.n_cells
 
-    def rhs(self, t: float):
-        # the flux row is not loaded: every node shares one read-only zero f
-        return self._f, float(self.manufactured.load_factor(t)) * self._rhs_base
+    def rhs(self, times) -> np.ndarray:
+        # row 2's (n_q, k) F-ordered load of the nodes times; row 1 has none
+        factor = self.manufactured.load_factor(times)
+        return (factor[:, None] * self._rhs_base).T
 
     def grams(self):
         """(H(div) Gram, L2 Gram): the norms of the two unknowns."""
@@ -316,5 +315,5 @@ class LaplaceProblem:
                 for j in range(len(times)):     # cheaper than iterating times
                     collect(n + j, times[j], sig[:, j], u[:, j])
 
-        stepper.run(*split_load(self.rhs), on_step=on_step)
+        stepper.run(self.system.zero_load, self.rhs, on_step=on_step)
         return (acc.result() if acc is not None else None), stepper

@@ -62,7 +62,6 @@ __all__ = [
     "StabilityConstants",
     "ErrorConstants",
     "trapezoid_weights",
-    "split_load",
     "audit",
     "step",
     "step_gammas",
@@ -263,6 +262,10 @@ class BlockSaddleSystem:
     def kernels(self):
         return (self.k1, self.k2, self.k3)
 
+    def zero_load(self, times) -> np.ndarray:
+        """The ``(n_v, k)`` zero first-row load of the nodes ``times``."""
+        return np.zeros((self.n_v, len(times)), order="F")
+
     def factorization(self) -> SaddleFactorization:
         """The factorization of the unscaled system, built on the first call."""
         if self._fact is None:
@@ -393,30 +396,28 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
     return tuple(gammas)
 
 
-def step(sys: BlockSaddleSystem, hist: HistoryBuffer, loads, k=None):
-    """Advance ``k`` nodes, ``n = len(hist), ...``, one per ``(f_n, g_n)``
-    that ``loads`` yields (``k`` defaults to ``len(loads)``; more than one
-    needs ``hist.blocked``).  Returns ``(u, p)``, one column per node.
+def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
+    """Advance the k nodes ``n = len(hist), ...`` loaded by the columns of
+    ``f`` ``(n_v, k)`` and ``g`` ``(n_q, k)``; more than one node needs
+    ``hist.blocked``.  Returns ``(u, p)``, one column per node.
 
-    The stability gate is checked before any load is requested, at node
-    n and, in a block holding node 0, at node 1, whose scalings every
-    later node shares.  Row 2 then gives ``q = B u`` of every node: under
-    an exponential ``k3`` as one affine map of the loads ``G`` and the
+    The stability gate is checked before the solve, at node n and, in a
+    block holding node 0, at node 1, whose scalings every later node
+    shares.  Row 2 then gives ``q = B u`` of every node: under an
+    exponential ``k3`` as one affine map of the loads ``G`` and the
     history ``H``, ``Q = G M + H v`` and ``H <- G d + e H``.  One
     multi-column solve with the columns ``(f_n, q_n)`` gives the states.
     """
     grid, n = hist.grid, len(hist)
-    k = len(loads) if k is None else k
+    k = f.shape[1]
     if k > 1 and not hist.blocked:
         raise ValueError("a block of several nodes needs k1 and k2 absent "
                          "and k3 exponential or absent")
     g1, g2, g3 = step_gammas(sys, grid, n)
     if n == 0 and k > 1:
         g3 = step_gammas(sys, grid, 1)[2]       # that of nodes 1, ..., k - 1
-    fs, gs = zip(*loads)
-    # one column per node, or the vectors of a block of one
-    f, g = (fs[0], gs[0]) if k == 1 else (np.array(fs).T, np.array(gs).T)
-    del fs, gs                  # not alive through the solve
+    if k == 1:                  # a block of one steps on its vectors
+        f, g = f[:, 0], g[:, 0]
     if n >= 1:                  # one node, unless the system is blocked
         if sys.k1 is not None:
             f = f + sys.a @ history_sum(hist, sys.k1, "u")
@@ -455,13 +456,6 @@ def _constraint_map(c, decay, dt, g3, first, k):
     return q[:k], q[k], h[:k], h[k]
 
 
-def split_load(load: Callable):
-    """``load(t) -> (f, g)`` as the two callbacks of :meth:`VolterraStepper.run`,
-    with one ``load`` call per time node."""
-    last = functools.lru_cache(maxsize=1)(load)
-    return (lambda t: last(t)[0]), (lambda t: last(t)[1])
-
-
 class VolterraStepper:
     """Single-owner driver object for stepping a system through a grid.
 
@@ -486,26 +480,28 @@ class VolterraStepper:
             on_step: Optional[Callable] = None):
         """Step through the whole grid, ``width`` nodes per :func:`step`.
 
-        The loads ``f_of_t(t)``, ``g_of_t(t)`` are requested once per
-        node, in node order.  ``on_step(n, times, u, p)`` gets each block
-        once it is solved: its nodes ``times`` from node ``n`` on, and
-        ``(n_v, k)``, ``(n_q, k)`` states that no later block writes.
+        ``f_of_t(times)`` and ``g_of_t(times)`` are asked once per block,
+        in node order, for the ``(n_v, k)`` and ``(n_q, k)`` loads of its
+        nodes.  ``on_step(n, times, u, p)`` gets each block once it is
+        solved: its nodes ``times`` from node ``n`` on, and states of the
+        same shapes that no later block writes.
         """
         times = self.grid.times
         for start in range(0, len(times), self.width):
             block = times[start:start + self.width]
-            u, p = step(self.sys, self.hist,
-                        ((f_of_t(t), g_of_t(t)) for t in block), len(block))
+            u, p = step(self.sys, self.hist, f_of_t(block), g_of_t(block))
             if on_step is not None:
                 on_step(start, block, u, p)
             del u, p                    # not alive through the next solve
         return self
 
 
-def audit(sys: BlockSaddleSystem, grid: TimeGrid, load: Callable):
-    """Step ``sys`` under ``load(t) -> (f, g)`` as every run does, and in
-    lockstep the same system with each kernel in direct form (a general
-    kernel of the same ``eval``).  Returns ``(steps, deviation)``:
+def audit(sys: BlockSaddleSystem, grid: TimeGrid, f_of_t: Callable,
+          g_of_t: Callable):
+    """Step ``sys`` under the block loads ``f_of_t``, ``g_of_t`` as every
+    run does, and in lockstep the same system with each kernel in direct
+    form (a general kernel of the same ``eval``), node by node on the
+    same loads.  Returns ``(steps, deviation)``:
     ``grid.n_steps``, or 0 when no kernel is exponential, and the larger
     over ``u`` and ``p`` of ``max_n |x_n - x'_n|_inf / max_n |x'_n|_inf``
     against the direct-form states ``x'``."""
@@ -517,13 +513,14 @@ def audit(sys: BlockSaddleSystem, grid: TimeGrid, load: Callable):
     worst = np.zeros((2, 2))        # rows u, p: max |x - x'|, max |x'|
 
     def compare(n, times, u, p):
-        for j, t in enumerate(times):
+        f, g = f_of_t(times), g_of_t(times)
+        for j in range(len(times)):
             pairs = zip((u[:, j:j + 1], p[:, j:j + 1]),
-                        step(direct, hist, [load(t)]))
+                        step(direct, hist, f[:, j:j + 1], g[:, j:j + 1]))
             np.maximum(worst, [(abs(x - ref).max(), abs(ref).max())
                                for x, ref in pairs], out=worst)
 
-    VolterraStepper(sys, grid).run(*split_load(load), on_step=compare)
+    VolterraStepper(sys, grid).run(f_of_t, g_of_t, on_step=compare)
     exp = any(k is not None and k.is_exp for k in sys.kernels)
     return (grid.n_steps if exp else 0,
             float(np.max(worst[:, 0] / np.maximum(worst[:, 1], 1e-300))))

@@ -185,8 +185,8 @@ def scipy_null(mat):
 def test_beam_rhs_uniform_load():
     cfg = unit_hat_config()
     mesh = uniform_mesh1d(1.0, 2)
-    zero_a, g = beam_rhs(cfg, mesh, np.ones_like, None)
-    assert np.max(np.abs(zero_a)) == 0.0
+    g = beam_rhs(cfg, mesh, np.ones_like, None)
+    assert g.shape == (4,)                             # the b-row only
     assert_allclose(g[2:], [-0.5, -0.5], rtol=1e-14)   # w cells
     assert np.max(np.abs(g[:2])) == 0.0                # beta cells empty
 
@@ -194,7 +194,7 @@ def test_beam_rhs_uniform_load():
 def test_beam_rhs_zero_loads():
     cfg = unit_hat_config()
     mesh = uniform_mesh1d(1.0, 3)
-    _, g = beam_rhs(cfg, mesh, None, None)
+    g = beam_rhs(cfg, mesh, None, None)
     assert np.max(np.abs(g)) == 0.0
 
 
@@ -203,7 +203,7 @@ def test_beam_rhs_exponential_load_exact():
     # machine precision on these cell sizes
     cfg = unit_hat_config()
     mesh = uniform_mesh1d(1.0, 2)
-    _, g = beam_rhs(cfg, mesh, np.exp, None, e0=2.0)
+    g = beam_rhs(cfg, mesh, np.exp, None, e0=2.0)
     nodes = mesh.nodes
     expected = -(np.exp(nodes[1:]) - np.exp(nodes[:-1])) / 2.0
     assert_allclose(g[2:], expected, rtol=1e-11)
@@ -333,8 +333,8 @@ def test_elastic_limit_matches_primal_solve():
     # the primal method far from its locking regime
     cfg = joined_profile(d=0.1)
     prob = BeamProblem(cfg, 64, None, 1.0, EXP_LOAD, None)
-    f0, g0 = prob.rhs(0.0)
-    u, p = prob.system.factorization().solve(f0, g0)
+    u, p = prob.system.factorization().solve(np.zeros(prob.n_v),
+                                             prob.rhs([0.0])[:, 0])
     n = prob.mesh.n_elements
     beta_mixed, w_mixed = p[:n], p[n:]
     pmesh, beta_p, w_p = primal_timoshenko(cfg, 512, np.exp)
@@ -355,8 +355,8 @@ def test_full_run_separability_consistency():
     grid = TimeGrid(T=5.0, n_steps=500)
     n = 16
     prob = BeamProblem(cfg, n, kern, 1.0, EXP_LOAD, None)
-    f0, g0 = prob.rhs(0.0)
-    u_el, p_el = prob.system.factorization().solve(f0, g0)
+    u_el, p_el = prob.system.factorization().solve(np.zeros(prob.n_v),
+                                                   prob.rhs([0.0])[:, 0])
     phi = 2.0 / 3.0 + np.exp(-3.0 * grid.times) / 3.0
     worst = 0.0
 
@@ -405,13 +405,17 @@ def test_gate_boundary_run_succeeds():
     assert stepper.n_done == grid.n_steps + 1
 
 
-def test_rhs_rows_are_shared_and_read_only():
-    prob = BeamProblem(joined_profile(d=0.01), 4, None, 1.0, EXP_LOAD, None)
-    f, g = prob.rhs(0.0)
-    assert prob.rhs(1.0)[0] is f and prob.rhs(1.0)[1] is g
-    for row in (f, g):
-        with pytest.raises(ValueError, match="read-only"):
-            row[0] = 1.0
+def test_rhs_block_equals_the_per_node_row():
+    # one F-ordered column per node, each the b-row of the unit step load
+    # bit for bit, at the widths the stepper takes
+    cfg = joined_profile(d=0.01)
+    prob = BeamProblem(cfg, 4, None, 1.0, EXP_LOAD, None)
+    row = beam_rhs(cfg, prob.mesh, EXP_LOAD, None)
+    times = TimeGrid(T=1.0, n_steps=200).times
+    for k in (1, 3, 22, 64):
+        block = prob.rhs(times[100:100 + k])
+        assert block.shape == (prob.n_q, k) and block.flags.f_contiguous
+        assert block.T.tobytes() == row.tobytes() * k
 
 
 def test_reference_norms_positive():

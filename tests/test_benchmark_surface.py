@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import memfem.cli as cli
-from memfem import MemoryKernel
+from memfem import MemoryKernel, PronySLS, beam_kernel
 from memfem.beam import BeamProblem, joined_profile
 from memfem.volterra import TimeGrid
 
@@ -78,3 +78,29 @@ def test_tracer_and_meter_wrap_three_runs(tmp_path):
     assert meter.dof_steps > 0
     # the general kernel stores the 21 states of u, 18 dofs on 8 elements
     assert metrics["volterra.history_peak_bytes"] == 21 * 18 * 8
+
+
+def test_meter_probes_a_blocked_run_once_per_block():
+    # the benchmark divides its times by probes it takes through the first
+    # load callback; a blocked run asks that callback once per block, so
+    # each block gives one probe, besides those before and after the run
+    calls = []
+
+    def probe():
+        calls.append(1)
+        return 0.0
+
+    prob = BeamProblem(joined_profile(d=0.001), 8,
+                       beam_kernel(PronySLS(1.0, 1.0, 1.0)), 1.0, np.exp, None)
+    meter, patches = StepperMeter(probe=probe, every=0.0), Patches()
+    meter.install(patches)
+    try:
+        meter.begin()
+        _, stepper = prob.run(TimeGrid(T=2.0, n_steps=300))
+        meter.end()
+    finally:
+        patches.undo()
+    assert stepper.width == 64 and stepper.n_done == 301
+    blocks = 5                                  # 4 x 64 + 45 nodes
+    assert len(calls) == len(meter.probes) == blocks + 2
+    assert len(meter.pieces) == blocks + 1

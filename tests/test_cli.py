@@ -404,6 +404,20 @@ def test_cli_beam_certificate_overflow_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_certificate_with_non_finite_norms_exits_3(tmp_path):
+    # loads scaled by 1/E(0) = 1e300 overflow the run norms: no bound is
+    # checked, so the certificate fails instead of printing a verdict
+    proc = run_cli("certificate", "--set",
+                   'kernel={"type": "sls", "k1": 1e-300, "k2": 1, "eta2": 1}',
+                   "--set", "n_elements=2", "--set", "T=0.1",
+                   "--set", "n_steps=4", "--set", f"output_dir=\"{tmp_path}\"")
+    assert proc.returncode == EXIT_SOLVER
+    assert proc.stderr.startswith("solver failure: the run norms are not "
+                                  "finite (lhs=inf, rhs=inf)")
+    assert "VIOLATED" not in proc.stdout
+    assert not (tmp_path / "certificate.txt").exists()
+
+
 def test_cli_audit_subcommand(tmp_path):
     proc = run_cli("audit", "--set", "n_elements=8", "--set", "n_steps=60",
                    "--set", "T=1.0", "--set", f"output_dir=\"{tmp_path}\"")
@@ -492,8 +506,9 @@ def test_certificate_laplace_m64_inprocess():
 
 @pytest.mark.parametrize("driver, size", [("laplace", "m=4"),
                                           ("beam", "n_elements=8")])
-def test_certificate_evaluates_load_once_per_node(monkeypatch, driver, size):
-    # the run norms reuse the load the stepper received at each node
+def test_certificate_evaluates_load_once_per_block(monkeypatch, driver, size):
+    # the run norms reuse the load block the stepper received: one call
+    # per block of 64 nodes, whose nodes together are the grid's
     import io
 
     from memfem.beam import BeamProblem
@@ -503,15 +518,17 @@ def test_certificate_evaluates_load_once_per_node(monkeypatch, driver, size):
     rhs = cls.rhs
     calls = []
 
-    def counted(self, t):
-        calls.append(t)
-        return rhs(self, t)
+    def counted(self, times):
+        calls.append(times.copy())
+        return rhs(self, times)
 
     monkeypatch.setattr(cls, "rhs", counted)
     cfg = load_config(None, overrides=[f'problem="{driver}"', size,
-                                       "T=0.5", "n_steps=30"])
+                                       "T=0.5", "n_steps=150"])
     out = emit_certificate(cfg, stream=io.StringIO())
-    assert len(calls) == cfg["n_steps"] + 1
+    assert [len(times) for times in calls] == [64, 64, 23]
+    assert np.array_equal(np.concatenate(calls),
+                          TimeGrid(T=0.5, n_steps=150).times)
     assert out["slack"] >= 0.0
 
 
@@ -529,8 +546,9 @@ def test_certificate_monotone_in_horizon(tmp_path):
 
 @pytest.mark.parametrize("width", [1, 3, 22])
 def test_run_norms_blocks_give_the_per_node_formula(width):
-    # the stepper hands RunNorms.add blocks of its width; every width must
-    # give sum_n w_n sqrt(x_n . G x_n) as the nodes would one by one
+    # the stepper hands RunNorms.add and add_load blocks of its width;
+    # every width must give sum_n w_n sqrt(x_n . G x_n) and the dual
+    # sum_n w_n sqrt(g_n . Gq^-1 g_n) as the nodes would one by one
     import scipy.sparse as sp
 
     from memfem.cli import RunNorms
@@ -543,10 +561,12 @@ def test_run_norms_blocks_give_the_per_node_formula(width):
     gram_q = rng.uniform(0.5, 2.0, 5)
     u = rng.standard_normal((9, 44))
     p = rng.standard_normal((5, 44))
+    g = rng.standard_normal((5, 44))
     norms = RunNorms(gram_v, sp.diags(gram_q), grid)
     for n in range(0, 44, width):
         block = slice(n, n + width)
         norms.add(n, grid.times[block], u[:, block], p[:, block])
+        norms.add_load(g[:, block])
 
     w = trapezoid_weights(grid, grid.n_steps)
     u_l1 = sum(w[n] * math.sqrt(u[:, n] @ gram_v @ u[:, n]) for n in range(44))
@@ -554,6 +574,9 @@ def test_run_norms_blocks_give_the_per_node_formula(width):
                for n in range(44))
     assert norms.u_l1 == pytest.approx(u_l1, rel=1e-15, abs=0.0)
     assert norms.p_l1 == pytest.approx(p_l1, rel=1e-15, abs=0.0)
+    g_l1 = sum(w[n] * math.sqrt(g[:, n] @ (g[:, n] / gram_q))
+               for n in range(44))
+    assert norms.g_dual_l1 == pytest.approx(g_l1, rel=1e-15, abs=0.0)
 
 
 def test_run_norms_refuse_a_non_diagonal_q_gram():

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from memfem.errors import StabilityGateError
 from memfem.laplace_mem import (
@@ -322,8 +322,8 @@ def test_memoryless_mixed_matches_primal_poisson():
     # kernel off: the first step is the classical mixed Poisson solve,
     # cross-checked against an independent primal P1 solve
     prob = LaplaceProblem(16, delta=None)
-    f0, g0 = prob.rhs(0.0)
-    sig, u = prob.system.factorization().solve(f0, g0)
+    sig, u = prob.system.factorization().solve(np.zeros(prob.space.n_edges),
+                                               prob.rhs([0.0])[:, 0])
     _, primal_means = primal_poisson_p0_means(16)
     rel = np.linalg.norm(u - primal_means) / np.linalg.norm(primal_means)
     assert rel < 0.02
@@ -337,17 +337,23 @@ def test_laplace_steps_solve_hybridized_and_beam_does_not():
     assert not isinstance(beam.system.factorization()._lu, HybridSaddle)
 
 
-def test_rhs_flux_row_is_shared_and_read_only():
-    prob = LaplaceProblem(4)
-    f, g = prob.rhs(0.0)
-    assert prob.rhs(1.0)[0] is f and not f.any()
-    with pytest.raises(ValueError, match="read-only"):
-        f[0] = 1.0
-    # the constraint row follows the load factor, one array per node
-    g1 = prob.rhs(1.0)[1]
-    assert g1 is not g
-    assert_allclose(g1, float(prob.manufactured.load_factor(1.0))
-                    / float(prob.manufactured.load_factor(0.0)) * g)
+def test_rhs_block_equals_the_per_node_formula():
+    # one F-ordered column per node, each the load factor times the load
+    # cells bit for bit, at the widths the stepper takes, with and
+    # without memory in the load
+    times = TimeGrid(T=1.0, n_steps=200).times
+    for delta in (0.01, None):
+        prob = LaplaceProblem(4, delta=delta)
+        for k in (1, 3, 22, 64):
+            block = prob.rhs(times[100:100 + k])
+            assert block.shape == (prob.space.n_cells, k)
+            assert block.flags.f_contiguous
+            per_node = [manufactured_rhs(prob.space, prob.manufactured, t)
+                        for t in times[100:100 + k]]
+            assert block.T.tobytes() == np.array(per_node).tobytes()
+    # the first row is not loaded: its block is zero
+    assert_array_equal(prob.system.zero_load(times[:3]),
+                       np.zeros((prob.space.n_edges, 3)))
 
 
 def test_zero_kernel_run_reproduces_stationary_solves():
@@ -358,8 +364,8 @@ def test_zero_kernel_run_reproduces_stationary_solves():
     errs, _ = prob.run(grid, collect=lambda n, t, s, u: states.append((t, s, u)))
     assert errs is None   # no reference, no error norms
     for t, sig, u in states:
-        f, g = prob.rhs(t)
-        sig_ref, u_ref = fact.solve(f, g)
+        sig_ref, u_ref = fact.solve(np.zeros(prob.space.n_edges),
+                                    prob.rhs([t])[:, 0])
         assert np.max(np.abs(sig - sig_ref)) <= 1e-12 * max(1.0, np.max(np.abs(sig_ref)))
         assert np.max(np.abs(u - u_ref)) <= 1e-12 * max(1.0, np.max(np.abs(u_ref)))
 

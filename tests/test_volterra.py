@@ -18,7 +18,6 @@ from memfem.volterra import (
     audit,
     error_constants,
     history_sum,
-    split_load,
     stability_constants,
     step,
     step_gammas,
@@ -44,6 +43,18 @@ def direct_form(kernel):
     return MemoryKernel.from_callable(kernel.eval, bound=kernel.bound)
 
 
+def const_load(*values):
+    """A block load callback: the vector ``values`` at every node."""
+    row = np.array(values, dtype=float)
+    return lambda times: np.tile(row, (len(times), 1)).T
+
+
+def block_load(load):
+    """The per-node load ``load(t) -> vector`` as a block load callback,
+    one column per node of ``times``."""
+    return lambda times: np.array([load(t) for t in times]).T
+
+
 def test_timegrid_basic():
     grid = TimeGrid(T=2.0, n_steps=4)
     assert grid.dt == 0.5
@@ -65,28 +76,35 @@ def test_timegrid_times_cached_and_read_only():
     assert hash(grid) == hash(TimeGrid(T=1.0, n_steps=10))
 
 
-def test_split_load_calls_load_once_per_node():
-    calls = []
+def test_run_asks_each_load_once_per_block():
+    # each callback is asked once per block, f before g, with that block's
+    # nodes, in node order, and returns one column per node: blocks of
+    # 64, 64 and 23 nodes, and one node a block for a general kernel
+    kernel = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
+    grid = TimeGrid(T=1.0, n_steps=150)
+    for k3, widths in ((kernel, [64, 64, 23]),
+                       (direct_form(kernel), [1] * 151)):
+        calls = []
 
-    def load(t):
-        calls.append(t)
-        return np.array([t]), np.array([2.0 * t])
+        def load(name, scale):
+            def block(times):
+                calls.append((name, times.copy()))
+                return scale * times[None, :]
+            return block
 
-    sys_ = scalar_system(k3=MemoryKernel.exp_convolution(c=-1.0, rate=1.0))
-    grid = TimeGrid(T=1.0, n_steps=8)
-    f_of_t, g_of_t = split_load(load)
-    states = []
-    VolterraStepper(sys_, grid).run(
-        f_of_t, g_of_t, on_step=lambda n, times, u, p: states.append((u, p)))
-    assert_array_equal(calls, grid.times)
-    # same states as two independent load callbacks
-    ref = []
-    VolterraStepper(scalar_system(k3=sys_.k3), grid).run(
-        lambda t: load(t)[0], lambda t: load(t)[1],
-        on_step=lambda n, times, u, p: ref.append((u, p)))
-    for (u, p), (u_ref, p_ref) in zip(states, ref):
-        assert_array_equal(u, u_ref)
-        assert_array_equal(p, p_ref)
+        blocks = []
+        VolterraStepper(scalar_system(k3=k3), grid).run(
+            load("f", 1.0), load("g", 2.0),
+            on_step=lambda n, times, u, p: blocks.append((times, u)))
+        assert [len(times) for times, _ in blocks] == widths
+        assert [name for name, _ in calls] == ["f", "g"] * len(blocks)
+        for (times, u), (_, f_times), (_, g_times) in zip(
+                blocks, calls[::2], calls[1::2]):
+            assert_array_equal(f_times, times)
+            assert_array_equal(g_times, times)
+            assert u.shape == (1, len(times))
+        assert_array_equal(np.concatenate([t for _, t in calls[::2]]),
+                           grid.times)
 
 
 def count_factorizations(monkeypatch):
@@ -115,7 +133,7 @@ def test_time_varying_kernel_factors_once(monkeypatch):
     calls = count_factorizations(monkeypatch)
     sys_ = scalar_system(k3=time_varying_kernel())
     grid = TimeGrid(T=1.0, n_steps=200)
-    VolterraStepper(sys_, grid).run(lambda t: np.zeros(1), lambda t: np.ones(1))
+    VolterraStepper(sys_, grid).run(const_load(0.0), const_load(1.0))
     assert len(calls) == 1
     assert len({step_gammas(sys_, grid, n) for n in range(1, 201)}) == 200
 
@@ -159,7 +177,7 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     assert calls == []
     blocks = []
     stepper = VolterraStepper(sys_, grid)
-    stepper.run(lambda t: np.zeros(1), lambda t: np.ones(1),
+    stepper.run(const_load(0.0), const_load(1.0),
                 on_step=lambda n, times, u, p: blocks.append((n, times, u)))
     assert len(calls) == 1
     # the 21 nodes fit one block: one solve of 21 columns on that factor,
@@ -172,7 +190,7 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     assert_array_equal(times, grid.times)
     assert_array_equal(solves[0][3][0], u[0])
     assert solves[0][3][0, 0] == 1.0
-    # the gate saw node 0 and node 1 only, before the block's loads
+    # the gate saw node 0 and node 1 only, before the block's solve
     steady = orig_gammas(sys_, grid, 1)
     assert steady != (1.0, 1.0, 1.0)
     assert gammas == [(0, (1.0, 1.0, 1.0)), (1, steady)]
@@ -208,7 +226,7 @@ def test_step_hand_solvable_system():
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=2)
     hist = HistoryBuffer(sys, grid)
-    u, p = step(sys, hist, [(np.array([1.0, 0.0]), np.array([1.0]))])
+    u, p = step(sys, hist, np.array([[1.0], [0.0]]), np.array([[1.0]]))
     assert u.shape == (2, 1) and p.shape == (1, 1)
     assert_allclose(u[:, 0], [1.0, 0.0], atol=1e-14)
     assert_allclose(p[:, 0], [0.0], atol=1e-14)
@@ -233,7 +251,8 @@ def test_zero_kernel_reduces_to_stationary_solve():
 
     states = []
     VolterraStepper(sys, grid).run(
-        f_of_t, g_of_t, on_step=lambda n, times, u, p: states.extend(
+        block_load(f_of_t), block_load(g_of_t),
+        on_step=lambda n, times, u, p: states.extend(
             zip(times, u.T, p.T)))
     assert [t for t, _, _ in states] == list(grid.times)
     for t, u, p in states:
@@ -266,7 +285,7 @@ def test_exponential_kernel_diagonal_is_read_not_evaluated():
     for n_steps in (50, 500):
         calls.clear()
         VolterraStepper(scalar_system(k3=kernel), TimeGrid(1.0, n_steps)).run(
-            lambda t: np.zeros(1), lambda t: np.ones(1))
+            const_load(0.0), const_load(1.0))
         counts.append(len(calls))
     assert counts[1] <= counts[0]
     # the same gammas as a general kernel that evaluates k(t_n, t_n)
@@ -282,41 +301,42 @@ def test_step_leaves_the_loads_unmodified():
     kernel = MemoryKernel.exp_convolution(c=-0.5, rate=1.0)
     sys_ = sized_system(3, 2, k1=kernel, k2=kernel, k3=kernel)
     hist = HistoryBuffer(sys_, TimeGrid(T=1.0, n_steps=10))
-    f, g = np.array([1.0, 2.0, -3.0]), np.array([0.5, -1.0])
+    f, g = np.array([[1.0], [2.0], [-3.0]]), np.array([[0.5], [-1.0]])
     f.flags.writeable = g.flags.writeable = False
     for _ in range(5):
-        step(sys_, hist, [(f, g)])
-    assert_array_equal(f, [1.0, 2.0, -3.0])
-    assert_array_equal(g, [0.5, -1.0])
+        step(sys_, hist, f, g)
+    assert_array_equal(f, [[1.0], [2.0], [-3.0]])
+    assert_array_equal(g, [[0.5], [-1.0]])
 
 
 def test_stability_gate_violation():
     sys = scalar_system(k3=fickian_kernel(0.01))
     grid = TimeGrid(T=1.0, n_steps=33)  # dt ~ 0.0303 >= 2 delta
     hist = HistoryBuffer(sys, grid)
-    step(sys, hist, [(np.zeros(1), np.ones(1))])
+    step(sys, hist, np.zeros((1, 1)), np.ones((1, 1)))
     with pytest.raises(StabilityGateError, match="dt too large"):
-        step(sys, hist, [(np.zeros(1), np.ones(1))])
+        step(sys, hist, np.zeros((1, 1)), np.ones((1, 1)))
 
 
 def test_stability_gate_stops_the_block_before_its_solve(monkeypatch):
     # the gate fails at node 1, inside the first block, and is checked
-    # before the block's loads: no load is requested, the block is never
-    # solved and the history stays empty
+    # before the block's solve: the block's loads are asked once, the
+    # block is never solved and the history stays empty
     solves = record_solves(monkeypatch)
     sys = scalar_system(k3=fickian_kernel(0.01))
     grid = TimeGrid(T=1.0, n_steps=33)
     loads = []
 
-    def f_of_t(t):
-        loads.append(t)
-        return np.zeros(1)
+    def f_of_t(times):
+        loads.append(times.copy())
+        return np.zeros((1, len(times)))
 
     stepper = VolterraStepper(sys, grid)
     assert stepper.width == 64
     with pytest.raises(StabilityGateError, match="at step 1;"):
-        stepper.run(f_of_t, lambda t: np.ones(1))
-    assert loads == []
+        stepper.run(f_of_t, const_load(1.0))
+    [asked] = loads
+    assert_array_equal(asked, grid.times)
     assert solves == []
     assert len(stepper.hist) == 0
     [(_, recurrence)] = stepper.hist._recur.values()
@@ -368,8 +388,8 @@ def test_history_sum_recurrence_matches_direct():
                 denom = np.max(np.abs(direct))
                 assert np.max(np.abs(direct - recur)) \
                     <= 1e-12 * max(denom, 1e-30)
-        u, _ = step(recur_sys, recur_hist, [(rng.standard_normal(7),
-                                             rng.standard_normal(3))])
+        u, _ = step(recur_sys, recur_hist, rng.standard_normal((7, 1)),
+                    rng.standard_normal((3, 1)))
         direct_hist.append(u[:, 0], np.zeros(3))
 
 
@@ -456,7 +476,7 @@ def test_history_without_store_allocates_nothing():
     kernel = beam_kernel(PronySLS(1.0, 1.0, 1.0))
     stepper = VolterraStepper(scalar_system(k3=kernel), grid)
     assert not stepper.hist.store_full
-    stepper.run(lambda t: np.zeros(1), lambda t: np.ones(1))
+    stepper.run(const_load(0.0), const_load(1.0))
     assert stepper.hist._stored == {}
     assert stepper.hist.vectors("u").size == 0
     assert stepper.hist.vectors("p").size == 0
@@ -496,7 +516,7 @@ def test_scalar_stepper_tracks_creep_factor_second_order():
         grid = TimeGrid(T=2.0, n_steps=n_steps)
         last = {}
         VolterraStepper(sys, grid).run(
-            lambda t: np.zeros(1), lambda t: np.ones(1),
+            const_load(0.0), const_load(1.0),
             on_step=lambda n, times, u, p: last.update(u=u[0, -1]))
         errs.append(abs(last["u"] - exact_T))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -507,12 +527,12 @@ def test_stepper_audit_recurrence_vs_direct():
     kernel = beam_kernel(PronySLS(1.0, 1.0, 1.0))
     grid = TimeGrid(T=2.0, n_steps=200)
     steps, deviation = audit(scalar_system(k3=kernel), grid,
-                             lambda t: (np.zeros(1), np.ones(1)))
+                             const_load(0.0), const_load(1.0))
     assert steps == 200
     assert deviation <= 1e-12
     # no exponential kernel, no recurrence to audit
     assert audit(scalar_system(k3=direct_form(kernel)), grid,
-                 lambda t: (np.zeros(1), np.ones(1))) == (0, 0.0)
+                 const_load(0.0), const_load(1.0)) == (0, 0.0)
 
 
 def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
@@ -524,14 +544,15 @@ def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
     widths = {}
     traced = volterra.step
 
-    def counted(sys, hist, loads, k=None):
-        u, p = traced(sys, hist, loads, k)
+    def counted(sys, hist, f, g):
+        u, p = traced(sys, hist, f, g)
         widths.setdefault(sys is sys_, []).append(u.shape[1])
         return u, p
 
     monkeypatch.setattr(volterra, "step", counted)
-    steps, deviation = audit(sys_, grid, lambda t: (np.full(2000, t),
-                                                    np.full(900, 1.0 + t)))
+    steps, deviation = audit(
+        sys_, grid, lambda times: np.full((2000, len(times)), times),
+        lambda times: np.full((900, len(times)), 1.0 + times))
     assert steps == 50 and deviation <= 1e-12
     assert widths[True] == [22, 22, 7]
     assert widths[False] == [1] * 51
@@ -545,7 +566,7 @@ def test_audit_fails_when_eval_disagrees_with_the_recurrence():
         -rate * (np.asarray(t) - np.asarray(s))), bound=0.5, c=c, rate=rate)
     grid = TimeGrid(T=2.0, n_steps=200)
     steps, deviation = audit(scalar_system(k3=off), grid,
-                             lambda t: (np.zeros(1), np.ones(1)))
+                             const_load(0.0), const_load(1.0))
     assert steps == 200
     assert 1e-12 < deviation < 1e-8
 
@@ -565,8 +586,8 @@ def assert_stepper_paths_agree(*slots):
         stepper = VolterraStepper(BlockSaddleSystem(a, b, **dict.fromkeys(slots, k)),
                                   grid)
         out = []
-        stepper.run(lambda t: np.full(n, math.sin(t)),
-                    lambda t: np.full(m, math.cos(t)),
+        stepper.run(block_load(lambda t: np.full(n, math.sin(t))),
+                    block_load(lambda t: np.full(m, math.cos(t))),
                     on_step=lambda nn, times, u, p: out.append((u.copy(), p.copy())))
         return out
 
@@ -599,7 +620,7 @@ def scalar_runner(kernel):
                 collect(n + j, t, u[:, j], p[:, j])
 
         stepper = VolterraStepper(sys_, grid)
-        stepper.run(lambda t: np.zeros(1), lambda t: np.array([1.0 + t]),
+        stepper.run(const_load(0.0), lambda times: 1.0 + times[None, :],
                     on_step=on_step)
         return stepper
     return run
@@ -667,7 +688,8 @@ def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
 
     stepper = VolterraStepper(sys_, grid)
     assert stepper.width == width
-    stepper.run(lambda t: np.full(n_v, t), lambda t: np.full(n_q, 1.0 + t),
+    stepper.run(lambda times: np.full((n_v, len(times)), times),
+                lambda times: np.full((n_q, len(times)), 1.0 + times),
                 on_step=on_step)
     assert [n for n, *_ in blocks] == list(range(0, n_steps + 1, width))
     assert width == 1 or (n_steps + 1) % width != 0
@@ -692,17 +714,21 @@ def test_step_node_by_node_equals_a_blocked_run():
                              k3=MemoryKernel.exp_convolution(c=-0.7, rate=1.3))
     grid = TimeGrid(T=1.5, n_steps=150)
 
-    def load(t):
-        return np.sin(t + np.arange(n)), np.cos(2.0 * t + np.arange(m))
+    def f_of_t(t):
+        return np.sin(t + np.arange(n))
+
+    def g_of_t(t):
+        return np.cos(2.0 * t + np.arange(m))
 
     blocks = []
     stepper = VolterraStepper(sys_, grid)
-    stepper.run(*split_load(load),
+    stepper.run(block_load(f_of_t), block_load(g_of_t),
                 on_step=lambda n0, times, u, p: blocks.append((u, p)))
     assert [u.shape[1] for u, _ in blocks] == [64, 64, 23]
     assert set(stepper.hist._maps) == {(True, 64), (False, 64), (False, 23)}
     hist = HistoryBuffer(sys_, grid)
-    single = [step(sys_, hist, [load(t)]) for t in grid.times]
+    single = [step(sys_, hist, f_of_t(t)[:, None], g_of_t(t)[:, None])
+              for t in grid.times]
     assert set(hist._maps) == {(True, 1), (False, 1)}
     for blocked, one in zip((np.hstack([u for u, _ in blocks]),
                              np.hstack([p for _, p in blocks])),
