@@ -47,7 +47,6 @@ from .volterra import (
     history_sum,
     stability_constants,
     step,
-    trapezoid_weights,
 )
 from .beam import (
     BeamConfig,

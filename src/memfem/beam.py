@@ -247,9 +247,8 @@ def beam_gram_q(mesh: Mesh1D) -> sp.csr_matrix:
 class BeamReference:
     """Separable exact-solution evaluator: elastic(x) times creep(t)."""
 
-    def __init__(self, cfg: BeamConfig, mesh: Mesh1D, u: np.ndarray,
-                 p: np.ndarray, phi: CreepFactor):
-        self.cfg = cfg
+    def __init__(self, mesh: Mesh1D, u: np.ndarray, p: np.ndarray,
+                 phi: CreepFactor):
         self.mesh = mesh
         self.coeff = _split(mesh.n_elements, u, p)
         self.phi = phi
@@ -297,13 +296,9 @@ def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
         n_ref += 1
     fine = BeamProblem(cfg, n_ref, None, e0, f_space, g_space)
     u, p = fine.system.factorization().solve(np.zeros(fine.n_v), fine._row)
-    if kernel is None:
-        phi = CreepFactor(times=grid.times.copy(),
-                          samples=np.ones(grid.n_steps + 1), residual=0.0,
-                          exact=lambda t: np.ones_like(np.asarray(t, float)))
-    else:
-        phi = creep_factor(kernel, grid)
-    return BeamReference(cfg, fine.mesh, u, p, phi)
+    if kernel is None:          # the zero kernel: its creep factor is 1 + 0 t
+        kernel = MemoryKernel.exp_convolution(0.0, 0.0)
+    return BeamReference(fine.mesh, u, p, creep_factor(kernel, grid))
 
 
 def beam_accumulator(mesh: Mesh1D, reference: BeamReference,

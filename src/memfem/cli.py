@@ -39,7 +39,7 @@ from .report import ConvergenceReport, LevelRow, render_csv, render_markdown, re
 from .sparsela import (infsup_estimate, kernel_ellipticity, operator_norm_b,
                        operator_norm_estimate)
 from .volterra import (TimeGrid, VolterraStepper, audit, error_constants,
-                       stability_constants, trapezoid_weights)
+                       stability_constants)
 
 __all__ = ["main", "load_config", "run_study", "emit_report", "emit_certificate"]
 
@@ -256,7 +256,7 @@ class RunNorms:
         self._gq_diag = gram_q.diagonal()
         if abs(gram_q - sp.diags(self._gq_diag)).max() != 0.0:
             raise ValueError("RunNorms needs a diagonal Q Gram")
-        self.weights = trapezoid_weights(grid, grid.n_steps)
+        self.weights = grid.weights
         self.u_l1 = 0.0
         self.p_l1 = 0.0
         self.g_dual_l1 = 0.0

@@ -4,8 +4,8 @@ stability certificates.
 Matrices are stored as scipy CSR/CSC (compressed row storage with sorted,
 duplicate-free indices); factorization is direct sparse LU, which is
 robust at the desk scales this package targets.  A saddle system is
-factored once and reused for every block scaling: by one SuperLU LU of
-the whole indefinite system, or, for an element-assembled pair, by
+factored once and reused for every solve: by one SuperLU LU of the
+whole indefinite system, or, for an element-assembled pair, by
 hybridization, which leaves one SPD LU on the multipliers that join
 the elements (:class:`HybridSaddle`).  No estimator forms a
 dense array: the spectral ones run shift-invert Lanczos on saddle LUs, and
@@ -51,12 +51,6 @@ class SaddleFactorization:
     ``lu`` solves ``K`` for a stacked right-hand side (``lu.solve``) and
     counts its stored entries (``lu.nnz``): a SuperLU object or a
     :class:`HybridSaddle`.
-
-    Scalar block scalings need no factorization of their own:
-
-        [[g1 A, g2 B^T], [g3 B, 0]] = diag(g1 I, g3 I) K diag(I, (g2/g1) I),
-
-    so :meth:`solve` applies them to the right-hand side and to ``p``.
     """
 
     def __init__(self, lu, n_v: int, n_q: int):
@@ -64,29 +58,15 @@ class SaddleFactorization:
         self.n_v = n_v
         self.n_q = n_q
 
-    def solve(self, f: np.ndarray, g: np.ndarray, gammas=(1.0, 1.0, 1.0)):
-        """Solve ``[[g1 A, g2 B^T], [g3 B, 0]] (u, p) = (f, g)``, for one
-        right-hand side or, with ``f`` of shape ``(n_v, k)`` and ``g`` of
-        shape ``(n_q, k)``, for k columns at once; a zero or non-finite
-        gamma or a non-finite solution entry raises
+    def solve(self, f: np.ndarray, g: np.ndarray):
+        """Solve ``K (u, p) = (f, g)``, for one right-hand side or, with
+        ``f`` of shape ``(n_v, k)`` and ``g`` of shape ``(n_q, k)``, for k
+        columns at once; a non-finite solution entry raises
         :class:`SaddleSolverError`."""
-        g1, g2, g3 = gammas
-        if not (g1 and g2 and g3 and math.isfinite(g1)
-                and math.isfinite(g2) and math.isfinite(g3)):
-            raise SaddleSolverError(f"block scalings {gammas!r} are singular")
-        n_v = self.n_v
-        rhs = np.concatenate((f, g), dtype=float)
-        if g1 != 1.0:
-            rhs[:n_v] /= g1
-        if g3 != 1.0:
-            rhs[n_v:] /= g3
-        sol = self._lu.solve(rhs)
-        if g1 != g2:
-            sol[n_v:] *= g1 / g2
+        sol = self._lu.solve(np.concatenate((f, g), dtype=float))
         if not np.isfinite(sol).all():
-            raise SaddleSolverError(
-                f"saddle solve produced non-finite values (gammas={gammas})")
-        return sol[:n_v], sol[n_v:]
+            raise SaddleSolverError("saddle solve produced non-finite values")
+        return sol[:self.n_v], sol[self.n_v:]
 
 
 def _rank_detail(b) -> str:

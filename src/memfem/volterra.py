@@ -16,12 +16,12 @@ initial condition).  Scheme well-posedness requires the stability gate
 The scalings are scalars, so every step shares one factorization of the
 unscaled ``K = [[A, B^T], [B, 0]]`` (see :class:`SaddleFactorization`):
 a SuperLU LU of ``K``, or for an element-assembled pair the LU of its
-hybridized SPD system on the shared v-dofs.  The
-history kept is what the attached kernels read: a convolution kernel
-gets an O(1) exponential recurrence, and a general kernel one product of
-the weight row with the stored ``(N+1, n)`` states of the family it
-reads.  :func:`audit` checks a run against the same kernels in that
-direct form.
+hybridized SPD system on the shared v-dofs.  :func:`step` applies the
+scalings around that solve.  The history kept is what the attached
+kernels read: a convolution kernel gets an O(1) exponential recurrence,
+and a general kernel one product of the weight row with the stored
+``(N+1, n)`` states of the family it reads.  :func:`audit` checks a run
+against the same kernels in that direct form.
 
 Row 2 alone fixes ``q_n = B u_n = (g_n + sum_{j<n} w_{n,j} k3 q_j) / g3``,
 a scalar Volterra system on ``n_q``-vectors.  Without ``k1`` and ``k2``,
@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import EstimatorError, StabilityGateError
+from .errors import EstimatorError, SaddleSolverError, StabilityGateError
 from .kernels import MemoryKernel
 from .sparsela import SaddleFactorization, as_csr, factorize_saddle
 
@@ -61,7 +61,6 @@ __all__ = [
     "L1NormAccumulator",
     "StabilityConstants",
     "ErrorConstants",
-    "trapezoid_weights",
     "audit",
     "step",
     "step_gammas",
@@ -95,19 +94,15 @@ class TimeGrid:
         times.flags.writeable = False
         return times
 
-
-def trapezoid_weights(grid: TimeGrid, n: int) -> np.ndarray:
-    """Composite trapezoid weights for [0, t_n] over nodes t_0..t_n.
-
-    ``n = 0`` yields a single zero weight (empty integration interval).
-    """
-    if not 0 <= n <= grid.n_steps:
-        raise IndexError(f"step index {n} outside 0..{grid.n_steps}")
-    if n == 0:
-        return np.zeros(1)
-    w = np.full(n + 1, grid.dt)
-    w[0] = w[-1] = 0.5 * grid.dt
-    return w
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Composite trapezoid weights over [0, T] at the n_steps + 1
+        nodes, computed once and read-only.  Those of [0, t_n] at nodes
+        j < n are ``weights[:n]``, for every n <= n_steps."""
+        w = np.full(self.n_steps + 1, self.dt)
+        w[0] = w[-1] = 0.5 * self.dt
+        w.flags.writeable = False
+        return w
 
 
 class L1NormAccumulator:
@@ -155,7 +150,7 @@ class L1NormAccumulator:
         self._rho = np.concatenate(rho)
         self._s = np.concatenate(s)
         self._scale = np.asarray(factor(grid.times), dtype=float)
-        self._weights = trapezoid_weights(grid, grid.n_steps)
+        self._weights = grid.weights
         # per node and norm: c^2 res, and what add adds to it
         self._squares = self._scale[:, None] ** 2 * np.array(res)
         self._count = 0
@@ -311,8 +306,6 @@ class HistoryBuffer:
                         for kernel, which in reads if not kernel.is_exp}
         self._maps = {}         # (block starts at node 0, k) -> row 2's map
         self._count = 0         # solved states appended
-        # w_{n,j} for j < n, the same for every n <= n_steps
-        self._weights = trapezoid_weights(grid, grid.n_steps)
 
     def __len__(self) -> int:
         return self._count
@@ -372,12 +365,15 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
         raise ValueError(f"history sum of {which!r} at step {n} needs {n} "
                          f"stored states, and the buffer holds {len(xs)}")
     kv = np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
-    direct = (hist._weights[:n] * kv) @ xs[:n]
+    direct = (hist.grid.weights[:n] * kv) @ xs[:n]
     return hist.b @ direct if which == "q" else direct
 
 
 def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
-    """Left-hand block scalings for step n, enforcing the stability gate."""
+    """Left-hand block scalings for step n, enforcing the stability gate.
+
+    A non-finite ``k(t_n, t_n)`` raises :class:`SaddleSolverError`; with
+    a finite one the gate keeps every scaling in (0, 2)."""
     w_nn = 0.0 if n == 0 else 0.5 * grid.dt
     gammas = []
     for kernel in sys.kernels:
@@ -386,6 +382,9 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
             k_nn = 0.0 if kernel is None else kernel.c
         else:
             k_nn = float(kernel.eval(grid.times[n], grid.times[n]))
+        if not math.isfinite(k_nn):
+            raise SaddleSolverError(f"kernel diagonal k(t_n, t_n) = {k_nn} "
+                                    f"at step {n} (t_n = {grid.times[n]:g})")
         if abs(w_nn * k_nn) >= 1.0:
             bound = kernel.bound if kernel.bound > 0 else abs(k_nn)
             raise StabilityGateError(
@@ -405,8 +404,14 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     block holding node 0, at node 1, whose scalings every later node
     shares.  Row 2 then gives ``q = B u`` of every node: under an
     exponential ``k3`` as one affine map of the loads ``G`` and the
-    history ``H``, ``Q = G M + H v`` and ``H <- G d + e H``.  One
-    multi-column solve with the columns ``(f_n, q_n)`` gives the states.
+    history ``H``, ``Q = G M + H v`` and ``H <- G d + e H``.  The
+    scalings are scalars, so
+
+        [[g1 A, g2 B^T], [g3 B, 0]] = diag(g1 I, g3 I) K diag(I, (g2/g1) I)
+
+    with ``K = [[A, B^T], [B, 0]]``: ``g3`` is folded into ``q``, and one
+    multi-column solve of ``K`` with the columns ``(f_n / g1, q_n)`` gives
+    ``u`` and ``(g2 / g1) p``.  Every block scaling is applied here.
     """
     grid, n = hist.grid, len(hist)
     k = f.shape[1]
@@ -437,8 +442,12 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
         h += gk @ d
     else:
         q = g / g3
-    # g3 is folded into q; g1 and g2 are those of every node of the block
-    u, p = sys.factorization().solve(f, q, (g1, g2, 1.0))
+    # g1 and g2 are those of every node of the block
+    if g1 != 1.0:
+        f = f / g1
+    u, p = sys.factorization().solve(f, q)
+    if g1 != g2:
+        p *= g1 / g2
     hist.append(u, p)
     return u.reshape(len(u), -1), p.reshape(len(p), -1)
 

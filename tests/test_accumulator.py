@@ -25,7 +25,7 @@ from memfem.beam import (
 )
 from memfem.kernels import PronySLS, beam_kernel
 from memfem.laplace_mem import LaplaceProblem, laplace_accumulator
-from memfem.volterra import L1NormAccumulator, TimeGrid, trapezoid_weights
+from memfem.volterra import L1NormAccumulator, TimeGrid
 
 EPS = 1e-10
 
@@ -34,7 +34,7 @@ def reference_laplace_errors(space, manufactured, grid, series):
     xq = space.quad_x
     sigma_spatial = manufactured.sigma(xq[..., 0], xq[..., 1], 0.0)
     u_spatial = manufactured.shape(xq[..., 0], xq[..., 1])
-    weights = trapezoid_weights(grid, grid.n_steps)
+    weights = grid.weights
     e0 = {"sigma": 0.0, "u": 0.0}
     for n, (sig, u) in enumerate(series):
         cos_t = math.cos(grid.times[n])
@@ -55,7 +55,7 @@ def reference_beam_errors(mesh, reference, grid, series):
     n = mesh.n_elements
     ref = {k: v.reshape(xq.shape)
            for k, v in reference.spatial(xq.ravel()).items()}
-    weights = trapezoid_weights(grid, grid.n_steps)
+    weights = grid.weights
     conn = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     ones = np.ones((1, phi_basis.shape[0]))
     out = {name: {"e0": 0.0} for name in BeamProblem.FIELDS}
@@ -210,7 +210,7 @@ def test_off_range_reference_matches_extended_precision(driver):
     ld = np.longdouble
     e_ld, w_ld, r_ld = e.toarray().astype(ld), w.astype(ld), r.astype(ld)
     want = ld(0.0)
-    for w_n, t, x in zip(trapezoid_weights(grid, grid.n_steps), grid.times,
+    for w_n, t, x in zip(grid.weights, grid.times,
                          states):
         d = e_ld @ x.astype(ld) - ld(math.cos(t)) * r_ld
         want += ld(w_n) * np.sqrt(np.sum(w_ld * d * d))

@@ -552,7 +552,6 @@ def test_run_norms_blocks_give_the_per_node_formula(width):
     import scipy.sparse as sp
 
     from memfem.cli import RunNorms
-    from memfem.volterra import trapezoid_weights
 
     rng = np.random.default_rng(width)
     grid = TimeGrid(T=1.0, n_steps=43)
@@ -568,7 +567,7 @@ def test_run_norms_blocks_give_the_per_node_formula(width):
         norms.add(n, grid.times[block], u[:, block], p[:, block])
         norms.add_load(g[:, block])
 
-    w = trapezoid_weights(grid, grid.n_steps)
+    w = grid.weights
     u_l1 = sum(w[n] * math.sqrt(u[:, n] @ gram_v @ u[:, n]) for n in range(44))
     p_l1 = sum(w[n] * math.sqrt(p[:, n] @ (gram_q * p[:, n]))
                for n in range(44))

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from memfem.errors import EstimatorError, SaddleSolverError
+from memfem.kernels import MemoryKernel
 from memfem.sparsela import (
     HybridSaddle,
     as_csr,
@@ -17,6 +18,8 @@ from memfem.sparsela import (
     operator_norm_b,
     operator_norm_estimate,
 )
+from memfem.volterra import (BlockSaddleSystem, HistoryBuffer, TimeGrid,
+                             history_sum, step, step_gammas)
 
 
 def random_spd(n, rng):
@@ -54,17 +57,6 @@ def test_factorize_saddle_zero_row_is_rank_deficiency():
         factorize_saddle(a, b)
 
 
-def test_solve_rejects_singular_gammas():
-    a = sp.identity(2, format="csr")
-    b = sp.csr_matrix(np.array([[1.0, 0.0]]))
-    fact = factorize_saddle(a, b)
-    f, g = np.array([1.0, 0.0]), np.array([1.0])
-    for gammas in ((1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, math.inf, 1.0),
-                   (1.0, 1.0, math.nan), (-math.inf, 1.0, 1.0)):
-        with pytest.raises(SaddleSolverError, match="singular"):
-            fact.solve(f, g, gammas)
-
-
 def test_solve_rejects_only_non_finite_solutions():
     # u = (g, f2), p = f1 - g: entries of 1e308 are finite although any
     # sum of them overflows, while an infinite or NaN load gives a
@@ -78,44 +70,60 @@ def test_solve_rejects_only_non_finite_solutions():
             fact.solve(np.array([bad, 1.0]), np.zeros(1))
 
 
-def scaled_kkt(a, b, g1, g2, g3):
-    m = b.shape[0]
-    return np.block([[g1 * a, g2 * b.T], [g3 * b, np.zeros((m, m))]])
-
-
 def test_factor_solve_random_residuals():
-    # one unscaled factorization serves every gamma triple, down to the
-    # 1e-3 scalings met next to the stability gate
     rng = np.random.RandomState(42)
     for trial in range(100):
         n, m = 30, 10
         a = random_spd(n, rng)
         b = rng.standard_normal((m, n))
-        g1, g2, g3 = rng.uniform(1e-3, 2.0, size=3)
         fact = factorize_saddle(sp.csr_matrix(a), sp.csr_matrix(b))
         f = rng.standard_normal(n)
         g = rng.standard_normal(m)
-        u, p = fact.solve(f, g, (g1, g2, g3))
-        kkt = scaled_kkt(a, b, g1, g2, g3)
+        u, p = fact.solve(f, g)
+        kkt = np.block([[a, b.T], [b, np.zeros((m, m))]])
         rhs = np.concatenate([f, g])
         res = np.linalg.norm(kkt @ np.concatenate([u, p]) - rhs)
         assert res / np.linalg.norm(rhs) < 1e-10
 
 
+def check_steps_against_scaled_kkt(a, b, elements, rng):
+    """Step an exponential k1 + k2 + k3 system on ``(a, b)``: each node
+    n >= 1 equals an LU solve of ``[[g1 A, g2 B^T], [g3 B, 0]]`` with its
+    history sums, although the factorization holds the unscaled ``K``."""
+    exp = MemoryKernel.exp_convolution
+    sys_ = BlockSaddleSystem(a, b, exp(-2.4, 1.0), exp(5.6, 0.5),
+                             exp(7.992, 2.0), elements=elements)
+    assert (elements is not None) == isinstance(sys_.factorization()._lu,
+                                                HybridSaddle)
+    grid = TimeGrid(T=1.0, n_steps=4)   # w_nn = 1/8: g3 next to the gate
+    g1, g2, g3 = step_gammas(sys_, grid, 1)
+    assert_allclose((g1, g2, g3), (1.3, 0.3, 1e-3), rtol=1e-12)
+    kkt = sp.bmat([[g1 * a, g2 * b.T], [g3 * b, None]], format="csc")
+    scaled = spla.splu(kkt)
+    hist = HistoryBuffer(sys_, grid)
+    for n in range(grid.n_steps + 1):
+        f = rng.standard_normal(b.shape[1])
+        g = rng.standard_normal(b.shape[0])
+        if n:
+            rhs = np.concatenate([
+                f + a @ history_sum(hist, sys_.k1, "u")
+                + b.T @ history_sum(hist, sys_.k2, "p"),
+                g + history_sum(hist, sys_.k3, "q")])
+        u, p = step(sys_, hist, f[:, None], g[:, None])
+        if n:
+            ref = scaled.solve(rhs)
+            x = np.concatenate([u[:, 0], p[:, 0]])
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_scaled_solve_matches_lu_of_scaled_kkt():
+    # g1, g2 and g3 all differ: the scalings step applies around the
+    # solve of K, on a SuperLU factorization
     rng = np.random.RandomState(7)
     n, m = 40, 12
-    a = random_spd(n, rng)
-    b = rng.standard_normal((m, n))
-    fact = factorize_saddle(sp.csr_matrix(a), sp.csr_matrix(b))
-    for g1, g2, g3 in ((1.0, 1.0, 0.925), (0.6, 0.6, 1.0), (0.7, 1.3, 0.2)):
-        f = rng.standard_normal(n)
-        g = rng.standard_normal(m)
-        u, p = fact.solve(f, g, (g1, g2, g3))
-        ref = spla.splu(sp.csc_matrix(scaled_kkt(a, b, g1, g2, g3))).solve(
-            np.concatenate([f, g]))
-        x = np.concatenate([u, p])
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    a = sp.csr_matrix(random_spd(n, rng))
+    b = sp.csr_matrix(rng.standard_normal((m, n)))
+    check_steps_against_scaled_kkt(a, b, None, rng)
 
 
 def test_factor_matches_dense_reference():
@@ -144,29 +152,17 @@ def test_hybrid_solve_matches_lu_of_scaled_kkt(m):
     # m = 1 joins its two elements by a single multiplier; a nonzero f
     # checks that each f entry is sent to one element, not to both
     a, b, elements = laplace_blocks(m)
-    fact = factorize_saddle(a, b, elements)
-    assert isinstance(fact._lu, HybridSaddle)
-    rng = np.random.RandomState(m)
-    for _ in range(3):
-        g1, g2, g3 = rng.uniform(1e-3, 2.0, size=3)
-        f = rng.standard_normal(b.shape[1])
-        g = rng.standard_normal(b.shape[0])
-        x = np.concatenate(fact.solve(f, g, (g1, g2, g3)))
-        kkt = sp.bmat([[g1 * a, g2 * b.T], [g3 * b, None]], format="csc")
-        ref = spla.splu(kkt).solve(np.concatenate([f, g]))
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    check_steps_against_scaled_kkt(a, b, elements, np.random.RandomState(m))
 
 
 def test_hybrid_solve_residual_at_m64():
     a, b, elements = laplace_blocks(64)
     fact = factorize_saddle(a, b, elements)
     rng = np.random.RandomState(64)
-    gammas = (0.7, 1.3, 0.2)
     f = rng.standard_normal(b.shape[1])
     g = rng.standard_normal(b.shape[0])
-    u, p = fact.solve(f, g, gammas)
-    res = np.concatenate([gammas[0] * (a @ u) + gammas[1] * (b.T @ p) - f,
-                          gammas[2] * (b @ u) - g])
+    u, p = fact.solve(f, g)
+    res = np.concatenate([a @ u + b.T @ p - f, b @ u - g])
     assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(np.concatenate([f, g]))
     # the hybrid LU stores less than half of what SuperLU does for K
     assert fact._lu.nnz < 0.5 * factorize_saddle(a, b)._lu.nnz
@@ -188,14 +184,13 @@ def test_column_block_solve_matches_column_solves(kind):
     k = 7
     f = rng.standard_normal((fact.n_v, k))
     g = rng.standard_normal((fact.n_q, k))
-    for gammas in ((1.0, 1.0, 1.0), (0.7, 1.3, 0.2), (0.925, 0.925, 1.5)):
-        u, p = fact.solve(f, g, gammas)
-        assert u.shape == (fact.n_v, k) and p.shape == (fact.n_q, k)
-        for j in range(k):
-            uj, pj = fact.solve(f[:, j], g[:, j], gammas)
-            ref = np.concatenate([uj, pj])
-            x = np.concatenate([u[:, j], p[:, j]])
-            assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+    u, p = fact.solve(f, g)
+    assert u.shape == (fact.n_v, k) and p.shape == (fact.n_q, k)
+    for j in range(k):
+        uj, pj = fact.solve(f[:, j], g[:, j])
+        ref = np.concatenate([uj, pj])
+        x = np.concatenate([u[:, j], p[:, j]])
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("kind", [0, 1], ids=["superlu", "hybrid"])
@@ -203,11 +198,11 @@ def test_column_block_solve_rejects_one_non_finite_column(kind):
     fact = block_factorizations()[kind]
     f = np.ones((fact.n_v, 5))
     g = np.ones((fact.n_q, 5))
-    fact.solve(f, g, (0.7, 1.3, 0.2))
+    fact.solve(f, g)
     for bad in (math.inf, math.nan):
         f[3, 2] = bad
         with pytest.raises(SaddleSolverError, match="non-finite"):
-            fact.solve(f, g, (0.7, 1.3, 0.2))
+            fact.solve(f, g)
 
 
 def test_hybrid_rejects_local_blocks_that_miss_a():

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from memfem.errors import EstimatorError, StabilityGateError
+from memfem.errors import EstimatorError, SaddleSolverError, StabilityGateError
 from memfem import volterra
 from memfem.kernels import MemoryKernel, PronySLS, beam_kernel, fickian_kernel
 from memfem.laplace_mem import LaplaceProblem
@@ -21,7 +21,6 @@ from memfem.volterra import (
     stability_constants,
     step,
     step_gammas,
-    trapezoid_weights,
 )
 
 
@@ -148,13 +147,13 @@ def test_time_varying_kernel_factors_once_hybridized(monkeypatch):
 
 
 def record_solves(monkeypatch):
-    """``(factorization id, gammas, f, g)`` of every saddle solve."""
+    """``(factorization id, f, g)`` of every saddle solve."""
     solves = []
     orig = SaddleFactorization.solve
 
-    def recorded(fact, f, g, gammas=(1.0, 1.0, 1.0)):
-        solves.append((id(fact), tuple(gammas), f.copy(), g.copy()))
-        return orig(fact, f, g, gammas)
+    def recorded(fact, f, g):
+        solves.append((id(fact), f.copy(), g.copy()))
+        return orig(fact, f, g)
 
     monkeypatch.setattr(SaddleFactorization, "solve", recorded)
     return solves
@@ -183,13 +182,13 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     # the 21 nodes fit one block: one solve of 21 columns on that factor,
     # with g3 folded into the constraint column q_n = B u_n
     assert stepper.width == 64
-    assert [(fact, g, f.shape, q.shape) for fact, g, f, q in solves] \
-        == [(id(sys_.factorization()), (1.0, 1.0, 1.0), (1, 21), (1, 21))]
+    assert [(fact, f.shape, q.shape) for fact, f, q in solves] \
+        == [(id(sys_.factorization()), (1, 21), (1, 21))]
     [(n0, times, u)] = blocks
     assert n0 == 0 and u.shape == (1, 21)
     assert_array_equal(times, grid.times)
-    assert_array_equal(solves[0][3][0], u[0])
-    assert solves[0][3][0, 0] == 1.0
+    assert_array_equal(solves[0][2][0], u[0])
+    assert solves[0][2][0, 0] == 1.0
     # the gate saw node 0 and node 1 only, before the block's solve
     steady = orig_gammas(sys_, grid, 1)
     assert steady != (1.0, 1.0, 1.0)
@@ -201,16 +200,19 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
         == [(1.0, 1.0, 1.0)] + [steady] * 20
 
 
-def test_trapezoid_weights():
+def test_timegrid_weights_cached_and_read_only():
     grid = TimeGrid(T=1.0, n_steps=2)
-    assert_allclose(trapezoid_weights(grid, 2), [0.25, 0.5, 0.25], rtol=1e-15)
-    assert_array_equal(trapezoid_weights(grid, 0), [0.0])
+    assert_allclose(grid.weights, [0.25, 0.5, 0.25], rtol=1e-15)
     beam_grid = TimeGrid(T=0.003, n_steps=1)
-    assert_allclose(trapezoid_weights(beam_grid, 1), [0.0015, 0.0015], rtol=1e-15)
-    with pytest.raises(IndexError):
-        trapezoid_weights(grid, 3)
-    with pytest.raises(IndexError):
-        trapezoid_weights(grid, -1)
+    assert_allclose(beam_grid.weights, [0.0015, 0.0015], rtol=1e-15)
+    grid = TimeGrid(T=1.0, n_steps=10)
+    assert grid.weights is grid.weights
+    assert grid.weights.shape == grid.times.shape
+    assert not grid.weights.flags.writeable
+    with pytest.raises(ValueError):
+        grid.weights[3] = 0.0
+    # [0, t_n] at nodes j < n: dt/2 at node 0, dt after
+    assert_array_equal(grid.weights[:4], [0.05, 0.1, 0.1, 0.1])
 
 
 def test_system_rejects_asymmetric_a():
@@ -344,6 +346,62 @@ def test_stability_gate_stops_the_block_before_its_solve(monkeypatch):
     assert stepper.hist._maps == {}
 
 
+def constant_kernel(value):
+    """A general kernel equal to ``value`` everywhere."""
+    return MemoryKernel.from_callable(
+        lambda t, s: np.full(np.broadcast(t, s).shape, value), bound=1.0)
+
+
+def test_gate_rejects_singular_scalings():
+    # the solve of K takes no scalings: a zero or non-finite one is
+    # stopped by the gate, in each kernel slot, before any solve
+    grid = TimeGrid(T=1.0, n_steps=4)           # w_nn = 1/8 from node 1
+    for slot in ("k1", "k2", "k3"):
+        for value in (math.nan, math.inf, -math.inf):
+            sys_ = sized_system(3, 2, **{slot: constant_kernel(value)})
+            for n in (0, 1, 4):
+                with pytest.raises(SaddleSolverError,
+                                   match=rf"= {value} at step {n} "):
+                    step_gammas(sys_, grid, n)
+        # w_nn k = 1 would make the slot's scaling zero
+        sys_ = sized_system(3, 2, **{slot: constant_kernel(8.0)})
+        assert step_gammas(sys_, grid, 0) == (1.0, 1.0, 1.0)
+        with pytest.raises(StabilityGateError, match="at step 1;"):
+            step_gammas(sys_, grid, 1)
+        # a finite kernel inside the gate scales by a value in (0, 2)
+        for c in (-7.9, 7.9):
+            sys_ = sized_system(3, 2, **{slot: constant_kernel(c)})
+            assert all(0.0 < gamma < 2.0 for gamma in step_gammas(sys_, grid, 1))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_kernel_diagonal_stops_the_run_before_its_solve(
+        monkeypatch, value):
+    # 0 k(t_0, t_0) is NaN at node 0, which the test |w_nn k| >= 1 lets
+    # through: the gate names the node and the value, nothing is solved
+    # and no state is kept; the first block's loads were asked once
+    from memfem.beam import BeamProblem, joined_profile
+    solves = record_solves(monkeypatch)
+    prob = BeamProblem(joined_profile(0.001), 4, constant_kernel(value), 1.0,
+                       np.exp, None)
+    with pytest.raises(SaddleSolverError,
+                       match=rf"k\(t_n, t_n\) = {value} at step 0 "):
+        prob.run(TimeGrid(T=1.0, n_steps=5))
+    loads = []
+
+    def f_of_t(times):
+        loads.append(times.copy())
+        return np.zeros((1, len(times)))
+
+    stepper = VolterraStepper(scalar_system(k3=constant_kernel(value)),
+                              TimeGrid(T=1.0, n_steps=5))
+    with pytest.raises(SaddleSolverError, match="at step 0 "):
+        stepper.run(f_of_t, const_load(1.0))
+    assert [len(times) for times in loads] == [1]
+    assert solves == []
+    assert len(stepper.hist) == 0
+
+
 def test_history_sum_single_panel_constant_kernel():
     grid = TimeGrid(T=1.0, n_steps=4)
     const = MemoryKernel.exp_convolution(c=3.0, rate=0.0)
@@ -396,7 +454,8 @@ def test_history_sum_recurrence_matches_direct():
 def loop_history_sum(xs, grid, kernel, n):
     """The direct sum as a Python loop over stored vectors (reference)."""
     times = grid.times
-    w = trapezoid_weights(grid, n)[:n]
+    w = np.full(n, grid.dt)
+    w[0] = 0.5 * grid.dt
     coeff = w * np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
     out = np.zeros_like(xs[0])
     for cj, xj in zip(coeff, xs[:n]):
