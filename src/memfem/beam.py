@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from .errors import ConfigError
 from .kernels import CreepFactor, MemoryKernel, creep_factor
 from .mesh import Mesh1D, uniform_mesh1d
-from .sparsela import assemble
+from .sparsela import assemble, factorize_saddle
 from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
                        VolterraStepper)
 
@@ -295,7 +295,9 @@ def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
     if cfg.profile == "joined" and n_ref % 2 != 0:
         n_ref += 1
     fine = BeamProblem(cfg, n_ref, None, e0, f_space, g_space)
-    u, p = fine.system.factorization().solve(np.zeros(fine.n_v), fine._row)
+    # one solve: nothing to recycle
+    u, p = factorize_saddle(fine.a, fine.b).solve(np.zeros(fine.n_v),
+                                                  fine._row)
     if kernel is None:          # the zero kernel: its creep factor is 1 + 0 t
         kernel = MemoryKernel.exp_convolution(0.0, 0.0)
     return BeamReference(fine.mesh, u, p, creep_factor(kernel, grid))

@@ -7,7 +7,9 @@ robust at the desk scales this package targets.  A saddle system is
 factored once and reused for every solve: by one SuperLU LU of the
 whole indefinite system, or, for an element-assembled pair, by
 hybridization, which leaves one SPD LU on the multipliers that join
-the elements (:class:`HybridSaddle`).  No estimator forms a
+the elements (:class:`HybridSaddle`).  :class:`RecycledSaddle` reuses
+the solves themselves: a right-hand side in the span of earlier ones
+costs a projection, not an LU solve.  No estimator forms a
 dense array: the spectral ones run shift-invert Lanczos on saddle LUs, and
 the two operator norms are bounded from above by Sylvester's law of
 inertia, read off the pivots of an unpivoted LU (``_definite_lu``), up to
@@ -26,6 +28,7 @@ from .errors import EstimatorError, SaddleSolverError
 
 __all__ = [
     "HybridSaddle",
+    "RecycledSaddle",
     "SaddleFactorization",
     "factorize_saddle",
     "infsup_estimate",
@@ -67,6 +70,137 @@ class SaddleFactorization:
         if not np.isfinite(sol).all():
             raise SaddleSolverError("saddle solve produced non-finite values")
         return sol[:self.n_v], sol[self.n_v:]
+
+
+# gate and cap of RecycledSaddle; see its docstring
+RECYCLE_DROP = 1e-14
+RECYCLE_COLUMNS = 16
+RECYCLE_BYTES = 2 << 20
+
+
+class RecycledSaddle:
+    """Solves of ``K`` that reuse earlier ones, since ``K^{-1}`` is linear.
+
+    Keeps an orthonormal basis ``V`` of the right-hand sides solved so far
+    and ``Y = K^{-1} V``, solved by ``plain``.  A block ``R`` costs
+    ``C = V^T R``, ``E = R - V C`` and ``X = Y C``; column j is taken when
+    in each block row F (f or g) of ``K``
+
+        max|E_Fj| + sum_i |C_ij| s_Fi <= tol_F (||K|| ||x_j||)_F,
+
+    with ``(||K|| ||x||)_f = ||A|| max|u| + ||B^T|| max|p|`` and
+    ``(||K|| ||x||)_g = ||B|| max|u|`` (infinity norms).  The left side
+    bounds ``max|(K x_j - r_j)_F|``, up to the rounding of the products,
+    by the residuals ``s_Fi = max|(K y_i - v_i)_F|`` stored with the basis.
+    ``tol_F`` is ``RECYCLE_DROP`` plus the largest backward error
+    ``s_Fi / (||K|| ||y_i||)_F`` of the basis solves, so a taken column's
+    normwise backward error (Rigal & Gaches, J. ACM 14, 1967) exceeds the
+    LU's own by at most ``RECYCLE_DROP`` = 1e-14, 45 ulps: above the
+    round-off of a projection on 16 vectors (the dropped residuals of both
+    convergence studies stay below 6.1e-17 of ``||K|| ||x||``), below what
+    the LU reaches (1.9e-14 in the g row of the hybridized Laplace solve,
+    m = 64).
+
+    Other columns reach the LU: all while the basis is empty, and those
+    that fail, which includes any that is not finite or overflows.  Such
+    a column's direction off the basis joins it, if that has a finite norm
+    that survives a second orthogonalization and the basis holds fewer
+    than ``cap`` vectors, and the column is taken again; if it still
+    fails, ``plain`` solves it, raising :class:`SaddleSolverError` on a
+    non-finite solution.  ``cap`` is ``RECYCLE_COLUMNS`` = 16, or fewer so
+    that ``V`` and ``Y`` stay within ``RECYCLE_BYTES`` = 2 MiB (6 at
+    Laplace m = 64): loads of a few directions fit, and a load of full
+    rank pays at most the projection besides its plain solve.
+    """
+
+    def __init__(self, plain: SaddleFactorization, a, b):
+        self.plain = plain
+        self._a, self._b = as_csr(a), as_csr(b)
+        n_v, n = plain.n_v, plain.n_v + plain.n_q
+        self.cap = max(1, min(RECYCLE_COLUMNS, RECYCLE_BYTES // (16 * n)))
+        # [max|u|, max|p|] @ norms is ||K|| ||x|| per block row, with
+        # ||A||, ||B^T|| and ||B|| in the infinity norm
+        norm_a, norm_bt, norm_b = (spla.norm(m, np.inf)
+                                   for m in (self._a, self._b.T, self._b))
+        self._norms = np.array([[norm_a, norm_b], [norm_bt, 0.0]])
+        self._tol = np.full(2, RECYCLE_DROP)
+        self._cuts = [0, n_v, n, n + n_v]   # E_f, E_g, u and p in a row
+        self._vy = np.empty((0, 2 * n))     # a row [v_i, y_i] per vector
+        self._res = np.empty((0, 2))        # s_F of each basis solve
+
+    def solve(self, f: np.ndarray, g: np.ndarray):
+        """As :meth:`SaddleFactorization.solve`."""
+        n_v = self.plain.n_v
+        r = np.concatenate((f.T, g.T), axis=-1, dtype=float)
+        rows = r.reshape(-1, r.shape[-1])   # a row per right-hand side
+        # an overflow fails the gate, and the column takes the LU path
+        with np.errstate(all="ignore"):
+            x, ok = self._recycle(rows)
+            if not ok.all():
+                self._fill(rows, x, ok)
+        x = x.T if f.ndim > 1 else x[0]
+        return x[:n_v], x[n_v:]
+
+    def _recycle(self, rows):
+        """``(X, ok)``: ``Y V^T r`` of each row ``r`` of ``rows``, as a row,
+        and the gate."""
+        n = rows.shape[1]
+        if not len(self._vy):
+            return np.empty_like(rows), np.zeros(len(rows), dtype=bool)
+        c = rows @ self._vy[:, :n].T
+        out = np.dot(c, self._vy)   # [V c, Y c]: a row per right-hand side
+        out[:, :n] -= rows          # -E
+        peaks = np.maximum.reduceat(abs(out), self._cuts, axis=1)
+        bound = peaks[:, :2] + abs(c) @ self._res
+        scale = peaks[:, 2:] @ (self._norms * self._tol)
+        ok = ((bound <= scale) & (scale < math.inf)).all(axis=1)
+        return out[:, n:], ok
+
+    def _fill(self, rows, x, ok) -> None:
+        """Fill in the rows of ``x`` that failed the gate: each is taken
+        again once its direction joins the basis, or solved by the LU."""
+        size = len(self._vy)
+        for j in np.flatnonzero(~ok) if size < self.cap else ():
+            row = rows[j:j + 1]
+            if len(self._vy) != size:   # the basis grew since
+                xj, ok[j] = self._recycle(row)
+            if not ok[j] and self._extend(row[0]):
+                xj, ok[j] = self._recycle(row)
+            if ok[j]:
+                x[j] = xj[0]
+        if not ok.all():
+            n_v, plain = self.plain.n_v, ~ok
+            u, p = self.plain.solve(rows[plain, :n_v].T, rows[plain, n_v:].T)
+            x[plain] = np.concatenate((u, p)).T
+
+    def _extend(self, r) -> bool:
+        """Add the direction of ``r`` off the basis, with one LU solve, if
+        the basis has room and the direction is numerically off it."""
+        n_v, n = self.plain.n_v, len(r)
+        if len(self._vy) >= self.cap:
+            return False
+        v = self._vy[:, :n]
+        e = r - (v @ r) @ v
+        first = np.linalg.norm(e)
+        e -= (v @ e) @ v
+        norm = np.linalg.norm(e)
+        # a second pass that removes more than 1 - 1/sqrt(2) of the norm
+        # leaves round-off, not a direction (Daniel, Gragg, Kaufman and
+        # Stewart, Math. Comp. 30, 1976)
+        if not first / math.sqrt(2.0) <= norm < math.inf or norm == 0.0:
+            return False
+        e /= norm
+        u, p = self.plain.solve(e[:n_v], e[n_v:])
+        res = [abs(self._a @ u + self._b.T @ p - e[:n_v]).max(),
+               abs(self._b @ u - e[n_v:]).max()]
+        scale = [abs(u).max(), abs(p).max()] @ self._norms
+        tol = np.fmax(self._tol, RECYCLE_DROP + res / scale)    # 0/0: u = 0
+        if not np.isfinite(tol).all():
+            return False
+        self._tol = tol
+        self._vy = np.vstack((self._vy, np.concatenate((e, u, p))))
+        self._res = np.vstack((self._res, res))
+        return True
 
 
 def _rank_detail(b) -> str:

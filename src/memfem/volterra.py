@@ -14,10 +14,14 @@ initial condition).  Scheme well-posedness requires the stability gate
 ``|w_{n,n} k(t_n, t_n)| < 1`` for every attached kernel.
 
 The scalings are scalars, so every step shares one factorization of the
-unscaled ``K = [[A, B^T], [B, 0]]`` (see :class:`SaddleFactorization`):
-a SuperLU LU of ``K``, or for an element-assembled pair the LU of its
-hybridized SPD system on the shared v-dofs.  :func:`step` applies the
-scalings around that solve.  The history kept is what the attached
+unscaled ``K = [[A, B^T], [B, 0]]``: a SuperLU LU of ``K``, or for an
+element-assembled pair the LU of its hybridized SPD system on the shared
+v-dofs.  :func:`step` applies the scalings around that solve, and the
+solves recycle (:class:`~memfem.sparsela.RecycledSaddle`): a right-hand
+side within round-off of the span of earlier ones is solved from their
+solutions, and only the other directions, up to a cap, reach the LU.
+Both drivers load row 2 with one vector times a scalar, so a run reaches
+the LU about once.  The history kept is what the attached
 kernels read: a convolution kernel gets an O(1) exponential recurrence,
 and a general kernel one product of the weight row with the stored
 ``(N+1, n)`` states of the family it reads.  :func:`audit` checks a run
@@ -51,7 +55,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import EstimatorError, SaddleSolverError, StabilityGateError
 from .kernels import MemoryKernel
-from .sparsela import SaddleFactorization, as_csr, factorize_saddle
+from .sparsela import RecycledSaddle, as_csr, factorize_saddle
 
 __all__ = [
     "TimeGrid",
@@ -219,8 +223,9 @@ class BlockSaddleSystem:
     positive semi-definite; B must have full row rank.  Each of the three
     kernel slots is a :class:`MemoryKernel` or None (absent).  One
     factorization of the unscaled system, built on first use, serves every
-    step's scalings; ``elements`` (see :func:`factorize_saddle`) makes it
-    the hybridized one of an element-assembled pair.
+    step's scalings, through recycled solves; ``elements`` (see
+    :func:`factorize_saddle`) makes it the hybridized one of an
+    element-assembled pair.
     """
 
     SYMMETRY_TOL = 1e-12
@@ -243,7 +248,7 @@ class BlockSaddleSystem:
         self.k2 = k2
         self.k3 = k3
         self.elements = elements
-        self._fact: Optional[SaddleFactorization] = None
+        self._fact: Optional[RecycledSaddle] = None
 
     @property
     def n_v(self) -> int:
@@ -261,10 +266,13 @@ class BlockSaddleSystem:
         """The ``(n_v, k)`` zero first-row load of the nodes ``times``."""
         return np.zeros((self.n_v, len(times)), order="F")
 
-    def factorization(self) -> SaddleFactorization:
-        """The factorization of the unscaled system, built on the first call."""
+    def factorization(self) -> RecycledSaddle:
+        """The recycled solves of the unscaled system, factored on the
+        first call."""
         if self._fact is None:
-            self._fact = factorize_saddle(self.a, self.b, self.elements)
+            self._fact = RecycledSaddle(
+                factorize_saddle(self.a, self.b, self.elements),
+                self.a, self.b)
         return self._fact
 
 
@@ -410,8 +418,9 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
         [[g1 A, g2 B^T], [g3 B, 0]] = diag(g1 I, g3 I) K diag(I, (g2/g1) I)
 
     with ``K = [[A, B^T], [B, 0]]``: ``g3`` is folded into ``q``, and one
-    multi-column solve of ``K`` with the columns ``(f_n / g1, q_n)`` gives
-    ``u`` and ``(g2 / g1) p``.  Every block scaling is applied here.
+    multi-column recycled solve of ``K`` with the columns
+    ``(f_n / g1, q_n)`` gives ``u`` and ``(g2 / g1) p``.  Every block
+    scaling is applied here.
     """
     grid, n = hist.grid, len(hist)
     k = f.shape[1]
@@ -510,14 +519,16 @@ def audit(sys: BlockSaddleSystem, grid: TimeGrid, f_of_t: Callable,
     """Step ``sys`` under the block loads ``f_of_t``, ``g_of_t`` as every
     run does, and in lockstep the same system with each kernel in direct
     form (a general kernel of the same ``eval``), node by node on the
-    same loads.  Returns ``(steps, deviation)``:
+    same loads and on plain LU solves.  Returns ``(steps, deviation)``:
     ``grid.n_steps``, or 0 when no kernel is exponential, and the larger
     over ``u`` and ``p`` of ``max_n |x_n - x'_n|_inf / max_n |x'_n|_inf``
     against the direct-form states ``x'``."""
     direct = BlockSaddleSystem(sys.a, sys.b, *(
         None if k is None else MemoryKernel.from_callable(k.eval, k.bound)
         for k in sys.kernels), elements=sys.elements)
-    direct._fact = sys.factorization()      # the kernels do not enter it
+    # the kernels do not enter the factorization; a recycled direct side
+    # would check recycled solves against themselves
+    direct._fact = sys.factorization().plain
     hist = HistoryBuffer(direct, grid)
     worst = np.zeros((2, 2))        # rows u, p: max |x - x'|, max |x'|
 

@@ -12,7 +12,8 @@ A kernel whose ``k(t,t)`` varies moves every step's block scaling, so the
 check covers the scalings applied in each solve and the direct history
 sum, step by step.  A property test draws convolution kernels and checks
 the identity for both history forms: the recurrence of the exponential
-kernel and the direct sum of the same kernel as a general callable.
+kernel and the direct sum of the same kernel as a general callable, on
+the recycled solves the stepper takes and on plain LU solves.
 """
 
 import math
@@ -101,6 +102,16 @@ def test_beam_general_kernel_is_scalar_times_spatial(c, rate, a):
     assert max_factor_deviation(states, s) <= 1e-12
 
 
+def plain(prob):
+    """``prob`` stepping on plain LU solves.  On these rank-1 loads every
+    recycled state is a scalar times one solved column by construction,
+    so only a plain run checks the solves."""
+    prob.system._fact = prob.system.factorization().plain
+    return prob
+
+
+SOLVES = (lambda prob: prob, plain)     # in this order on one problem
+
 DRIVERS = {
     # (problem for a kernel, c(t) of its constraint-row load)
     "laplace": (lambda k: LaplaceProblem(4, delta=None, kernel=k), math.cos),
@@ -120,11 +131,14 @@ def test_convolution_kernel_is_scalar_times_spatial(driver, c, rate, T,
     problem, load = DRIVERS[driver]
     exp = MemoryKernel.exp_convolution(c=c, rate=rate)
     s = scalar_factor(exp, grid, load)
-    # the recurrence, then the direct sum of the same kernel
+    # the recurrence, then the direct sum of the same kernel, each on
+    # recycled and on plain solves
     for kernel in (exp, MemoryKernel.from_callable(exp.eval, bound=exp.bound)):
-        states = []
-        problem(kernel).run(grid, collect=collector(states))
-        assert max_scaled_deviation(states, s) <= 1e-12
+        prob = problem(kernel)
+        for solves in SOLVES:
+            states = []
+            solves(prob).run(grid, collect=collector(states))
+            assert max_scaled_deviation(states, s) <= 1e-12
 
 
 @pytest.mark.parametrize("c, rate", [(-1.5, 0.7), (2.0, 0.3)])
@@ -137,12 +151,16 @@ def test_convolution_kernel_is_scalar_times_spatial_across_blocks(driver, c,
     problem, load = DRIVERS[driver]
     exp = MemoryKernel.exp_convolution(c=c, rate=rate)
     s = scalar_factor(exp, grid, load)
-    runs = []
-    for kernel in (exp, MemoryKernel.from_callable(exp.eval, bound=exp.bound)):
-        states = []
-        _, stepper = problem(kernel).run(grid, collect=collector(states))
-        assert max_scaled_deviation(states, s) <= 1e-12
-        runs.append((stepper.width, np.array(states)))
-    (width, blocked), (direct_width, direct) = runs
-    assert (width, direct_width) == (64, 1)
-    assert np.max(np.abs(blocked - direct)) <= 1e-12 * np.max(np.abs(direct))
+    for solves in SOLVES:
+        runs = []
+        for kernel in (exp,
+                       MemoryKernel.from_callable(exp.eval, bound=exp.bound)):
+            states = []
+            _, stepper = solves(problem(kernel)).run(
+                grid, collect=collector(states))
+            assert max_scaled_deviation(states, s) <= 1e-12
+            runs.append((stepper.width, np.array(states)))
+        (width, blocked), (direct_width, direct) = runs
+        assert (width, direct_width) == (64, 1)
+        assert np.max(np.abs(blocked - direct)) \
+            <= 1e-12 * np.max(np.abs(direct))

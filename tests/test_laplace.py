@@ -331,10 +331,11 @@ def test_memoryless_mixed_matches_primal_poisson():
 
 def test_laplace_steps_solve_hybridized_and_beam_does_not():
     from memfem.beam import BeamProblem, joined_profile
-    assert isinstance(LaplaceProblem(8).system.factorization()._lu,
+    # each steps through recycled solves around its plain factorization
+    assert isinstance(LaplaceProblem(8).system.factorization().plain._lu,
                       HybridSaddle)
     beam = BeamProblem(joined_profile(0.001), 8, None, 1.0, np.exp, None)
-    assert not isinstance(beam.system.factorization()._lu, HybridSaddle)
+    assert not isinstance(beam.system.factorization().plain._lu, HybridSaddle)
 
 
 def test_rhs_block_equals_the_per_node_formula():

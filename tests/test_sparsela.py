@@ -10,7 +10,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from memfem.errors import EstimatorError, SaddleSolverError
 from memfem.kernels import MemoryKernel
 from memfem.sparsela import (
+    RECYCLE_BYTES,
+    RECYCLE_COLUMNS,
     HybridSaddle,
+    RecycledSaddle,
+    SaddleFactorization,
     as_csr,
     factorize_saddle,
     infsup_estimate,
@@ -93,8 +97,8 @@ def check_steps_against_scaled_kkt(a, b, elements, rng):
     exp = MemoryKernel.exp_convolution
     sys_ = BlockSaddleSystem(a, b, exp(-2.4, 1.0), exp(5.6, 0.5),
                              exp(7.992, 2.0), elements=elements)
-    assert (elements is not None) == isinstance(sys_.factorization()._lu,
-                                                HybridSaddle)
+    assert (elements is not None) == isinstance(
+        sys_.factorization().plain._lu, HybridSaddle)
     grid = TimeGrid(T=1.0, n_steps=4)   # w_nn = 1/8: g3 next to the gate
     g1, g2, g3 = step_gammas(sys_, grid, 1)
     assert_allclose((g1, g2, g3), (1.3, 0.3, 1e-3), rtol=1e-12)
@@ -203,6 +207,115 @@ def test_column_block_solve_rejects_one_non_finite_column(kind):
         f[3, 2] = bad
         with pytest.raises(SaddleSolverError, match="non-finite"):
             fact.solve(f, g)
+
+
+def recycled(n_v=30, n_q=10, seed=3):
+    """A recycled SuperLU factorization of a random pair, and a load."""
+    rng = np.random.RandomState(seed)
+    a = sp.csr_matrix(random_spd(n_v, rng))
+    b = sp.csr_matrix(rng.standard_normal((n_q, n_v)))
+    return (RecycledSaddle(factorize_saddle(a, b), a, b),
+            rng.standard_normal(n_v), rng.standard_normal(n_q))
+
+
+def count_lu_columns(monkeypatch):
+    """Columns that reach ``SaddleFactorization.solve``, call by call."""
+    columns = []
+    orig = SaddleFactorization.solve
+
+    def counted(fact, f, g):
+        columns.append(1 if f.ndim == 1 else f.shape[1])
+        return orig(fact, f, g)
+
+    monkeypatch.setattr(SaddleFactorization, "solve", counted)
+    return columns
+
+
+def test_recycled_solves_reach_the_lu_once_per_direction(monkeypatch):
+    # a block in the span of one solved load costs no LU solve, and a
+    # column 1e-8 off that span reaches the LU once: all as plain solves
+    fact, f, g = recycled()
+    scales = np.array([[-2.0, 0.5, 3.0, 1e-3]])
+    off = f + 1e-8 * np.arange(len(f))
+    loads = [(f, g), (f[:, None] * scales, g[:, None] * scales), (off, g)]
+    refs = [np.concatenate(fact.plain.solve(*load)) for load in loads]
+    lu = count_lu_columns(monkeypatch)
+    for load, ref, reached, size in zip(loads, refs, ([1], [1], [1, 1]),
+                                        (1, 1, 2)):
+        x = np.concatenate(fact.solve(*load))
+        assert lu == reached and len(fact._vy) == size
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_recycled_empty_basis_holds_no_column(monkeypatch):
+    # a fresh factorization solves even a zero column by the LU, whose
+    # direction has no norm to join the basis with
+    fact, f, g = recycled()
+    lu = count_lu_columns(monkeypatch)
+    u, p = fact.solve(np.zeros_like(f), np.zeros_like(g))
+    assert lu == [1] and len(fact._vy) == 0
+    assert not u.any() and not p.any()
+
+
+@pytest.mark.parametrize("bad", [1e300, 1e308, math.inf, math.nan])
+@pytest.mark.parametrize("warm", [False, True], ids=["empty", "warm"])
+def test_recycled_column_that_overflows_takes_the_lu_path(monkeypatch, bad,
+                                                          warm):
+    # a column of 1e300 overflows the norm a new direction needs, and one
+    # of 1e308 overflows the projection too: either gives the plain
+    # solve's outcome, bit for bit with an empty basis; an infinite or NaN
+    # column raises as the plain solve does.  The basis keeps its size
+    fact, f, g = recycled()
+    if warm:
+        fact.solve(f, g)
+    size = len(fact._vy)
+    for load in ((bad * f, g), (f, bad * g), (bad * f, bad * g)):
+        try:
+            ref = np.concatenate(fact.plain.solve(*load))
+        except SaddleSolverError:
+            with pytest.raises(SaddleSolverError, match="non-finite"):
+                fact.solve(*load)
+            continue
+        lu = count_lu_columns(monkeypatch)
+        x = np.concatenate(fact.solve(*load))
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if not warm:
+            assert lu == [1]
+            assert_array_equal(x, ref)
+        monkeypatch.undo()
+    assert len(fact._vy) == size
+
+
+def test_recycled_solution_that_overflows_raises():
+    # u = A^{-1} f overflows where f, its projection and p do not: the
+    # column takes the LU path, which raises
+    a = 1e-10 * sp.identity(2, format="csr")
+    b = sp.csr_matrix(np.array([[1.0, 0.0]]))
+    fact = RecycledSaddle(factorize_saddle(a, b), a, b)
+    fact.solve(np.array([0.0, 1.0]), np.zeros(1))
+    with pytest.raises(SaddleSolverError, match="non-finite"):
+        fact.solve(np.array([0.0, 1e300]), np.zeros(1))
+
+
+def test_full_rank_loads_stop_at_the_cap(monkeypatch):
+    # every column adds a direction until the basis is full; later
+    # columns fall back to plain solves, and each column reaches the LU
+    # once, in blocks and one at a time
+    fact, _, _ = recycled(n_v=40, n_q=10)
+    assert fact.cap == RECYCLE_COLUMNS
+    loads = np.random.RandomState(8).standard_normal((50, 60))
+    ref = np.concatenate(fact.plain.solve(loads[:40], loads[40:]))
+    lu = count_lu_columns(monkeypatch)
+    for cols in (slice(0, 10), slice(10, 11), slice(11, 40), slice(40, 60)):
+        x = np.concatenate(fact.solve(loads[:40, cols], loads[40:, cols]))
+        assert np.max(np.abs(x - ref[:, cols])) <= 1e-12 * np.max(np.abs(ref))
+    assert sum(lu) == 60 and len(fact._vy) == RECYCLE_COLUMNS
+    # V and Y of a larger system stay within RECYCLE_BYTES
+    n_v, n_q = 40000, 20000
+    big = RecycledSaddle(SaddleFactorization(None, n_v, n_q),
+                         sp.identity(n_v, format="csr"),
+                         sp.eye(n_q, n_v, format="csr"))
+    assert big.cap == 2 and 2 * big.cap * (n_v + n_q) * 8 <= RECYCLE_BYTES
 
 
 def test_hybrid_rejects_local_blocks_that_miss_a():

@@ -9,7 +9,7 @@ from memfem.errors import EstimatorError, SaddleSolverError, StabilityGateError
 from memfem import volterra
 from memfem.kernels import MemoryKernel, PronySLS, beam_kernel, fickian_kernel
 from memfem.laplace_mem import LaplaceProblem
-from memfem.sparsela import HybridSaddle, SaddleFactorization
+from memfem.sparsela import HybridSaddle, RecycledSaddle, SaddleFactorization
 from memfem.volterra import (
     BlockSaddleSystem,
     HistoryBuffer,
@@ -143,25 +143,27 @@ def test_time_varying_kernel_factors_once_hybridized(monkeypatch):
     prob = LaplaceProblem(4, delta=None, kernel=time_varying_kernel())
     prob.run(TimeGrid(T=1.0, n_steps=50))
     assert len(calls) == 1
-    assert isinstance(prob.system.factorization()._lu, HybridSaddle)
+    assert isinstance(prob.system.factorization().plain._lu, HybridSaddle)
 
 
-def record_solves(monkeypatch):
-    """``(factorization id, f, g)`` of every saddle solve."""
+def record_solves(monkeypatch, kind=SaddleFactorization):
+    """``(factorization id, f, g)`` of every solve of a ``kind``: the LU
+    solves by default, or the recycled solves that the stepper asks for."""
     solves = []
-    orig = SaddleFactorization.solve
+    orig = kind.solve
 
     def recorded(fact, f, g):
         solves.append((id(fact), f.copy(), g.copy()))
         return orig(fact, f, g)
 
-    monkeypatch.setattr(SaddleFactorization, "solve", recorded)
+    monkeypatch.setattr(kind, "solve", recorded)
     return solves
 
 
 def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     calls = count_factorizations(monkeypatch)
-    solves = record_solves(monkeypatch)
+    solves = record_solves(monkeypatch, RecycledSaddle)
+    lu_solves = record_solves(monkeypatch)
     gammas = []
     orig_gammas = volterra.step_gammas
 
@@ -184,6 +186,9 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     assert stepper.width == 64
     assert [(fact, f.shape, q.shape) for fact, f, q in solves] \
         == [(id(sys_.factorization()), (1, 21), (1, 21))]
+    # its columns span one direction, which alone reaches the LU
+    assert [(fact, f.shape, q.shape) for fact, f, q in lu_solves] \
+        == [(id(sys_.factorization().plain), (1,), (1,))]
     [(n0, times, u)] = blocks
     assert n0 == 0 and u.shape == (1, 21)
     assert_array_equal(times, grid.times)
@@ -615,6 +620,46 @@ def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
     assert steps == 50 and deviation <= 1e-12
     assert widths[True] == [22, 22, 7]
     assert widths[False] == [1] * 51
+
+
+def test_audit_direct_side_makes_one_plain_lu_solve_per_node(monkeypatch):
+    # the run recycles its solves and reaches the LU once; the direct
+    # side solves each node by the plain factorization
+    sys_ = sized_system(6, 2, k3=beam_kernel(PronySLS(1.0, 1.0, 1.0)))
+    grid = TimeGrid(T=2.0, n_steps=200)
+    stepping, lu = [None], []
+    traced, solve = volterra.step, SaddleFactorization.solve
+
+    def marked(sys, hist, f, g):
+        stepping[0] = "run" if sys is sys_ else "direct"
+        return traced(sys, hist, f, g)
+
+    def counted(fact, f, g):
+        lu.append((stepping[0], f.shape))
+        return solve(fact, f, g)
+
+    monkeypatch.setattr(volterra, "step", marked)
+    monkeypatch.setattr(SaddleFactorization, "solve", counted)
+    steps, deviation = audit(sys_, grid, const_load(*[0.0] * 6),
+                             const_load(1.0, 2.0))
+    assert steps == 200 and deviation <= 1e-12
+    assert lu == [("run", (6,))] + [("direct", (6,))] * 201
+
+
+def test_audit_sees_perturbed_recycled_solves():
+    # basis solutions 1e-9 relative off move every recycled state by as
+    # much, and the plain direct side shows it
+    kernel = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
+    sys_ = sized_system(6, 2, k3=kernel)
+    grid = TimeGrid(T=1.0, n_steps=100)
+    loads = const_load(*[0.0] * 6), const_load(1.0, 2.0)
+    assert audit(sys_, grid, *loads)[1] <= 1e-12
+    fact = sys_.factorization()
+    assert len(fact._vy) == 1
+    fact._vy[:, 8:] *= 1.0 + 1e-9           # Y, after V
+    # all of it: a recycled direct side would have shared some
+    deviation = audit(sys_, grid, *loads)[1]
+    assert deviation > 1e-12 and abs(deviation - 1e-9) < 1e-11
 
 
 def test_audit_fails_when_eval_disagrees_with_the_recurrence():
