@@ -78,7 +78,6 @@ class RT0Space:
         diff = mids[:, :, None, :] - corners[:, None, :, :]   # (nt, q, loc, 2)
         self.basis_q = coef[:, None, :, None] * diff     # (nt, q, loc, 2)
         self.div = sgn * ell / self.areas[:, None]       # (nt, 3), constant
-        self._local_mass = None
 
     @property
     def n_edges(self) -> int:
@@ -87,14 +86,6 @@ class RT0Space:
     @property
     def n_cells(self) -> int:
         return self.mesh.n_triangles
-
-    def local_mass(self) -> np.ndarray:
-        """Element mass blocks (nt, 3, 3) on each cell's edges, in the order
-        of ``mesh.tri_edges``; computed on the first call."""
-        if self._local_mass is None:
-            self._local_mass = np.einsum("kq,kqld,kqmd->klm", self.quad_w,
-                                         self.basis_q, self.basis_q)
-        return self._local_mass
 
     def flux_operator(self) -> sp.csr_matrix:
         """Sparse map from edge dofs to the vector field at the quadrature
@@ -111,8 +102,10 @@ def assemble_rt0_mass(space: RT0Space) -> sp.csr_matrix:
     """L2 mass matrix of the RT0 space (midpoint rule, exact here)."""
     if np.any(space.areas <= 0.0):
         raise ConfigError("degenerate triangle in the mesh")
+    local = np.einsum("kq,kqld,kqmd->klm", space.quad_w, space.basis_q,
+                      space.basis_q)
     n = space.n_edges
-    return assemble(space.local_mass(), space.mesh.tri_edges, (n, n))
+    return assemble(local, space.mesh.tri_edges, (n, n))
 
 
 def assemble_rt0_div(space: RT0Space) -> sp.csr_matrix:
@@ -248,10 +241,7 @@ class LaplaceProblem:
         self.kernel = kernel
         self.a = assemble_rt0_mass(self.space)
         self.b = assemble_rt0_div(self.space)
-        # the mass is element-assembled, so the steps solve hybridized
-        self.system = BlockSaddleSystem(
-            self.a, self.b, k3=kernel,
-            elements=(self.space.local_mass(), self.mesh.tri_edges))
+        self.system = BlockSaddleSystem(self.a, self.b, k3=kernel)
         self._rhs_base = manufactured_rhs_base(self.space, self.manufactured)
         self.h = math.sqrt(2.0) / m
 

@@ -4,14 +4,12 @@ stability certificates.
 Matrices are stored as scipy CSR/CSC (compressed row storage with sorted,
 duplicate-free indices); factorization is direct sparse LU, which is
 robust at the desk scales this package targets.  A saddle system is
-factored once and reused for every solve: by one SuperLU LU of the
-whole indefinite system, or, for an element-assembled pair, by
-hybridization, which leaves one SPD LU on the multipliers that join
-the elements (:class:`HybridSaddle`).  :class:`RecycledSaddle` reuses
-the solves themselves: a right-hand side in the span of earlier ones
-costs a projection, not an LU solve.  No estimator forms a
-dense array: the spectral ones run shift-invert Lanczos on saddle LUs, and
-the two operator norms are bounded from above by Sylvester's law of
+factored once, by one SuperLU LU of the whole indefinite system, and
+reused for every solve.  :class:`RecycledSaddle` reuses the solves
+themselves: a right-hand side in the span of earlier ones costs a
+projection, not an LU solve.  No estimator forms a dense array: the
+spectral ones run shift-invert Lanczos on saddle LUs, and the two
+operator norms are bounded from above by Sylvester's law of
 inertia, read off the pivots of an unpivoted LU (``_definite_lu``), up to
 the rounding of that LU.
 """
@@ -27,7 +25,6 @@ import scipy.sparse.linalg as spla
 from .errors import EstimatorError, SaddleSolverError
 
 __all__ = [
-    "HybridSaddle",
     "RecycledSaddle",
     "SaddleFactorization",
     "factorize_saddle",
@@ -51,9 +48,9 @@ def as_csr(matrix) -> sp.csr_matrix:
 class SaddleFactorization:
     """Reusable factorization of ``K = [[A, B^T], [B, 0]]``.
 
-    ``lu`` solves ``K`` for a stacked right-hand side (``lu.solve``) and
-    counts its stored entries (``lu.nnz``): a SuperLU object or a
-    :class:`HybridSaddle`.
+    ``lu`` is the SuperLU object of ``K``: it solves for a stacked
+    right-hand side (``lu.solve``) and counts its stored entries
+    (``lu.nnz``).
     """
 
     def __init__(self, lu, n_v: int, n_q: int):
@@ -97,9 +94,9 @@ class RecycledSaddle:
     normwise backward error (Rigal & Gaches, J. ACM 14, 1967) exceeds the
     LU's own by at most ``RECYCLE_DROP`` = 1e-14, 45 ulps: above the
     round-off of a projection on 16 vectors (the dropped residuals of both
-    convergence studies stay below 6.1e-17 of ``||K|| ||x||``), below what
-    the LU reaches (1.9e-14 in the g row of the hybridized Laplace solve,
-    m = 64).
+    convergence studies stay below 6.1e-17 of ``||K|| ||x||``), of the
+    order of what the LU reaches (SuperLU at Laplace m = 64: 7.5e-15 in
+    the f row, 1.4e-15 in the g row).
 
     Other columns reach the LU: all while the basis is empty, and those
     that fail, which includes any that is not finite or overflows.  Such
@@ -211,25 +208,19 @@ def _rank_detail(b) -> str:
     return ""
 
 
-def factorize_saddle(a, b, elements=None) -> SaddleFactorization:
-    """Factor the block system ``[[A, B^T], [B, 0]]``.
+def factorize_saddle(a, b) -> SaddleFactorization:
+    """Factor the block system ``[[A, B^T], [B, 0]]`` by one SuperLU LU.
 
     Parameters
     ----------
     a : sparse (n_v, n_v), symmetric positive semi-definite
     b : sparse (n_q, n_v), full row rank
-    elements : optional ``(local_a, dofs)`` of an element-assembled pair:
-        row T of ``B`` belongs to an element holding the v-dofs
-        ``dofs[T]``, and ``A = sum_T P_T^T local_a[T] P_T``.  The system is
-        then hybridized (see :class:`HybridSaddle`); without it, one
-        SuperLU LU of the whole system serves.
 
     Raises
     ------
     SaddleSolverError
-        On structural or numerical singularity, or element data that do
-        not describe ``(a, b)``; the message reports rank deficiency when
-        B has an exactly zero row.
+        On structural or numerical singularity; the message reports rank
+        deficiency when B has an exactly zero row.
     """
     a = as_csr(a)
     b = as_csr(b)
@@ -238,8 +229,6 @@ def factorize_saddle(a, b, elements=None) -> SaddleFactorization:
     if a.shape[1] != n_v or b.shape[1] != n_v:
         raise SaddleSolverError(
             f"inconsistent block shapes A{a.shape} B{b.shape}")
-    if elements is not None:
-        return SaddleFactorization(HybridSaddle(a, b, *elements), n_v, n_q)
     kkt = sp.bmat([[a, b.T], [b, None]], format="csc")
     try:
         lu = spla.splu(kkt)
@@ -249,121 +238,6 @@ def factorize_saddle(a, b, elements=None) -> SaddleFactorization:
     return SaddleFactorization(lu, n_v, n_q)
 
 
-class HybridSaddle:
-    """Hybridized solve of an element-assembled ``[[A, B^T], [B, 0]]``.
-
-    Each element T holds one q-dof (row T of ``B``) and the v-dofs
-    ``dofs[T]``.  Tearing every v-dof shared by two elements into one copy
-    per element leaves a block-diagonal system of local saddle blocks
-    ``M_T = [[local_a[T], b_T^T], [b_T, 0]]``, inverted in one batched
-    call; a Lagrange multiplier per shared dof (the jump rows ``C``)
-    joins the copies again (Arnold & Brezzi, M2AN 19, 1985).  With ``E``
-    the map that puts ``y = (f, g)`` into the torn space, each entry of
-    ``f`` into the first element that holds its dof, the multipliers solve
-
-        H lam = C M^{-1} E y,    H = C M^{-1} C^T,
-
-    and ``x = E^T M^{-1} (E y - C^T lam)``.  Only the v-blocks of the local
-    inverses enter ``H``, which is symmetric positive definite when the
-    local blocks are positive semi-definite and ``B`` has full row rank.
-    Any split of ``f`` whose copies sum to ``f`` gives the same ``(u, p)``.
-
-    A solve is three sparse products and one SPD solve:
-    ``lam = H^{-1} (R y)``, ``x = X1 y - X2 lam``.  ``nnz`` counts the
-    entries of the LU of ``H``.
-
-    Raises :class:`SaddleSolverError` when the element data do not
-    describe ``(a, b)`` (a v-dof in no element or in more than two, a row
-    of ``B`` reaching outside its element, local blocks that do not sum
-    to ``A``), when a local block is singular, or when ``H`` is not
-    positive definite.
-    """
-
-    ASSEMBLY_RTOL = 1e-12
-
-    def __init__(self, a, b, local_a, dofs):
-        n_q, n_v = b.shape
-        dofs = np.asarray(dofs)
-        local_a = np.asarray(local_a, dtype=float)
-        k = dofs.shape[1] if dofs.ndim == 2 else 0
-        if dofs.shape != (n_q, k) or local_a.shape != (n_q, k, k) or k == 0:
-            raise SaddleSolverError(
-                f"element data dofs{dofs.shape} local_a{local_a.shape} do"
-                f" not give one element of v-dofs per row of B{b.shape}")
-        if dofs.min() < 0 or dofs.max() >= n_v:
-            raise SaddleSolverError(f"element v-dofs outside 0..{n_v - 1}")
-        ordered = np.sort(dofs, axis=1)
-        if np.any(ordered[:, 1:] == ordered[:, :-1]):
-            raise SaddleSolverError("an element lists one v-dof twice")
-        flat = dofs.ravel()
-        counts = np.bincount(flat, minlength=n_v)
-        if counts.min() == 0 or counts.max() > 2:
-            bad = int(np.flatnonzero((counts == 0) | (counts > 2))[0])
-            raise SaddleSolverError(
-                f"v-dof {bad} lies in {counts[bad]} elements; hybridization"
-                " needs every v-dof in one or two")
-        rows = np.repeat(np.arange(n_q), k)
-        local_b = np.asarray(b[rows, flat]).reshape(n_q, k)
-        if _differs(sp.csr_matrix((local_b.ravel(), (rows, flat)), b.shape),
-                    b, 0.0):
-            raise SaddleSolverError(
-                "a row of B reaches v-dofs outside its element")
-        if _differs(assemble(local_a, dofs, a.shape), a, self.ASSEMBLY_RTOL):
-            raise SaddleSolverError("the local blocks do not assemble to A")
-
-        saddles = np.zeros((n_q, k + 1, k + 1))
-        saddles[:, :k, :k] = local_a
-        saddles[:, :k, k] = saddles[:, k, :k] = local_b
-        try:
-            inv = np.linalg.inv(saddles)
-        except np.linalg.LinAlgError as exc:
-            raise SaddleSolverError(
-                f"singular local saddle block{_rank_detail(b)}") from exc
-        if not np.all(np.isfinite(inv)):
-            raise SaddleSolverError(
-                f"singular local saddle block{_rank_detail(b)}")
-
-        # broken space: element T owns the slots slots[T], a copy of each
-        # of its v-dofs and then its q-dof
-        slots = np.arange(n_q * (k + 1)).reshape(n_q, k + 1)
-        copies = slots[:, :k].ravel()[np.argsort(flat, kind="stable")]
-        first = copies[np.cumsum(counts) - counts]
-        shared = counts == 2
-        second = copies[np.cumsum(counts)[shared] - 1]
-        n_l, n_b = second.size, slots.size
-        # E: y = (f, g) enters the first copy of each v-dof and the q-slots,
-        # and a solution is read back from the same slots
-        enter = sp.csr_matrix(
-            (np.ones(n_v + n_q),
-             (np.concatenate([first, slots[:, k]]), np.arange(n_v + n_q))),
-            (n_b, n_v + n_q))
-        jump = sp.csr_matrix(
-            (np.tile([1.0, -1.0], n_l),
-             (np.repeat(np.arange(n_l), 2),
-              np.column_stack([first[shared], second]).ravel())), (n_l, n_b))
-        local_inv = assemble(inv, slots, (n_b, n_b))
-        inv_enter = local_inv @ enter
-        inv_jump = local_inv @ jump.T
-        self._r = (jump @ inv_enter).tocsr()
-        self._x1 = (enter.T @ inv_enter).tocsr()
-        self._x2 = (enter.T @ inv_jump).tocsr()
-        self._lu, self.nnz = None, 0
-        if n_l:
-            self._lu = _definite_lu(jump @ inv_jump)
-            if self._lu is None:
-                raise SaddleSolverError(
-                    "hybridized system is not positive definite")
-            self.nnz = self._lu.nnz
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(u, p)`` stacked, for the stacked right-hand side ``(f, g)``:
-        one vector, or one column per right-hand side."""
-        sol = self._x1 @ rhs
-        if self._lu is not None:
-            sol -= self._x2 @ self._lu.solve(self._r @ rhs)
-        return sol
-
-
 def assemble(blocks, index, shape) -> sp.csr_matrix:
     """``sum_T P_T^T blocks[T] P_T``, where ``P_T`` picks the entries
     ``index[T]``."""
@@ -371,14 +245,6 @@ def assemble(blocks, index, shape) -> sp.csr_matrix:
     return sp.csr_matrix((blocks.ravel(), (np.repeat(index, k, axis=1).ravel(),
                                            np.tile(index, (1, k)).ravel())),
                          shape)
-
-
-def _differs(assembled, target, rtol: float) -> bool:
-    """Whether two sparse matrices differ by more than ``rtol`` of the
-    largest entry of ``target``."""
-    gap = abs(assembled - target)
-    scale = abs(target).max() if target.nnz else 0.0
-    return gap.nnz > 0 and gap.max() > rtol * scale
 
 
 def infsup_estimate(gram_v, gram_q, b) -> float:

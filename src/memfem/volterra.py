@@ -13,17 +13,16 @@ with data (f_0, g_0) (Volterra equations of the second kind need no
 initial condition).  Scheme well-posedness requires the stability gate
 ``|w_{n,n} k(t_n, t_n)| < 1`` for every attached kernel.
 
-The scalings are scalars, so every step shares one factorization of the
-unscaled ``K = [[A, B^T], [B, 0]]``: a SuperLU LU of ``K``, or for an
-element-assembled pair the LU of its hybridized SPD system on the shared
-v-dofs.  :func:`step` applies the scalings around that solve, and the
-solves recycle (:class:`~memfem.sparsela.RecycledSaddle`): a right-hand
-side within round-off of the span of earlier ones is solved from their
-solutions, and only the other directions, up to a cap, reach the LU.
-Both drivers load row 2 with one vector times a scalar, so a run reaches
-the LU about once.  The history kept is what the attached
-kernels read: a convolution kernel gets an O(1) exponential recurrence,
-and a general kernel one product of the weight row with the stored
+The scalings are scalars, so every step shares one SuperLU LU of the
+unscaled ``K = [[A, B^T], [B, 0]]``.  :func:`step` applies the scalings
+around that solve, and the solves recycle
+(:class:`~memfem.sparsela.RecycledSaddle`): a right-hand side within
+round-off of the span of earlier ones is solved from their solutions,
+and only the other directions, up to a cap, reach the LU.  Both drivers
+load row 2 with one vector times a scalar, so a run reaches the LU about
+once.  The history kept is what the attached kernels read: a
+convolution kernel gets an O(1) exponential recurrence, and a general
+kernel one product of the weight row with the stored
 ``(N+1, n)`` states of the family it reads.  :func:`audit` checks a run
 against the same kernels in that direct form.
 
@@ -222,17 +221,15 @@ class BlockSaddleSystem:
     A must be symmetric (checked to 1e-12 entrywise on construction) and
     positive semi-definite; B must have full row rank.  Each of the three
     kernel slots is a :class:`MemoryKernel` or None (absent).  One
-    factorization of the unscaled system, built on first use, serves every
-    step's scalings, through recycled solves; ``elements`` (see
-    :func:`factorize_saddle`) makes it the hybridized one of an
-    element-assembled pair.
+    SuperLU LU of the unscaled system, built on first use, serves every
+    step's scalings, through recycled solves.
     """
 
     SYMMETRY_TOL = 1e-12
 
     def __init__(self, a, b, k1: Optional[MemoryKernel] = None,
                  k2: Optional[MemoryKernel] = None,
-                 k3: Optional[MemoryKernel] = None, elements=None):
+                 k3: Optional[MemoryKernel] = None):
         self.a = as_csr(a)
         self.b = as_csr(b)
         if self.a.shape[0] != self.a.shape[1]:
@@ -247,7 +244,6 @@ class BlockSaddleSystem:
         self.k1 = k1
         self.k2 = k2
         self.k3 = k3
-        self.elements = elements
         self._fact: Optional[RecycledSaddle] = None
 
     @property
@@ -270,9 +266,8 @@ class BlockSaddleSystem:
         """The recycled solves of the unscaled system, factored on the
         first call."""
         if self._fact is None:
-            self._fact = RecycledSaddle(
-                factorize_saddle(self.a, self.b, self.elements),
-                self.a, self.b)
+            self._fact = RecycledSaddle(factorize_saddle(self.a, self.b),
+                                        self.a, self.b)
         return self._fact
 
 
@@ -525,7 +520,7 @@ def audit(sys: BlockSaddleSystem, grid: TimeGrid, f_of_t: Callable,
     against the direct-form states ``x'``."""
     direct = BlockSaddleSystem(sys.a, sys.b, *(
         None if k is None else MemoryKernel.from_callable(k.eval, k.bound)
-        for k in sys.kernels), elements=sys.elements)
+        for k in sys.kernels))
     # the kernels do not enter the factorization; a recycled direct side
     # would check recycled solves against themselves
     direct._fact = sys.factorization().plain

@@ -21,7 +21,7 @@ from memfem.laplace_mem import (
     probe_cell_index,
 )
 from memfem.mesh import TriMesh, structured_unit_square
-from memfem.sparsela import HybridSaddle, infsup_estimate, kernel_ellipticity
+from memfem.sparsela import infsup_estimate, kernel_ellipticity
 from memfem.volterra import TimeGrid
 
 
@@ -327,15 +327,6 @@ def test_memoryless_mixed_matches_primal_poisson():
     _, primal_means = primal_poisson_p0_means(16)
     rel = np.linalg.norm(u - primal_means) / np.linalg.norm(primal_means)
     assert rel < 0.02
-
-
-def test_laplace_steps_solve_hybridized_and_beam_does_not():
-    from memfem.beam import BeamProblem, joined_profile
-    # each steps through recycled solves around its plain factorization
-    assert isinstance(LaplaceProblem(8).system.factorization().plain._lu,
-                      HybridSaddle)
-    beam = BeamProblem(joined_profile(0.001), 8, None, 1.0, np.exp, None)
-    assert not isinstance(beam.system.factorization().plain._lu, HybridSaddle)
 
 
 def test_rhs_block_equals_the_per_node_formula():

@@ -12,7 +12,6 @@ from memfem.kernels import MemoryKernel
 from memfem.sparsela import (
     RECYCLE_BYTES,
     RECYCLE_COLUMNS,
-    HybridSaddle,
     RecycledSaddle,
     SaddleFactorization,
     as_csr,
@@ -90,15 +89,14 @@ def test_factor_solve_random_residuals():
         assert res / np.linalg.norm(rhs) < 1e-10
 
 
-def check_steps_against_scaled_kkt(a, b, elements, rng):
+def check_steps_against_scaled_kkt(a, b, rng):
     """Step an exponential k1 + k2 + k3 system on ``(a, b)``: each node
     n >= 1 equals an LU solve of ``[[g1 A, g2 B^T], [g3 B, 0]]`` with its
     history sums, although the factorization holds the unscaled ``K``."""
     exp = MemoryKernel.exp_convolution
     sys_ = BlockSaddleSystem(a, b, exp(-2.4, 1.0), exp(5.6, 0.5),
-                             exp(7.992, 2.0), elements=elements)
-    assert (elements is not None) == isinstance(
-        sys_.factorization().plain._lu, HybridSaddle)
+                             exp(7.992, 2.0))
+    assert isinstance(sys_.factorization().plain._lu, spla.SuperLU)
     grid = TimeGrid(T=1.0, n_steps=4)   # w_nn = 1/8: g3 next to the gate
     g1, g2, g3 = step_gammas(sys_, grid, 1)
     assert_allclose((g1, g2, g3), (1.3, 0.3, 1e-3), rtol=1e-12)
@@ -127,7 +125,7 @@ def test_scaled_solve_matches_lu_of_scaled_kkt():
     n, m = 40, 12
     a = sp.csr_matrix(random_spd(n, rng))
     b = sp.csr_matrix(rng.standard_normal((m, n)))
-    check_steps_against_scaled_kkt(a, b, None, rng)
+    check_steps_against_scaled_kkt(a, b, rng)
 
 
 def test_factor_matches_dense_reference():
@@ -145,40 +143,38 @@ def test_factor_matches_dense_reference():
 
 
 def laplace_blocks(m):
-    """``(a, b, elements)`` of the RT0 x P0 Laplace pair on an m x m mesh."""
+    """``(a, b)`` of the RT0 x P0 Laplace pair on an m x m mesh."""
     from memfem.laplace_mem import LaplaceProblem
     prob = LaplaceProblem(m)
-    return prob.a, prob.b, (prob.space.local_mass(), prob.mesh.tri_edges)
+    return prob.a, prob.b
 
+
+# the "hybrid" tests below run the RT0 x P0 Laplace pair
 
 @pytest.mark.parametrize("m", [1, 2, 7, 24])
 def test_hybrid_solve_matches_lu_of_scaled_kkt(m):
-    # m = 1 joins its two elements by a single multiplier; a nonzero f
-    # checks that each f entry is sent to one element, not to both
-    a, b, elements = laplace_blocks(m)
-    check_steps_against_scaled_kkt(a, b, elements, np.random.RandomState(m))
+    a, b = laplace_blocks(m)
+    check_steps_against_scaled_kkt(a, b, np.random.RandomState(m))
 
 
 def test_hybrid_solve_residual_at_m64():
-    a, b, elements = laplace_blocks(64)
-    fact = factorize_saddle(a, b, elements)
+    a, b = laplace_blocks(64)
+    fact = factorize_saddle(a, b)
     rng = np.random.RandomState(64)
     f = rng.standard_normal(b.shape[1])
     g = rng.standard_normal(b.shape[0])
     u, p = fact.solve(f, g)
     res = np.concatenate([a @ u + b.T @ p - f, b @ u - g])
     assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(np.concatenate([f, g]))
-    # the hybrid LU stores less than half of what SuperLU does for K
-    assert fact._lu.nnz < 0.5 * factorize_saddle(a, b)._lu.nnz
 
 
 def block_factorizations():
-    """A SuperLU and a hybridized factorization, each with its blocks."""
+    """Factorizations of a random dense pair ("superlu") and of the
+    Laplace pair at m = 6 ("hybrid")."""
     rng = np.random.RandomState(5)
     a, b = random_spd(30, rng), rng.standard_normal((10, 30))
     superlu = factorize_saddle(sp.csr_matrix(a), sp.csr_matrix(b))
-    la, lb, elements = laplace_blocks(6)
-    return [superlu, factorize_saddle(la, lb, elements)]
+    return [superlu, factorize_saddle(*laplace_blocks(6))]
 
 
 @pytest.mark.parametrize("kind", [0, 1], ids=["superlu", "hybrid"])
@@ -316,38 +312,6 @@ def test_full_rank_loads_stop_at_the_cap(monkeypatch):
                          sp.identity(n_v, format="csr"),
                          sp.eye(n_q, n_v, format="csr"))
     assert big.cap == 2 and 2 * big.cap * (n_v + n_q) * 8 <= RECYCLE_BYTES
-
-
-def test_hybrid_rejects_local_blocks_that_miss_a():
-    from memfem.volterra import BlockSaddleSystem
-    a, b, (local_a, dofs) = laplace_blocks(4)
-    local_a = local_a.copy()
-    local_a[5, 0, 0] *= 1.0 + 1e-9
-    # checked when the system is factored, not when it is built
-    system = BlockSaddleSystem(a, b, elements=(local_a, dofs))
-    with pytest.raises(SaddleSolverError, match="do not assemble to A"):
-        system.factorization()
-
-
-def test_hybrid_rejects_a_dof_in_three_elements():
-    # three elements share v-dof 0; the pair itself is well posed
-    dofs = np.array([[0, 1], [0, 2], [0, 3]])
-    local_a = np.repeat(np.eye(2)[None], 3, axis=0)
-    a = sp.diags([3.0, 1.0, 1.0, 1.0], format="csr")
-    b = sp.csr_matrix((np.ones(6), (np.repeat(np.arange(3), 2), dofs.ravel())),
-                      shape=(3, 4))
-    factorize_saddle(a, b).solve(np.ones(4), np.ones(3))
-    with pytest.raises(SaddleSolverError, match="lies in 3 elements"):
-        factorize_saddle(a, b, (local_a, dofs))
-
-
-def test_hybrid_rejects_b_outside_its_element():
-    a, b, (local_a, dofs) = laplace_blocks(2)
-    outside = np.setdiff1d(np.arange(b.shape[1]), dofs[0])[0]
-    b = b.tolil()
-    b[0, outside] = 0.5
-    with pytest.raises(SaddleSolverError, match="outside its element"):
-        factorize_saddle(a, b, (local_a, dofs))
 
 
 def gram_sqrt(g):

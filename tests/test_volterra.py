@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from memfem.errors import EstimatorError, SaddleSolverError, StabilityGateError
 from memfem import volterra
 from memfem.kernels import MemoryKernel, PronySLS, beam_kernel, fickian_kernel
 from memfem.laplace_mem import LaplaceProblem
-from memfem.sparsela import HybridSaddle, RecycledSaddle, SaddleFactorization
+from memfem.sparsela import RecycledSaddle, SaddleFactorization
 from memfem.volterra import (
     BlockSaddleSystem,
     HistoryBuffer,
@@ -111,9 +112,9 @@ def count_factorizations(monkeypatch):
     calls = []
     orig = volterra.factorize_saddle
 
-    def counted(a, b, elements=None):
+    def counted(a, b):
         calls.append(a.shape)
-        return orig(a, b, elements)
+        return orig(a, b)
 
     monkeypatch.setattr(volterra, "factorize_saddle", counted)
     return calls
@@ -138,12 +139,26 @@ def test_time_varying_kernel_factors_once(monkeypatch):
 
 
 def test_time_varying_kernel_factors_once_hybridized(monkeypatch):
-    # the same through the Laplace driver, whose system is hybridized
+    # the same through the Laplace driver, whose RT0 x P0 pair factors K
+    # by SuperLU like every system
     calls = count_factorizations(monkeypatch)
     prob = LaplaceProblem(4, delta=None, kernel=time_varying_kernel())
     prob.run(TimeGrid(T=1.0, n_steps=50))
     assert len(calls) == 1
-    assert isinstance(prob.system.factorization().plain._lu, HybridSaddle)
+    assert isinstance(prob.system.factorization().plain._lu, spla.SuperLU)
+
+
+def test_laplace_level_at_m64_reaches_the_lu_once(monkeypatch):
+    # the largest benchmark level under the fickian kernel, with its error
+    # norms: every load of the run lies in one direction, and the
+    # recycler's gate takes each one against SuperLU's backward error
+    calls = count_factorizations(monkeypatch)
+    solves = record_solves(monkeypatch)
+    prob = LaplaceProblem(64)
+    errors, _ = prob.run(TimeGrid(T=1.0, n_steps=200),
+                         reference=prob.manufactured)
+    assert len(calls) == 1 and len(solves) == 1
+    assert np.isfinite([errors[k]["e0"] for k in LaplaceProblem.FIELDS]).all()
 
 
 def record_solves(monkeypatch, kind=SaddleFactorization):
