@@ -419,9 +419,9 @@ class BeamProblem:
         acc = None if reference is None else \
             beam_accumulator(self.mesh, reference, grid)
 
-        def on_step(n, times, u, p):
+        def on_step(n, times, u, p, basis):
             if acc is not None:
-                acc.add(n, u, p)
+                acc.add(n, u, p, basis)
             if collect is not None:
                 for j in range(len(times)):     # cheaper than iterating times
                     collect(n + j, times[j], u[:, j], p[:, j])

@@ -245,9 +245,10 @@ PROBLEMS = {
 class RunNorms:
     """Trapezoid-in-time L1 norms of a run: solution and dual load data.
 
-    ``add`` is the stepper's block observer, and ``add_load`` takes the
-    constraint row's load blocks in node order, as the stepper requests
-    them.  The Q Gram must be diagonal, as both drivers' are.
+    ``add`` is the stepper's block observer (it reads the states, not the
+    basis), and ``add_load`` takes the constraint row's load blocks in
+    node order, as the stepper requests them.  The Q Gram must be
+    diagonal, as both drivers' are.
     """
 
     def __init__(self, gram_v, gram_q, grid: TimeGrid):
@@ -262,7 +263,7 @@ class RunNorms:
         self.g_dual_l1 = 0.0
         self._loads = 0
 
-    def add(self, n: int, times, u, p):
+    def add(self, n: int, times, u, p, basis=None):
         w = self.weights[n:n + len(times)]
         self.u_l1 += w @ np.sqrt(np.einsum("ij,ij->j", u, self.gram_v @ u))
         self.p_l1 += w @ np.sqrt(

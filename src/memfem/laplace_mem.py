@@ -298,9 +298,9 @@ class LaplaceProblem:
         acc = None if reference is None else \
             laplace_accumulator(self.space, reference, grid)
 
-        def on_step(n, times, sig, u):
+        def on_step(n, times, sig, u, basis):
             if acc is not None:
-                acc.add(n, sig, u)
+                acc.add(n, sig, u, basis)
             if collect is not None:
                 for j in range(len(times)):     # cheaper than iterating times
                     collect(n + j, times[j], sig[:, j], u[:, j])

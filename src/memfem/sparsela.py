@@ -68,6 +68,10 @@ class SaddleFactorization:
             raise SaddleSolverError("saddle solve produced non-finite values")
         return sol[:self.n_v], sol[self.n_v:]
 
+    def solve_on_basis(self, f: np.ndarray, g: np.ndarray):
+        """``(u, p, None)``: plain solves keep no basis."""
+        return (*self.solve(f, g), None)
+
 
 # gate and cap of RecycledSaddle; see its docstring
 RECYCLE_DROP = 1e-14
@@ -93,10 +97,8 @@ class RecycledSaddle:
     ``s_Fi / (||K|| ||y_i||)_F`` of the basis solves, so a taken column's
     normwise backward error (Rigal & Gaches, J. ACM 14, 1967) exceeds the
     LU's own by at most ``RECYCLE_DROP`` = 1e-14, 45 ulps: above the
-    round-off of a projection on 16 vectors (the dropped residuals of both
-    convergence studies stay below 6.1e-17 of ``||K|| ||x||``), of the
-    order of what the LU reaches (SuperLU at Laplace m = 64: 7.5e-15 in
-    the f row, 1.4e-15 in the g row).
+    round-off of a projection on 16 vectors, and of the order of what the
+    LU reaches (ROADMAP.md, "Recycled solves", has the numbers).
 
     Other columns reach the LU: all while the basis is empty, and those
     that fail, which includes any that is not finite or overflows.  Such
@@ -121,54 +123,70 @@ class RecycledSaddle:
                                    for m in (self._a, self._b.T, self._b))
         self._norms = np.array([[norm_a, norm_b], [norm_bt, 0.0]])
         self._tol = np.full(2, RECYCLE_DROP)
+        self._scaled = self._norms * self._tol     # the gate's right side
         self._cuts = [0, n_v, n, n + n_v]   # E_f, E_g, u and p in a row
         self._vy = np.empty((0, 2 * n))     # a row [v_i, y_i] per vector
         self._res = np.empty((0, 2))        # s_F of each basis solve
 
     def solve(self, f: np.ndarray, g: np.ndarray):
         """As :meth:`SaddleFactorization.solve`."""
+        return self.solve_on_basis(f, g)[:2]
+
+    def solve_on_basis(self, f: np.ndarray, g: np.ndarray):
+        """``(u, p, basis)``: :meth:`solve`, and ``basis`` None if a column
+        reached the LU, else ``(C, Y)``: the ``(k, r)`` coefficients of the
+        columns on the basis solutions ``Y``, ``[u; p] = (C Y)^T`` up to
+        rounding.  Rows of ``Y`` never change; later solves may add rows."""
         n_v = self.plain.n_v
         r = np.concatenate((f.T, g.T), axis=-1, dtype=float)
         rows = r.reshape(-1, r.shape[-1])   # a row per right-hand side
         # an overflow fails the gate, and the column takes the LU path
         with np.errstate(all="ignore"):
-            x, ok = self._recycle(rows)
+            x, ok, c = self._recycle(rows)
             if not ok.all():
-                self._fill(rows, x, ok)
+                c = self._fill(rows, x, ok, c)
+        basis = None if c is None else (c, self._vy[:, rows.shape[1]:])
         x = x.T if f.ndim > 1 else x[0]
-        return x[:n_v], x[n_v:]
+        return x[:n_v], x[n_v:], basis
 
     def _recycle(self, rows):
-        """``(X, ok)``: ``Y V^T r`` of each row ``r`` of ``rows``, as a row,
-        and the gate."""
+        """``(X, ok, C)``: ``Y V^T r`` and ``V^T r`` of each row ``r`` of
+        ``rows``, as rows, and the gate."""
         n = rows.shape[1]
         if not len(self._vy):
-            return np.empty_like(rows), np.zeros(len(rows), dtype=bool)
+            return (np.empty_like(rows), np.zeros(len(rows), dtype=bool),
+                    np.empty((len(rows), 0)))
         c = rows @ self._vy[:, :n].T
         out = np.dot(c, self._vy)   # [V c, Y c]: a row per right-hand side
         out[:, :n] -= rows          # -E
-        peaks = np.maximum.reduceat(abs(out), self._cuts, axis=1)
+        cuts = self._cuts           # max |out| per part, without abs(out)
+        peaks = np.maximum(np.maximum.reduceat(out, cuts, axis=1),
+                           -np.minimum.reduceat(out, cuts, axis=1))
         bound = peaks[:, :2] + abs(c) @ self._res
-        scale = peaks[:, 2:] @ (self._norms * self._tol)
+        scale = peaks[:, 2:] @ self._scaled
         ok = ((bound <= scale) & (scale < math.inf)).all(axis=1)
-        return out[:, n:], ok
+        return out[:, n:], ok, c
 
-    def _fill(self, rows, x, ok) -> None:
+    def _fill(self, rows, x, ok, c):
         """Fill in the rows of ``x`` that failed the gate: each is taken
-        again once its direction joins the basis, or solved by the LU."""
+        again once its direction joins the basis, or solved by the LU.
+        Returns the rows' coefficients, or None if one reached the LU."""
         size = len(self._vy)
+        c = np.pad(c, ((0, 0), (0, self.cap - size)))     # room to grow
         for j in np.flatnonzero(~ok) if size < self.cap else ():
             row = rows[j:j + 1]
             if len(self._vy) != size:   # the basis grew since
-                xj, ok[j] = self._recycle(row)
+                xj, ok[j], cj = self._recycle(row)
             if not ok[j] and self._extend(row[0]):
-                xj, ok[j] = self._recycle(row)
+                xj, ok[j], cj = self._recycle(row)
             if ok[j]:
-                x[j] = xj[0]
-        if not ok.all():
-            n_v, plain = self.plain.n_v, ~ok
-            u, p = self.plain.solve(rows[plain, :n_v].T, rows[plain, n_v:].T)
-            x[plain] = np.concatenate((u, p)).T
+                x[j], c[j, :cj.shape[1]] = xj[0], cj[0]
+        if ok.all():
+            return c[:, :len(self._vy)]
+        n_v, plain = self.plain.n_v, ~ok
+        u, p = self.plain.solve(rows[plain, :n_v].T, rows[plain, n_v:].T)
+        x[plain] = np.concatenate((u, p)).T
+        return None
 
     def _extend(self, r) -> bool:
         """Add the direction of ``r`` off the basis, with one LU solve, if
@@ -194,7 +212,7 @@ class RecycledSaddle:
         tol = np.fmax(self._tol, RECYCLE_DROP + res / scale)    # 0/0: u = 0
         if not np.isfinite(tol).all():
             return False
-        self._tol = tol
+        self._tol, self._scaled = tol, self._norms * tol
         self._vy = np.vstack((self._vy, np.concatenate((e, u, p))))
         self._res = np.vstack((self._res, res))
         return True

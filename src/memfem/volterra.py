@@ -14,36 +14,35 @@ initial condition).  Scheme well-posedness requires the stability gate
 ``|w_{n,n} k(t_n, t_n)| < 1`` for every attached kernel.
 
 The scalings are scalars, so every step shares one SuperLU LU of the
-unscaled ``K = [[A, B^T], [B, 0]]``.  :func:`step` applies the scalings
-around that solve, and the solves recycle
-(:class:`~memfem.sparsela.RecycledSaddle`): a right-hand side within
-round-off of the span of earlier ones is solved from their solutions,
-and only the other directions, up to a cap, reach the LU.  Both drivers
-load row 2 with one vector times a scalar, so a run reaches the LU about
-once.  The history kept is what the attached kernels read: a
-convolution kernel gets an O(1) exponential recurrence, and a general
-kernel one product of the weight row with the stored
-``(N+1, n)`` states of the family it reads.  :func:`audit` checks a run
-against the same kernels in that direct form.
+unscaled ``K = [[A, B^T], [B, 0]]``: :func:`step` applies them around
+recycled solves (:class:`~memfem.sparsela.RecycledSaddle`), which take a
+right-hand side near the span of earlier ones from their solutions.
+Both drivers load row 2 with one vector times a scalar, so a run reaches
+the LU about once.  The history kept is what the attached kernels read:
+an exponential kernel gets an O(1) recurrence, a general kernel one
+product of the weight row with the stored ``(N+1, n)`` states of the
+family it reads.  :func:`audit` checks a run against the same kernels in
+that direct form.
 
-Row 2 alone fixes ``q_n = B u_n = (g_n + sum_{j<n} w_{n,j} k3 q_j) / g3``,
-a scalar Volterra system on ``n_q``-vectors.  Without ``k1`` and ``k2``,
-and with ``k3`` exponential or absent (``HistoryBuffer.blocked``), every
-``(f_n, q_n)`` is known before any solve: the stepper solves blocks of
-``max(1, min(64, 65536 // (n_v + n_q)))`` nodes, each block one
-multi-column solve (at most 512 KiB of right-hand side) and, under an
-exponential ``k3``, one affine map of row 2.  Every other system solves
-one node at a time on the same code.
+Row 2 alone fixes ``q_n = B u_n = (g_n + sum_{j<n} w_{n,j} k3 q_j) / g3``.
+Without ``k1`` and ``k2``, and with ``k3`` exponential or absent
+(``HistoryBuffer.blocked``), every ``(f_n, q_n)`` is known before any
+solve: the stepper solves blocks of ``max(1, min(64, 65536 // (n_v +
+n_q)))`` nodes, each one recycled solve and one affine map of row 2.
+That bound, 512 KiB of right-hand side, keeps a block's states about
+cache-sized; wider blocks saved at most a few percent, or lost, and
+cost memory.  Every other system solves one node at a time.
 
-L1-in-time error norms take each solved block at once, in dof space:
-against the projection of the oracle, which leaves state-sized work that
-does not cancel (see :class:`L1NormAccumulator`).  The module also
-evaluates the closed-form stability and error constants of the theory.
+L1-in-time error norms take each solved block at once: from the
+coefficients of its states on the recycled basis, or else in dof space
+(see :class:`L1NormAccumulator`).  The module also evaluates the
+closed-form stability and error constants of the theory.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -128,9 +127,20 @@ class L1NormAccumulator:
     best-approximation error, so every term has the size of the error,
     unlike the expansion ``x.Gx - 2c x.g + c^2 r.Wr``, which cancels once
     the error is small against the field.  :meth:`add` takes a block of
-    nodes, with one contiguous row of ``z`` per node and one product with
-    the block-diagonal Gram, and :meth:`result` takes the roots and sums
-    them once.  ``G`` must be nonsingular on ``S``.
+    nodes, with one product of the block-diagonal Gram, and :meth:`result`
+    takes the roots and sums them once.  ``G`` must be nonsingular on ``S``.
+
+    States ``x = (C Y)^T`` on the rows of a basis ``Y`` cost no
+    state-sized work.  Each row ``y`` is split once, per norm, as
+    ``y[S] = mu rho + delta``, ``mu`` its G-projection on ``rho``, and
+    ``delta^T = Q R`` with G-orthonormal ``Q``.  Then
+    ``z = beta rho + delta^T C`` with ``beta = mu.C - c`` (``delta`` and
+    ``beta`` in long double), and node n adds, with no Gram
+    ``C.(delta G delta^T) C`` to square a cancellation among the
+    coefficients,
+
+        |R C|^2 + beta (2 C.(delta G rho) + beta rho.G rho)
+                - 2c (C.(delta s) + beta rho.s) + c^2 res.
     """
 
     def __init__(self, grid: TimeGrid, factor: Callable, norms: dict):
@@ -157,11 +167,22 @@ class L1NormAccumulator:
         # per node and norm: c^2 res, and what add adds to it
         self._squares = self._scale[:, None] ** 2 * np.array(res)
         self._count = 0
+        # states on a basis: per norm rho.G rho, rho.s and R, per basis
+        # row mu, delta.G rho and delta.s of every norm, and a row of Q
+        self._sizes = sizes
+        self._grho = self._gram @ self._rho
+        self._rgr, self._rs = np.add.reduceat(
+            self._rho * [self._grho, self._s], starts, axis=1)
+        self._terms = np.empty((0, 3 * len(sizes)))
+        self._q = np.empty((0, sum(sizes)))
+        self._rfac = np.empty((len(sizes), 0, 0))
 
-    def add(self, n: int, u: np.ndarray, p: np.ndarray) -> None:
+    def add(self, n: int, u: np.ndarray, p: np.ndarray, basis=None) -> None:
         """Add nodes ``n, n + 1, ...``: the vectors of one node, or
         ``(n_v, k)`` and ``(n_q, k)`` arrays, one column per node.  A node
-        adds the same bits whatever block it comes in."""
+        adds the same bits whatever block it comes in.  A block given the
+        ``basis`` ``(C, Y)`` of its solve (see :func:`step`) is measured
+        from ``C``; rows of ``Y`` seen before must not have changed."""
         u, p = u.T.reshape(-1, len(u)), p.T.reshape(-1, len(p))
         k = len(u)                  # one row per node from here on
         if len(p) != k:
@@ -172,15 +193,52 @@ class L1NormAccumulator:
             raise ValueError(f"nodes {n}..{n + k - 1} run past the last "
                              f"node {len(self._weights) - 1} of the grid")
         c = self._scale[n:n + k, None]
-        z = np.concatenate((u, p), axis=1)
-        if self._take is not None:
-            z = z[:, self._take]
-        z -= c * self._rho
-        q = np.ascontiguousarray((self._gram @ z.T).T)     # a row per node
-        q -= (2.0 * c) * self._s
-        q *= z
-        self._squares[n:n + k] += np.add.reduceat(q, self._starts, axis=1)
+        if basis is None:
+            z = np.concatenate((u, p), axis=1)
+            if self._take is not None:
+                z = z[:, self._take]
+            z -= c * self._rho
+            q = np.ascontiguousarray((self._gram @ z.T).T)  # a row per node
+            q -= (2.0 * c) * self._s
+            q *= z
+            self._squares[n:n + k] += np.add.reduceat(q, self._starts, axis=1)
+        else:                       # states (C Y)^T: see the class docstring
+            coef, y = basis
+            for row in y[len(self._terms):]:
+                self._split(row)
+            r = coef.shape[1]
+            terms = coef.astype(np.longdouble) @ self._terms[:r]
+            terms[:, :len(self._sizes)] -= c            # beta
+            beta, dgr, ds = terms.astype(float).reshape(k, 3, -1).swapaxes(0, 1)
+            rc = self._rfac[:, :r, :r] @ coef.T         # (norm, r, k)
+            self._squares[n:n + k] += (rc * rc).sum(axis=1).T + beta * (
+                2.0 * dgr + beta * self._rgr) - 2.0 * c * (ds + beta * self._rs)
         self._count += k
+
+    def _split(self, y) -> None:
+        """Split one more basis row ``y``; ``R`` gains a column by
+        Gram-Schmidt in G, run twice (Daniel et al., Math. Comp. 30, 1976)."""
+        starts, sizes, gram, q = self._starts, self._sizes, self._gram, self._q
+        y = y if self._take is None else y[self._take]
+        mu = np.divide(np.add.reduceat(y * self._grho, starts), self._rgr,
+                       out=np.zeros(len(sizes)), where=self._rgr > 0.0)
+        # y and mu rho are near: their difference in long double, as t
+        w = (y - np.repeat(mu, sizes).astype(np.longdouble)
+             * self._rho).astype(float)
+        terms = np.add.reduceat(w * [self._grho, self._s], starts, axis=1)
+        self._terms = np.vstack((self._terms, np.concatenate((mu, *terms))))
+        col = np.zeros((len(sizes), len(q) + 1))
+        for _ in range(2):
+            a = np.add.reduceat(q * (gram @ w), starts, axis=1)    # (r, norm)
+            w = w - (np.repeat(a, sizes, axis=1) * q).sum(axis=0)
+            col[:, :-1] += a.T
+        col[:, -1] = norm = np.sqrt(np.maximum(
+            np.add.reduceat(w * (gram @ w), starts), 0.0))
+        norm = np.repeat(norm, sizes)
+        self._q = np.vstack((q, np.divide(w, norm, out=np.zeros_like(w),
+                                          where=norm > 0.0)))
+        self._rfac = np.pad(self._rfac, ((0, 0), (0, 1), (0, 1)))
+        self._rfac[:, :, -1] = col
 
     def result(self) -> dict:
         """``{field: {norm: value}}``; needs every node of the grid."""
@@ -401,7 +459,9 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
 def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     """Advance the k nodes ``n = len(hist), ...`` loaded by the columns of
     ``f`` ``(n_v, k)`` and ``g`` ``(n_q, k)``; more than one node needs
-    ``hist.blocked``.  Returns ``(u, p)``, one column per node.
+    ``hist.blocked``.  Returns ``(u, p, basis)``: one column per node,
+    and the ``basis`` of :meth:`~memfem.sparsela.RecycledSaddle.solve_on_basis`,
+    or None.
 
     The stability gate is checked before the solve, at node n and, in a
     block holding node 0, at node 1, whose scalings every later node
@@ -441,7 +501,9 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
             hist._maps[key] = _constraint_map(sys.k3.c, decay, grid.dt, g3, *key)
         m, v, d, e = hist._maps[key]
         gk = g.reshape(len(g), -1)
-        q = (gk @ m + np.outer(h, v)).reshape(g.shape)
+        q = gk @ m
+        q += h[:, None] * v
+        q = q.reshape(g.shape)
         h *= e
         h += gk @ d
     else:
@@ -449,11 +511,12 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     # g1 and g2 are those of every node of the block
     if g1 != 1.0:
         f = f / g1
-    u, p = sys.factorization().solve(f, q)
+    u, p, basis = sys.factorization().solve_on_basis(f, q)
     if g1 != g2:
         p *= g1 / g2
+        basis = None                # p is no longer that of the basis
     hist.append(u, p)
-    return u.reshape(len(u), -1), p.reshape(len(p), -1)
+    return u.reshape(len(u), -1), p.reshape(len(p), -1), basis
 
 
 def _constraint_map(c, decay, dt, g3, first, k):
@@ -497,15 +560,22 @@ class VolterraStepper:
         in node order, for the ``(n_v, k)`` and ``(n_q, k)`` loads of its
         nodes.  ``on_step(n, times, u, p)`` gets each block once it is
         solved: its nodes ``times`` from node ``n`` on, and states of the
-        same shapes that no later block writes.
+        same shapes that no later block writes.  An observer that takes a
+        fifth argument gets the block's ``basis`` from :func:`step` too.
         """
-        times = self.grid.times
+        times, observe = self.grid.times, on_step
+        try:                # an observer of four arguments gets no basis
+            inspect.signature(on_step).bind(*range(5))
+        except (TypeError, ValueError):         # or on_step is None
+            observe = on_step and (
+                lambda n, t, u, p, basis: on_step(n, t, u, p))
         for start in range(0, len(times), self.width):
             block = times[start:start + self.width]
-            u, p = step(self.sys, self.hist, f_of_t(block), g_of_t(block))
-            if on_step is not None:
-                on_step(start, block, u, p)
-            del u, p                    # not alive through the next solve
+            u, p, basis = step(self.sys, self.hist, f_of_t(block),
+                               g_of_t(block))
+            if observe is not None:
+                observe(start, block, u, p, basis)
+            del u, p, basis             # not alive through the next solve
         return self
 
 
@@ -527,11 +597,11 @@ def audit(sys: BlockSaddleSystem, grid: TimeGrid, f_of_t: Callable,
     hist = HistoryBuffer(direct, grid)
     worst = np.zeros((2, 2))        # rows u, p: max |x - x'|, max |x'|
 
-    def compare(n, times, u, p):
+    def compare(n, times, u, p, basis=None):
         f, g = f_of_t(times), g_of_t(times)
         for j in range(len(times)):
             pairs = zip((u[:, j:j + 1], p[:, j:j + 1]),
-                        step(direct, hist, f[:, j:j + 1], g[:, j:j + 1]))
+                        step(direct, hist, f[:, j:j + 1], g[:, j:j + 1])[:2])
             np.maximum(worst, [(abs(x - ref).max(), abs(ref).max())
                                for x, ref in pairs], out=worst)
 

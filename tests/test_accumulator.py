@@ -25,7 +25,7 @@ from memfem.beam import (
 )
 from memfem.kernels import PronySLS, beam_kernel
 from memfem.laplace_mem import LaplaceProblem, laplace_accumulator
-from memfem.volterra import L1NormAccumulator, TimeGrid
+from memfem.volterra import L1NormAccumulator, TimeGrid, VolterraStepper
 
 EPS = 1e-10
 
@@ -280,3 +280,110 @@ def test_blocks_add_what_their_nodes_add(driver):
                 acc.add(n, np.array(u[:, n:n + width], order=order),
                         np.array(p[:, n:n + width], order=order))
             assert acc.result() == want, (width, order)
+
+
+def dense_and_coefficient_runs(system, grid, build, f_of_t, g_of_t):
+    """Step ``system`` and measure every block twice: densely, and from
+    the coefficients of its solve when it has them.  Returns the two
+    accumulators and, per block, the rank of its basis (None without)."""
+    dense, coef, ranks = build(), build(), []
+
+    def observe(n, times, u, p, basis):
+        dense.add(n, u, p)
+        coef.add(n, u, p, basis)
+        ranks.append(None if basis is None else basis[0].shape[1])
+
+    VolterraStepper(system, grid).run(f_of_t, g_of_t, on_step=observe)
+    return dense, coef, ranks
+
+
+def laplace_level():
+    prob = LaplaceProblem(8, delta=0.01)
+    grid = TimeGrid(T=1.0, n_steps=2000)
+    return prob, grid, lambda: laplace_accumulator(prob.space,
+                                                   prob.manufactured, grid)
+
+
+def beam_level():
+    cfg = joined_profile(d=0.001)
+    kern = beam_kernel(PronySLS(1.0, 1.0, 1.0))
+    grid = TimeGrid(T=15.0, n_steps=1500)
+    prob = BeamProblem(cfg, 20, kern, 1.0, np.exp, None)
+    ref = prob.reference(grid, 20)
+    return prob, grid, lambda: beam_accumulator(prob.mesh, ref, grid)
+
+
+@pytest.mark.parametrize("level, squares_rtol", [
+    (laplace_level, 1e-14),
+    # the beam's errors are down to 6e-4 of its fields: the states'
+    # own rounding (x = Y c in double) moves their exact squares by
+    # 1.0e-13 at n = 20, so no path can hold them closer than that
+    (beam_level, 1e-12)])
+def test_rank_one_level_measured_from_its_coefficients(level, squares_rtol):
+    prob, grid, build = level()
+    dense, coef, ranks = dense_and_coefficient_runs(
+        prob.system, grid, build, prob.system.zero_load, prob.rhs)
+    assert set(ranks) == {1}
+    assert_allclose(coef._squares, dense._squares, rtol=squares_rtol, atol=0)
+    want = dense.result()
+    for name, norms in coef.result().items():
+        for norm, value in norms.items():
+            assert_allclose(value, want[name][norm], rtol=1e-14)
+
+
+@pytest.mark.parametrize("driver", sorted(CASES))
+def test_cancelling_coefficients_are_not_squared(driver):
+    # a rank-2 basis y1 = x0 + a, y2 = x0 - a + 2 EPS e_k and every node
+    # (y1 + y2) / 2 = x0 + EPS e_k: the coefficients cancel the field a.
+    # Dyadic data keep y1, y2 and x exact in double, so what is measured
+    # is the accumulator's own arithmetic
+    _, _, (n_v, n_q), grid, (e, w) = CASES[driver]()
+    rng = np.random.default_rng(3)
+    k = int(np.argmax(np.abs(e).sum(axis=0)))
+    x0, a = rng.integers(-8, 9, (2, n_v + n_q)) / 8.0
+    x0[k] = a[k] = 0.0
+    x = x0.copy()
+    x[k] = EPS
+    y = np.array([x0 + a, x0 - a])
+    y[1, k] = 2.0 * EPS
+    nodes = grid.n_steps + 1
+    norms = {("f", "e0"): (e, w, e @ x0)}
+    coef = L1NormAccumulator(grid, np.ones_like, norms)
+    coef.add(0, np.zeros((n_v, nodes)), np.zeros((n_q, nodes)),
+             (np.full((nodes, 2), 0.5), y))
+    dense = accumulate(lambda: L1NormAccumulator(grid, np.ones_like, norms),
+                       [(x[:n_v], x[n_v:])] * nodes)[1]
+    col = e[:, k].toarray().ravel()
+    want = grid.T * EPS * math.sqrt(float(np.sum(w * col * col)))
+    for result in (coef.result(), dense):
+        assert_allclose(result["f"]["e0"], want, rtol=1e-6)
+
+    # the Gram of the coefficients, c.(delta G delta^T)c, loses it
+    gram = e.T @ (w[:, None] * e.toarray())
+    delta = y - np.outer(y @ gram @ x0 / (x0 @ gram @ x0), x0)
+    c = np.array([0.5, 0.5])
+    squared = grid.T * math.sqrt(abs(c @ (delta @ gram @ delta.T) @ c))
+    assert not abs(squared - want) <= 1e-2 * want
+
+
+def test_a_block_that_reached_the_lu_is_measured_densely():
+    # rank-one loads fill the first block, full-rank ones the rest: their
+    # columns pass the 16 vectors of the basis and reach the LU
+    prob = LaplaceProblem(4, delta=0.01)
+    grid = TimeGrid(T=0.3, n_steps=150)
+    rng = np.random.default_rng(2)
+    base = prob.rhs(grid.times[:1])[:, 0]
+
+    def load(times):
+        g = np.outer(base, np.cos(times))
+        late = np.searchsorted(grid.times, times) >= 64
+        g[:, late] += rng.standard_normal((len(base), late.sum()))
+        return g
+
+    dense, coef, ranks = dense_and_coefficient_runs(
+        prob.system, grid, lambda: laplace_accumulator(
+            prob.space, prob.manufactured, grid),
+        prob.system.zero_load, load)
+    assert ranks == [1, None, None]
+    assert np.array_equal(coef._squares[64:], dense._squares[64:])
+    assert_allclose(coef._squares[:64], dense._squares[:64], rtol=1e-14)

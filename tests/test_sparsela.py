@@ -111,7 +111,7 @@ def check_steps_against_scaled_kkt(a, b, rng):
                 f + a @ history_sum(hist, sys_.k1, "u")
                 + b.T @ history_sum(hist, sys_.k2, "p"),
                 g + history_sum(hist, sys_.k3, "q")])
-        u, p = step(sys_, hist, f[:, None], g[:, None])
+        u, p, _ = step(sys_, hist, f[:, None], g[:, None])
         if n:
             ref = scaled.solve(rhs)
             x = np.concatenate([u[:, 0], p[:, 0]])
@@ -241,6 +241,25 @@ def test_recycled_solves_reach_the_lu_once_per_direction(monkeypatch):
         x = np.concatenate(fact.solve(*load))
         assert lu == reached and len(fact._vy) == size
         assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_recycled_coefficients_give_the_states():
+    # solve_on_basis returns what solve does and, while no column reaches
+    # the LU, the columns' coefficients on the basis solutions: also for
+    # columns taken after the basis grew within their block
+    fact, f, g = recycled()
+    off = f + 1e-8 * np.arange(len(f))
+    blocks = [(np.outer(f, [-2.0, 0.5]), np.outer(g, [-2.0, 0.5])),
+              (np.column_stack((f, off, 3.0 * off)), np.outer(g, [1, 1, 3])),
+              (f, g)]
+    for load, rank in zip(blocks, (1, 2, 2)):
+        u, p, (c, y) = fact.solve_on_basis(*load)
+        x = np.concatenate((u, p)).reshape(len(y[0]), -1)
+        assert c.shape == (x.shape[1], rank) and len(y) == rank
+        assert np.max(np.abs(c @ y - x.T)) <= 1e-14 * np.max(np.abs(x))
+    # a column that reaches the LU leaves the block without a basis
+    fresh, f, g = recycled()
+    assert fresh.solve_on_basis(np.zeros_like(f), np.zeros_like(g))[2] is None
 
 
 def test_recycled_empty_basis_holds_no_column(monkeypatch):

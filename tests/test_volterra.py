@@ -161,23 +161,24 @@ def test_laplace_level_at_m64_reaches_the_lu_once(monkeypatch):
     assert np.isfinite([errors[k]["e0"] for k in LaplaceProblem.FIELDS]).all()
 
 
-def record_solves(monkeypatch, kind=SaddleFactorization):
-    """``(factorization id, f, g)`` of every solve of a ``kind``: the LU
-    solves by default, or the recycled solves that the stepper asks for."""
+def record_solves(monkeypatch, kind=SaddleFactorization, name="solve"):
+    """``(factorization id, f, g)`` of every call of a ``kind``'s solve
+    ``name``: the LU solves by default, or the recycled solves that the
+    stepper asks for (``RecycledSaddle.solve_on_basis``)."""
     solves = []
-    orig = kind.solve
+    orig = getattr(kind, name)
 
     def recorded(fact, f, g):
         solves.append((id(fact), f.copy(), g.copy()))
         return orig(fact, f, g)
 
-    monkeypatch.setattr(kind, "solve", recorded)
+    monkeypatch.setattr(kind, name, recorded)
     return solves
 
 
 def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     calls = count_factorizations(monkeypatch)
-    solves = record_solves(monkeypatch, RecycledSaddle)
+    solves = record_solves(monkeypatch, RecycledSaddle, "solve_on_basis")
     lu_solves = record_solves(monkeypatch)
     gammas = []
     orig_gammas = volterra.step_gammas
@@ -248,7 +249,7 @@ def test_step_hand_solvable_system():
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=2)
     hist = HistoryBuffer(sys, grid)
-    u, p = step(sys, hist, np.array([[1.0], [0.0]]), np.array([[1.0]]))
+    u, p, _ = step(sys, hist, np.array([[1.0], [0.0]]), np.array([[1.0]]))
     assert u.shape == (2, 1) and p.shape == (1, 1)
     assert_allclose(u[:, 0], [1.0, 0.0], atol=1e-14)
     assert_allclose(p[:, 0], [0.0], atol=1e-14)
@@ -466,8 +467,8 @@ def test_history_sum_recurrence_matches_direct():
                 denom = np.max(np.abs(direct))
                 assert np.max(np.abs(direct - recur)) \
                     <= 1e-12 * max(denom, 1e-30)
-        u, _ = step(recur_sys, recur_hist, rng.standard_normal((7, 1)),
-                    rng.standard_normal((3, 1)))
+        u, _, _ = step(recur_sys, recur_hist, rng.standard_normal((7, 1)),
+                       rng.standard_normal((3, 1)))
         direct_hist.append(u[:, 0], np.zeros(3))
 
 
@@ -624,9 +625,9 @@ def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
     traced = volterra.step
 
     def counted(sys, hist, f, g):
-        u, p = traced(sys, hist, f, g)
+        u, p, basis = traced(sys, hist, f, g)
         widths.setdefault(sys is sys_, []).append(u.shape[1])
-        return u, p
+        return u, p, basis
 
     monkeypatch.setattr(volterra, "step", counted)
     steps, deviation = audit(
@@ -846,7 +847,7 @@ def test_step_node_by_node_equals_a_blocked_run():
     assert [u.shape[1] for u, _ in blocks] == [64, 64, 23]
     assert set(stepper.hist._maps) == {(True, 64), (False, 64), (False, 23)}
     hist = HistoryBuffer(sys_, grid)
-    single = [step(sys_, hist, f_of_t(t)[:, None], g_of_t(t)[:, None])
+    single = [step(sys_, hist, f_of_t(t)[:, None], g_of_t(t)[:, None])[:2]
               for t in grid.times]
     assert set(hist._maps) == {(True, 1), (False, 1)}
     for blocked, one in zip((np.hstack([u for u, _ in blocks]),
@@ -957,3 +958,24 @@ def test_error_constants_unit_inputs_frozen():
     assert_allclose(out.c2u, 173.34400072710298, rtol=1e-15)
     assert_allclose(out.c2p, 63.73904268031305, rtol=1e-15)
     assert out.c1u > out.c1p
+
+
+@pytest.mark.parametrize("slot", ["k3", "k2"])
+def test_observer_of_five_arguments_gets_the_basis(slot):
+    # each block's states are (C Y)^T on the recycled basis; a k2 scales
+    # p by g1 / g2 after the solve, so its nodes come without a basis
+    kernel = {slot: MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}
+    sys_ = sized_system(3, 2, **kernel)
+    grid = TimeGrid(T=1.0, n_steps=8)
+    blocks = []
+    VolterraStepper(sys_, grid).run(
+        const_load(1.0, 0.0, 2.0), const_load(1.0, -1.0),
+        on_step=lambda n, times, u, p, basis: blocks.append((u, p, basis)))
+    for n, (u, p, basis) in enumerate(blocks):
+        if slot == "k2" and n:
+            assert basis is None
+            continue
+        c, y = basis
+        x = np.concatenate((u, p))
+        assert np.max(np.abs(c @ y - x.T)) <= 1e-14 * np.max(np.abs(x))
+    assert len(blocks) == (1 if slot == "k3" else grid.n_steps + 1)
