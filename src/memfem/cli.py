@@ -38,8 +38,8 @@ from .kernels import MemoryKernel, PronySLS, beam_kernel
 from .report import ConvergenceReport, LevelRow, render_csv, render_markdown, render_svg
 from .sparsela import (infsup_estimate, kernel_ellipticity, operator_norm_b,
                        operator_norm_estimate)
-from .volterra import (TimeGrid, VolterraStepper, audit, error_constants,
-                       stability_constants)
+from .volterra import (L1NormAccumulator, TimeGrid, VolterraStepper, audit,
+                       error_constants, stability_constants)
 
 __all__ = ["main", "load_config", "run_study", "emit_report", "emit_certificate"]
 
@@ -245,29 +245,29 @@ PROBLEMS = {
 class RunNorms:
     """Trapezoid-in-time L1 norms of a run: solution and dual load data.
 
-    ``add`` is the stepper's block observer (it reads the states, not the
-    basis), and ``add_load`` takes the constraint row's load blocks in
-    node order, as the stepper requests them.  The Q Gram must be
-    diagonal, as both drivers' are.
+    ``add`` is the stepper's observer, and ``states`` the
+    :class:`~memfem.volterra.L1NormAccumulator` of ``u`` in the V Gram and
+    ``p`` in the Q Gram that it feeds.  ``add_load`` takes the constraint
+    row's load blocks in node order, as the stepper requests them.  The Q
+    Gram must be diagonal, as both drivers' are.
     """
 
     def __init__(self, gram_v, gram_q, grid: TimeGrid):
-        self.gram_v = sp.csr_matrix(gram_v)
         gram_q = sp.csr_matrix(gram_q)
         self._gq_diag = gram_q.diagonal()
         if abs(gram_q - sp.diags(self._gq_diag)).max() != 0.0:
             raise ValueError("RunNorms needs a diagonal Q Gram")
+        n_v, n_q = gram_v.shape[0], len(self._gq_diag)
+        eye = sp.identity(n_v + n_q, format="csr")
+        self.states = L1NormAccumulator(grid, np.zeros_like, {
+            ("u", "V"): (eye[:n_v], sp.csr_matrix(gram_v), np.zeros(n_v)),
+            ("p", "Q"): (eye[n_v:], self._gq_diag, np.zeros(n_q))})
         self.weights = grid.weights
-        self.u_l1 = 0.0
-        self.p_l1 = 0.0
         self.g_dual_l1 = 0.0
         self._loads = 0
 
-    def add(self, n: int, times, u, p, basis=None):
-        w = self.weights[n:n + len(times)]
-        self.u_l1 += w @ np.sqrt(np.einsum("ij,ij->j", u, self.gram_v @ u))
-        self.p_l1 += w @ np.sqrt(
-            np.einsum("ij,ij->j", p, self._gq_diag[:, None] * p))
+    def add(self, n: int, times, u, p, basis):
+        self.states.add(n, u, p, basis)
 
     def add_load(self, g):
         w = self.weights[self._loads:self._loads + g.shape[1]]
@@ -371,7 +371,9 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
                                       on_step=norms.add)
 
     f_dual_l1 = 0.0     # f is zero_load: both drivers load only row 2
-    lhs = norms.u_l1 + norms.p_l1
+    run = norms.states.result()
+    u_l1, p_l1 = run["u"]["V"], run["p"]["Q"]
+    lhs = u_l1 + p_l1
     rhs = (stab.c1 + stab.c3) * f_dual_l1 \
         + (stab.c2 + stab.c4) * norms.g_dual_l1
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -392,7 +394,7 @@ def emit_certificate(cfg: dict, stream=None) -> dict:
           f"C3*={err.c3s:.6e} C4*={err.c4s:.6e}", file=stream)
     print(f"  error:     C1u={err.c1u:.6e} C1p={err.c1p:.6e} "
           f"C2u={err.c2u:.6e} C2p={err.c2p:.6e}", file=stream)
-    print(f"  norms: |u|_L1(V)={norms.u_l1:.6e} |p|_L1(Q)={norms.p_l1:.6e} "
+    print(f"  norms: |u|_L1(V)={u_l1:.6e} |p|_L1(Q)={p_l1:.6e} "
           f"|f|_L1(V')={f_dual_l1:.6e} |g|_L1(Q')={norms.g_dual_l1:.6e}",
           file=stream)
     print(f"  bound: lhs={lhs:.6e} rhs={rhs:.6e} slack={slack:.6e} "

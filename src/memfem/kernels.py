@@ -38,6 +38,8 @@ __all__ = [
     "closed_form_creep",
 ]
 
+CREEP_RESIDUAL_GATE = 1e-10     # the largest residual creep_factor returns
+
 
 @dataclass(frozen=True)
 class PronySLS:
@@ -134,13 +136,9 @@ class MemoryKernel:
 
 
 def beam_kernel(p: PronySLS) -> MemoryKernel:
-    """Hereditary kernel ``dE/dt(t-s) / E(0)`` of an SLS modulus.
-
-    ``dE/dt(0) = -(k1 - E_inf)/tau``, so the kernel is the convolution
-    ``c * exp(-(t-s)/tau)`` with ``c = -(k1 - E_inf)/(tau * k1)``.
-    """
-    c = -(p.k1 - p.e_inf) / (p.tau * p.e0)
-    return MemoryKernel.exp_convolution(c=c, rate=1.0 / p.tau)
+    """Hereditary kernel ``dE/dt(t-s) / E(0)`` of an SLS modulus: that of
+    its one-exponential modulus (:func:`modulus_kernel`), ``E(0) = k1``."""
+    return modulus_kernel(p.e0, p.e_inf, p.tau)
 
 
 def modulus_kernel(e0: float, e_inf: float, tau: float) -> MemoryKernel:
@@ -229,7 +227,7 @@ def _trapezoid_creep(kernel: MemoryKernel, T: float, n: int) -> np.ndarray:
     return phi
 
 
-def creep_factor(kernel: MemoryKernel, grid, residual_gate: float = 1e-10,
+def creep_factor(kernel: MemoryKernel, grid,
                  max_refinements: int = 8) -> CreepFactor:
     """Creep factor on the nodes of ``grid`` (a :class:`volterra.TimeGrid`).
 
@@ -238,7 +236,7 @@ def creep_factor(kernel: MemoryKernel, grid, residual_gate: float = 1e-10,
     integral (machine precision).  General kernels are solved by
     trapezoid quadrature starting at 10x the grid resolution, halving the
     step and Richardson-extrapolating until the estimated residual meets
-    the gate.
+    the gate ``CREEP_RESIDUAL_GATE``.
 
     Raises
     ------
@@ -249,7 +247,7 @@ def creep_factor(kernel: MemoryKernel, grid, residual_gate: float = 1e-10,
     if kernel.is_exp:
         samples = np.asarray(closed_form_creep(kernel.c, kernel.rate, times), float)
         res = _closed_form_residual(kernel.c, kernel.rate, times, samples)
-        if res > residual_gate:
+        if res > CREEP_RESIDUAL_GATE:
             raise OracleError(f"closed-form creep residual {res:.3e} above gate")
         exact = lambda t, c=kernel.c, r=kernel.rate: closed_form_creep(c, r, t)
         return CreepFactor(times=times.copy(), samples=samples, residual=res,
@@ -266,7 +264,7 @@ def creep_factor(kernel: MemoryKernel, grid, residual_gate: float = 1e-10,
         finer = _trapezoid_creep(kernel, grid.T, 4 * n)
         extra_next = (4.0 * finer[::2] - fine) / 3.0
         gap = float(np.max(np.abs(extra_next[::2] - extra)))
-        if gap < residual_gate:
+        if gap < CREEP_RESIDUAL_GATE:
             stride = (2 * n) // grid.n_steps
             samples = extra_next[::stride].copy()
             return CreepFactor(times=times.copy(), samples=samples,
@@ -275,5 +273,5 @@ def creep_factor(kernel: MemoryKernel, grid, residual_gate: float = 1e-10,
         fine = finer
         extra = extra_next
     raise OracleError(
-        f"creep oracle did not reach residual {residual_gate:.1e} "
+        f"creep oracle did not reach residual {CREEP_RESIDUAL_GATE:.1e} "
         f"after {max_refinements} refinements (last estimate {gap:.3e})")

@@ -127,10 +127,9 @@ def _svg_path(points):
                     for i, (x, y) in enumerate(points))
 
 
-def render_svg(report: ConvergenceReport, width: int = 640,
-               height: int = 480) -> str:
+def render_svg(report: ConvergenceReport) -> str:
     """Log-log error-versus-h plot with slope 1 and 2 reference lines."""
-    margin = 60.0
+    width, height, margin = 640, 480, 60.0
     series = []
     values = []
     hs = [row.h for row in report.rows]

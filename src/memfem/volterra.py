@@ -42,7 +42,6 @@ closed-form stability and error constants of the theory.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -110,16 +109,16 @@ class TimeGrid:
 class L1NormAccumulator:
     """Trapezoid-in-time L1 norms of point-evaluated errors, in dof space.
 
-    Each norm is a triple ``(E, w, r)``: a sparse operator ``E`` from the
-    state ``x = (u, p)`` to the values it sums at quadrature nodes (of a
-    field, or of a field and its slope), the nodes' weights ``w`` and the
-    oracle's spatial part ``r`` there; the oracle at time t is
-    ``c(t) r``.  Taken on the dofs ``S`` that ``E`` reads, node n adds
-    ``w_n ||E x_n - c r||_W``.  The build takes the Gram ``G = E^T W E``,
-    the projection ``G rho = E^T W r``, and from ``t = r - E rho`` (in
-    long double) the terms ``s = E^T W t`` and ``res = t.W t``.  With
-    ``z = x_n[S] - c rho`` the error is ``E z - c t``, so for whatever
-    ``rho`` the solve returns
+    Each norm is a triple ``(E, W, r)``: a sparse operator ``E`` from the
+    state ``x = (u, p)`` to the values it sums (of a field, or of a field
+    and its slope, at quadrature nodes), their weights ``W`` (a vector, or
+    a sparse symmetric positive definite matrix) and the oracle's spatial
+    part ``r`` there; the oracle at time t is ``c(t) r``.  On the dofs
+    ``S`` that ``E`` reads, node n adds ``w_n ||E x_n - c r||_W``.  The
+    build takes the Gram ``G = E^T W E``, the projection ``G rho = E^T W r``,
+    and from ``t = r - E rho`` (in long double) the terms ``s = E^T W t``
+    and ``res = t.W t``.  With ``z = x_n[S] - c rho`` the error is
+    ``E z - c t``, so for whatever ``rho`` the solve returns
 
         ||E x_n - c r||_W^2 = z.(G z - 2c s) + c^2 res.
 
@@ -144,7 +143,7 @@ class L1NormAccumulator:
     """
 
     def __init__(self, grid: TimeGrid, factor: Callable, norms: dict):
-        """``norms`` maps ``(field, norm)`` to ``(E, w, r)``; ``factor`` is c(t)."""
+        """``norms`` maps ``(field, norm)`` to ``(E, W, r)``; ``factor`` is c(t)."""
         self._keys = list(norms)
         take, grams, rho, s, res = zip(*(_project(*norm)
                                          for norm in norms.values()))
@@ -200,7 +199,8 @@ class L1NormAccumulator:
             z -= c * self._rho
             q = np.ascontiguousarray((self._gram @ z.T).T)  # a row per node
             q -= (2.0 * c) * self._s
-            q *= z
+            with np.errstate(over="ignore"):    # an overflow reads inf
+                q *= z
             self._squares[n:n + k] += np.add.reduceat(q, self._starts, axis=1)
         else:                       # states (C Y)^T: see the class docstring
             coef, y = basis
@@ -254,23 +254,27 @@ class L1NormAccumulator:
 
 
 def _project(e, w, r) -> tuple:
-    """``(S, G, rho, s, res)`` of a norm ``(E, w, r)`` on the dofs ``S`` it reads."""
-    e, w, r = e.tocsr(copy=True), np.ravel(w), np.ravel(r)
+    """``(S, G, rho, s, res)`` of a norm ``(E, W, r)`` on the dofs ``S`` it reads."""
+    e, r = e.tocsr(copy=True), np.ravel(r)
+    if not sp.issparse(w):              # a vector: the diagonal W, in CSR
+        w = np.ravel(w)
+        w = sp.csr_matrix((w, np.arange(w.size), np.arange(w.size + 1)))
     e.eliminate_zeros()                 # e is a copy, changed in place
     used = np.bincount(e.indices) > 0   # the dofs S that E reads
     e = sp.csr_matrix((e.data, (np.cumsum(used) - 1)[e.indices], e.indptr),
                       shape=(e.shape[0], int(used.sum())))      # E on S
-    ewt = e.T.tocsr()                   # E^T W, the one copy of E
-    ewt.data *= w[ewt.indices]
+    ewt = (w @ e).T.tocsr()             # E^T W, as W is symmetric
     gram = ewt @ e
-    rho = splu(gram.tocsc()).solve(ewt @ r)
+    rho = ewt @ r                       # zero for a zero oracle: no LU
+    if rho.any():
+        rho = splu(gram.tocsc()).solve(rho)
     # t is a small difference of near-equal vectors: in double, E rho would
     # round at ulp(r), so it is formed in long double, 8192 rows at a time
     rho_ld = rho.astype(np.longdouble)
     t = np.concatenate([(r[i:i + 8192] - e[i:i + 8192].astype(np.longdouble)
                          @ rho_ld).astype(float)
                         for i in range(0, r.size, 8192)])
-    return np.flatnonzero(used), gram, rho, ewt @ t, float(t @ (w * t))
+    return np.flatnonzero(used), gram, rho, ewt @ t, float(t @ (w @ t))
 
 
 class BlockSaddleSystem:
@@ -558,23 +562,18 @@ class VolterraStepper:
 
         ``f_of_t(times)`` and ``g_of_t(times)`` are asked once per block,
         in node order, for the ``(n_v, k)`` and ``(n_q, k)`` loads of its
-        nodes.  ``on_step(n, times, u, p)`` gets each block once it is
-        solved: its nodes ``times`` from node ``n`` on, and states of the
-        same shapes that no later block writes.  An observer that takes a
-        fifth argument gets the block's ``basis`` from :func:`step` too.
+        nodes.  ``on_step(n, times, u, p, basis)`` gets each block once it
+        is solved: its nodes ``times`` from node ``n`` on, states of the
+        same shapes that no later block writes, and the block's ``basis``
+        from :func:`step`.
         """
-        times, observe = self.grid.times, on_step
-        try:                # an observer of four arguments gets no basis
-            inspect.signature(on_step).bind(*range(5))
-        except (TypeError, ValueError):         # or on_step is None
-            observe = on_step and (
-                lambda n, t, u, p, basis: on_step(n, t, u, p))
+        times = self.grid.times
         for start in range(0, len(times), self.width):
             block = times[start:start + self.width]
             u, p, basis = step(self.sys, self.hist, f_of_t(block),
                                g_of_t(block))
-            if observe is not None:
-                observe(start, block, u, p, basis)
+            if on_step is not None:
+                on_step(start, block, u, p, basis)
             del u, p, basis             # not alive through the next solve
         return self
 
@@ -597,7 +596,7 @@ def audit(sys: BlockSaddleSystem, grid: TimeGrid, f_of_t: Callable,
     hist = HistoryBuffer(direct, grid)
     worst = np.zeros((2, 2))        # rows u, p: max |x - x'|, max |x'|
 
-    def compare(n, times, u, p, basis=None):
+    def compare(n, times, u, p, basis):
         f, g = f_of_t(times), g_of_t(times)
         for j in range(len(times)):
             pairs = zip((u[:, j:j + 1], p[:, j:j + 1]),

@@ -387,3 +387,41 @@ def test_a_block_that_reached_the_lu_is_measured_densely():
     assert ranks == [1, None, None]
     assert np.array_equal(coef._squares[64:], dense._squares[64:])
     assert_allclose(coef._squares[:64], dense._squares[:64], rtol=1e-14)
+
+
+@pytest.mark.parametrize("path", ["dense", "basis"])
+def test_result_is_the_per_node_sum_on_random_states(path):
+    # two norms, one weighted by a vector and one by a sparse symmetric
+    # positive definite matrix, each reading some of the dofs; states
+    # (C Y)^T on a random rank-3 basis, added in blocks densely or by
+    # their coefficients: result() is sum_n w_n sqrt(d_n.W d_n) with
+    # d_n = E x_n - c(t_n) r, node by node
+    rng = np.random.default_rng(17)
+    grid = TimeGrid(T=1.5, n_steps=40)
+    n_v, n_q = 9, 5
+    e1 = rng.standard_normal((20, n_v + n_q)) \
+        * (rng.random((20, n_v + n_q)) < 0.6)
+    e1[:, 3] = 0.0                          # a dof this norm does not read
+    e2 = np.hstack([np.zeros((7, n_v)), rng.standard_normal((7, n_q))])
+    m = rng.standard_normal((7, 7))
+    norms = {("a", "vector"): (sp.csr_matrix(e1), rng.uniform(0.5, 2.0, 20),
+                               rng.standard_normal(20)),
+             ("b", "matrix"): (sp.csr_matrix(e2),
+                               sp.csr_matrix(m @ m.T + 7.0 * np.eye(7)),
+                               rng.standard_normal(7))}
+    coef = rng.standard_normal((grid.n_steps + 1, 3))
+    y = rng.standard_normal((3, n_v + n_q))
+    x = (coef @ y).T
+    acc = L1NormAccumulator(grid, np.cos, norms)
+    for n in range(0, grid.n_steps + 1, 16):
+        block = slice(n, n + 16)
+        basis = (coef[block], y) if path == "basis" else None
+        acc.add(n, x[:n_v, block], x[n_v:, block], basis)
+    got = acc.result()
+
+    for (name, norm), (e, w, r) in norms.items():
+        wm = w.toarray() if sp.issparse(w) else np.diag(w)
+        want = sum(w_n * math.sqrt(d @ wm @ d) for w_n, d in zip(
+            grid.weights, (e @ x[:, n] - math.cos(t) * r
+                           for n, t in enumerate(grid.times))))
+        assert_allclose(got[name][norm], want, rtol=1e-12)

@@ -121,6 +121,6 @@ def test_stepper_matches_the_all_at_once_oracle(seed, n_v, n_q, N, T, k1, k2,
         us, ps = [], []
         VolterraStepper(sys_, grid).run(
             columns(f), columns(g),
-            on_step=lambda n, times, u, p: (us.append(u), ps.append(p)))
+            on_step=lambda n, times, u, p, basis: (us.append(u), ps.append(p)))
         for x, ref in ((np.hstack(us), u_ref), (np.hstack(ps), p_ref)):
             assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -546,8 +546,9 @@ def test_certificate_monotone_in_horizon(tmp_path):
 
 @pytest.mark.parametrize("width", [1, 3, 22])
 def test_run_norms_blocks_give_the_per_node_formula(width):
-    # the stepper hands RunNorms.add and add_load blocks of its width;
-    # every width must give sum_n w_n sqrt(x_n . G x_n) and the dual
+    # the stepper hands RunNorms.add and add_load blocks of its width
+    # (these without a basis); every width must give
+    # sum_n w_n sqrt(x_n . G x_n) and the dual
     # sum_n w_n sqrt(g_n . Gq^-1 g_n) as the nodes would one by one
     import scipy.sparse as sp
 
@@ -564,15 +565,16 @@ def test_run_norms_blocks_give_the_per_node_formula(width):
     norms = RunNorms(gram_v, sp.diags(gram_q), grid)
     for n in range(0, 44, width):
         block = slice(n, n + width)
-        norms.add(n, grid.times[block], u[:, block], p[:, block])
+        norms.add(n, grid.times[block], u[:, block], p[:, block], None)
         norms.add_load(g[:, block])
+    run = norms.states.result()
 
     w = grid.weights
     u_l1 = sum(w[n] * math.sqrt(u[:, n] @ gram_v @ u[:, n]) for n in range(44))
     p_l1 = sum(w[n] * math.sqrt(p[:, n] @ (gram_q * p[:, n]))
                for n in range(44))
-    assert norms.u_l1 == pytest.approx(u_l1, rel=1e-15, abs=0.0)
-    assert norms.p_l1 == pytest.approx(p_l1, rel=1e-15, abs=0.0)
+    assert run["u"]["V"] == pytest.approx(u_l1, rel=1e-15, abs=0.0)
+    assert run["p"]["Q"] == pytest.approx(p_l1, rel=1e-15, abs=0.0)
     g_l1 = sum(w[n] * math.sqrt(g[:, n] @ (g[:, n] / gram_q))
                for n in range(44))
     assert norms.g_dual_l1 == pytest.approx(g_l1, rel=1e-15, abs=0.0)
@@ -608,4 +610,27 @@ def test_report_csv_bytes_are_pinned(problem):
     cfg = load_config(None, overrides=[f"problem={json.dumps(problem)}"])
     cfg.update(overrides)
     text = render_csv(run_study(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+# sha256 of two small certificate texts (150 steps, three blocks): every
+# printed estimate, constant and run norm is pinned to its %.6e digits
+CERTIFICATE_DIGESTS = {
+    "laplace": ({"problem": "laplace", "m": 4, "T": 0.5, "n_steps": 150},
+                "072362901933977f2f24084f9bb7c8dc087f13d1bdb25c5ee18c0fac4d8f5e41"),
+    "beam": ({"problem": "beam", "n_elements": 8, "T": 0.5, "n_steps": 150},
+             "25da478fb695b3eb6b7a05c1f943243e0c5c3a952a97d762bf48437998a241e5"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_text_bytes_are_pinned(problem):
+    import hashlib
+    import io
+    overrides, digest = CERTIFICATE_DIGESTS[problem]
+    cfg = load_config(None, overrides=[f"problem={json.dumps(problem)}"])
+    cfg.update(overrides)
+    stream = io.StringIO()
+    emit_certificate(cfg, stream=stream)
+    text = stream.getvalue()
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text

@@ -149,15 +149,13 @@ def laplace_blocks(m):
     return prob.a, prob.b
 
 
-# the "hybrid" tests below run the RT0 x P0 Laplace pair
-
 @pytest.mark.parametrize("m", [1, 2, 7, 24])
-def test_hybrid_solve_matches_lu_of_scaled_kkt(m):
+def test_rt0_p0_pair_on_superlu_matches_lu_of_scaled_kkt(m):
     a, b = laplace_blocks(m)
     check_steps_against_scaled_kkt(a, b, np.random.RandomState(m))
 
 
-def test_hybrid_solve_residual_at_m64():
+def test_rt0_p0_pair_on_superlu_residual_at_m64():
     a, b = laplace_blocks(64)
     fact = factorize_saddle(a, b)
     rng = np.random.RandomState(64)
@@ -169,15 +167,15 @@ def test_hybrid_solve_residual_at_m64():
 
 
 def block_factorizations():
-    """Factorizations of a random dense pair ("superlu") and of the
-    Laplace pair at m = 6 ("hybrid")."""
+    """SuperLU factorizations of a random dense pair ("superlu") and of
+    the RT0 x P0 Laplace pair at m = 6 ("rt0_p0_pair_on_superlu")."""
     rng = np.random.RandomState(5)
     a, b = random_spd(30, rng), rng.standard_normal((10, 30))
     superlu = factorize_saddle(sp.csr_matrix(a), sp.csr_matrix(b))
     return [superlu, factorize_saddle(*laplace_blocks(6))]
 
 
-@pytest.mark.parametrize("kind", [0, 1], ids=["superlu", "hybrid"])
+@pytest.mark.parametrize("kind", [0, 1], ids=["superlu", "rt0_p0_pair_on_superlu"])
 def test_column_block_solve_matches_column_solves(kind):
     fact = block_factorizations()[kind]
     rng = np.random.RandomState(11)
@@ -193,7 +191,7 @@ def test_column_block_solve_matches_column_solves(kind):
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("kind", [0, 1], ids=["superlu", "hybrid"])
+@pytest.mark.parametrize("kind", [0, 1], ids=["superlu", "rt0_p0_pair_on_superlu"])
 def test_column_block_solve_rejects_one_non_finite_column(kind):
     fact = block_factorizations()[kind]
     f = np.ones((fact.n_v, 5))

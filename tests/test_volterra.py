@@ -95,7 +95,7 @@ def test_run_asks_each_load_once_per_block():
         blocks = []
         VolterraStepper(scalar_system(k3=k3), grid).run(
             load("f", 1.0), load("g", 2.0),
-            on_step=lambda n, times, u, p: blocks.append((times, u)))
+            on_step=lambda n, times, u, p, basis: blocks.append((times, u)))
         assert [len(times) for times, _ in blocks] == widths
         assert [name for name, _ in calls] == ["f", "g"] * len(blocks)
         for (times, u), (_, f_times), (_, g_times) in zip(
@@ -138,7 +138,7 @@ def test_time_varying_kernel_factors_once(monkeypatch):
     assert len({step_gammas(sys_, grid, n) for n in range(1, 201)}) == 200
 
 
-def test_time_varying_kernel_factors_once_hybridized(monkeypatch):
+def test_time_varying_kernel_factors_once_rt0_p0_pair_on_superlu(monkeypatch):
     # the same through the Laplace driver, whose RT0 x P0 pair factors K
     # by SuperLU like every system
     calls = count_factorizations(monkeypatch)
@@ -195,7 +195,7 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     blocks = []
     stepper = VolterraStepper(sys_, grid)
     stepper.run(const_load(0.0), const_load(1.0),
-                on_step=lambda n, times, u, p: blocks.append((n, times, u)))
+                on_step=lambda n, times, u, p, basis: blocks.append((n, times, u)))
     assert len(calls) == 1
     # the 21 nodes fit one block: one solve of 21 columns on that factor,
     # with g3 folded into the constraint column q_n = B u_n
@@ -275,7 +275,7 @@ def test_zero_kernel_reduces_to_stationary_solve():
     states = []
     VolterraStepper(sys, grid).run(
         block_load(f_of_t), block_load(g_of_t),
-        on_step=lambda n, times, u, p: states.extend(
+        on_step=lambda n, times, u, p, basis: states.extend(
             zip(times, u.T, p.T)))
     assert [t for t, _, _ in states] == list(grid.times)
     for t, u, p in states:
@@ -597,7 +597,7 @@ def test_scalar_stepper_tracks_creep_factor_second_order():
         last = {}
         VolterraStepper(sys, grid).run(
             const_load(0.0), const_load(1.0),
-            on_step=lambda n, times, u, p: last.update(u=u[0, -1]))
+            on_step=lambda n, times, u, p, basis: last.update(u=u[0, -1]))
         errs.append(abs(last["u"] - exact_T))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.9)
@@ -708,7 +708,7 @@ def assert_stepper_paths_agree(*slots):
         out = []
         stepper.run(block_load(lambda t: np.full(n, math.sin(t))),
                     block_load(lambda t: np.full(m, math.cos(t))),
-                    on_step=lambda nn, times, u, p: out.append((u.copy(), p.copy())))
+                    on_step=lambda nn, times, u, p, basis: out.append((u.copy(), p.copy())))
         return out
 
     direct = run(direct_form(kernel))
@@ -735,7 +735,7 @@ def scalar_runner(kernel):
     sys_ = scalar_system(k3=kernel)
 
     def run(grid, collect):
-        def on_step(n, times, u, p):
+        def on_step(n, times, u, p, basis):
             for j, t in enumerate(times):
                 collect(n + j, t, u[:, j], p[:, j])
 
@@ -803,7 +803,7 @@ def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
     grid = TimeGrid(T=1.0, n_steps=n_steps)
     blocks = []
 
-    def on_step(n, times, u, p):
+    def on_step(n, times, u, p, basis):
         blocks.append((n, times, u, p, u.copy(), p.copy()))
 
     stepper = VolterraStepper(sys_, grid)
@@ -843,7 +843,7 @@ def test_step_node_by_node_equals_a_blocked_run():
     blocks = []
     stepper = VolterraStepper(sys_, grid)
     stepper.run(block_load(f_of_t), block_load(g_of_t),
-                on_step=lambda n0, times, u, p: blocks.append((u, p)))
+                on_step=lambda n0, times, u, p, basis: blocks.append((u, p)))
     assert [u.shape[1] for u, _ in blocks] == [64, 64, 23]
     assert set(stepper.hist._maps) == {(True, 64), (False, 64), (False, 23)}
     hist = HistoryBuffer(sys_, grid)
