@@ -234,9 +234,9 @@ def creep_factor(kernel: MemoryKernel, grid,
     Convolution kernels use the closed form; the residual is then the
     defect of the integral equation evaluated with the exact convolution
     integral (machine precision).  General kernels are solved by
-    trapezoid quadrature starting at 10x the grid resolution, halving the
-    step and Richardson-extrapolating until the estimated residual meets
-    the gate ``CREEP_RESIDUAL_GATE``.
+    trapezoid quadrature starting at the grid's own resolution, halving
+    the step and Richardson-extrapolating until the estimated residual
+    meets the gate ``CREEP_RESIDUAL_GATE``.
 
     Raises
     ------
@@ -253,7 +253,7 @@ def creep_factor(kernel: MemoryKernel, grid,
         return CreepFactor(times=times.copy(), samples=samples, residual=res,
                            exact=exact)
 
-    n0 = 10 * grid.n_steps
+    n0 = grid.n_steps
     coarse = _trapezoid_creep(kernel, grid.T, n0)
     fine = _trapezoid_creep(kernel, grid.T, 2 * n0)
     # trapezoid is second order, so (4 fine - coarse)/3 is fourth order;

@@ -20,18 +20,20 @@ right-hand side near the span of earlier ones from their solutions.
 Both drivers load row 2 with one vector times a scalar, so a run reaches
 the LU about once.  The history kept is what the attached kernels read:
 an exponential kernel gets an O(1) recurrence, a general kernel one
-product of the weight row with the stored ``(N+1, n)`` states of the
-family it reads.  :func:`audit` checks a run against the same kernels in
-that direct form.
+product of its weighted values with the stored ``(N+1, n)`` states of
+the family it reads.  :func:`audit` checks a run against the same
+kernels in that direct form.
 
-Row 2 alone fixes ``q_n = B u_n = (g_n + sum_{j<n} w_{n,j} k3 q_j) / g3``.
-Without ``k1`` and ``k2``, and with ``k3`` exponential or absent
-(``HistoryBuffer.blocked``), every ``(f_n, q_n)`` is known before any
-solve: the stepper solves blocks of ``max(1, min(64, 65536 // (n_v +
-n_q)))`` nodes, each one recycled solve and one affine map of row 2.
-That bound, 512 KiB of right-hand side, keeps a block's states about
-cache-sized; wider blocks saved at most a few percent, or lost, and
-cost memory.  Every other system solves one node at a time.
+Row 2 alone reads ``g3_n q_n - sum_{j<n} w_{n,j} k3(t_n,t_j) q_j = g_n``.
+Without ``k1`` and ``k2`` (``HistoryBuffer.blocked``), every ``(f_n,
+q_n)`` is known before any solve: the stepper solves blocks of ``max(1,
+min(64, 65536 // (n_v + n_q)))`` nodes, each one recycled solve after
+row 2, which under a general ``k3`` is one product with the states
+before the block and one triangular solve inside it (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  That bound, 512 KiB of
+right-hand side, keeps a block's states about cache-sized; wider blocks
+saved at most a few percent, or lost, and cost memory.  Every other
+system solves one node at a time.
 
 L1-in-time error norms take each solved block at once: from the
 coefficients of its states on the recycled basis, or else in dof space
@@ -48,6 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from .errors import EstimatorError, SaddleSolverError, StabilityGateError
@@ -269,11 +272,15 @@ def _project(e, w, r) -> tuple:
     if rho.any():
         rho = splu(gram.tocsc()).solve(rho)
     # t is a small difference of near-equal vectors: in double, E rho would
-    # round at ulp(r), so it is formed in long double, 8192 rows at a time
-    rho_ld = rho.astype(np.longdouble)
-    t = np.concatenate([(r[i:i + 8192] - e[i:i + 8192].astype(np.longdouble)
-                         @ rho_ld).astype(float)
-                        for i in range(0, r.size, 8192)])
+    # round at ulp(r), so it is formed in long double, 8192 rows at a time,
+    # each a CSR matrix on slices of E's own arrays
+    rho_ld, t = rho.astype(np.longdouble), np.empty(r.size)
+    for i in range(0, r.size, 8192):
+        ptr = e.indptr[i:i + 8193]
+        rows = sp.csr_matrix((e.data[ptr[0]:ptr[-1]].astype(np.longdouble),
+                              e.indices[ptr[0]:ptr[-1]], ptr - ptr[0]),
+                             shape=(len(ptr) - 1, e.shape[1]))
+        t[i:i + len(ptr) - 1] = r[i:i + len(ptr) - 1] - rows @ rho_ld
     return np.flatnonzero(used), gram, rho, ewt @ t, float(t @ (w @ t))
 
 
@@ -356,8 +363,7 @@ class HistoryBuffer:
     def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid):
         self.grid = grid
         self.b = sys.b
-        self.blocked = sys.k1 is None and sys.k2 is None \
-            and (sys.k3 is None or sys.k3.is_exp)
+        self.blocked = sys.k1 is None and sys.k2 is None
         reads = [(kernel, which) for kernel, which
                  in zip(sys.kernels, ("u", "p", "q")) if kernel is not None]
         size = {"u": sys.n_v, "p": sys.n_q, "q": sys.n_q}
@@ -408,30 +414,38 @@ class HistoryBuffer:
 _ROWS = {"u": "u", "p": "p", "q": "u"}
 
 
-def history_sum(hist: HistoryBuffer, kernel: MemoryKernel,
-                which: str) -> np.ndarray:
+def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
+                k: Optional[int] = None) -> np.ndarray:
     """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j`` of one
-    family at the next node, ``n = len(hist)``.
+    family at the next node, ``n = len(hist)``; given ``k``, its part
+    over j < n at each of the k nodes from n, one column a node.
 
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
-    holds one, and otherwise as one product of the weight row with the
-    stored states (for ``q``, ``B`` times that of the stored ``u``).
+    holds one and ``k`` is not given, and otherwise as one product of the
+    weighted ``(k, n)`` kernel block with the stored states (for ``q``,
+    ``B`` times that of the stored ``u``).
     """
     n = len(hist)
     if n < 1:
         raise ValueError("history sums start at step 1")
     recur = hist._recur.get((kernel, which))
-    if recur is not None:
+    if recur is not None and k is None:
         # a copy: the next append updates the recurrence in place
         return recur[1].copy()
-    times = hist.grid.times
+    times, weights, rows = hist.grid.times, hist.grid.weights, k or 1
     xs = hist.vectors(_ROWS[which])
     if len(xs) < n:
         raise ValueError(f"history sum of {which!r} at step {n} needs {n} "
                          f"stored states, and the buffer holds {len(xs)}")
-    kv = np.asarray(kernel.eval(times[n], times[:n]), dtype=float)
-    direct = (hist.grid.weights[:n] * kv) @ xs[:n]
-    return hist.b @ direct if which == "q" else direct
+    # eval on equal-length 1-D arrays of at most 4096 values
+    cols, direct = max(1, 4096 // rows), np.zeros((rows, xs.shape[1]))
+    for j in range(0, n, cols):
+        s = times[j:min(j + cols, n)]
+        kv = kernel.eval(np.repeat(times[n:n + rows], len(s)), np.tile(s, rows))
+        direct += (weights[j:j + len(s)] * np.reshape(
+            np.asarray(kv, dtype=float), (rows, len(s)))) @ xs[j:j + len(s)]
+    direct = hist.b @ direct.T if which == "q" else direct.T
+    return direct if k else direct[:, 0]
 
 
 def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
@@ -460,6 +474,18 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
     return tuple(gammas)
 
 
+def _k3_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int, k: int):
+    """``g3`` of a general ``k3`` at the k nodes from n; the first node
+    that fails the gate raises as in :func:`step_gammas`."""
+    t = grid.times[n:n + k]
+    diag = np.asarray(sys.k3.eval(t, t), dtype=float)
+    wk = np.where(np.arange(n, n + k) > 0, 0.5 * grid.dt * diag, 0.0)
+    bad = np.flatnonzero(~np.isfinite(diag) | (np.abs(wk) >= 1.0))
+    if bad.size:
+        step_gammas(sys, grid, n + int(bad[0]))
+    return 1.0 - wk
+
+
 def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     """Advance the k nodes ``n = len(hist), ...`` loaded by the columns of
     ``f`` ``(n_v, k)`` and ``g`` ``(n_q, k)``; more than one node needs
@@ -467,12 +493,14 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     and the ``basis`` of :meth:`~memfem.sparsela.RecycledSaddle.solve_on_basis`,
     or None.
 
-    The stability gate is checked before the solve, at node n and, in a
+    The stability gate is checked before the solve: at node n and, in a
     block holding node 0, at node 1, whose scalings every later node
-    shares.  Row 2 then gives ``q = B u`` of every node: under an
-    exponential ``k3`` as one affine map of the loads ``G`` and the
-    history ``H``, ``Q = G M + H v`` and ``H <- G d + e H``.  The
-    scalings are scalars, so
+    shares, or under a general ``k3`` at every node.  Row 2 then gives
+    ``q = B u`` of every node: under an exponential ``k3`` as one affine
+    map of the loads ``G`` and the history ``H``, ``Q = G M + H v`` and
+    ``H <- G d + e H``; under a general one by a triangular solve, with
+    ``g3_i`` and ``-w_ij k3(t_i, t_j)``, of the loads plus the history
+    before the block.  The scalings are scalars, so
 
         [[g1 A, g2 B^T], [g3 B, 0]] = diag(g1 I, g3 I) K diag(I, (g2/g1) I)
 
@@ -484,10 +512,12 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     grid, n = hist.grid, len(hist)
     k = f.shape[1]
     if k > 1 and not hist.blocked:
-        raise ValueError("a block of several nodes needs k1 and k2 absent "
-                         "and k3 exponential or absent")
+        raise ValueError("a block of several nodes needs k1 and k2 absent")
+    general = sys.k3 is not None and not sys.k3.is_exp
     g1, g2, g3 = step_gammas(sys, grid, n)
-    if n == 0 and k > 1:
+    if general:
+        g3 = _k3_gammas(sys, grid, n, k)        # k3(t, t) varies with t
+    elif n == 0 and k > 1:
         g3 = step_gammas(sys, grid, 1)[2]       # that of nodes 1, ..., k - 1
     if k == 1:                  # a block of one steps on its vectors
         f, g = f[:, 0], g[:, 0]
@@ -496,15 +526,21 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
             f = f + sys.a @ history_sum(hist, sys.k1, "u")
         if sys.k2 is not None:
             f = f + sys.b.T @ history_sum(hist, sys.k2, "p")
-        if sys.k3 is not None and not sys.k3.is_exp:
-            g = g + history_sum(hist, sys.k3, "q")
-    if sys.k3 is not None and sys.k3.is_exp:
+        if general:             # the history before the block
+            g = g + history_sum(hist, sys.k3, "q", k).reshape(g.shape)
+    gk = g.reshape(len(g), -1)
+    if general:                 # rows over g3: a block of one is g / g3
+        t = grid.times[n:n + k]
+        kv = np.reshape(sys.k3.eval(np.repeat(t, k), np.tile(t, k)), (k, k))
+        low = np.tril(kv * grid.weights[n:n + k], -1) / g3[:, None]
+        q = solve_triangular(-low, (gk / g3).T, lower=True, unit_diagonal=True,
+                             check_finite=False).T.reshape(g.shape)
+    elif sys.k3 is not None:
         decay, h = hist._recur[(sys.k3, "q")]
         key = (n == 0, k)
         if key not in hist._maps:
             hist._maps[key] = _constraint_map(sys.k3.c, decay, grid.dt, g3, *key)
         m, v, d, e = hist._maps[key]
-        gk = g.reshape(len(g), -1)
         q = gk @ m
         q += h[:, None] * v
         q = q.reshape(g.shape)
@@ -541,8 +577,8 @@ class VolterraStepper:
 
     The history it keeps is what the system's kernels read (see
     :class:`HistoryBuffer`).  ``width`` nodes share a solve (see the
-    module docstring): one for a system with ``k1``, ``k2`` or a general
-    ``k3``, whose sums read solved states.
+    module docstring): one for a system with ``k1`` or ``k2``, whose sums
+    read solved states.
     """
 
     def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid):
@@ -562,16 +598,25 @@ class VolterraStepper:
 
         ``f_of_t(times)`` and ``g_of_t(times)`` are asked once per block,
         in node order, for the ``(n_v, k)`` and ``(n_q, k)`` loads of its
-        nodes.  ``on_step(n, times, u, p, basis)`` gets each block once it
+        nodes; under a general ``k3``, once all of its nodes pass the
+        gate, node by node (``benchmark/test_benchmark.py`` pins a probe
+        of the benchmark's meter, taken at each load, per node of such a
+        run).  ``on_step(n, times, u, p, basis)`` gets each block once it
         is solved: its nodes ``times`` from node ``n`` on, states of the
         same shapes that no later block writes, and the block's ``basis``
         from :func:`step`.
         """
-        times = self.grid.times
+        times, k3 = self.grid.times, self.sys.k3
+        general = self.hist.blocked and k3 is not None and not k3.is_exp
         for start in range(0, len(times), self.width):
             block = times[start:start + self.width]
-            u, p, basis = step(self.sys, self.hist, f_of_t(block),
-                               g_of_t(block))
+            if general:         # the block's gate, then its loads node by node
+                _k3_gammas(self.sys, self.grid, start, len(block))
+                f, g = map(np.hstack, zip(*[(f_of_t(t), g_of_t(t))
+                                            for t in block[:, None]]))
+            else:
+                f, g = f_of_t(block), g_of_t(block)
+            u, p, basis = step(self.sys, self.hist, f, g)
             if on_step is not None:
                 on_step(start, block, u, p, basis)
             del u, p, basis             # not alive through the next solve

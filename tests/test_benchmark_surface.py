@@ -53,7 +53,7 @@ def test_tracer_and_meter_wrap_three_runs(tmp_path):
         cli.run_study(laplace)
         cli.emit_certificate(certificate, stream=io.StringIO())
         BeamProblem(joined_profile(d=0.001), 8, general, 1.0, np.exp,
-                    None).run(TimeGrid(T=0.5, n_steps=20))
+                    None).run(TimeGrid(T=0.5, n_steps=100))
     finally:
         patches.undo()
     after = memfem_attributes()
@@ -73,11 +73,13 @@ def test_tracer_and_meter_wrap_three_runs(tmp_path):
     assert tracer.spans[observer[1]][2] == "volterra.run"
     metrics = tracer.metrics(meter)
     # a step solves one block: the two Laplace levels and the certificate
-    # take their 11 nodes in one block each, the general run one node a step
-    assert metrics["volterra.step_count"] == 3 * 1 + 21
+    # take their 11 nodes in one block each, the general run its 101 nodes
+    # in blocks of 64 and 37, the second after one history sum
+    assert metrics["volterra.step_count"] == 3 * 1 + 2
+    assert metrics["volterra.history_count"] == 1
     assert meter.dof_steps > 0
-    # the general kernel stores the 21 states of u, 18 dofs on 8 elements
-    assert metrics["volterra.history_peak_bytes"] == 21 * 18 * 8
+    # the general kernel stores the 101 states of u, 18 dofs on 8 elements
+    assert metrics["volterra.history_peak_bytes"] == 101 * 18 * 8
 
 
 def test_meter_probes_a_blocked_run_once_per_block():

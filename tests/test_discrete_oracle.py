@@ -8,9 +8,9 @@ and ``s_n`` is the scalar trapezoid recurrence on the same grid,
     s_0 = c(t_0),
     (1 - dt/2 k(t_n,t_n)) s_n = c(t_n) + sum_{j<n} w_nj k(t_n,t_j) s_j.
 
-A kernel whose ``k(t,t)`` varies moves every step's block scaling, so the
-check covers the scalings applied in each solve and the direct history
-sum, step by step.  A property test draws convolution kernels and checks
+A kernel whose ``k(t,t)`` varies moves every node's block scaling, so the
+check covers the scalings applied in each solve, the direct history sum
+before each block and the triangular solve of row 2 inside it.  A property test draws convolution kernels and checks
 the identity for both history forms: the recurrence of the exponential
 kernel and the direct sum of the same kernel as a general callable, on
 the recycled solves the stepper takes and on plain LU solves.
@@ -146,7 +146,8 @@ def test_convolution_kernel_is_scalar_times_spatial(driver, c, rate, T,
 def test_convolution_kernel_is_scalar_times_spatial_across_blocks(driver, c,
                                                                   rate):
     # 201 nodes: three full blocks of 64 and a tail of 9, so the history
-    # crosses three block boundaries through the affine map of row 2
+    # crosses three block boundaries, through the affine map of row 2 and,
+    # for the same kernel as a general one, through its direct sum
     grid = TimeGrid(T=2.0, n_steps=200)
     problem, load = DRIVERS[driver]
     exp = MemoryKernel.exp_convolution(c=c, rate=rate)
@@ -161,6 +162,6 @@ def test_convolution_kernel_is_scalar_times_spatial_across_blocks(driver, c,
             assert max_scaled_deviation(states, s) <= 1e-12
             runs.append((stepper.width, np.array(states)))
         (width, blocked), (direct_width, direct) = runs
-        assert (width, direct_width) == (64, 1)
+        assert (width, direct_width) == (64, 64)
         assert np.max(np.abs(blocked - direct)) \
             <= 1e-12 * np.max(np.abs(direct))

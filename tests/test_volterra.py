@@ -79,11 +79,13 @@ def test_timegrid_times_cached_and_read_only():
 def test_run_asks_each_load_once_per_block():
     # each callback is asked once per block, f before g, with that block's
     # nodes, in node order, and returns one column per node: blocks of
-    # 64, 64 and 23 nodes, and one node a block for a general kernel
+    # 64, 64 and 23 nodes.  A general k3 steps in the same blocks and asks
+    # its loads one node at a time, f before g, as the benchmark's meter
+    # probes a general-kernel run at every node
     kernel = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
     grid = TimeGrid(T=1.0, n_steps=150)
-    for k3, widths in ((kernel, [64, 64, 23]),
-                       (direct_form(kernel), [1] * 151)):
+    for k3, asked in ((kernel, [64, 64, 23]),
+                      (direct_form(kernel), [1] * 151)):
         calls = []
 
         def load(name, scale):
@@ -96,15 +98,16 @@ def test_run_asks_each_load_once_per_block():
         VolterraStepper(scalar_system(k3=k3), grid).run(
             load("f", 1.0), load("g", 2.0),
             on_step=lambda n, times, u, p, basis: blocks.append((times, u)))
-        assert [len(times) for times, _ in blocks] == widths
-        assert [name for name, _ in calls] == ["f", "g"] * len(blocks)
-        for (times, u), (_, f_times), (_, g_times) in zip(
-                blocks, calls[::2], calls[1::2]):
-            assert_array_equal(f_times, times)
-            assert_array_equal(g_times, times)
+        assert [len(times) for times, _ in blocks] == [64, 64, 23]
+        assert [len(times) for _, times in calls[::2]] == asked
+        assert [name for name, _ in calls] == ["f", "g"] * len(asked)
+        for (_, f_times), (_, g_times) in zip(calls[::2], calls[1::2]):
+            assert_array_equal(f_times, g_times)
+        for times, u in blocks:
             assert u.shape == (1, len(times))
         assert_array_equal(np.concatenate([t for _, t in calls[::2]]),
                            grid.times)
+        assert_array_equal(np.concatenate([t for t, _ in blocks]), grid.times)
 
 
 def count_factorizations(monkeypatch):
@@ -367,10 +370,64 @@ def test_stability_gate_stops_the_block_before_its_solve(monkeypatch):
     assert stepper.hist._maps == {}
 
 
+@pytest.mark.parametrize("value, error", [
+    (300.0, StabilityGateError), (math.nan, SaddleSolverError)])
+def test_general_gate_fails_mid_block_before_its_loads(monkeypatch, value,
+                                                       error):
+    # k3(t, t) leaves the gate at node 70, inside the second block of 64:
+    # the run raises what step_gammas raises at node 70, after the first
+    # block's solve and before any load or solve of the second block
+    grid = TimeGrid(T=1.5, n_steps=150)         # w_nn = 0.005
+    t70 = grid.times[70]
+    sys_ = scalar_system(k3=MemoryKernel.from_callable(
+        lambda t, s: np.where(np.asarray(t) >= t70, value, -1.0)
+        + 0.0 * np.asarray(s), bound=300.0))
+    with pytest.raises(error) as direct:
+        step_gammas(sys_, grid, 70)
+    assert "at step 70" in str(direct.value)
+    solves = record_solves(monkeypatch, RecycledSaddle, "solve_on_basis")
+    loads = []
+
+    def f_of_t(times):
+        loads.append(times.copy())
+        return np.zeros((1, len(times)))
+
+    stepper = VolterraStepper(sys_, grid)
+    assert stepper.width == 64
+    with pytest.raises(error) as run:
+        stepper.run(f_of_t, const_load(1.0))
+    assert str(run.value) == str(direct.value)
+    assert_array_equal(np.concatenate(loads), grid.times[:64])
+    assert [f.shape for _, f, _ in solves] == [(1, 64)]
+    assert len(stepper.hist) == 64
+    # step, given the block's loads, raises the same before its solve
+    with pytest.raises(error) as stepped:
+        step(sys_, stepper.hist, np.zeros((1, 64)), np.ones((1, 64)))
+    assert str(stepped.value) == str(direct.value)
+    assert len(solves) == 1 and len(stepper.hist) == 64
+
+
 def constant_kernel(value):
     """A general kernel equal to ``value`` everywhere."""
     return MemoryKernel.from_callable(
         lambda t, s: np.full(np.broadcast(t, s).shape, value), bound=1.0)
+
+
+def test_step_takes_a_block_only_without_k1_and_k2():
+    # a k1 or k2 sum would read the solved states of the block's own
+    # nodes; a k3 alone, general or not, steps a block
+    grid = TimeGrid(T=1.0, n_steps=4)
+    exp = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
+    for kernels in ({"k1": exp}, {"k2": exp, "k3": constant_kernel(-1.0)}):
+        sys_ = sized_system(3, 2, **kernels)
+        with pytest.raises(ValueError, match="needs k1 and k2 absent"):
+            step(sys_, HistoryBuffer(sys_, grid), np.zeros((3, 2)),
+                 np.ones((2, 2)))
+    for k3 in (exp, constant_kernel(-1.0)):
+        sys_ = sized_system(3, 2, k3=k3)
+        u, p, _ = step(sys_, HistoryBuffer(sys_, grid), np.zeros((3, 2)),
+                       np.ones((2, 2)))
+        assert u.shape == (3, 2) and p.shape == (2, 2)
 
 
 def test_gate_rejects_singular_scalings():
@@ -400,7 +457,7 @@ def test_non_finite_kernel_diagonal_stops_the_run_before_its_solve(
         monkeypatch, value):
     # 0 k(t_0, t_0) is NaN at node 0, which the test |w_nn k| >= 1 lets
     # through: the gate names the node and the value, nothing is solved
-    # and no state is kept; the first block's loads were asked once
+    # and no state is kept; a general k3's gate comes before any load
     from memfem.beam import BeamProblem, joined_profile
     solves = record_solves(monkeypatch)
     prob = BeamProblem(joined_profile(0.001), 4, constant_kernel(value), 1.0,
@@ -418,7 +475,7 @@ def test_non_finite_kernel_diagonal_stops_the_run_before_its_solve(
                               TimeGrid(T=1.0, n_steps=5))
     with pytest.raises(SaddleSolverError, match="at step 0 "):
         stepper.run(f_of_t, const_load(1.0))
-    assert [len(times) for times in loads] == [1]
+    assert loads == []
     assert solves == []
     assert len(stepper.hist) == 0
 
@@ -503,6 +560,40 @@ def test_direct_history_sum_matches_loop():
         us.append(rng.standard_normal(11))
         ps.append(rng.standard_normal(4))
         hist.append(us[-1], ps[-1])
+
+
+def test_block_history_sum_is_the_part_before_the_block():
+    # column i of the sum at the k nodes from n is the direct sum over the
+    # stored j < n at node n + i; the kernel is evaluated on equal-length
+    # 1-D arrays of at most 4096 values, never on the whole block at once
+    rng = np.random.RandomState(5)
+    grid = TimeGrid(T=3.0, n_steps=300)
+    shapes = []
+
+    def k(t, s):
+        shapes.append((np.shape(t), np.shape(s)))
+        return np.cos(3.0 * np.asarray(s, float)) * (2.0 + np.sin(t))
+
+    kernel = MemoryKernel.from_callable(k, bound=3.0)
+    sys_ = sized_system(6, 2, k3=kernel)
+    hist = HistoryBuffer(sys_, grid)
+    us = rng.standard_normal((240, 6))
+    for u in us:
+        hist.append(u, np.zeros(2))
+    for nodes in (1, 5, 61):
+        shapes.clear()
+        out = history_sum(hist, kernel, "q", nodes)
+        assert out.shape == (2, nodes)
+        assert sum(t[0] for t, _ in shapes) == nodes * 240
+        assert all(len(t) == len(s) == 1 and t[0] == s[0] <= 4096
+                   for t, s in shapes)
+        for i in range(nodes):
+            ref = sys_.b @ ((grid.weights[:240]
+                             * k(grid.times[240 + i], grid.times[:240])) @ us)
+            assert np.max(np.abs(out[:, i] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # without k: the sum at node n, as a vector
+    assert_array_equal(history_sum(hist, kernel, "q"),
+                       history_sum(hist, kernel, "q", 1)[:, 0])
 
 
 def test_history_vectors_are_the_filled_rows():
@@ -610,9 +701,12 @@ def test_stepper_audit_recurrence_vs_direct():
                              const_load(0.0), const_load(1.0))
     assert steps == 200
     assert deviation <= 1e-12
-    # no exponential kernel, no recurrence to audit
-    assert audit(scalar_system(k3=direct_form(kernel)), grid,
-                 const_load(0.0), const_load(1.0)) == (0, 0.0)
+    # no exponential kernel, no recurrence to audit: the blocked run of
+    # the general kernel against its direct side, node by node
+    steps, deviation = audit(scalar_system(k3=direct_form(kernel)), grid,
+                             const_load(0.0), const_load(1.0))
+    assert steps == 0
+    assert deviation <= 1e-12
 
 
 def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
@@ -762,7 +856,8 @@ def laplace_runner(kernel):
     (laplace_runner, 22, 50)], ids=["scalar", "beam", "laplace"])
 def test_blocked_states_match_the_direct_form(runner, width, n_steps):
     # an exponential k3 steps in blocks, with a last block shorter than
-    # the rest; the same kernel as a general one steps one node at a time
+    # the rest; the same kernel as a general one steps in the same blocks,
+    # row 2 by a triangular solve in place of the recurrence's map
     kernel = beam_kernel(PronySLS(1.0, 1.0, 1.0)) if runner is not laplace_runner \
         else MemoryKernel.exp_convolution(c=-100.0, rate=100.0)
     grid = TimeGrid(T=0.5, n_steps=n_steps)
@@ -777,8 +872,8 @@ def test_blocked_states_match_the_direct_form(runner, width, n_steps):
     kept, copies, direct = [], [], []
     blocked = runner(kernel)(grid, collector(kept, copies))
     assert blocked.width == width
-    unblocked = runner(direct_form(kernel))(grid, collector(direct, []))
-    assert unblocked.width == 1
+    general = runner(direct_form(kernel))(grid, collector(direct, []))
+    assert general.width == width
     assert len(kept) == len(direct) == n_steps + 1
     for (u, p), (u_copy, p_copy), (u_ref, p_ref) in zip(kept, copies, direct):
         # later blocks never wrote over the states handed out
@@ -794,12 +889,11 @@ def test_blocked_states_match_the_direct_form(runner, width, n_steps):
     (3, 2, 1, 5)], ids=["64", "22", "3", "1"])
 def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
     # the stepper's width follows from the system's size (one node at a
-    # time for a general kernel); the last block is shorter than the rest
+    # time under a k1 or k2); the last block is shorter than the rest
     kernel = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
-    if width == 1:
-        kernel = direct_form(kernel)
+    slots = {"k2": kernel} if width == 1 else {"k3": kernel}
     sys_ = BlockSaddleSystem(sp.identity(n_v, format="csr"),
-                             sp.eye(n_q, n_v, format="csr"), k3=kernel)
+                             sp.eye(n_q, n_v, format="csr"), **slots)
     grid = TimeGrid(T=1.0, n_steps=n_steps)
     blocks = []
 
@@ -823,15 +917,15 @@ def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
     assert stepper.n_done == n_steps + 1
 
 
-def test_step_node_by_node_equals_a_blocked_run():
-    # the blocks of 64, 64 and 23 nodes that a run takes, against step fed
-    # one node at a time, each with the row-2 map of a block of one
+def step_node_by_node_and_in_blocks(k3):
+    """The blocks of 64, 64 and 23 nodes that a run of an 8 x 3 system
+    under ``k3`` takes, and ``step`` fed one node at a time: ``(blocks,
+    single, run history, node-by-node history)``."""
     rng = np.random.RandomState(21)
     n, m = 8, 3
     r = rng.standard_normal((n, n))
     sys_ = BlockSaddleSystem(sp.csr_matrix(r @ r.T + n * np.eye(n)),
-                             sp.csr_matrix(rng.standard_normal((m, n))),
-                             k3=MemoryKernel.exp_convolution(c=-0.7, rate=1.3))
+                             sp.csr_matrix(rng.standard_normal((m, n))), k3=k3)
     grid = TimeGrid(T=1.5, n_steps=150)
 
     def f_of_t(t):
@@ -845,16 +939,44 @@ def test_step_node_by_node_equals_a_blocked_run():
     stepper.run(block_load(f_of_t), block_load(g_of_t),
                 on_step=lambda n0, times, u, p, basis: blocks.append((u, p)))
     assert [u.shape[1] for u, _ in blocks] == [64, 64, 23]
-    assert set(stepper.hist._maps) == {(True, 64), (False, 64), (False, 23)}
     hist = HistoryBuffer(sys_, grid)
     single = [step(sys_, hist, f_of_t(t)[:, None], g_of_t(t)[:, None])[:2]
               for t in grid.times]
-    assert set(hist._maps) == {(True, 1), (False, 1)}
     for blocked, one in zip((np.hstack([u for u, _ in blocks]),
                              np.hstack([p for _, p in blocks])),
                             (np.hstack([u for u, _ in single]),
                              np.hstack([p for _, p in single]))):
         assert np.max(np.abs(blocked - one)) <= 1e-12 * np.max(np.abs(one))
+    return stepper.hist, hist
+
+
+def test_step_node_by_node_equals_a_blocked_run():
+    # each node with the row-2 map of a block of one
+    blocked, single = step_node_by_node_and_in_blocks(
+        MemoryKernel.exp_convolution(c=-0.7, rate=1.3))
+    assert set(blocked._maps) == {(True, 64), (False, 64), (False, 23)}
+    assert set(single._maps) == {(True, 1), (False, 1)}
+
+
+def test_step_node_by_node_equals_a_blocked_run_under_a_general_k3(
+        monkeypatch):
+    # each node with its own history sum and a triangular system of one;
+    # a block's history before it is one history sum
+    sums = []
+    orig = volterra.history_sum
+
+    def counted(hist, kernel, which, k=None):
+        sums.append((len(hist), k))
+        return orig(hist, kernel, which, k)
+
+    monkeypatch.setattr(volterra, "history_sum", counted)
+    blocked, single = step_node_by_node_and_in_blocks(
+        MemoryKernel.from_callable(
+            lambda t, s: -0.7 * np.exp(-1.3 * (np.asarray(t) - np.asarray(s)))
+            * (1.0 + 0.5 * np.sin(3.0 * np.asarray(t))), bound=1.05))
+    assert sums == [(64, 64), (128, 23)] + [(n, 1) for n in range(1, 151)]
+    assert blocked._maps == single._maps == {}
+    assert_array_equal(blocked.vectors("u").shape, (151, 8))
 
 
 def test_blocked_run_has_no_per_node_python(monkeypatch):
