@@ -48,13 +48,15 @@ def oracle(a, b, kernels, T, N, f, g):
                          np.eye(N + 1) - w * kernel.eval(t[:, None], t[None, :]),
                          part) for kernel, part in zip(kernels, parts))
     rhs = np.concatenate((f, g)).T.ravel()
-    # one step of refinement on a long-double residual: near the gate the
-    # LU alone can be off by more than the stepper (1.9e-10 against 3.9e-11
-    # of a 40-digit solve, on a draw with condition number 7.6e7)
+    # one step of refinement on a long-double residual, 256 rows at a
+    # time: near the gate the LU alone can be off by more than the stepper
+    # (1.9e-10 against 3.9e-11 of a 40-digit solve, on a draw with
+    # condition number 7.6e7)
     lu = scipy.linalg.lu_factor(system)
     x = scipy.linalg.lu_solve(lu, rhs)
-    x += scipy.linalg.lu_solve(
-        lu, (rhs - system.astype(np.longdouble) @ x).astype(float))
+    x += scipy.linalg.lu_solve(lu, np.concatenate([
+        rhs[i:i + 256] - system[i:i + 256].astype(np.longdouble) @ x
+        for i in range(0, len(rhs), 256)]).astype(float))
     x = x.reshape(N + 1, n_v + n_q).T
     return x[:n_v], x[n_v:]
 
