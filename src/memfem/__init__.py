@@ -43,6 +43,7 @@ from .volterra import (
     StabilityConstants,
     TimeGrid,
     VolterraStepper,
+    dense_load,
     error_constants,
     history_sum,
     stability_constants,

@@ -295,9 +295,8 @@ def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
     if cfg.profile == "joined" and n_ref % 2 != 0:
         n_ref += 1
     fine = BeamProblem(cfg, n_ref, None, e0, f_space, g_space)
-    # one solve: nothing to recycle
     u, p = factorize_saddle(fine.a, fine.b).solve(np.zeros(fine.n_v),
-                                                  fine._row)
+                                                  fine._load[:, 0])
     if kernel is None:          # the zero kernel: its creep factor is 1 + 0 t
         kernel = MemoryKernel.exp_convolution(0.0, 0.0)
     return BeamReference(fine.mesh, u, p, creep_factor(kernel, grid))
@@ -363,7 +362,9 @@ class BeamProblem:
         self.a = assemble_beam_a(cfg, self.mesh)
         self.b = assemble_beam_b(self.mesh)
         self.system = BlockSaddleSystem(self.a, self.b, k3=kernel)
-        self._row = beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)
+        # row 2's load vector, one object for the run's one LU solve
+        self._load = beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)[:, None]
+        self._load.flags.writeable = False
         self.n_v = 2 * (self.mesh.n_elements + 1)
         self.n_q = 2 * self.mesh.n_elements
 
@@ -382,9 +383,10 @@ class BeamProblem:
         """(H1 x H1 Gram, L2 x L2 Gram): the norms of the two unknowns."""
         return beam_gram_v(self.mesh), beam_gram_q(self.mesh)
 
-    def rhs(self, times) -> np.ndarray:
-        # row 2's (n_q, k) F-ordered load of the nodes times: a unit step
-        return np.tile(self._row, (len(times), 1)).T
+    def rhs(self, times):
+        """Row 2's load of the nodes ``times``, the pair ``(V, C)``: its one
+        vector, and a unit step."""
+        return self._load, np.ones((1, len(times)))
 
     def reference(self, grid: TimeGrid, finest: int) -> BeamReference:
         """The study oracle of every level: the fine-mesh reference on 64

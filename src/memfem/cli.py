@@ -39,7 +39,7 @@ from .report import ConvergenceReport, LevelRow, render_csv, render_markdown, re
 from .sparsela import (infsup_estimate, kernel_ellipticity, operator_norm_b,
                        operator_norm_estimate)
 from .volterra import (L1NormAccumulator, TimeGrid, VolterraStepper, audit,
-                       error_constants, stability_constants)
+                       dense_load, error_constants, stability_constants)
 
 __all__ = ["main", "load_config", "run_study", "emit_report", "emit_certificate"]
 
@@ -248,8 +248,8 @@ class RunNorms:
     ``add`` is the stepper's observer, and ``states`` the
     :class:`~memfem.volterra.L1NormAccumulator` of ``u`` in the V Gram and
     ``p`` in the Q Gram that it feeds.  ``add_load`` takes the constraint
-    row's load blocks in node order, as the stepper requests them.  The Q
-    Gram must be diagonal, as both drivers' are.
+    row's block loads (arrays or pairs) in node order, as the stepper
+    requests them.  The Q Gram must be diagonal, as both drivers' are.
     """
 
     def __init__(self, gram_v, gram_q, grid: TimeGrid):
@@ -270,6 +270,7 @@ class RunNorms:
         self.states.add(n, u, p, basis)
 
     def add_load(self, g):
+        g = dense_load(g)
         w = self.weights[self._loads:self._loads + g.shape[1]]
         self._loads += g.shape[1]
         self.g_dual_l1 += w @ np.sqrt(

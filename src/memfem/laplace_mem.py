@@ -242,17 +242,19 @@ class LaplaceProblem:
         self.a = assemble_rt0_mass(self.space)
         self.b = assemble_rt0_div(self.space)
         self.system = BlockSaddleSystem(self.a, self.b, k3=kernel)
-        self._rhs_base = manufactured_rhs_base(self.space, self.manufactured)
+        # row 2's load vector, one object for the run's one LU solve
+        self._load = manufactured_rhs_base(self.space, self.manufactured)[:, None]
+        self._load.flags.writeable = False
         self.h = math.sqrt(2.0) / m
 
     @property
     def dofs(self) -> int:
         return self.space.n_edges + self.space.n_cells
 
-    def rhs(self, times) -> np.ndarray:
-        # row 2's (n_q, k) F-ordered load of the nodes times; row 1 has none
-        factor = self.manufactured.load_factor(times)
-        return (factor[:, None] * self._rhs_base).T
+    def rhs(self, times):
+        """Row 2's load of the nodes ``times``, the pair ``(V, C)``: its one
+        vector, and the load factor at each node; row 1 has none."""
+        return self._load, self.manufactured.load_factor(times)[None, :]
 
     def grams(self):
         """(H(div) Gram, L2 Gram): the norms of the two unknowns."""

@@ -5,9 +5,8 @@ Matrices are stored as scipy CSR/CSC (compressed row storage with sorted,
 duplicate-free indices); factorization is direct sparse LU, which is
 robust at the desk scales this package targets.  A saddle system is
 factored once, by one SuperLU LU of the whole indefinite system, and
-reused for every solve.  :class:`RecycledSaddle` reuses the solves
-themselves: a right-hand side in the span of earlier ones costs a
-projection, not an LU solve.  No estimator forms a dense array: the
+reused for every solve; the stepper's solves are checked by their
+backward error.  No estimator forms a dense array: the
 spectral ones run shift-invert Lanczos on saddle LUs, and the two
 operator norms are bounded from above by Sylvester's law of
 inertia, read off the pivots of an unpivoted LU (``_definite_lu``), up to
@@ -16,6 +15,7 @@ the rounding of that LU.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,7 +25,6 @@ import scipy.sparse.linalg as spla
 from .errors import EstimatorError, SaddleSolverError
 
 __all__ = [
-    "RecycledSaddle",
     "SaddleFactorization",
     "factorize_saddle",
     "infsup_estimate",
@@ -45,18 +44,34 @@ def as_csr(matrix) -> sp.csr_matrix:
     return out
 
 
+# the largest normwise backward error, per block row of K, that
+# SaddleFactorization.checked_solve returns (see its docstring): about
+# 100 times the largest the stepper's solves read in the tests, 8.8e-15
+SOLVE_BACKWARD_TOL = 1e-12
+
+
 class SaddleFactorization:
     """Reusable factorization of ``K = [[A, B^T], [B, 0]]``.
 
     ``lu`` is the SuperLU object of ``K``: it solves for a stacked
     right-hand side (``lu.solve``) and counts its stored entries
-    (``lu.nnz``).
+    (``lu.nnz``).  The CSR blocks ``a`` and ``b`` check solves.
     """
 
-    def __init__(self, lu, n_v: int, n_q: int):
+    def __init__(self, lu, a, b):
         self._lu = lu
-        self.n_v = n_v
-        self.n_q = n_q
+        self._a, self._b = a, b
+        self.n_q, self.n_v = b.shape
+
+    @functools.cached_property
+    def _check(self):
+        """``B^T`` in CSR, and ``norms``: ``[max|u|, max|p|] @ norms`` is
+        ``||K|| ||x||`` per block row, with ``||A||``, ``||B^T||`` and
+        ``||B||`` in the infinity norm."""
+        a, b = self._a, self._b
+        return b.T.tocsr(), np.array([[spla.norm(a, np.inf),
+                                       spla.norm(b, np.inf)],
+                                      [spla.norm(b, 1), 0.0]])
 
     def solve(self, f: np.ndarray, g: np.ndarray):
         """Solve ``K (u, p) = (f, g)``, for one right-hand side or, with
@@ -68,154 +83,37 @@ class SaddleFactorization:
             raise SaddleSolverError("saddle solve produced non-finite values")
         return sol[:self.n_v], sol[self.n_v:]
 
-    def solve_on_basis(self, f: np.ndarray, g: np.ndarray):
-        """``(u, p, None)``: plain solves keep no basis."""
-        return (*self.solve(f, g), None)
+    def checked_solve(self, f: np.ndarray, g: np.ndarray):
+        """:meth:`solve`, checked by one product with ``K``.
 
+        Per column and block row F (f or g), the normwise backward error
+        (Rigal & Gaches, J. ACM 14, 1967)
 
-# gate and cap of RecycledSaddle; see its docstring
-RECYCLE_DROP = 1e-14
-RECYCLE_COLUMNS = 16
-RECYCLE_BYTES = 2 << 20
+            max|(K x - r)_F| / ((||K|| ||x||)_F + max|r_F|),
 
-
-class RecycledSaddle:
-    """Solves of ``K`` that reuse earlier ones, since ``K^{-1}`` is linear.
-
-    Keeps an orthonormal basis ``V`` of the right-hand sides solved so far
-    and ``Y = K^{-1} V``, solved by ``plain``.  A block ``R`` costs
-    ``C = V^T R``, ``E = R - V C`` and ``X = Y C``; column j is taken when
-    in each block row F (f or g) of ``K``
-
-        max|E_Fj| + sum_i |C_ij| s_Fi <= tol_F (||K|| ||x_j||)_F,
-
-    with ``(||K|| ||x||)_f = ||A|| max|u| + ||B^T|| max|p|`` and
-    ``(||K|| ||x||)_g = ||B|| max|u|`` (infinity norms).  The left side
-    bounds ``max|(K x_j - r_j)_F|``, up to the rounding of the products,
-    by the residuals ``s_Fi = max|(K y_i - v_i)_F|`` stored with the basis.
-    ``tol_F`` is ``RECYCLE_DROP`` plus the largest backward error
-    ``s_Fi / (||K|| ||y_i||)_F`` of the basis solves, so a taken column's
-    normwise backward error (Rigal & Gaches, J. ACM 14, 1967) exceeds the
-    LU's own by at most ``RECYCLE_DROP`` = 1e-14, 45 ulps: above the
-    round-off of a projection on 16 vectors, and of the order of what the
-    LU reaches (ROADMAP.md, "Recycled solves", has the numbers).
-
-    Other columns reach the LU: all while the basis is empty, and those
-    that fail, which includes any that is not finite or overflows.  Such
-    a column's direction off the basis joins it, if that has a finite norm
-    that survives a second orthogonalization and the basis holds fewer
-    than ``cap`` vectors, and the column is taken again; if it still
-    fails, ``plain`` solves it, raising :class:`SaddleSolverError` on a
-    non-finite solution.  ``cap`` is ``RECYCLE_COLUMNS`` = 16, or fewer so
-    that ``V`` and ``Y`` stay within ``RECYCLE_BYTES`` = 2 MiB (6 at
-    Laplace m = 64): loads of a few directions fit, and a load of full
-    rank pays at most the projection besides its plain solve.
-    """
-
-    def __init__(self, plain: SaddleFactorization, a, b):
-        self.plain = plain
-        self._a, self._b = as_csr(a), as_csr(b)
-        n_v, n = plain.n_v, plain.n_v + plain.n_q
-        self.cap = max(1, min(RECYCLE_COLUMNS, RECYCLE_BYTES // (16 * n)))
-        # [max|u|, max|p|] @ norms is ||K|| ||x|| per block row, with
-        # ||A||, ||B^T|| and ||B|| in the infinity norm
-        norm_a, norm_bt, norm_b = (spla.norm(m, np.inf)
-                                   for m in (self._a, self._b.T, self._b))
-        self._norms = np.array([[norm_a, norm_b], [norm_bt, 0.0]])
-        self._tol = np.full(2, RECYCLE_DROP)
-        self._scaled = self._norms * self._tol     # the gate's right side
-        self._cuts = [0, n_v, n, n + n_v]   # E_f, E_g, u and p in a row
-        self._vy = np.empty((0, 2 * n))     # a row [v_i, y_i] per vector
-        self._res = np.empty((0, 2))        # s_F of each basis solve
-
-    def solve(self, f: np.ndarray, g: np.ndarray):
-        """As :meth:`SaddleFactorization.solve`."""
-        return self.solve_on_basis(f, g)[:2]
-
-    def solve_on_basis(self, f: np.ndarray, g: np.ndarray):
-        """``(u, p, basis)``: :meth:`solve`, and ``basis`` None if a column
-        reached the LU, else ``(C, Y)``: the ``(k, r)`` coefficients of the
-        columns on the basis solutions ``Y``, ``[u; p] = (C Y)^T`` up to
-        rounding.  Rows of ``Y`` never change; later solves may add rows."""
-        n_v = self.plain.n_v
-        r = np.concatenate((f.T, g.T), axis=-1, dtype=float)
-        rows = r.reshape(-1, r.shape[-1])   # a row per right-hand side
-        # an overflow fails the gate, and the column takes the LU path
-        with np.errstate(all="ignore"):
-            x, ok, c = self._recycle(rows)
-            if not ok.all():
-                c = self._fill(rows, x, ok, c)
-        basis = None if c is None else (c, self._vy[:, rows.shape[1]:])
-        x = x.T if f.ndim > 1 else x[0]
-        return x[:n_v], x[n_v:], basis
-
-    def _recycle(self, rows):
-        """``(X, ok, C)``: ``Y V^T r`` and ``V^T r`` of each row ``r`` of
-        ``rows``, as rows, and the gate."""
-        n = rows.shape[1]
-        if not len(self._vy):
-            return (np.empty_like(rows), np.zeros(len(rows), dtype=bool),
-                    np.empty((len(rows), 0)))
-        c = rows @ self._vy[:, :n].T
-        out = np.dot(c, self._vy)   # [V c, Y c]: a row per right-hand side
-        out[:, :n] -= rows          # -E
-        cuts = self._cuts           # max |out| per part, without abs(out)
-        peaks = np.maximum(np.maximum.reduceat(out, cuts, axis=1),
-                           -np.minimum.reduceat(out, cuts, axis=1))
-        bound = peaks[:, :2] + abs(c) @ self._res
-        scale = peaks[:, 2:] @ self._scaled
-        ok = ((bound <= scale) & (scale < math.inf)).all(axis=1)
-        return out[:, n:], ok, c
-
-    def _fill(self, rows, x, ok, c):
-        """Fill in the rows of ``x`` that failed the gate: each is taken
-        again once its direction joins the basis, or solved by the LU.
-        Returns the rows' coefficients, or None if one reached the LU."""
-        size = len(self._vy)
-        c = np.pad(c, ((0, 0), (0, self.cap - size)))     # room to grow
-        for j in np.flatnonzero(~ok) if size < self.cap else ():
-            row = rows[j:j + 1]
-            if len(self._vy) != size:   # the basis grew since
-                xj, ok[j], cj = self._recycle(row)
-            if not ok[j] and self._extend(row[0]):
-                xj, ok[j], cj = self._recycle(row)
-            if ok[j]:
-                x[j], c[j, :cj.shape[1]] = xj[0], cj[0]
-        if ok.all():
-            return c[:, :len(self._vy)]
-        n_v, plain = self.plain.n_v, ~ok
-        u, p = self.plain.solve(rows[plain, :n_v].T, rows[plain, n_v:].T)
-        x[plain] = np.concatenate((u, p)).T
-        return None
-
-    def _extend(self, r) -> bool:
-        """Add the direction of ``r`` off the basis, with one LU solve, if
-        the basis has room and the direction is numerically off it."""
-        n_v, n = self.plain.n_v, len(r)
-        if len(self._vy) >= self.cap:
-            return False
-        v = self._vy[:, :n]
-        e = r - (v @ r) @ v
-        first = np.linalg.norm(e)
-        e -= (v @ e) @ v
-        norm = np.linalg.norm(e)
-        # a second pass that removes more than 1 - 1/sqrt(2) of the norm
-        # leaves round-off, not a direction (Daniel, Gragg, Kaufman and
-        # Stewart, Math. Comp. 30, 1976)
-        if not first / math.sqrt(2.0) <= norm < math.inf or norm == 0.0:
-            return False
-        e /= norm
-        u, p = self.plain.solve(e[:n_v], e[n_v:])
-        res = [abs(self._a @ u + self._b.T @ p - e[:n_v]).max(),
-               abs(self._b @ u - e[n_v:]).max()]
-        scale = [abs(u).max(), abs(p).max()] @ self._norms
-        tol = np.fmax(self._tol, RECYCLE_DROP + res / scale)    # 0/0: u = 0
-        if not np.isfinite(tol).all():
-            return False
-        self._tol, self._scaled = tol, self._norms * tol
-        self._vy = np.vstack((self._vy, np.concatenate((e, u, p))))
-        self._res = np.vstack((self._res, res))
-        return True
+        with ``(||K|| ||x||)_f = ||A|| max|u| + ||B^T|| max|p|`` and
+        ``(||K|| ||x||)_g = ||B|| max|u|`` (infinity norms), must be at
+        most ``SOLVE_BACKWARD_TOL``, or :class:`SaddleSolverError` is
+        raised.  A zero column is solved exactly.
+        """
+        u, p = self.solve(f, g)
+        (bt, norms), n_v = self._check, self.n_v
+        k = 1 if u.ndim == 1 else u.shape[1]
+        x = np.concatenate((u, p)).reshape(-1, k)   # a column per solve
+        r = np.concatenate((f, g), dtype=float).reshape(-1, k)
+        with np.errstate(all="ignore"):     # an overflow fails the check
+            res = np.concatenate((self._a @ x[:n_v] + bt @ x[n_v:],
+                                  self._b @ x[:n_v])) - r
+            # max |.| per column of each block row
+            peak_x, peak_r, worst = (np.maximum.reduceat(abs(m), [0, n_v])
+                                     for m in (x, r, res))
+            eta = worst / (norms.T @ peak_x + peak_r)
+        eta[worst == 0.0] = 0.0
+        if not eta.max(initial=0.0) <= SOLVE_BACKWARD_TOL:
+            raise SaddleSolverError(
+                f"saddle solve backward error {eta.max():.3e} exceeds "
+                f"{SOLVE_BACKWARD_TOL:g}")
+        return u, p
 
 
 def _rank_detail(b) -> str:
@@ -253,7 +151,7 @@ def factorize_saddle(a, b) -> SaddleFactorization:
     except RuntimeError as exc:
         raise SaddleSolverError(
             f"saddle factorization failed{_rank_detail(b)}: {exc}") from exc
-    return SaddleFactorization(lu, n_v, n_q)
+    return SaddleFactorization(lu, a, b)
 
 
 def assemble(blocks, index, shape) -> sp.csr_matrix:

@@ -14,11 +14,13 @@ initial condition).  Scheme well-posedness requires the stability gate
 ``|w_{n,n} k(t_n, t_n)| < 1`` for every attached kernel.
 
 The scalings are scalars, so every step shares one SuperLU LU of the
-unscaled ``K = [[A, B^T], [B, 0]]``: :func:`step` applies them around
-recycled solves (:class:`~memfem.sparsela.RecycledSaddle`), which take a
-right-hand side near the span of earlier ones from their solutions.
-Both drivers load row 2 with one vector times a scalar, so a run reaches
-the LU about once.  The history kept is what the attached kernels read:
+unscaled ``K = [[A, B^T], [B, 0]]``, and :func:`step` applies them around
+its solves.  A load block is a dense ``(n, k)`` array or a pair ``(V,
+C)`` of vectors ``V`` ``(n, r)`` and coefficients ``C`` ``(r, k)``, the
+load ``V C``.  A run solves ``Y = K^{-1} V`` once per ``V`` and steps
+the coefficients alone: both drivers load row 2 with one vector times a
+scalar, so a run makes one LU solve.  The history kept is what the
+attached kernels read:
 an exponential kernel gets an O(1) recurrence, a general kernel one
 product of its weighted values with the stored ``(N+1, n)`` states of
 the family it reads.  :func:`audit` checks a run against the same
@@ -27,22 +29,23 @@ kernels in that direct form.
 Row 2 alone reads ``g3_n q_n - sum_{j<n} w_{n,j} k3(t_n,t_j) q_j = g_n``.
 Without ``k1`` and ``k2`` (``HistoryBuffer.blocked``), every ``(f_n,
 q_n)`` is known before any solve: the stepper solves blocks of ``max(1,
-min(64, 65536 // (n_v + n_q)))`` nodes, each one recycled solve after
-row 2, which under a general ``k3`` is one product with the states
-before the block and one triangular solve inside it (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  That bound, 512 KiB of
-right-hand side, keeps a block's states about cache-sized; wider blocks
-saved at most a few percent, or lost, and cost memory.  Every other
-system solves one node at a time.
+min(64, 65536 // (n_v + n_q)))`` nodes after row 2, which under a
+general ``k3`` is one product with the states before the block and one
+triangular solve inside it (Hairer, Lubich & Schlichte, SIAM J. Sci.
+Stat. Comput. 6, 1985).  That bound, 512 KiB of right-hand side, keeps
+a block's states about cache-sized; wider blocks saved at most a few
+percent, or lost, and cost memory.  Every other system solves one node
+at a time.
 
 L1-in-time error norms take each solved block at once: from the
-coefficients of its states on the recycled basis, or else in dof space
-(see :class:`L1NormAccumulator`).  The module also evaluates the
+coefficients of its states on ``Y``, or else in dof space (see
+:class:`L1NormAccumulator`).  The module also evaluates the
 closed-form stability and error constants of the theory.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -55,7 +58,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import EstimatorError, SaddleSolverError, StabilityGateError
 from .kernels import MemoryKernel
-from .sparsela import RecycledSaddle, as_csr, factorize_saddle
+from .sparsela import SaddleFactorization, as_csr, factorize_saddle
 
 __all__ = [
     "TimeGrid",
@@ -66,6 +69,7 @@ __all__ = [
     "StabilityConstants",
     "ErrorConstants",
     "audit",
+    "dense_load",
     "step",
     "step_gammas",
     "history_sum",
@@ -179,6 +183,7 @@ class L1NormAccumulator:
         self._q = np.empty((0, sum(sizes)))
         self._rfac = np.empty((len(sizes), 0, 0))
 
+    @np.errstate(over="ignore")         # an overflow reads inf
     def add(self, n: int, u: np.ndarray, p: np.ndarray, basis=None) -> None:
         """Add nodes ``n, n + 1, ...``: the vectors of one node, or
         ``(n_v, k)`` and ``(n_q, k)`` arrays, one column per node.  A node
@@ -202,8 +207,7 @@ class L1NormAccumulator:
             z -= c * self._rho
             q = np.ascontiguousarray((self._gram @ z.T).T)  # a row per node
             q -= (2.0 * c) * self._s
-            with np.errstate(over="ignore"):    # an overflow reads inf
-                q *= z
+            q *= z
             self._squares[n:n + k] += np.add.reduceat(q, self._starts, axis=1)
         else:                       # states (C Y)^T: see the class docstring
             coef, y = basis
@@ -290,8 +294,8 @@ class BlockSaddleSystem:
     A must be symmetric (checked to 1e-12 entrywise on construction) and
     positive semi-definite; B must have full row rank.  Each of the three
     kernel slots is a :class:`MemoryKernel` or None (absent).  One
-    SuperLU LU of the unscaled system, built on first use, serves every
-    step's scalings, through recycled solves.
+    SuperLU LU of the unscaled system, :attr:`saddle`, serves every
+    step's scalings.
     """
 
     SYMMETRY_TOL = 1e-12
@@ -313,7 +317,8 @@ class BlockSaddleSystem:
         self.k1 = k1
         self.k2 = k2
         self.k3 = k3
-        self._fact: Optional[RecycledSaddle] = None
+        self._zero = np.empty((self.n_v, 0))
+        self._zero.flags.writeable = False
 
     @property
     def n_v(self) -> int:
@@ -327,17 +332,14 @@ class BlockSaddleSystem:
     def kernels(self):
         return (self.k1, self.k2, self.k3)
 
-    def zero_load(self, times) -> np.ndarray:
-        """The ``(n_v, k)`` zero first-row load of the nodes ``times``."""
-        return np.zeros((self.n_v, len(times)), order="F")
+    def zero_load(self, times):
+        """The zero first-row load of the nodes ``times``: rank 0."""
+        return self._zero, np.empty((0, len(times)))
 
-    def factorization(self) -> RecycledSaddle:
-        """The recycled solves of the unscaled system, factored on the
-        first call."""
-        if self._fact is None:
-            self._fact = RecycledSaddle(factorize_saddle(self.a, self.b),
-                                        self.a, self.b)
-        return self._fact
+    @functools.cached_property
+    def saddle(self) -> SaddleFactorization:
+        """The LU of the unscaled system, factored on first use."""
+        return factorize_saddle(self.a, self.b)
 
 
 class HistoryBuffer:
@@ -356,6 +358,12 @@ class HistoryBuffer:
       ``u``.  That costs ``(n_steps + 1) * n * 8`` bytes, with
       ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
     * a family that no general kernel reads is never stored.
+
+    The rows of ``y`` are ``K^{-1}`` of the columns of each ``V`` of a
+    pair ``(V, C)`` seen in the run, on its block row of ``K``; rows are
+    only added.  ``q`` is kept on them too: an exponential ``k3``'s
+    history beside its dense part, and a general ``k3``'s ``q`` of each
+    node (the family ``c``) until one has a dense part.
 
     ``blocked``: several nodes may share a solve (see the module docstring).
     """
@@ -377,6 +385,12 @@ class HistoryBuffer:
                         for kernel, which in reads if not kernel.is_exp}
         self._maps = {}         # (block starts at node 0, k) -> row 2's map
         self._count = 0         # solved states appended
+        self._loads = {}        # (block row, id(V)) -> (V, its rows of y)
+        self._v = np.empty((0, sys.n_v + sys.n_q))      # [V; 0] or [0; V]
+        self.y = np.empty((0, sys.n_v + sys.n_q))       # K^{-1} of each
+        self._q = np.zeros(0)   # k3's history of q on the rows of y
+        self._qrows = None if sys.k3 is None or sys.k3.is_exp \
+            else np.zeros((grid.n_steps + 1, 0))
 
     def __len__(self) -> int:
         return self._count
@@ -399,7 +413,8 @@ class HistoryBuffer:
         w = self.grid.dt if n else 0.5 * self.grid.dt
         for (kernel, which), (decay, acc) in self._recur.items():
             if which != "q":
-                acc += w * kernel.c * (u if which == "u" else p)
+                x = u if which == "u" else p
+                acc += w * kernel.c * x.reshape(acc.shape)
                 acc *= decay
         self._count += k
 
@@ -423,7 +438,9 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
     holds one and ``k`` is not given, and otherwise as one product of the
     weighted ``(k, n)`` kernel block with the stored states (for ``q``,
-    ``B`` times that of the stored ``u``).
+    ``B`` times that of the stored ``u``).  The family ``c`` is ``q`` on
+    the rows of ``hist.y``: its coefficients, which a general ``k3``
+    keeps while no node's ``q`` had a dense part.
     """
     n = len(hist)
     if n < 1:
@@ -431,9 +448,11 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
     recur = hist._recur.get((kernel, which))
     if recur is not None and k is None:
         # a copy: the next append updates the recurrence in place
+        if which == "q":        # and the part on the loads' solutions
+            return recur[1] + hist._q @ hist._v[:, hist.b.shape[1]:]
         return recur[1].copy()
     times, weights, rows = hist.grid.times, hist.grid.weights, k or 1
-    xs = hist.vectors(_ROWS[which])
+    xs = hist._qrows[:n] if which == "c" else hist.vectors(_ROWS[which])
     if len(xs) < n:
         raise ValueError(f"history sum of {which!r} at step {n} needs {n} "
                          f"stored states, and the buffer holds {len(xs)}")
@@ -487,11 +506,13 @@ def _k3_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int, k: int):
 
 
 def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
-    """Advance the k nodes ``n = len(hist), ...`` loaded by the columns of
-    ``f`` ``(n_v, k)`` and ``g`` ``(n_q, k)``; more than one node needs
-    ``hist.blocked``.  Returns ``(u, p, basis)``: one column per node,
-    and the ``basis`` of :meth:`~memfem.sparsela.RecycledSaddle.solve_on_basis`,
-    or None.
+    """Advance the k nodes ``n = len(hist), ...`` loaded by the block
+    loads ``f`` (row 1, ``n_v`` rows) and ``g`` (row 2, ``n_q`` rows):
+    each a dense ``(rows, k)`` array or a pair ``(V, C)`` (see the module
+    docstring); more than one node needs ``hist.blocked``.  Returns ``(u,
+    p, basis)``: one column per node, and ``basis`` ``(C, Y)``, the
+    block's ``(k, r)`` coefficients on the rows ``Y = hist.y`` with
+    ``[u; p] = (C Y)^T``, or None when a dense part entered the solve.
 
     The stability gate is checked before the solve: at node n and, in a
     block holding node 0, at node 1, whose scalings every later node
@@ -500,17 +521,22 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     map of the loads ``G`` and the history ``H``, ``Q = G M + H v`` and
     ``H <- G d + e H``; under a general one by a triangular solve, with
     ``g3_i`` and ``-w_ij k3(t_i, t_j)``, of the loads plus the history
-    before the block.  The scalings are scalars, so
+    before the block.  Both act on the time axis alone, so they step a
+    pair's coefficients and the dense part apart.  The scalings are
+    scalars, so
 
         [[g1 A, g2 B^T], [g3 B, 0]] = diag(g1 I, g3 I) K diag(I, (g2/g1) I)
 
-    with ``K = [[A, B^T], [B, 0]]``: ``g3`` is folded into ``q``, and one
-    multi-column recycled solve of ``K`` with the columns
-    ``(f_n / g1, q_n)`` gives ``u`` and ``(g2 / g1) p``.  Every block
-    scaling is applied here.
+    with ``K = [[A, B^T], [B, 0]]``: ``g3`` is folded into ``q``, and the
+    columns ``(f_n / g1, q_n)`` give ``u`` and ``(g2 / g1) p``: from the
+    solutions ``Y`` of the pairs' vectors, solved once per run, or, when
+    the block has a dense part (dense loads, the ``k1`` and ``k2``
+    history sums, a general ``k3``'s history before the block once a
+    node's ``q`` had a dense part), by one multi-column LU solve of the
+    whole right-hand side.  Every block scaling is applied here.
     """
     grid, n = hist.grid, len(hist)
-    k = f.shape[1]
+    k = (f[1] if isinstance(f, tuple) else f).shape[1]
     if k > 1 and not hist.blocked:
         raise ValueError("a block of several nodes needs k1 and k2 absent")
     general = sys.k3 is not None and not sys.k3.is_exp
@@ -519,44 +545,105 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
         g3 = _k3_gammas(sys, grid, n, k)        # k3(t, t) varies with t
     elif n == 0 and k > 1:
         g3 = step_gammas(sys, grid, 1)[2]       # that of nodes 1, ..., k - 1
-    if k == 1:                  # a block of one steps on its vectors
-        f, g = f[:, 0], g[:, 0]
+    (fd, fc), (gd, gc) = _load_parts(sys, hist, f, g, k)
     if n >= 1:                  # one node, unless the system is blocked
         if sys.k1 is not None:
-            f = f + sys.a @ history_sum(hist, sys.k1, "u")
+            fd = _plus(fd, sys.a @ history_sum(hist, sys.k1, "u")[:, None])
         if sys.k2 is not None:
-            f = f + sys.b.T @ history_sum(hist, sys.k2, "p")
-        if general:             # the history before the block
-            g = g + history_sum(hist, sys.k3, "q", k).reshape(g.shape)
-    gk = g.reshape(len(g), -1)
+            fd = _plus(fd, sys.b.T @ history_sum(hist, sys.k2, "p")[:, None])
+        if general and hist._qrows is None:     # before the block, from B u
+            gd = _plus(gd, history_sum(hist, sys.k3, "q", k))
+        elif general:                           # from q's coefficients
+            gc = gc + history_sum(hist, sys.k3, "c", k)
     if general:                 # rows over g3: a block of one is g / g3
         t = grid.times[n:n + k]
         kv = np.reshape(sys.k3.eval(np.repeat(t, k), np.tile(t, k)), (k, k))
         low = np.tril(kv * grid.weights[n:n + k], -1) / g3[:, None]
-        q = solve_triangular(-low, (gk / g3).T, lower=True, unit_diagonal=True,
-                             check_finite=False).T.reshape(g.shape)
+
+        def row2(x):
+            return x if x is None else solve_triangular(
+                -low, (x / g3).T, lower=True, unit_diagonal=True,
+                check_finite=False).T
+        qd, qc = row2(gd), row2(gc)
+        if hist._qrows is not None and qd is None:
+            hist._qrows[n:n + k] = qc.T
+        else:
+            hist._qrows = None
     elif sys.k3 is not None:
         decay, h = hist._recur[(sys.k3, "q")]
         key = (n == 0, k)
         if key not in hist._maps:
             hist._maps[key] = _constraint_map(sys.k3.c, decay, grid.dt, g3, *key)
         m, v, d, e = hist._maps[key]
-        q = gk @ m
-        q += h[:, None] * v
-        q = q.reshape(g.shape)
+        qc = gc @ m + hist._q[:, None] * v
+        hist._q = hist._q * e + gc @ d
+        qd = _plus(None if gd is None else gd @ m,
+                   h[:, None] * v if h.any() else None)
         h *= e
-        h += gk @ d
+        if gd is not None:
+            h += gd @ d
     else:
-        q = g / g3
+        qd, qc = (None if gd is None else gd / g3), gc / g3
     # g1 and g2 are those of every node of the block
-    if g1 != 1.0:
-        f = f / g1
-    u, p, basis = sys.factorization().solve_on_basis(f, q)
+    c = fc / g1 + qc if g1 != 1.0 else fc + qc
+    if fd is None and qd is None:
+        if not np.isfinite(c).all():
+            raise SaddleSolverError("non-finite load coefficients")
+        x, basis = np.dot(hist.y.T, c), (c.T, hist.y)
+    else:                       # one solve of the whole right-hand side
+        x = np.dot(hist._v.T, c)
+        if fd is not None:
+            x[:sys.n_v] += fd / g1 if g1 != 1.0 else fd
+        if qd is not None:
+            x[sys.n_v:] += qd
+        x, basis = np.concatenate(sys.saddle.checked_solve(
+            x[:sys.n_v], x[sys.n_v:])), None
+    u, p = x[:sys.n_v], x[sys.n_v:]
     if g1 != g2:
         p *= g1 / g2
         basis = None                # p is no longer that of the basis
     hist.append(u, p)
-    return u.reshape(len(u), -1), p.reshape(len(p), -1), basis
+    return u, p, basis
+
+
+def _plus(x, y):
+    """``x + y``, where None is zero."""
+    return x if y is None else y if x is None else x + y
+
+
+def dense_load(load) -> np.ndarray:
+    """The ``(rows, k)`` array of a block load: ``V @ C`` of a pair."""
+    return load[0] @ load[1] if isinstance(load, tuple) else load
+
+
+def _load_parts(sys, hist, f, g, k):
+    """``(D, C)`` of each block load ``f``, ``g`` of k nodes: its dense
+    part, or None, and its ``(r, k)`` coefficients on the rows of
+    ``hist.y``.  A pair's ``V`` not seen before in the run is solved now,
+    by one LU solve of its columns."""
+    n_v = sys.n_v
+    for row, load in enumerate((f, g)):
+        if not isinstance(load, tuple) or (row, id(load[0])) in hist._loads:
+            continue
+        v, r = load[0], len(hist.y)
+        rhs = np.zeros((n_v + sys.n_q, v.shape[1]))
+        rhs[slice(0, n_v) if row == 0 else slice(n_v, None)] = v
+        if v.shape[1]:
+            y = np.concatenate(sys.saddle.checked_solve(rhs[:n_v], rhs[n_v:]))
+            hist._v = np.vstack((hist._v, rhs.T))
+            hist.y = np.vstack((hist.y, y.T))
+            hist._q = np.append(hist._q, np.zeros(v.shape[1]))
+            if hist._qrows is not None:
+                hist._qrows = np.pad(hist._qrows, ((0, 0), (0, v.shape[1])))
+        # V is kept, so its id is not reused while the run holds it
+        hist._loads[(row, id(v))] = (v, slice(r, len(hist.y)))
+    parts = []
+    for row, load in enumerate((f, g)):
+        c = np.zeros((len(hist.y), k))
+        if isinstance(load, tuple):
+            c[hist._loads[(row, id(load[0]))][1]] = load[1]
+        parts.append((None if isinstance(load, tuple) else load, c))
+    return parts
 
 
 def _constraint_map(c, decay, dt, g3, first, k):
@@ -570,6 +657,13 @@ def _constraint_map(c, decay, dt, g3, first, k):
         q[:, i] = (q[:, i] + h) / s
         h = (h + w * c * q[:, i]) * decay
     return q[:k], q[k], h[:k], h[k]
+
+
+def _join(loads):
+    """One block load of node loads: a pair if all are pairs on one V."""
+    if all(isinstance(x, tuple) and x[0] is loads[0][0] for x in loads):
+        return loads[0][0], np.hstack([x[1] for x in loads])
+    return np.hstack([dense_load(x) for x in loads])
 
 
 class VolterraStepper:
@@ -597,11 +691,12 @@ class VolterraStepper:
         """Step through the whole grid, ``width`` nodes per :func:`step`.
 
         ``f_of_t(times)`` and ``g_of_t(times)`` are asked once per block,
-        in node order, for the ``(n_v, k)`` and ``(n_q, k)`` loads of its
-        nodes; under a general ``k3``, once all of its nodes pass the
-        gate, node by node (``benchmark/test_benchmark.py`` pins a probe
-        of the benchmark's meter, taken at each load, per node of such a
-        run).  ``on_step(n, times, u, p, basis)`` gets each block once it
+        in node order, for the block loads of its nodes (dense ``(n_v,
+        k)`` and ``(n_q, k)`` arrays or pairs, see :func:`step`); under a
+        general ``k3``, once all of its nodes pass the gate, node by node
+        (``benchmark/test_benchmark.py`` pins a probe of the benchmark's
+        meter, taken at each load, per node of such a run), and a node's
+        pairs on one ``V`` make one pair.  ``on_step(n, times, u, p, basis)`` gets each block once it
         is solved: its nodes ``times`` from node ``n`` on, states of the
         same shapes that no later block writes, and the block's ``basis``
         from :func:`step`.
@@ -612,8 +707,8 @@ class VolterraStepper:
             block = times[start:start + self.width]
             if general:         # the block's gate, then its loads node by node
                 _k3_gammas(self.sys, self.grid, start, len(block))
-                f, g = map(np.hstack, zip(*[(f_of_t(t), g_of_t(t))
-                                            for t in block[:, None]]))
+                f, g = map(_join, zip(*[(f_of_t(t), g_of_t(t))
+                                        for t in block[:, None]]))
             else:
                 f, g = f_of_t(block), g_of_t(block)
             u, p, basis = step(self.sys, self.hist, f, g)
@@ -628,21 +723,20 @@ def audit(sys: BlockSaddleSystem, grid: TimeGrid, f_of_t: Callable,
     """Step ``sys`` under the block loads ``f_of_t``, ``g_of_t`` as every
     run does, and in lockstep the same system with each kernel in direct
     form (a general kernel of the same ``eval``), node by node on the
-    same loads and on plain LU solves.  Returns ``(steps, deviation)``:
-    ``grid.n_steps``, or 0 when no kernel is exponential, and the larger
-    over ``u`` and ``p`` of ``max_n |x_n - x'_n|_inf / max_n |x'_n|_inf``
-    against the direct-form states ``x'``."""
-    direct = BlockSaddleSystem(sys.a, sys.b, *(
+    same loads made dense, one solve each on the same LU.  Returns
+    ``(steps, deviation)``: ``grid.n_steps``, or 0 when no kernel is
+    exponential, and the larger over ``u`` and ``p`` of ``max_n |x_n -
+    x'_n|_inf / max_n |x'_n|_inf`` against the direct-form states ``x'``."""
+    sys.saddle                      # factored once: the copy shares it,
+    direct = copy.copy(sys)         # as the kernels do not enter it
+    direct.k1, direct.k2, direct.k3 = (
         None if k is None else MemoryKernel.from_callable(k.eval, k.bound)
-        for k in sys.kernels))
-    # the kernels do not enter the factorization; a recycled direct side
-    # would check recycled solves against themselves
-    direct._fact = sys.factorization().plain
+        for k in sys.kernels)
     hist = HistoryBuffer(direct, grid)
     worst = np.zeros((2, 2))        # rows u, p: max |x - x'|, max |x'|
 
     def compare(n, times, u, p, basis):
-        f, g = f_of_t(times), g_of_t(times)
+        f, g = dense_load(f_of_t(times)), dense_load(g_of_t(times))
         for j in range(len(times)):
             pairs = zip((u[:, j:j + 1], p[:, j:j + 1]),
                         step(direct, hist, f[:, j:j + 1], g[:, j:j + 1])[:2])

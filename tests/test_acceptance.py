@@ -26,7 +26,7 @@ from memfem.kernels import (
     creep_factor,
 )
 from memfem.sparsela import infsup_estimate, kernel_ellipticity
-from memfem.volterra import TimeGrid, audit
+from memfem.volterra import TimeGrid, audit, dense_load
 
 EXP_LOAD = lambda x: np.exp(x)
 
@@ -250,24 +250,24 @@ def test_criterion_8_structural_properties():
     worst_zero = 0.0
     grid = TimeGrid(T=0.5, n_steps=10)
     lp = laplace_mod.LaplaceProblem(4, delta=None)
-    fact = lp.system.factorization()
+    fact = lp.system.saddle
     states = []
     lp.run(grid, collect=lambda n, t, s, u: states.append((t, s, u)))
     for t, sig, u in states:
-        sig_ref, u_ref = fact.solve(lp.system.zero_load([t])[:, 0],
-                                    lp.rhs([t])[:, 0])
+        sig_ref, u_ref = fact.solve(dense_load(lp.system.zero_load([t]))[:, 0],
+                                    dense_load(lp.rhs([t]))[:, 0])
         scale = max(np.max(np.abs(sig_ref)), np.max(np.abs(u_ref)))
         worst_zero = max(worst_zero,
                          np.max(np.abs(sig - sig_ref)) / scale,
                          np.max(np.abs(u - u_ref)) / scale)
     bp = beam_mod.BeamProblem(beam_mod.joined_profile(0.001), 8, None, 1.0,
                               EXP_LOAD, None)
-    bfact = bp.system.factorization()
+    bfact = bp.system.saddle
     bstates = []
     bp.run(grid, collect=lambda n, t, u, p: bstates.append((t, u, p)))
     for t, u, p in bstates:
-        u_ref, p_ref = bfact.solve(bp.system.zero_load([t])[:, 0],
-                                   bp.rhs([t])[:, 0])
+        u_ref, p_ref = bfact.solve(dense_load(bp.system.zero_load([t]))[:, 0],
+                                   dense_load(bp.rhs([t]))[:, 0])
         scale = max(np.max(np.abs(u_ref)), np.max(np.abs(p_ref)))
         worst_zero = max(worst_zero,
                          np.max(np.abs(u - u_ref)) / scale,

@@ -367,18 +367,18 @@ def test_cancelling_coefficients_are_not_squared(driver):
 
 
 def test_a_block_that_reached_the_lu_is_measured_densely():
-    # rank-one loads fill the first block, full-rank ones the rest: their
-    # columns pass the 16 vectors of the basis and reach the LU
+    # a rank-one pair loads the first block, dense full-rank loads the
+    # rest: each of those blocks is one LU solve, without a basis
     prob = LaplaceProblem(4, delta=0.01)
     grid = TimeGrid(T=0.3, n_steps=150)
     rng = np.random.default_rng(2)
-    base = prob.rhs(grid.times[:1])[:, 0]
+    base = prob.rhs(grid.times[:1])[0]
 
     def load(times):
-        g = np.outer(base, np.cos(times))
-        late = np.searchsorted(grid.times, times) >= 64
-        g[:, late] += rng.standard_normal((len(base), late.sum()))
-        return g
+        if times[0] < grid.times[64]:
+            return base, np.cos(times)[None, :]
+        return base @ np.cos(times)[None, :] \
+            + rng.standard_normal((len(base), len(times)))
 
     dense, coef, ranks = dense_and_coefficient_runs(
         prob.system, grid, lambda: laplace_accumulator(

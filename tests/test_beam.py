@@ -26,7 +26,7 @@ from memfem.errors import ConfigError
 from memfem.kernels import PronySLS, beam_kernel
 from memfem.mesh import Mesh1D, uniform_mesh1d
 from memfem.sparsela import infsup_estimate, kernel_ellipticity
-from memfem.volterra import TimeGrid
+from memfem.volterra import TimeGrid, dense_load
 
 EXP_LOAD = lambda x: np.exp(x)
 
@@ -333,8 +333,8 @@ def test_elastic_limit_matches_primal_solve():
     # the primal method far from its locking regime
     cfg = joined_profile(d=0.1)
     prob = BeamProblem(cfg, 64, None, 1.0, EXP_LOAD, None)
-    u, p = prob.system.factorization().solve(np.zeros(prob.n_v),
-                                             prob.rhs([0.0])[:, 0])
+    u, p = prob.system.saddle.solve(np.zeros(prob.n_v),
+                                             dense_load(prob.rhs([0.0]))[:, 0])
     n = prob.mesh.n_elements
     beta_mixed, w_mixed = p[:n], p[n:]
     pmesh, beta_p, w_p = primal_timoshenko(cfg, 512, np.exp)
@@ -355,8 +355,8 @@ def test_full_run_separability_consistency():
     grid = TimeGrid(T=5.0, n_steps=500)
     n = 16
     prob = BeamProblem(cfg, n, kern, 1.0, EXP_LOAD, None)
-    u_el, p_el = prob.system.factorization().solve(np.zeros(prob.n_v),
-                                                   prob.rhs([0.0])[:, 0])
+    u_el, p_el = prob.system.saddle.solve(np.zeros(prob.n_v),
+                                                   dense_load(prob.rhs([0.0]))[:, 0])
     phi = 2.0 / 3.0 + np.exp(-3.0 * grid.times) / 3.0
     worst = 0.0
 
@@ -406,16 +406,19 @@ def test_gate_boundary_run_succeeds():
 
 
 def test_rhs_block_equals_the_per_node_row():
-    # one F-ordered column per node, each the b-row of the unit step load
-    # bit for bit, at the widths the stepper takes
+    # the pair (V, C) of a unit step: V is the b-row, the same read-only
+    # object for every block, and each column of V C is the row bit for
+    # bit, at the widths the stepper takes
     cfg = joined_profile(d=0.01)
     prob = BeamProblem(cfg, 4, None, 1.0, EXP_LOAD, None)
     row = beam_rhs(cfg, prob.mesh, EXP_LOAD, None)
     times = TimeGrid(T=1.0, n_steps=200).times
+    v = prob.rhs(times[:1])[0]
+    assert v.shape == (prob.n_q, 1) and not v.flags.writeable
     for k in (1, 3, 22, 64):
         block = prob.rhs(times[100:100 + k])
-        assert block.shape == (prob.n_q, k) and block.flags.f_contiguous
-        assert block.T.tobytes() == row.tobytes() * k
+        assert block[0] is v and block[1].shape == (1, k)
+        assert dense_load(block).T.tobytes() == row.tobytes() * k
 
 
 def test_reference_norms_positive():

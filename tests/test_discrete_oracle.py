@@ -13,7 +13,8 @@ check covers the scalings applied in each solve, the direct history sum
 before each block and the triangular solve of row 2 inside it.  A property test draws convolution kernels and checks
 the identity for both history forms: the recurrence of the exponential
 kernel and the direct sum of the same kernel as a general callable, on
-the recycled solves the stepper takes and on plain LU solves.
+the drivers' loads, pairs ``(V, C)`` that the stepper solves once, and
+on the same loads made dense, one LU solve per block.
 """
 
 import math
@@ -24,9 +25,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memfem.beam import BeamProblem, joined_profile
-from memfem.kernels import MemoryKernel
+from memfem.kernels import MemoryKernel, PronySLS, beam_kernel
 from memfem.laplace_mem import LaplaceProblem
-from memfem.volterra import TimeGrid
+from memfem.volterra import TimeGrid, dense_load
 
 
 def varying_kernel(c, rate, a):
@@ -102,15 +103,17 @@ def test_beam_general_kernel_is_scalar_times_spatial(c, rate, a):
     assert max_factor_deviation(states, s) <= 1e-12
 
 
-def plain(prob):
-    """``prob`` stepping on plain LU solves.  On these rank-1 loads every
-    recycled state is a scalar times one solved column by construction,
-    so only a plain run checks the solves."""
-    prob.system._fact = prob.system.factorization().plain
+def dense_loads(prob):
+    """``prob`` loaded by its loads made dense.  Every state of a run on
+    the pairs ``(V, C)`` is a scalar times one solved column by
+    construction, so only a dense run, one LU solve per block, checks
+    the solves."""
+    factored = prob.rhs
+    prob.rhs = lambda times: dense_load(factored(times))
     return prob
 
 
-SOLVES = (lambda prob: prob, plain)     # in this order on one problem
+SOLVES = (lambda prob: prob, dense_loads)   # in this order on one problem
 
 DRIVERS = {
     # (problem for a kernel, c(t) of its constraint-row load)
@@ -132,7 +135,7 @@ def test_convolution_kernel_is_scalar_times_spatial(driver, c, rate, T,
     exp = MemoryKernel.exp_convolution(c=c, rate=rate)
     s = scalar_factor(exp, grid, load)
     # the recurrence, then the direct sum of the same kernel, each on
-    # recycled and on plain solves
+    # factored and on dense loads
     for kernel in (exp, MemoryKernel.from_callable(exp.eval, bound=exp.bound)):
         prob = problem(kernel)
         for solves in SOLVES:
@@ -165,3 +168,29 @@ def test_convolution_kernel_is_scalar_times_spatial_across_blocks(driver, c,
         assert (width, direct_width) == (64, 64)
         assert np.max(np.abs(blocked - direct)) \
             <= 1e-12 * np.max(np.abs(direct))
+
+
+STUDIES = {
+    # (problem of a level, levels): the study kernel of each driver
+    "laplace": (lambda m: LaplaceProblem(m), (4, 8, 16)),
+    "beam": (lambda n: BeamProblem(joined_profile(d=0.001), n,
+                                   beam_kernel(PronySLS(1.0, 1.0, 1.0)), 1.0,
+                                   np.exp, None), (8, 16, 32)),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(STUDIES))
+def test_factored_and_dense_loads_step_the_same_states(driver):
+    # every level of a small study: the run on the pairs (V, C), one LU
+    # solve and its coefficients, and on the same loads made dense, one
+    # LU solve per block, agree to 1e-13 at every node
+    problem, levels = STUDIES[driver]
+    grid = TimeGrid(T=1.0, n_steps=300)
+    for level in levels:
+        runs = []
+        for solves in SOLVES:
+            states = []
+            solves(problem(level)).run(grid, collect=collector(states))
+            runs.append(np.array(states))
+        factored, dense = runs
+        assert np.max(np.abs(factored - dense)) <= 1e-13 * np.max(np.abs(dense))

@@ -22,7 +22,7 @@ from memfem.laplace_mem import (
 )
 from memfem.mesh import TriMesh, structured_unit_square
 from memfem.sparsela import infsup_estimate, kernel_ellipticity
-from memfem.volterra import TimeGrid
+from memfem.volterra import TimeGrid, dense_load
 
 
 def interpolate_rt0(space, field):
@@ -322,42 +322,45 @@ def test_memoryless_mixed_matches_primal_poisson():
     # kernel off: the first step is the classical mixed Poisson solve,
     # cross-checked against an independent primal P1 solve
     prob = LaplaceProblem(16, delta=None)
-    sig, u = prob.system.factorization().solve(np.zeros(prob.space.n_edges),
-                                               prob.rhs([0.0])[:, 0])
+    sig, u = prob.system.saddle.solve(np.zeros(prob.space.n_edges),
+                                               dense_load(prob.rhs([0.0]))[:, 0])
     _, primal_means = primal_poisson_p0_means(16)
     rel = np.linalg.norm(u - primal_means) / np.linalg.norm(primal_means)
     assert rel < 0.02
 
 
 def test_rhs_block_equals_the_per_node_formula():
-    # one F-ordered column per node, each the load factor times the load
-    # cells bit for bit, at the widths the stepper takes, with and
-    # without memory in the load
+    # the pair (V, C): V the load cells, the same read-only object for
+    # every block, and C the load factor; each column of V C is the
+    # per-node load bit for bit, at the widths the stepper takes, with
+    # and without memory in the load
     times = TimeGrid(T=1.0, n_steps=200).times
     for delta in (0.01, None):
         prob = LaplaceProblem(4, delta=delta)
+        v = prob.rhs(times[:1])[0]
+        assert v.shape == (prob.space.n_cells, 1) and not v.flags.writeable
         for k in (1, 3, 22, 64):
             block = prob.rhs(times[100:100 + k])
-            assert block.shape == (prob.space.n_cells, k)
-            assert block.flags.f_contiguous
+            assert block[0] is v and block[1].shape == (1, k)
             per_node = [manufactured_rhs(prob.space, prob.manufactured, t)
                         for t in times[100:100 + k]]
-            assert block.T.tobytes() == np.array(per_node).tobytes()
-    # the first row is not loaded: its block is zero
-    assert_array_equal(prob.system.zero_load(times[:3]),
-                       np.zeros((prob.space.n_edges, 3)))
+            assert dense_load(block).T.tobytes() == np.array(per_node).tobytes()
+    # the first row is not loaded: its block is of rank 0
+    zero = prob.system.zero_load(times[:3])
+    assert zero[0].shape == (prob.space.n_edges, 0) and zero[1].shape == (0, 3)
+    assert_array_equal(dense_load(zero), np.zeros((prob.space.n_edges, 3)))
 
 
 def test_zero_kernel_run_reproduces_stationary_solves():
     grid = TimeGrid(T=0.5, n_steps=8)
     prob = LaplaceProblem(4, delta=None)
-    fact = prob.system.factorization()
+    fact = prob.system.saddle
     states = []
     errs, _ = prob.run(grid, collect=lambda n, t, s, u: states.append((t, s, u)))
     assert errs is None   # no reference, no error norms
     for t, sig, u in states:
         sig_ref, u_ref = fact.solve(np.zeros(prob.space.n_edges),
-                                    prob.rhs([t])[:, 0])
+                                    dense_load(prob.rhs([t]))[:, 0])
         assert np.max(np.abs(sig - sig_ref)) <= 1e-12 * max(1.0, np.max(np.abs(sig_ref)))
         assert np.max(np.abs(u - u_ref)) <= 1e-12 * max(1.0, np.max(np.abs(u_ref)))
 
@@ -376,7 +379,17 @@ def test_laplace_errors_series_op():
     errs_online, _ = prob.run(grid, reference=prob.manufactured,
                               collect=lambda n, t, s, u: series.append((s, u)))
     errs_series = laplace_series_errors(prob, grid, series)
-    assert errs_series == errs_online
+    # the run measures its factored states from their coefficients, the
+    # series in dof space: the same up to rounding; with dense loads the
+    # run measures in dof space too, bit for bit
+    for name, norms in errs_online.items():
+        assert_allclose(norms["e0"], errs_series[name]["e0"], rtol=1e-14)
+    factored = prob.rhs
+    prob.rhs = lambda times: dense_load(factored(times))
+    series = []
+    errs_online, _ = prob.run(grid, reference=prob.manufactured,
+                              collect=lambda n, t, s, u: series.append((s, u)))
+    assert laplace_series_errors(prob, grid, series) == errs_online
     # interpolating the exact fields gives strictly smaller errors than
     # the zero series (pure interpolation error structure)
     interp = []

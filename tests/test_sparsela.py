@@ -8,11 +8,10 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
 
 from memfem.errors import EstimatorError, SaddleSolverError
-from memfem.kernels import MemoryKernel
+from memfem.beam import BeamProblem, joined_profile
+from memfem.kernels import MemoryKernel, PronySLS, beam_kernel
 from memfem.sparsela import (
-    RECYCLE_BYTES,
-    RECYCLE_COLUMNS,
-    RecycledSaddle,
+    SOLVE_BACKWARD_TOL,
     SaddleFactorization,
     as_csr,
     factorize_saddle,
@@ -22,7 +21,7 @@ from memfem.sparsela import (
     operator_norm_estimate,
 )
 from memfem.volterra import (BlockSaddleSystem, HistoryBuffer, TimeGrid,
-                             history_sum, step, step_gammas)
+                             dense_load, history_sum, step, step_gammas)
 
 
 def random_spd(n, rng):
@@ -96,7 +95,7 @@ def check_steps_against_scaled_kkt(a, b, rng):
     exp = MemoryKernel.exp_convolution
     sys_ = BlockSaddleSystem(a, b, exp(-2.4, 1.0), exp(5.6, 0.5),
                              exp(7.992, 2.0))
-    assert isinstance(sys_.factorization().plain._lu, spla.SuperLU)
+    assert isinstance(sys_.saddle._lu, spla.SuperLU)
     grid = TimeGrid(T=1.0, n_steps=4)   # w_nn = 1/8: g3 next to the gate
     g1, g2, g3 = step_gammas(sys_, grid, 1)
     assert_allclose((g1, g2, g3), (1.3, 0.3, 1e-3), rtol=1e-12)
@@ -203,13 +202,15 @@ def test_column_block_solve_rejects_one_non_finite_column(kind):
             fact.solve(f, g)
 
 
-def recycled(n_v=30, n_q=10, seed=3):
-    """A recycled SuperLU factorization of a random pair, and a load."""
+def factored(n_v=30, n_q=10, seed=3):
+    """A memory-free system on a random pair, a load of each row, and a
+    fresh history for blocks of one step each from node 0."""
     rng = np.random.RandomState(seed)
     a = sp.csr_matrix(random_spd(n_v, rng))
     b = sp.csr_matrix(rng.standard_normal((n_q, n_v)))
-    return (RecycledSaddle(factorize_saddle(a, b), a, b),
-            rng.standard_normal(n_v), rng.standard_normal(n_q))
+    sys_ = BlockSaddleSystem(a, b)
+    return (sys_, rng.standard_normal((n_v, 1)), rng.standard_normal((n_q, 1)),
+            HistoryBuffer(sys_, TimeGrid(T=1.0, n_steps=100)))
 
 
 def count_lu_columns(monkeypatch):
@@ -226,109 +227,170 @@ def count_lu_columns(monkeypatch):
 
 
 def test_recycled_solves_reach_the_lu_once_per_direction(monkeypatch):
-    # a block in the span of one solved load costs no LU solve, and a
-    # column 1e-8 off that span reaches the LU once: all as plain solves
-    fact, f, g = recycled()
+    # each new vector V of a pair (V, C) reaches the LU once in a run,
+    # on its block row; the same V in later blocks costs no LU solve, and
+    # a new V object does, however near the old one
+    sys_, f, g, hist = factored()
+    off = f + 1e-8 * np.arange(len(f))[:, None]
     scales = np.array([[-2.0, 0.5, 3.0, 1e-3]])
-    off = f + 1e-8 * np.arange(len(f))
-    loads = [(f, g), (f[:, None] * scales, g[:, None] * scales), (off, g)]
-    refs = [np.concatenate(fact.plain.solve(*load)) for load in loads]
+    blocks = [((f, scales[:, :1]), (g, scales[:, :1])),
+              ((f, scales), (g, 2.0 * scales)),
+              ((off, scales[:, :1]), (g, scales[:, :1]))]
+    refs = [np.concatenate(sys_.saddle.solve(*map(dense_load, block)))
+            for block in blocks]
     lu = count_lu_columns(monkeypatch)
-    for load, ref, reached, size in zip(loads, refs, ([1], [1], [1, 1]),
-                                        (1, 1, 2)):
-        x = np.concatenate(fact.solve(*load))
-        assert lu == reached and len(fact._vy) == size
+    for block, ref, reached in zip(blocks, refs, ([1, 1], [1, 1], [1, 1, 1])):
+        x = np.concatenate(step(sys_, hist, *block)[:2])
+        assert lu == reached
         assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert len(hist.y) == 3
 
 
 def test_recycled_coefficients_give_the_states():
-    # solve_on_basis returns what solve does and, while no column reaches
-    # the LU, the columns' coefficients on the basis solutions: also for
-    # columns taken after the basis grew within their block
-    fact, f, g = recycled()
-    off = f + 1e-8 * np.arange(len(f))
-    blocks = [(np.outer(f, [-2.0, 0.5]), np.outer(g, [-2.0, 0.5])),
-              (np.column_stack((f, off, 3.0 * off)), np.outer(g, [1, 1, 3])),
-              (f, g)]
-    for load, rank in zip(blocks, (1, 2, 2)):
-        u, p, (c, y) = fact.solve_on_basis(*load)
-        x = np.concatenate((u, p)).reshape(len(y[0]), -1)
-        assert c.shape == (x.shape[1], rank) and len(y) == rank
+    # a block of pairs comes with its basis (C, Y): [u; p] = (C Y)^T,
+    # where Y = hist.y gains a row per new vector and keeps its rows; a
+    # block with a dense load comes without one
+    sys_, f, g, hist = factored()
+    off = f + 1e-8 * np.arange(len(f))[:, None]
+    blocks = [((f, [[-2.0, 0.5]]), (g, [[-2.0, 0.5]])),
+              ((np.hstack((f, off)), [[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]]),
+               (g, [[1.0, 1.0, 3.0]])),
+              ((f, [[1.0]]), (g, [[1.0]]))]
+    seen = np.empty((0, len(f) + len(g)))
+    for (load_f, load_g), rank in zip(blocks, (2, 4, 4)):
+        u, p, (c, y) = step(sys_, hist, (load_f[0], np.array(load_f[1])),
+                            (load_g[0], np.array(load_g[1])))
+        x = np.concatenate((u, p))
+        assert c.shape == (x.shape[1], rank) and y is hist.y and len(y) == rank
+        assert_array_equal(y[:len(seen)], seen)
+        seen = y
         assert np.max(np.abs(c @ y - x.T)) <= 1e-14 * np.max(np.abs(x))
-    # a column that reaches the LU leaves the block without a basis
-    fresh, f, g = recycled()
-    assert fresh.solve_on_basis(np.zeros_like(f), np.zeros_like(g))[2] is None
+    assert step(sys_, hist, f, (g, np.ones((1, 1))))[2] is None
 
 
 def test_recycled_empty_basis_holds_no_column(monkeypatch):
-    # a fresh factorization solves even a zero column by the LU, whose
-    # direction has no norm to join the basis with
-    fact, f, g = recycled()
+    # loads of rank 0 on both rows reach no LU and give zero states on a
+    # basis of no rows
+    sys_, f, g, hist = factored()
     lu = count_lu_columns(monkeypatch)
-    u, p = fact.solve(np.zeros_like(f), np.zeros_like(g))
-    assert lu == [1] and len(fact._vy) == 0
-    assert not u.any() and not p.any()
+    u, p, (c, y) = step(sys_, hist, (f[:, :0], np.empty((0, 3))),
+                        (g[:, :0], np.empty((0, 3))))
+    assert lu == [] and len(hist.y) == 0
+    assert c.shape == (3, 0) and y.shape == (0, len(f) + len(g))
+    assert u.shape == (len(f), 3) and not u.any() and not p.any()
 
 
 @pytest.mark.parametrize("bad", [1e300, 1e308, math.inf, math.nan])
 @pytest.mark.parametrize("warm", [False, True], ids=["empty", "warm"])
-def test_recycled_column_that_overflows_takes_the_lu_path(monkeypatch, bad,
-                                                          warm):
-    # a column of 1e300 overflows the norm a new direction needs, and one
-    # of 1e308 overflows the projection too: either gives the plain
-    # solve's outcome, bit for bit with an empty basis; an infinite or NaN
-    # column raises as the plain solve does.  The basis keeps its size
-    fact, f, g = recycled()
+def test_recycled_column_that_overflows_takes_the_lu_path(bad, warm):
+    # a vector V scaled by bad reaches the LU, and the block gives the
+    # plain solve's outcome or raises as the plain solve or its check
+    # does; coefficients scaled by bad raise when not finite and read
+    # inf or the scaled states otherwise, never 0
+    sys_, f, g, hist = factored()
     if warm:
-        fact.solve(f, g)
-    size = len(fact._vy)
-    for load in ((bad * f, g), (f, bad * g), (bad * f, bad * g)):
+        step(sys_, hist, (f, np.ones((1, 1))), (g, np.ones((1, 1))))
+    for load_f, load_g in ((bad * f, g), (f, bad * g), (bad * f, bad * g)):
         try:
-            ref = np.concatenate(fact.plain.solve(*load))
+            ref = np.concatenate(sys_.saddle.checked_solve(load_f, load_g))
         except SaddleSolverError:
-            with pytest.raises(SaddleSolverError, match="non-finite"):
-                fact.solve(*load)
+            with pytest.raises(SaddleSolverError):
+                step(sys_, hist, (load_f, np.ones((1, 1))),
+                     (load_g, np.ones((1, 1))))
             continue
-        lu = count_lu_columns(monkeypatch)
-        x = np.concatenate(fact.solve(*load))
+        x = np.concatenate(step(sys_, hist, (load_f, np.ones((1, 1))),
+                                (load_g, np.ones((1, 1))))[:2])
         assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
-        if not warm:
-            assert lu == [1]
-            assert_array_equal(x, ref)
-        monkeypatch.undo()
-    assert len(fact._vy) == size
+    ones = np.ones((1, 1))
+    if not math.isfinite(bad):
+        with pytest.raises(SaddleSolverError, match="non-finite"):
+            step(sys_, hist, (f, bad * ones), (g, ones))
+        return
+    with np.errstate(over="ignore"):
+        x = np.concatenate(step(sys_, hist, (f, bad * ones),
+                                (g, bad * ones))[:2])
+    ref = np.concatenate(sys_.saddle.solve(f, g))
+    with np.errstate(over="ignore"):
+        assert_array_equal(np.isinf(x), np.isinf(bad * ref))
+        finite = np.isfinite(x)
+        assert np.max(np.abs(x[finite] - bad * ref[finite])) \
+            <= 1e-14 * np.max(np.abs(bad * ref[finite]))
 
 
 def test_recycled_solution_that_overflows_raises():
-    # u = A^{-1} f overflows where f, its projection and p do not: the
-    # column takes the LU path, which raises
+    # u = A^{-1} f overflows where f and p do not: the vector's LU solve
+    # raises
     a = 1e-10 * sp.identity(2, format="csr")
     b = sp.csr_matrix(np.array([[1.0, 0.0]]))
-    fact = RecycledSaddle(factorize_saddle(a, b), a, b)
-    fact.solve(np.array([0.0, 1.0]), np.zeros(1))
+    sys_ = BlockSaddleSystem(a, b)
+    hist = HistoryBuffer(sys_, TimeGrid(T=1.0, n_steps=4))
+    step(sys_, hist, (np.array([[0.0], [1.0]]), np.ones((1, 1))),
+         (np.zeros((1, 1)), np.ones((1, 1))))
     with pytest.raises(SaddleSolverError, match="non-finite"):
-        fact.solve(np.array([0.0, 1e300]), np.zeros(1))
+        step(sys_, hist, (np.array([[0.0], [1e300]]), np.ones((1, 1))),
+             (np.zeros((1, 1)), np.ones((1, 1))))
 
 
-def test_full_rank_loads_stop_at_the_cap(monkeypatch):
-    # every column adds a direction until the basis is full; later
-    # columns fall back to plain solves, and each column reaches the LU
-    # once, in blocks and one at a time
-    fact, _, _ = recycled(n_v=40, n_q=10)
-    assert fact.cap == RECYCLE_COLUMNS
+def test_full_rank_loads_give_the_plain_solve(monkeypatch):
+    # dense loads, in blocks and one node at a time: each block is one
+    # LU call with all of its columns, bit for bit the plain solve
+    sys_, _, _, hist = factored(n_v=40, n_q=10)
     loads = np.random.RandomState(8).standard_normal((50, 60))
-    ref = np.concatenate(fact.plain.solve(loads[:40], loads[40:]))
+    ref = np.concatenate(sys_.saddle.solve(loads[:40], loads[40:]))
     lu = count_lu_columns(monkeypatch)
     for cols in (slice(0, 10), slice(10, 11), slice(11, 40), slice(40, 60)):
-        x = np.concatenate(fact.solve(loads[:40, cols], loads[40:, cols]))
-        assert np.max(np.abs(x - ref[:, cols])) <= 1e-12 * np.max(np.abs(ref))
-    assert sum(lu) == 60 and len(fact._vy) == RECYCLE_COLUMNS
-    # V and Y of a larger system stay within RECYCLE_BYTES
-    n_v, n_q = 40000, 20000
-    big = RecycledSaddle(SaddleFactorization(None, n_v, n_q),
-                         sp.identity(n_v, format="csr"),
-                         sp.eye(n_q, n_v, format="csr"))
-    assert big.cap == 2 and 2 * big.cap * (n_v + n_q) * 8 <= RECYCLE_BYTES
+        u, p, basis = step(sys_, hist, loads[:40, cols], loads[40:, cols])
+        assert basis is None
+        assert_array_equal(np.concatenate((u, p)), ref[:, cols])
+    assert lu == [10, 1, 29, 20] and len(hist.y) == 0
+
+
+def test_checked_solve_raises_on_a_large_backward_error():
+    # an LU of K with A moved by 1e-6 solves, and checked against K
+    # itself reads a backward error of about 1e-8: it raises, in the
+    # stepper too; the plain solve does not check
+    rng = np.random.RandomState(4)
+    a = sp.csr_matrix(random_spd(12, rng))
+    b = sp.csr_matrix(rng.standard_normal((4, 12)))
+    good = factorize_saddle(a, b)
+    bad = factorize_saddle(a + 1e-6 * sp.identity(12), b)
+    wrong = SaddleFactorization(bad._lu, a, b)
+    f, g = rng.standard_normal(12), rng.standard_normal(4)
+    good.checked_solve(f, g)
+    wrong.solve(f, g)
+    with pytest.raises(SaddleSolverError, match="backward error .* exceeds"):
+        wrong.checked_solve(f, g)
+    sys_ = BlockSaddleSystem(a, b)
+    sys_.saddle = wrong
+    with pytest.raises(SaddleSolverError, match="backward error"):
+        step(sys_, HistoryBuffer(sys_, TimeGrid(T=1.0, n_steps=2)),
+             (f[:, None], np.ones((1, 1))), (g[:, None], np.ones((1, 1))))
+    # a zero column is solved exactly
+    assert not np.concatenate(good.checked_solve(np.zeros(12),
+                                                 np.zeros(4))).any()
+
+
+@pytest.mark.parametrize("n", [20, 160])
+def test_thin_beam_solves_pass_the_check(n):
+    # the joined beam at d = 1e-4 (eps^2 about 4e-9): its one load
+    # direction reads a backward error far below SOLVE_BACKWARD_TOL, per
+    # block row, and a run with its error norms raises nothing
+    cfg = joined_profile(d=1e-4)
+    kern = beam_kernel(PronySLS(1.0, 1.0, 1.0))
+    prob = BeamProblem(cfg, n, kern, 1.0, np.exp, None)
+    fact, (v, _) = prob.system.saddle, prob.rhs([0.0])
+    f = np.zeros((prob.n_v, 1))
+    u, p = fact.checked_solve(f, v)
+    a, b = prob.a.toarray(), prob.b.toarray()
+    res_f = abs(a @ u + b.T @ p).max()
+    res_g = abs(b @ u - v).max()
+    norm_a, norm_bt = abs(a).sum(axis=1).max(), abs(b.T).sum(axis=1).max()
+    eta_f = res_f / (norm_a * abs(u).max() + norm_bt * abs(p).max())
+    eta_g = res_g / (abs(b).sum(axis=1).max() * abs(u).max() + abs(v).max())
+    assert max(eta_f, eta_g) <= 1e-3 * SOLVE_BACKWARD_TOL
+    grid = TimeGrid(T=1.0, n_steps=200)
+    errors, _ = prob.run(grid, reference=prob.reference(grid, n))
+    assert np.isfinite([errors[k]["e0"] for k in BeamProblem.FIELDS]).all()
 
 
 def gram_sqrt(g):

@@ -10,13 +10,14 @@ from memfem.errors import EstimatorError, SaddleSolverError, StabilityGateError
 from memfem import volterra
 from memfem.kernels import MemoryKernel, PronySLS, beam_kernel, fickian_kernel
 from memfem.laplace_mem import LaplaceProblem
-from memfem.sparsela import RecycledSaddle, SaddleFactorization
+from memfem.sparsela import SaddleFactorization
 from memfem.volterra import (
     BlockSaddleSystem,
     HistoryBuffer,
     TimeGrid,
     VolterraStepper,
     audit,
+    dense_load,
     error_constants,
     history_sum,
     stability_constants,
@@ -47,6 +48,12 @@ def const_load(*values):
     """A block load callback: the vector ``values`` at every node."""
     row = np.array(values, dtype=float)
     return lambda times: np.tile(row, (len(times), 1)).T
+
+
+def pair_load(*values):
+    """``const_load`` as the pair ``(V, C)``: one vector V for every block."""
+    v = np.array(values, dtype=float)[:, None]
+    return lambda times: (v, np.ones((1, len(times))))
 
 
 def block_load(load):
@@ -148,41 +155,52 @@ def test_time_varying_kernel_factors_once_rt0_p0_pair_on_superlu(monkeypatch):
     prob = LaplaceProblem(4, delta=None, kernel=time_varying_kernel())
     prob.run(TimeGrid(T=1.0, n_steps=50))
     assert len(calls) == 1
-    assert isinstance(prob.system.factorization().plain._lu, spla.SuperLU)
+    assert isinstance(prob.system.saddle._lu, spla.SuperLU)
 
 
-def test_laplace_level_at_m64_reaches_the_lu_once(monkeypatch):
+def test_laplace_level_at_m64_makes_one_lu_solve_per_load_direction(
+        monkeypatch):
     # the largest benchmark level under the fickian kernel, with its error
-    # norms: every load of the run lies in one direction, and the
-    # recycler's gate takes each one against SuperLU's backward error
+    # norms: row 2's load is one vector times a scalar and row 1 has none,
+    # so the run makes one LU solve, of that vector, and every block is
+    # measured from its coefficients
     calls = count_factorizations(monkeypatch)
     solves = record_solves(monkeypatch)
     prob = LaplaceProblem(64)
+    ranks = []
+    acc_add = volterra.L1NormAccumulator.add
+
+    def add(acc, n, u, p, basis=None):
+        ranks.append(None if basis is None else basis[0].shape[1])
+        return acc_add(acc, n, u, p, basis)
+
+    monkeypatch.setattr(volterra.L1NormAccumulator, "add", add)
     errors, _ = prob.run(TimeGrid(T=1.0, n_steps=200),
                          reference=prob.manufactured)
-    assert len(calls) == 1 and len(solves) == 1
+    assert len(calls) == 1
+    [(_, f, g)] = solves
+    assert f.shape == (prob.space.n_edges, 1) and not f.any()
+    assert_array_equal(g, prob.rhs([0.0])[0])
+    assert set(ranks) == {1} and len(ranks) == 67
     assert np.isfinite([errors[k]["e0"] for k in LaplaceProblem.FIELDS]).all()
 
 
-def record_solves(monkeypatch, kind=SaddleFactorization, name="solve"):
-    """``(factorization id, f, g)`` of every call of a ``kind``'s solve
-    ``name``: the LU solves by default, or the recycled solves that the
-    stepper asks for (``RecycledSaddle.solve_on_basis``)."""
+def record_solves(monkeypatch):
+    """``(factorization id, f, g)`` of every LU solve."""
     solves = []
-    orig = getattr(kind, name)
+    orig = SaddleFactorization.solve
 
     def recorded(fact, f, g):
         solves.append((id(fact), f.copy(), g.copy()))
         return orig(fact, f, g)
 
-    monkeypatch.setattr(kind, name, recorded)
+    monkeypatch.setattr(SaddleFactorization, "solve", recorded)
     return solves
 
 
 def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     calls = count_factorizations(monkeypatch)
-    solves = record_solves(monkeypatch, RecycledSaddle, "solve_on_basis")
-    lu_solves = record_solves(monkeypatch)
+    solves = record_solves(monkeypatch)
     gammas = []
     orig_gammas = volterra.step_gammas
 
@@ -204,10 +222,7 @@ def test_step0_and_steady_steps_share_one_factor(monkeypatch):
     # with g3 folded into the constraint column q_n = B u_n
     assert stepper.width == 64
     assert [(fact, f.shape, q.shape) for fact, f, q in solves] \
-        == [(id(sys_.factorization()), (1, 21), (1, 21))]
-    # its columns span one direction, which alone reaches the LU
-    assert [(fact, f.shape, q.shape) for fact, f, q in lu_solves] \
-        == [(id(sys_.factorization().plain), (1,), (1,))]
+        == [(id(sys_.saddle), (1, 21), (1, 21))]
     [(n0, times, u)] = blocks
     assert n0 == 0 and u.shape == (1, 21)
     assert_array_equal(times, grid.times)
@@ -267,7 +282,7 @@ def test_zero_kernel_reduces_to_stationary_solve():
     b = sp.csr_matrix(rng.standard_normal((m, n)))
     sys = BlockSaddleSystem(a, b)
     grid = TimeGrid(T=1.0, n_steps=6)
-    fact = sys.factorization()
+    fact = sys.saddle
 
     def f_of_t(t):
         return np.sin(t + np.arange(n, dtype=float))
@@ -385,7 +400,7 @@ def test_general_gate_fails_mid_block_before_its_loads(monkeypatch, value,
     with pytest.raises(error) as direct:
         step_gammas(sys_, grid, 70)
     assert "at step 70" in str(direct.value)
-    solves = record_solves(monkeypatch, RecycledSaddle, "solve_on_basis")
+    solves = record_solves(monkeypatch)
     loads = []
 
     def f_of_t(times):
@@ -733,8 +748,8 @@ def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
 
 
 def test_audit_direct_side_makes_one_plain_lu_solve_per_node(monkeypatch):
-    # the run recycles its solves and reaches the LU once; the direct
-    # side solves each node by the plain factorization
+    # the run solves its one load vector once; the direct side solves
+    # each node, on its loads made dense, by the same factorization
     sys_ = sized_system(6, 2, k3=beam_kernel(PronySLS(1.0, 1.0, 1.0)))
     grid = TimeGrid(T=2.0, n_steps=200)
     stepping, lu = [None], []
@@ -750,25 +765,30 @@ def test_audit_direct_side_makes_one_plain_lu_solve_per_node(monkeypatch):
 
     monkeypatch.setattr(volterra, "step", marked)
     monkeypatch.setattr(SaddleFactorization, "solve", counted)
-    steps, deviation = audit(sys_, grid, const_load(*[0.0] * 6),
-                             const_load(1.0, 2.0))
+    steps, deviation = audit(sys_, grid, sys_.zero_load, pair_load(1.0, 2.0))
     assert steps == 200 and deviation <= 1e-12
-    assert lu == [("run", (6,))] + [("direct", (6,))] * 201
+    assert lu == [("run", (6, 1))] + [("direct", (6, 1))] * 201
 
 
-def test_audit_sees_perturbed_recycled_solves():
-    # basis solutions 1e-9 relative off move every recycled state by as
-    # much, and the plain direct side shows it
+def test_audit_sees_perturbed_recycled_solves(monkeypatch):
+    # the run's one solve 1e-9 relative off, after its check, moves every
+    # state of the run by as much, and the direct side shows it
     kernel = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
     sys_ = sized_system(6, 2, k3=kernel)
     grid = TimeGrid(T=1.0, n_steps=100)
-    loads = const_load(*[0.0] * 6), const_load(1.0, 2.0)
+    loads = sys_.zero_load, pair_load(1.0, 2.0)
     assert audit(sys_, grid, *loads)[1] <= 1e-12
-    fact = sys_.factorization()
-    assert len(fact._vy) == 1
-    fact._vy[:, 8:] *= 1.0 + 1e-9           # Y, after V
-    # all of it: a recycled direct side would have shared some
+    checked, calls = SaddleFactorization.checked_solve, []
+
+    def off(fact, f, g):
+        calls.append(f.shape)
+        u, p = checked(fact, f, g)
+        return (u * (1.0 + 1e-9), p * (1.0 + 1e-9)) if len(calls) == 1 \
+            else (u, p)
+
+    monkeypatch.setattr(SaddleFactorization, "checked_solve", off)
     deviation = audit(sys_, grid, *loads)[1]
+    assert calls == [(6, 1)] * 102
     assert deviation > 1e-12 and abs(deviation - 1e-9) < 1e-11
 
 
@@ -1084,14 +1104,15 @@ def test_error_constants_unit_inputs_frozen():
 
 @pytest.mark.parametrize("slot", ["k3", "k2"])
 def test_observer_of_five_arguments_gets_the_basis(slot):
-    # each block's states are (C Y)^T on the recycled basis; a k2 scales
-    # p by g1 / g2 after the solve, so its nodes come without a basis
+    # each block's states are (C Y)^T on the solved load vectors; a k2
+    # adds a dense history sum from node 1 on, so those nodes are one
+    # dense solve each, without a basis
     kernel = {slot: MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}
     sys_ = sized_system(3, 2, **kernel)
     grid = TimeGrid(T=1.0, n_steps=8)
     blocks = []
     VolterraStepper(sys_, grid).run(
-        const_load(1.0, 0.0, 2.0), const_load(1.0, -1.0),
+        pair_load(1.0, 0.0, 2.0), pair_load(1.0, -1.0),
         on_step=lambda n, times, u, p, basis: blocks.append((u, p, basis)))
     for n, (u, p, basis) in enumerate(blocks):
         if slot == "k2" and n:
@@ -1101,3 +1122,35 @@ def test_observer_of_five_arguments_gets_the_basis(slot):
         x = np.concatenate((u, p))
         assert np.max(np.abs(c @ y - x.T)) <= 1e-14 * np.max(np.abs(x))
     assert len(blocks) == (1 if slot == "k3" else grid.n_steps + 1)
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["exp", "general"])
+def test_loads_may_switch_between_pairs_and_arrays(general):
+    # row 2 loaded by a pair, then by the same load as an array for one
+    # block, then by pairs on a new vector: the history of q gains a dense
+    # part, so the later blocks are dense solves too, and every state is
+    # that of the run on arrays throughout
+    kernel = MemoryKernel.exp_convolution(c=-1.5, rate=0.7)
+    sys_ = sized_system(5, 2, k3=direct_form(kernel) if general else kernel)
+    grid = TimeGrid(T=2.0, n_steps=200)
+    v, w = np.array([[1.0], [-2.0]]), np.array([[2.0], [-4.0]])
+
+    def pairs(times):
+        if times[0] < grid.times[64]:
+            return v, np.cos(times)[None, :]
+        if times[0] < grid.times[128]:
+            return v @ np.cos(times)[None, :]
+        return w, 0.5 * np.cos(times)[None, :]
+
+    runs = []
+    for load in (pairs, lambda times: dense_load(pairs(times))):
+        blocks = []
+        VolterraStepper(sys_, grid).run(
+            sys_.zero_load, load,
+            on_step=lambda n, times, u, p, basis: blocks.append(
+                (np.concatenate((u, p)), basis is None)))
+        runs.append(blocks)
+    assert [dense for _, dense in runs[0]] == [False, True, True, True]
+    assert [dense for _, dense in runs[1]] == [True] * 4
+    x, ref = (np.hstack([x for x, _ in blocks]) for blocks in runs)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
