@@ -362,8 +362,9 @@ class BeamProblem:
         self.a = assemble_beam_a(cfg, self.mesh)
         self.b = assemble_beam_b(self.mesh)
         self.system = BlockSaddleSystem(self.a, self.b, k3=kernel)
-        # row 2's load vector, one object for the run's one LU solve
-        self._load = beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)[:, None]
+        # row 2's load vector: one read-only owner, one LU solve a run
+        self._load = np.array(
+            beam_rhs(cfg, self.mesh, f_space, g_space, e0=e0)[:, None])
         self._load.flags.writeable = False
         self.n_v = 2 * (self.mesh.n_elements + 1)
         self.n_q = 2 * self.mesh.n_elements

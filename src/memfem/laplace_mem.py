@@ -242,8 +242,9 @@ class LaplaceProblem:
         self.a = assemble_rt0_mass(self.space)
         self.b = assemble_rt0_div(self.space)
         self.system = BlockSaddleSystem(self.a, self.b, k3=kernel)
-        # row 2's load vector, one object for the run's one LU solve
-        self._load = manufactured_rhs_base(self.space, self.manufactured)[:, None]
+        # row 2's load vector: one read-only owner, one LU solve a run
+        self._load = np.array(
+            manufactured_rhs_base(self.space, self.manufactured)[:, None])
         self._load.flags.writeable = False
         self.h = math.sqrt(2.0) / m
 

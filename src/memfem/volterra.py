@@ -17,14 +17,13 @@ The scalings are scalars, so every step shares one SuperLU LU of the
 unscaled ``K = [[A, B^T], [B, 0]]``, and :func:`step` applies them around
 its solves.  A load block is a dense ``(n, k)`` array or a pair ``(V,
 C)`` of vectors ``V`` ``(n, r)`` and coefficients ``C`` ``(r, k)``, the
-load ``V C``.  A run solves ``Y = K^{-1} V`` once per ``V`` and steps
-the coefficients alone: both drivers load row 2 with one vector times a
-scalar, so a run makes one LU solve.  The history kept is what the
-attached kernels read:
-an exponential kernel gets an O(1) recurrence, a general kernel one
-product of its weighted values with the stored ``(N+1, n)`` states of
-the family it reads.  :func:`audit` checks a run against the same
-kernels in that direct form.
+load ``V C``.  A run solves ``Y = K^{-1} V`` once per read-only ``V``
+and steps the coefficients alone: both drivers load row 2 with one
+vector times a scalar, so a run makes one LU solve.  The history kept
+is what the attached kernels read: an exponential kernel gets an O(1)
+recurrence, a general kernel one product of its weighted values with
+the stored ``(N+1, n)`` states of the family it reads.  :func:`audit`
+checks a run against the same kernels in that direct form.
 
 Row 2 alone reads ``g3_n q_n - sum_{j<n} w_{n,j} k3(t_n,t_j) q_j = g_n``.
 Without ``k1`` and ``k2`` (``HistoryBuffer.blocked``), every ``(f_n,
@@ -359,11 +358,9 @@ class HistoryBuffer:
       ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
     * a family that no general kernel reads is never stored.
 
-    The rows of ``y`` are ``K^{-1}`` of the columns of each ``V`` of a
-    pair ``(V, C)`` seen in the run, on its block row of ``K``; rows are
-    only added.  ``q`` is kept on them too: an exponential ``k3``'s
-    history beside its dense part, and a general ``k3``'s ``q`` of each
-    node (the family ``c``) until one has a dense part.
+    The rows of ``y`` are ``K^{-1}`` of the columns of each ``V`` that
+    the run solved (see :func:`step`), on its block row of ``K``, and are
+    only added; an exponential ``k3`` keeps its history of ``q`` on them.
 
     ``blocked``: several nodes may share a solve (see the module docstring).
     """
@@ -386,11 +383,8 @@ class HistoryBuffer:
         self._maps = {}         # (block starts at node 0, k) -> row 2's map
         self._count = 0         # solved states appended
         self._loads = {}        # (block row, id(V)) -> (V, its rows of y)
-        self._v = np.empty((0, sys.n_v + sys.n_q))      # [V; 0] or [0; V]
-        self.y = np.empty((0, sys.n_v + sys.n_q))       # K^{-1} of each
+        self.y = np.empty((0, sys.n_v + sys.n_q))   # K^{-1} [V; 0] or [0; V]
         self._q = np.zeros(0)   # k3's history of q on the rows of y
-        self._qrows = None if sys.k3 is None or sys.k3.is_exp \
-            else np.zeros((grid.n_steps + 1, 0))
 
     def __len__(self) -> int:
         return self._count
@@ -438,9 +432,7 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
     holds one and ``k`` is not given, and otherwise as one product of the
     weighted ``(k, n)`` kernel block with the stored states (for ``q``,
-    ``B`` times that of the stored ``u``).  The family ``c`` is ``q`` on
-    the rows of ``hist.y``: its coefficients, which a general ``k3``
-    keeps while no node's ``q`` had a dense part.
+    ``B`` times that of the stored ``u``).
     """
     n = len(hist)
     if n < 1:
@@ -448,11 +440,12 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
     recur = hist._recur.get((kernel, which))
     if recur is not None and k is None:
         # a copy: the next append updates the recurrence in place
-        if which == "q":        # and the part on the loads' solutions
-            return recur[1] + hist._q @ hist._v[:, hist.b.shape[1]:]
+        if which == "q":        # and that of row 2's solved V
+            return recur[1] + sum(v @ hist._q[rows] for (row, _), (v, rows)
+                                  in hist._loads.items() if row)
         return recur[1].copy()
     times, weights, rows = hist.grid.times, hist.grid.weights, k or 1
-    xs = hist._qrows[:n] if which == "c" else hist.vectors(_ROWS[which])
+    xs = hist.vectors(_ROWS[which])
     if len(xs) < n:
         raise ValueError(f"history sum of {which!r} at step {n} needs {n} "
                          f"stored states, and the buffer holds {len(xs)}")
@@ -514,6 +507,11 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     block's ``(k, r)`` coefficients on the rows ``Y = hist.y`` with
     ``[u; p] = (C Y)^T``, or None when a dense part entered the solve.
 
+    A pair's ``V`` is known by identity and solved once per run, by
+    :meth:`SaddleFactorization.checked_solve`, only when it owns its data
+    and is read-only, as it must stay for the run; any other pair, or one
+    past the run's first ``_LOAD_VECTORS`` solved vectors, loads as ``V C``.
+
     The stability gate is checked before the solve: at node n and, in a
     block holding node 0, at node 1, whose scalings every later node
     shares, or under a general ``k3`` at every node.  Row 2 then gives
@@ -531,9 +529,9 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     columns ``(f_n / g1, q_n)`` give ``u`` and ``(g2 / g1) p``: from the
     solutions ``Y`` of the pairs' vectors, solved once per run, or, when
     the block has a dense part (dense loads, the ``k1`` and ``k2``
-    history sums, a general ``k3``'s history before the block once a
-    node's ``q`` had a dense part), by one multi-column LU solve of the
-    whole right-hand side.  Every block scaling is applied here.
+    history sums, a general ``k3``'s history before the block), by one
+    multi-column LU solve of the whole right-hand side.  Every block
+    scaling is applied here.
     """
     grid, n = hist.grid, len(hist)
     k = (f[1] if isinstance(f, tuple) else f).shape[1]
@@ -551,10 +549,8 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
             fd = _plus(fd, sys.a @ history_sum(hist, sys.k1, "u")[:, None])
         if sys.k2 is not None:
             fd = _plus(fd, sys.b.T @ history_sum(hist, sys.k2, "p")[:, None])
-        if general and hist._qrows is None:     # before the block, from B u
+        if general:             # the history before the block, from B u
             gd = _plus(gd, history_sum(hist, sys.k3, "q", k))
-        elif general:                           # from q's coefficients
-            gc = gc + history_sum(hist, sys.k3, "c", k)
     if general:                 # rows over g3: a block of one is g / g3
         t = grid.times[n:n + k]
         kv = np.reshape(sys.k3.eval(np.repeat(t, k), np.tile(t, k)), (k, k))
@@ -564,11 +560,7 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
             return x if x is None else solve_triangular(
                 -low, (x / g3).T, lower=True, unit_diagonal=True,
                 check_finite=False).T
-        qd, qc = row2(gd), row2(gc)
-        if hist._qrows is not None and qd is None:
-            hist._qrows[n:n + k] = qc.T
-        else:
-            hist._qrows = None
+        qd, qc = row2(gd), row2(gc) if len(gc) else gc
     elif sys.k3 is not None:
         decay, h = hist._recur[(sys.k3, "q")]
         key = (n == 0, k)
@@ -591,13 +583,15 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
             raise SaddleSolverError("non-finite load coefficients")
         x, basis = np.dot(hist.y.T, c), (c.T, hist.y)
     else:                       # one solve of the whole right-hand side
-        x = np.dot(hist._v.T, c)
+        x = np.zeros((sys.n_v + sys.n_q, k))
+        for (row, _), (v, rows) in hist._loads.items():
+            x[slice(sys.n_v, None) if row else slice(sys.n_v)] += v @ c[rows]
         if fd is not None:
             x[:sys.n_v] += fd / g1 if g1 != 1.0 else fd
         if qd is not None:
             x[sys.n_v:] += qd
-        x, basis = np.concatenate(sys.saddle.checked_solve(
-            x[:sys.n_v], x[sys.n_v:])), None
+        x, basis = np.concatenate(sys.saddle.solve(x[:sys.n_v],
+                                                   x[sys.n_v:])), None
     u, p = x[:sys.n_v], x[sys.n_v:]
     if g1 != g2:
         p *= g1 / g2
@@ -616,29 +610,33 @@ def dense_load(load) -> np.ndarray:
     return load[0] @ load[1] if isinstance(load, tuple) else load
 
 
+# the load vectors a run solves once; see step
+_LOAD_VECTORS = 16
+
+
 def _load_parts(sys, hist, f, g, k):
     """``(D, C)`` of each block load ``f``, ``g`` of k nodes: its dense
     part, or None, and its ``(r, k)`` coefficients on the rows of
-    ``hist.y``.  A pair's ``V`` not seen before in the run is solved now,
-    by one LU solve of its columns."""
-    n_v = sys.n_v
+    ``hist.y``.  A pair's ``V`` that :func:`step` keeps is solved when
+    first seen, by one checked LU solve of its columns."""
+    n_v, loads = sys.n_v, []
     for row, load in enumerate((f, g)):
-        if not isinstance(load, tuple) or (row, id(load[0])) in hist._loads:
-            continue
-        v, r = load[0], len(hist.y)
-        rhs = np.zeros((n_v + sys.n_q, v.shape[1]))
-        rhs[slice(0, n_v) if row == 0 else slice(n_v, None)] = v
-        if v.shape[1]:
-            y = np.concatenate(sys.saddle.checked_solve(rhs[:n_v], rhs[n_v:]))
-            hist._v = np.vstack((hist._v, rhs.T))
-            hist.y = np.vstack((hist.y, y.T))
-            hist._q = np.append(hist._q, np.zeros(v.shape[1]))
-            if hist._qrows is not None:
-                hist._qrows = np.pad(hist._qrows, ((0, 0), (0, v.shape[1])))
-        # V is kept, so its id is not reused while the run holds it
-        hist._loads[(row, id(v))] = (v, slice(r, len(hist.y)))
+        if isinstance(load, tuple) and (row, id(load[0])) not in hist._loads:
+            v, r = load[0], len(hist.y)
+            if not v.shape[1] or v.flags.writeable or not v.flags.owndata \
+                    or r + v.shape[1] > _LOAD_VECTORS:
+                load = dense_load(load) if v.shape[1] else None
+            else:
+                rhs = np.zeros((n_v + sys.n_q, v.shape[1]))
+                rhs[slice(n_v, None) if row else slice(n_v)] = v
+                y = sys.saddle.checked_solve(rhs[:n_v], rhs[n_v:])
+                hist.y = np.vstack((hist.y, np.concatenate(y).T))
+                hist._q = np.append(hist._q, np.zeros(v.shape[1]))
+                # V is kept, so its id is not reused while the run holds it
+                hist._loads[(row, id(v))] = (v, slice(r, len(hist.y)))
+        loads.append(load)
     parts = []
-    for row, load in enumerate((f, g)):
+    for row, load in enumerate(loads):
         c = np.zeros((len(hist.y), k))
         if isinstance(load, tuple):
             c[hist._loads[(row, id(load[0]))][1]] = load[1]
@@ -696,10 +694,10 @@ class VolterraStepper:
         general ``k3``, once all of its nodes pass the gate, node by node
         (``benchmark/test_benchmark.py`` pins a probe of the benchmark's
         meter, taken at each load, per node of such a run), and a node's
-        pairs on one ``V`` make one pair.  ``on_step(n, times, u, p, basis)`` gets each block once it
-        is solved: its nodes ``times`` from node ``n`` on, states of the
-        same shapes that no later block writes, and the block's ``basis``
-        from :func:`step`.
+        pairs on one ``V`` make one pair.  ``on_step(n, times, u, p,
+        basis)`` gets each block once it is solved: its nodes ``times``
+        from node ``n`` on, states of the same shapes that no later block
+        writes, and the block's ``basis`` from :func:`step`.
         """
         times, k3 = self.grid.times, self.sys.k3
         general = self.hist.blocked and k3 is not None and not k3.is_exp

@@ -202,14 +202,22 @@ def test_column_block_solve_rejects_one_non_finite_column(kind):
             fact.solve(f, g)
 
 
+def frozen(x):
+    """A read-only copy of ``x``: a pair's ``V`` that a run solves once."""
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
 def factored(n_v=30, n_q=10, seed=3):
-    """A memory-free system on a random pair, a load of each row, and a
-    fresh history for blocks of one step each from node 0."""
+    """A memory-free system on a random pair, a read-only load vector of
+    each row, and a fresh history for blocks of one step each from node 0."""
     rng = np.random.RandomState(seed)
     a = sp.csr_matrix(random_spd(n_v, rng))
     b = sp.csr_matrix(rng.standard_normal((n_q, n_v)))
     sys_ = BlockSaddleSystem(a, b)
-    return (sys_, rng.standard_normal((n_v, 1)), rng.standard_normal((n_q, 1)),
+    return (sys_, frozen(rng.standard_normal((n_v, 1))),
+            frozen(rng.standard_normal((n_q, 1))),
             HistoryBuffer(sys_, TimeGrid(T=1.0, n_steps=100)))
 
 
@@ -231,7 +239,7 @@ def test_recycled_solves_reach_the_lu_once_per_direction(monkeypatch):
     # on its block row; the same V in later blocks costs no LU solve, and
     # a new V object does, however near the old one
     sys_, f, g, hist = factored()
-    off = f + 1e-8 * np.arange(len(f))[:, None]
+    off = frozen(f + 1e-8 * np.arange(len(f))[:, None])
     scales = np.array([[-2.0, 0.5, 3.0, 1e-3]])
     blocks = [((f, scales[:, :1]), (g, scales[:, :1])),
               ((f, scales), (g, 2.0 * scales)),
@@ -251,9 +259,9 @@ def test_recycled_coefficients_give_the_states():
     # where Y = hist.y gains a row per new vector and keeps its rows; a
     # block with a dense load comes without one
     sys_, f, g, hist = factored()
-    off = f + 1e-8 * np.arange(len(f))[:, None]
+    both = frozen(np.hstack((f, f + 1e-8 * np.arange(len(f))[:, None])))
     blocks = [((f, [[-2.0, 0.5]]), (g, [[-2.0, 0.5]])),
-              ((np.hstack((f, off)), [[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]]),
+              ((both, [[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]]),
                (g, [[1.0, 1.0, 3.0]])),
               ((f, [[1.0]]), (g, [[1.0]]))]
     seen = np.empty((0, len(f) + len(g)))
@@ -290,7 +298,8 @@ def test_recycled_column_that_overflows_takes_the_lu_path(bad, warm):
     sys_, f, g, hist = factored()
     if warm:
         step(sys_, hist, (f, np.ones((1, 1))), (g, np.ones((1, 1))))
-    for load_f, load_g in ((bad * f, g), (f, bad * g), (bad * f, bad * g)):
+    for load_f, load_g in ((frozen(bad * f), g), (f, frozen(bad * g)),
+                           (frozen(bad * f), frozen(bad * g))):
         try:
             ref = np.concatenate(sys_.saddle.checked_solve(load_f, load_g))
         except SaddleSolverError:
@@ -364,7 +373,8 @@ def test_checked_solve_raises_on_a_large_backward_error():
     sys_.saddle = wrong
     with pytest.raises(SaddleSolverError, match="backward error"):
         step(sys_, HistoryBuffer(sys_, TimeGrid(T=1.0, n_steps=2)),
-             (f[:, None], np.ones((1, 1))), (g[:, None], np.ones((1, 1))))
+             (frozen(f[:, None]), np.ones((1, 1))),
+             (frozen(g[:, None]), np.ones((1, 1))))
     # a zero column is solved exactly
     assert not np.concatenate(good.checked_solve(np.zeros(12),
                                                  np.zeros(4))).any()
