@@ -418,7 +418,8 @@ class BeamProblem:
 
         Errors against ``reference`` are None when no reference is given.
         """
-        stepper = VolterraStepper(self.system, grid)
+        stepper = VolterraStepper(self.system, grid,
+                                  states=collect is not None)
         acc = None if reference is None else \
             beam_accumulator(self.mesh, reference, grid)
 

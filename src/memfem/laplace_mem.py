@@ -297,7 +297,8 @@ class LaplaceProblem:
         Errors against ``reference`` (usually ``self.manufactured``) are
         None when no reference is given.
         """
-        stepper = VolterraStepper(self.system, grid)
+        stepper = VolterraStepper(self.system, grid,
+                                  states=collect is not None)
         acc = None if reference is None else \
             laplace_accumulator(self.space, reference, grid)
 

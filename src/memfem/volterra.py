@@ -27,13 +27,14 @@ checks a run against the same kernels in that direct form.
 
 Row 2 alone reads ``g3_n q_n - sum_{j<n} w_{n,j} k3(t_n,t_j) q_j = g_n``.
 Without ``k1`` and ``k2`` (``HistoryBuffer.blocked``), every ``(f_n,
-q_n)`` is known before any solve: the stepper solves blocks of ``max(1,
-min(64, 65536 // (n_v + n_q)))`` nodes after row 2, which under a
-general ``k3`` is one product with the states before the block and one
-triangular solve inside it (Hairer, Lubich & Schlichte, SIAM J. Sci.
-Stat. Comput. 6, 1985).  That bound, 512 KiB of right-hand side, keeps
-a block's states about cache-sized; wider blocks saved at most a few
-percent, or lost, and cost memory.  Every other system solves one node
+q_n)`` is known before any solve: the stepper solves blocks after row 2,
+which under a general ``k3`` is one product with the states before the
+block and one triangular solve inside it (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985).  A block of ``max(1, min(64, 65536
+// (n_v + n_q)))`` nodes, 512 KiB of right-hand side, keeps its states
+about cache-sized; wider blocks saved at most a few percent, or lost.  A
+run that forms no states (``states=False`` under an absent or
+exponential ``k3``) takes 64 nodes.  Every other system solves one node
 at a time.
 
 L1-in-time error norms take each solved block at once: from the
@@ -183,16 +184,22 @@ class L1NormAccumulator:
         self._rfac = np.empty((len(sizes), 0, 0))
 
     @np.errstate(over="ignore")         # an overflow reads inf
-    def add(self, n: int, u: np.ndarray, p: np.ndarray, basis=None) -> None:
+    def add(self, n: int, u, p, basis=None) -> None:
         """Add nodes ``n, n + 1, ...``: the vectors of one node, or
         ``(n_v, k)`` and ``(n_q, k)`` arrays, one column per node.  A node
         adds the same bits whatever block it comes in.  A block given the
         ``basis`` ``(C, Y)`` of its solve (see :func:`step`) is measured
-        from ``C``; rows of ``Y`` seen before must not have changed."""
-        u, p = u.T.reshape(-1, len(u)), p.T.reshape(-1, len(p))
-        k = len(u)                  # one row per node from here on
-        if len(p) != k:
-            raise ValueError(f"u holds {k} nodes and p {len(p)}")
+        from ``C``, whose k rows count its nodes, and may come with ``u =
+        p = None``; rows of ``Y`` seen before must not have changed."""
+        if u is not None:
+            u, p = u.T.reshape(-1, len(u)), p.T.reshape(-1, len(p))
+            if len(p) != len(u):
+                raise ValueError(f"u holds {len(u)} nodes and p {len(p)}")
+        elif basis is None:
+            raise ValueError("a block needs its states or its basis")
+        k = len(u) if basis is None else len(basis[0])  # a row per node on
+        if u is not None and len(u) != k:
+            raise ValueError(f"u holds {len(u)} nodes and the basis {k}")
         if n != self._count:        # nodes come in order, from 0
             raise ValueError(f"expected node {self._count}, got {n}")
         if n + k > len(self._weights):
@@ -394,11 +401,21 @@ class HistoryBuffer:
         """Whether the states of any family are stored."""
         return bool(self._stored)
 
-    def append(self, u: np.ndarray, p: np.ndarray) -> None:
+    @property
+    def reads_states(self) -> bool:
+        """Whether :meth:`append` reads the states: some family is stored,
+        or ``k1`` or ``k2`` keeps a recurrence of ``u`` or ``p``."""
+        return self.store_full or not self.blocked
+
+    def append(self, u, p, k: int = 1) -> None:
         """Add solved states from node ``len(self)`` on: the vectors of
-        one node, or ``(n, k)`` arrays with one column per node."""
+        one node, or ``(n, k)`` arrays with one column per node; or, when
+        the history reads no states, count ``k`` nodes with ``u = p =
+        None``."""
+        if u is None and self.reads_states:
+            raise ValueError("this history reads the states it is given")
         n = self._count
-        k = 1 if u.ndim == 1 else u.shape[1]
+        k = k if u is None else 1 if u.ndim == 1 else u.shape[1]
         for which, x in (("u", u), ("p", p)):
             rows = self._stored.get(which)
             if rows is not None:
@@ -498,7 +515,8 @@ def _k3_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int, k: int):
     return 1.0 - wk
 
 
-def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
+def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
+         states: bool = True):
     """Advance the k nodes ``n = len(hist), ...`` loaded by the block
     loads ``f`` (row 1, ``n_v`` rows) and ``g`` (row 2, ``n_q`` rows):
     each a dense ``(rows, k)`` array or a pair ``(V, C)`` (see the module
@@ -506,6 +524,8 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     p, basis)``: one column per node, and ``basis`` ``(C, Y)``, the
     block's ``(k, r)`` coefficients on the rows ``Y = hist.y`` with
     ``[u; p] = (C Y)^T``, or None when a dense part entered the solve.
+    Without ``states``, a block solved on the basis forms no states, u =
+    p = None, when its history reads none (not ``hist.reads_states``).
 
     A pair's ``V`` is known by identity and solved once per run, by
     :meth:`SaddleFactorization.checked_solve`, only when it owns its data
@@ -581,6 +601,9 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g):
     if fd is None and qd is None:
         if not np.isfinite(c).all():
             raise SaddleSolverError("non-finite load coefficients")
+        if not (states or hist.reads_states):  # blocked: g1 = g2 = 1
+            hist.append(None, None, k)
+            return None, None, (c.T, hist.y)
         x, basis = np.dot(hist.y.T, c), (c.T, hist.y)
     else:                       # one solve of the whole right-hand side
         x = np.zeros((sys.n_v + sys.n_q, k))
@@ -670,15 +693,19 @@ class VolterraStepper:
     The history it keeps is what the system's kernels read (see
     :class:`HistoryBuffer`).  ``width`` nodes share a solve (see the
     module docstring): one for a system with ``k1`` or ``k2``, whose sums
-    read solved states.
+    read solved states.  ``states=False`` promises an observer that reads
+    only each block's ``basis`` where it has one (see :func:`step`).
     """
 
-    def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid):
+    def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid,
+                 states: bool = True):
         self.sys = sys
         self.grid = grid
         self.hist = HistoryBuffer(sys, grid)
-        self.width = max(1, min(64, 65536 // (sys.n_v + sys.n_q))) \
-            if self.hist.blocked else 1
+        self.states = states
+        free = not (states or self.hist.reads_states)   # k3 not general
+        self.width = (64 if free else max(1, min(64, 65536 // (
+            sys.n_v + sys.n_q)))) if self.hist.blocked else 1
 
     @property
     def n_done(self) -> int:
@@ -697,7 +724,8 @@ class VolterraStepper:
         pairs on one ``V`` make one pair.  ``on_step(n, times, u, p,
         basis)`` gets each block once it is solved: its nodes ``times``
         from node ``n`` on, states of the same shapes that no later block
-        writes, and the block's ``basis`` from :func:`step`.
+        writes, and the block's ``basis`` from :func:`step`; without
+        ``states``, ``u`` and ``p`` are None on a block with a ``basis``.
         """
         times, k3 = self.grid.times, self.sys.k3
         general = self.hist.blocked and k3 is not None and not k3.is_exp
@@ -709,7 +737,7 @@ class VolterraStepper:
                                         for t in block[:, None]]))
             else:
                 f, g = f_of_t(block), g_of_t(block)
-            u, p, basis = step(self.sys, self.hist, f, g)
+            u, p, basis = step(self.sys, self.hist, f, g, self.states)
             if on_step is not None:
                 on_step(start, block, u, p, basis)
             del u, p, basis             # not alive through the next solve

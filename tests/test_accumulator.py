@@ -425,3 +425,43 @@ def test_result_is_the_per_node_sum_on_random_states(path):
             grid.weights, (e @ x[:, n] - math.cos(t) * r
                            for n, t in enumerate(grid.times))))
         assert_allclose(got[name][norm], want, rtol=1e-12)
+
+
+def random_basis_case(seed=5):
+    """A Laplace accumulator of 41 nodes and states (C Y)^T on a random
+    rank-2 basis: ``(build, grid, (n_v, n_q), coef, y)``."""
+    build, _, (n_v, n_q), grid, _ = laplace_case(n_steps=40)
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((grid.n_steps + 1, 2))
+    return build, grid, (n_v, n_q), coef, rng.standard_normal((2, n_v + n_q))
+
+
+def test_a_basis_alone_adds_what_the_states_add():
+    # a block given its basis is measured from C: the states it comes
+    # with change nothing, so u = p = None adds the same squares
+    build, grid, (n_v, _), coef, y = random_basis_case()
+    x = (coef @ y).T
+    with_states, alone = build(), build()
+    for n in range(0, grid.n_steps + 1, 16):
+        block = slice(n, n + 16)
+        with_states.add(n, x[:n_v, block], x[n_v:, block], (coef[block], y))
+        alone.add(n, None, None, (coef[block], y))
+    assert np.array_equal(alone._squares, with_states._squares)
+    assert alone.result() == with_states.result()
+
+
+def test_a_block_needs_its_states_or_a_basis_of_its_nodes():
+    # a bad add is refused where it is made, and changes nothing
+    build, grid, (n_v, n_q), coef, y = random_basis_case()
+    x = (coef @ y).T
+    acc = build()
+    with pytest.raises(ValueError, match="states or its basis"):
+        acc.add(0, None, None)
+    with pytest.raises(ValueError, match="u holds 3 nodes and the basis 2"):
+        acc.add(0, x[:n_v, :3], x[n_v:, :3], (coef[:2], y))
+    with pytest.raises(ValueError, match="u holds 1 nodes and the basis 3"):
+        acc.add(0, x[:n_v, 0], x[n_v:, 0], (coef[:3], y))
+    acc.add(0, None, None, (coef, y))
+    want = build()
+    want.add(0, x[:n_v], x[n_v:], (coef, y))
+    assert acc.result() == want.result()

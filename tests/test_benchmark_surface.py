@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import memfem.cli as cli
-from memfem import MemoryKernel, PronySLS, beam_kernel
+from memfem import MemoryKernel, PronySLS, beam_kernel, volterra
 from memfem.beam import BeamProblem, joined_profile
 from memfem.volterra import TimeGrid
 
@@ -106,3 +106,32 @@ def test_meter_probes_a_blocked_run_once_per_block():
     blocks = 5                                  # 4 x 64 + 45 nodes
     assert len(calls) == len(meter.probes) == blocks + 2
     assert len(meter.pieces) == blocks + 1
+
+
+def test_a_traced_study_steps_the_blocks_of_an_untraced_one(tmp_path,
+                                                           monkeypatch):
+    # the per-layer numbers must describe the program that wall_s times.
+    # The tracer calls VolterraStepper.run with four arguments and wraps
+    # on_step in a plain function, so the stepper learns at construction
+    # that the study reads no states: level 40 (n = 8,080, 8 nodes a
+    # block with states) steps its 101 nodes as 64 and 37, as level 4 does
+    cfg = cli.load_config(None, overrides=[
+        'problem="laplace"', "levels=[4,40]", "T=0.05", "n_steps=100",
+        f'output_dir="{tmp_path}"'])
+    untraced, step = [], volterra.step
+
+    def counted(*args):
+        untraced.append(args[2][1].shape[1])    # C of the block load f
+        return step(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(volterra, "step", counted)
+        cli.run_study(cfg)
+    tracer, patches = Tracer(), Patches()
+    tracer.install(patches)
+    try:
+        cli.run_study(cfg)
+    finally:
+        patches.undo()
+    assert untraced == [64, 37] * 2
+    assert sum(span[2] == "volterra.step" for span in tracer.spans) == 4

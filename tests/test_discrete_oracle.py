@@ -194,3 +194,27 @@ def test_factored_and_dense_loads_step_the_same_states(driver):
             runs.append(np.array(states))
         factored, dense = runs
         assert np.max(np.abs(factored - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("levels, driver", [
+    ((4, 8, 16, 32), "laplace"), ((8, 16, 32), "beam")])
+def test_states_free_run_measures_what_a_collected_run_measures(levels,
+                                                                driver):
+    # every level of a small study: a run with no collect forms no states
+    # and steps 64 nodes a block; the same run with a collect forms them,
+    # at the capped width (12 at Laplace m = 32), and measures the same
+    # errors from the same coefficients
+    problem = STUDIES[driver][0]
+    grid = TimeGrid(T=1.0, n_steps=300)
+    reference = problem(levels[0]).reference(grid, levels[-1])
+    for level in levels:
+        prob = problem(level)
+        free, free_stepper = prob.run(grid, reference=reference)
+        kept, kept_stepper = prob.run(grid, reference=reference,
+                                      collect=lambda *node: None)
+        n = prob.system.n_v + prob.system.n_q
+        assert free_stepper.width == 64
+        assert kept_stepper.width == max(1, min(64, 65536 // n))
+        for name, norms in kept.items():
+            for norm, value in norms.items():
+                assert free[name][norm] == pytest.approx(value, rel=1e-14)

@@ -171,7 +171,8 @@ def test_laplace_level_at_m64_makes_one_lu_solve_per_load_direction(
     # the largest benchmark level under the fickian kernel, with its error
     # norms: row 2's load is one vector times a scalar and row 1 has none,
     # so the run makes one LU solve, of that vector, and every block is
-    # measured from its coefficients
+    # measured from its coefficients; with no collect it forms no states,
+    # so its 201 nodes take blocks of 64, 64, 64 and 9
     calls = count_factorizations(monkeypatch)
     solves = record_solves(monkeypatch)
     prob = LaplaceProblem(64)
@@ -189,8 +190,75 @@ def test_laplace_level_at_m64_makes_one_lu_solve_per_load_direction(
     [(_, f, g)] = solves
     assert f.shape == (prob.space.n_edges, 1) and not f.any()
     assert_array_equal(g, prob.rhs([0.0])[0])
-    assert set(ranks) == {1} and len(ranks) == 67
+    assert set(ranks) == {1} and len(ranks) == 4
     assert np.isfinite([errors[k]["e0"] for k in LaplaceProblem.FIELDS]).all()
+
+
+def test_states_free_laplace_m64_steps_64_node_blocks():
+    # an observer that reads only each block's basis: the run forms no
+    # states, so m = 64 (n = 20,608) steps 64 nodes a block, not 3, and
+    # on_step sees every node once, in order, from coefficients alone
+    prob = LaplaceProblem(64)
+    grid = TimeGrid(T=1.0, n_steps=200)
+    blocks = []
+
+    def on_step(n, times, u, p, basis):
+        blocks.append((n, times, u, p, basis[0].shape))
+
+    stepper = VolterraStepper(prob.system, grid, states=False)
+    assert stepper.width == 64
+    assert VolterraStepper(prob.system, grid).width == 3
+    stepper.run(prob.system.zero_load, prob.rhs, on_step=on_step)
+    assert [n for n, *_ in blocks] == [0, 64, 128, 192]
+    assert_array_equal(np.concatenate([t for _, t, *_ in blocks]), grid.times)
+    assert all(u is None and p is None for _, _, u, p, _ in blocks)
+    assert [shape for *_, shape in blocks] == [(64, 1)] * 3 + [(9, 1)]
+    assert stepper.n_done == grid.n_steps + 1
+
+
+@pytest.mark.parametrize("kernels, width, loads", [
+    ({"k3": direct_form(MemoryKernel.exp_convolution(c=-1.0, rate=1.0))},
+     22, "pairs"),                                        # u is stored
+    ({"k2": MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}, 1, "pairs"),
+    ({"k3": MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}, 64, "dense")])
+def test_states_free_run_forms_the_states_it_cannot_skip(kernels, width,
+                                                          loads):
+    # a history that reads its states gets them, at the capped width or
+    # one node at a time, and so does the observer; a dense block hands
+    # on the states its solve made, at the free width
+    sys_ = sized_system(2000, 900, **kernels)
+    grid = TimeGrid(T=0.2, n_steps=30)
+    f_of_t = sys_.zero_load if loads == "pairs" else const_load(*[0.5] * 2000)
+    g_of_t = pair_load(*[1.0] * 900) if loads == "pairs" \
+        else const_load(*[1.0] * 900)
+    free, kept = [], []
+    for states, out in ((False, free), (True, kept)):
+        stepper = VolterraStepper(sys_, grid, states=states)
+        stepper.run(f_of_t, g_of_t, on_step=lambda n, t, u, p, basis:
+                    out.append((n, u.copy(), p.copy())))
+    assert [n for n, *_ in free] == list(range(0, 31, width))
+    assert [n for n, *_ in kept] == list(range(0, 31, min(width, 22)))
+    u_free, u_kept = (np.hstack([u for _, u, _ in x]) for x in (free, kept))
+    p_free, p_kept = (np.hstack([p for *_, p in x]) for x in (free, kept))
+    assert_allclose(u_free, u_kept, rtol=1e-13, atol=0)
+    assert_allclose(p_free, p_kept, rtol=1e-13, atol=0)
+
+
+def test_append_counts_nodes_only_where_no_states_are_read():
+    grid = TimeGrid(T=1.0, n_steps=10)
+    exp = MemoryKernel.exp_convolution(c=-1.0, rate=2.0)
+    for kernels, reads in [({}, False), ({"k3": exp}, False),
+                           ({"k3": direct_form(exp)}, True),
+                           ({"k1": exp}, True), ({"k2": exp}, True)]:
+        hist = HistoryBuffer(sized_system(6, 3, **kernels), grid)
+        assert hist.reads_states == reads
+        if reads:
+            with pytest.raises(ValueError, match="reads the states"):
+                hist.append(None, None, 3)
+            assert len(hist) == 0
+        else:
+            hist.append(None, None, 3)
+            assert len(hist) == 3
 
 
 def record_solves(monkeypatch):
@@ -741,8 +809,8 @@ def test_audit_steps_the_system_at_its_blocked_width(monkeypatch):
     widths = {}
     traced = volterra.step
 
-    def counted(sys, hist, f, g):
-        u, p, basis = traced(sys, hist, f, g)
+    def counted(sys, hist, f, g, states=True):
+        u, p, basis = traced(sys, hist, f, g, states)
         widths.setdefault(sys is sys_, []).append(u.shape[1])
         return u, p, basis
 
@@ -763,9 +831,9 @@ def test_audit_direct_side_makes_one_plain_lu_solve_per_node(monkeypatch):
     stepping, lu = [None], []
     traced, solve = volterra.step, SaddleFactorization.solve
 
-    def marked(sys, hist, f, g):
+    def marked(sys, hist, f, g, states=True):
         stepping[0] = "run" if sys is sys_ else "direct"
-        return traced(sys, hist, f, g)
+        return traced(sys, hist, f, g, states)
 
     def counted(fact, f, g):
         lu.append((stepping[0], f.shape))
