@@ -210,20 +210,23 @@ def _closed_form_residual(c: float, rate: float, times: np.ndarray,
 
 
 def _trapezoid_creep(kernel: MemoryKernel, T: float, n: int) -> np.ndarray:
-    """Solve the scalar Volterra equation by implicit trapezoid stepping."""
+    """Solve the scalar Volterra equation by implicit trapezoid stepping,
+    one ``eval`` per block of rows: ``t`` ``(r, 1)``, ``s <= t`` ``(r, m)``."""
     dt = T / n
     t = dt * np.arange(n + 1)
     phi = np.empty(n + 1)
     phi[0] = 1.0
-    for j in range(1, n + 1):
-        k_row = np.asarray(kernel.eval(t[j], t[:j]), dtype=float)
-        acc = dt * (np.dot(k_row[1:j], phi[1:j]) + 0.5 * k_row[0] * phi[0])
-        k_jj = float(kernel.eval(t[j], t[j]))
-        gamma = 1.0 - 0.5 * dt * k_jj
-        if gamma <= 0.0:
-            raise OracleError(
-                f"creep oracle step too large: 1 - (dt/2) k(t,t) = {gamma:.3e}")
-        phi[j] = (1.0 + acc) / gamma
+    rows = max(1, 16384 // (n + 1))
+    for start in range(1, n + 1, rows):
+        tj = t[start:start + rows, None]
+        kv = np.asarray(kernel.eval(tj, np.minimum(t[:start + len(tj)], tj)), float)
+        for j, k_row in enumerate(kv, start):
+            acc = dt * (np.dot(k_row[1:j], phi[1:j]) + 0.5 * k_row[0] * phi[0])
+            gamma = 1.0 - 0.5 * dt * k_row[j]
+            if gamma <= 0.0:
+                raise OracleError(f"creep oracle step too large: "
+                                  f"1 - (dt/2) k(t,t) = {gamma:.3e}")
+            phi[j] = (1.0 + acc) / gamma
     return phi
 
 

@@ -22,20 +22,20 @@ and steps the coefficients alone: both drivers load row 2 with one
 vector times a scalar, so a run makes one LU solve.  The history kept
 is what the attached kernels read: an exponential kernel gets an O(1)
 recurrence, a general kernel one product of its weighted values with
-the stored ``(N+1, n)`` states of the family it reads.  :func:`audit`
+the stored ``(N+1, n)`` rows of the family it reads.  :func:`audit`
 checks a run against the same kernels in that direct form.
 
-Row 2 alone reads ``g3_n q_n - sum_{j<n} w_{n,j} k3(t_n,t_j) q_j = g_n``.
+Row 2 alone reads ``g3_n q_n - sum_{j<n} w_{n,j} k3(t_n,t_j) q_j = g_n``:
+its history is kept on the ``q`` it fixes, never read back as ``B u``.
 Without ``k1`` and ``k2`` (``HistoryBuffer.blocked``), every ``(f_n,
 q_n)`` is known before any solve: the stepper solves blocks after row 2,
-which under a general ``k3`` is one product with the states before the
+which under a general ``k3`` is one product with the ``q`` before the
 block and one triangular solve inside it (Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985).  A block of ``max(1, min(64, 65536
 // (n_v + n_q)))`` nodes, 512 KiB of right-hand side, keeps its states
 about cache-sized; wider blocks saved at most a few percent, or lost.  A
-run that forms no states (``states=False`` under an absent or
-exponential ``k3``) takes 64 nodes.  Every other system solves one node
-at a time.
+run that forms no states (``states=False``) takes 64 nodes.  Every
+other system solves one node at a time.
 
 L1-in-time error norms take each solved block at once: from the
 coefficients of its states on ``Y``, or else in dof space (see
@@ -353,16 +353,18 @@ class HistoryBuffer:
 
     Each kernel slot reads one family of states: ``k1`` reads ``u`` (as
     ``A u``), ``k2`` reads ``p`` (as ``B^T p``) and ``k3`` reads
-    ``q = B u``.  The attached kernels fix what is kept:
+    ``q = B u``, as row 2 fixes it.  The attached kernels fix what is kept:
 
     * an exponential kernel gets a recurrence per (kernel, family),
       updated in place, that holds the history sum of node ``len(self)``
       (see :func:`history_sum`): :meth:`append` advances those of ``u``
       and ``p`` by one node, and :func:`step` that of ``q`` by a block;
     * ``u`` or ``p`` is stored, as the rows of an ``(n_steps + 1, n)``
-      array, only when a general kernel reads it, where ``q`` counts as
-      ``u``.  That costs ``(n_steps + 1) * n * 8`` bytes, with
-      ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
+      array, only when a general kernel reads it: ``(n_steps + 1) * n *
+      8`` bytes, with ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
+    * under a general ``k3``, :func:`step` stores each node's ``q`` in
+      the layout of :func:`history_sum`, its dense part from the first
+      block with one (the rows before it zero);
     * a family that no general kernel reads is never stored.
 
     The rows of ``y`` are ``K^{-1}`` of the columns of each ``V`` that
@@ -374,7 +376,6 @@ class HistoryBuffer:
 
     def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid):
         self.grid = grid
-        self.b = sys.b
         self.blocked = sys.k1 is None and sys.k2 is None
         reads = [(kernel, which) for kernel, which
                  in zip(sys.kernels, ("u", "p", "q")) if kernel is not None]
@@ -383,28 +384,27 @@ class HistoryBuffer:
         self._recur = {key: (math.exp(-key[0].rate * grid.dt),
                              np.zeros(size[key[1]]))
                        for key in reads if key[0].is_exp}
-        # family -> (n_steps + 1, n) rows; the direct sum of q reads u
-        self._stored = {_ROWS[which]: np.empty((grid.n_steps + 1,
-                                                size[_ROWS[which]]))
-                        for kernel, which in reads if not kernel.is_exp}
+        # family -> (n_steps + 1, n) rows; q's start with no columns
+        self._stored = {w: np.empty((grid.n_steps + 1, 0 if w == "q" else size[w]))
+                        for kernel, w in reads if not kernel.is_exp}
         self._maps = {}         # (block starts at node 0, k) -> row 2's map
         self._count = 0         # solved states appended
         self._loads = {}        # (block row, id(V)) -> (V, its rows of y)
         self.y = np.empty((0, sys.n_v + sys.n_q))   # K^{-1} [V; 0] or [0; V]
-        self._q = np.zeros(0)   # k3's history of q on the rows of y
+        self._q = np.zeros(0)   # an exponential k3's q history on y
 
     def __len__(self) -> int:
         return self._count
 
     @property
     def store_full(self) -> bool:
-        """Whether the states of any family are stored."""
-        return bool(self._stored)
+        """Whether the states ``u`` or ``p`` are stored."""
+        return "u" in self._stored or "p" in self._stored
 
     @property
     def reads_states(self) -> bool:
-        """Whether :meth:`append` reads the states: some family is stored,
-        or ``k1`` or ``k2`` keeps a recurrence of ``u`` or ``p``."""
+        """Whether :meth:`append` reads the states: ``u`` or ``p`` is
+        stored, or ``k1`` or ``k2`` keeps a recurrence of one."""
         return self.store_full or not self.blocked
 
     def append(self, u, p, k: int = 1) -> None:
@@ -430,39 +430,32 @@ class HistoryBuffer:
         self._count += k
 
     def vectors(self, which: str) -> np.ndarray:
-        """The stored states of one family, one filled row per append;
-        empty for a family that is not stored."""
+        """The stored rows of one family, one filled row per node; empty
+        for a family that is not stored."""
         rows = self._stored.get(which)
         return np.empty((0, 0)) if rows is None else rows[:self._count]
-
-
-# the stored family a direct history sum of each family reads
-_ROWS = {"u": "u", "p": "p", "q": "u"}
 
 
 def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
                 k: Optional[int] = None) -> np.ndarray:
     """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j`` of one
     family at the next node, ``n = len(hist)``; given ``k``, its part
-    over j < n at each of the k nodes from n, one column a node.
+    over j < n at each of the k nodes from n, one column a node.  That of
+    ``q`` is its coefficients on the rows of ``hist.y``, then its dense
+    part, once there is one.
 
     Taken from the buffer's recurrence for ``(kernel, which)`` when it
     holds one and ``k`` is not given, and otherwise as one product of the
-    weighted ``(k, n)`` kernel block with the stored states (for ``q``,
-    ``B`` times that of the stored ``u``).
+    weighted ``(k, n)`` kernel block with the stored rows.
     """
     n = len(hist)
     if n < 1:
         raise ValueError("history sums start at step 1")
     recur = hist._recur.get((kernel, which))
-    if recur is not None and k is None:
-        # a copy: the next append updates the recurrence in place
-        if which == "q":        # and that of row 2's solved V
-            return recur[1] + sum(v @ hist._q[rows] for (row, _), (v, rows)
-                                  in hist._loads.items() if row)
-        return recur[1].copy()
+    if recur is not None and k is None:     # a copy: append updates it
+        return np.concatenate((hist._q if which == "q" else [], recur[1]))
     times, weights, rows = hist.grid.times, hist.grid.weights, k or 1
-    xs = hist.vectors(_ROWS[which])
+    xs = hist.vectors(which)
     if len(xs) < n:
         raise ValueError(f"history sum of {which!r} at step {n} needs {n} "
                          f"stored states, and the buffer holds {len(xs)}")
@@ -473,8 +466,7 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
         kv = kernel.eval(np.repeat(times[n:n + rows], len(s)), np.tile(s, rows))
         direct += (weights[j:j + len(s)] * np.reshape(
             np.asarray(kv, dtype=float), (rows, len(s)))) @ xs[j:j + len(s)]
-    direct = hist.b @ direct.T if which == "q" else direct.T
-    return direct if k else direct[:, 0]
+    return direct.T if k else direct[0]
 
 
 def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
@@ -539,17 +531,16 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
     map of the loads ``G`` and the history ``H``, ``Q = G M + H v`` and
     ``H <- G d + e H``; under a general one by a triangular solve, with
     ``g3_i`` and ``-w_ij k3(t_i, t_j)``, of the loads plus the history
-    before the block.  Both act on the time axis alone, so they step a
-    pair's coefficients and the dense part apart.  The scalings are
-    scalars, so
+    before the block, on the stored ``q`` rows, to which it adds the
+    block's.  Both act on the time axis alone, so they step a pair's
+    coefficients and the dense part apart.  The scalings are scalars, so
 
         [[g1 A, g2 B^T], [g3 B, 0]] = diag(g1 I, g3 I) K diag(I, (g2/g1) I)
 
     with ``K = [[A, B^T], [B, 0]]``: ``g3`` is folded into ``q``, and the
     columns ``(f_n / g1, q_n)`` give ``u`` and ``(g2 / g1) p``: from the
-    solutions ``Y`` of the pairs' vectors, solved once per run, or, when
-    the block has a dense part (dense loads, the ``k1`` and ``k2``
-    history sums, a general ``k3``'s history before the block), by one
+    solutions ``Y`` of the pairs' vectors, or, when the block has a dense
+    part (dense loads, ``k1`` or ``k2``, or a dense ``q``), by one checked
     multi-column LU solve of the whole right-hand side.  Every block
     scaling is applied here.
     """
@@ -569,18 +560,20 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
             fd = _plus(fd, sys.a @ history_sum(hist, sys.k1, "u")[:, None])
         if sys.k2 is not None:
             fd = _plus(fd, sys.b.T @ history_sum(hist, sys.k2, "p")[:, None])
-        if general:             # the history before the block, from B u
-            gd = _plus(gd, history_sum(hist, sys.k3, "q", k))
-    if general:                 # rows over g3: a block of one is g / g3
+    if general:                 # on q's rows: coefficients, then dense part
+        rows, r = hist._stored["q"], len(gc)
+        if gd is not None and rows.shape[1] == r:       # the first dense part
+            rows = hist._stored["q"] = np.pad(rows, ((0, 0), (0, sys.n_q)))
+        q = np.concatenate((gc, np.zeros((rows.shape[1] - r, k))
+                            if gd is None else gd))
+        if n >= 1:              # the history before the block
+            q += history_sum(hist, sys.k3, "q", k)
         t = grid.times[n:n + k]
         kv = np.reshape(sys.k3.eval(np.repeat(t, k), np.tile(t, k)), (k, k))
         low = np.tril(kv * grid.weights[n:n + k], -1) / g3[:, None]
-
-        def row2(x):
-            return x if x is None else solve_triangular(
-                -low, (x / g3).T, lower=True, unit_diagonal=True,
-                check_finite=False).T
-        qd, qc = row2(gd), row2(gc) if len(gc) else gc
+        rows[n:n + k] = q = solve_triangular(     # a block of one: q / g3
+            -low, (q / g3).T, lower=True, unit_diagonal=True, check_finite=False)
+        qc, qd = q[:, :r].T, q[:, r:].T if q.shape[1] > r else None
     elif sys.k3 is not None:
         decay, h = hist._recur[(sys.k3, "q")]
         key = (n == 0, k)
@@ -613,8 +606,8 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
             x[:sys.n_v] += fd / g1 if g1 != 1.0 else fd
         if qd is not None:
             x[sys.n_v:] += qd
-        x, basis = np.concatenate(sys.saddle.solve(x[:sys.n_v],
-                                                   x[sys.n_v:])), None
+        x, basis = np.concatenate(sys.saddle.checked_solve(
+            x[:sys.n_v], x[sys.n_v:])), None
     u, p = x[:sys.n_v], x[sys.n_v:]
     if g1 != g2:
         p *= g1 / g2
@@ -655,6 +648,9 @@ def _load_parts(sys, hist, f, g, k):
                 y = sys.saddle.checked_solve(rhs[:n_v], rhs[n_v:])
                 hist.y = np.vstack((hist.y, np.concatenate(y).T))
                 hist._q = np.append(hist._q, np.zeros(v.shape[1]))
+                if "q" in hist._stored:     # zero columns before the dense
+                    hist._stored["q"] = np.insert(
+                        hist._stored["q"], [r] * v.shape[1], 0.0, axis=1)
                 # V is kept, so its id is not reused while the run holds it
                 hist._loads[(row, id(v))] = (v, slice(r, len(hist.y)))
         loads.append(load)
@@ -703,7 +699,7 @@ class VolterraStepper:
         self.grid = grid
         self.hist = HistoryBuffer(sys, grid)
         self.states = states
-        free = not (states or self.hist.reads_states)   # k3 not general
+        free = not (states or self.hist.reads_states)
         self.width = (64 if free else max(1, min(64, 65536 // (
             sys.n_v + sys.n_q)))) if self.hist.blocked else 1
 
@@ -726,6 +722,7 @@ class VolterraStepper:
         from node ``n`` on, states of the same shapes that no later block
         writes, and the block's ``basis`` from :func:`step`; without
         ``states``, ``u`` and ``p`` are None on a block with a ``basis``.
+        Without ``k1`` and ``k2``, pairs alone give every block a basis.
         """
         times, k3 = self.grid.times, self.sys.k3
         general = self.hist.blocked and k3 is not None and not k3.is_exp

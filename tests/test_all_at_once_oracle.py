@@ -129,25 +129,42 @@ def test_ill_conditioned_draw_matches_the_all_at_once_oracle(
     check_draw(seed, n_v, n_q, N, T, k1, k2, k3, separable, audited=False)
 
 
-def check_draw(seed, n_v, n_q, N, T, k1, k2, k3, separable, audited=True):
-    """The run of one draw against the oracle, and its audit."""
+def make_draw(seed, n_v, n_q, N, k1, k2, k3, separable):
+    """``(a, b, kernels, f, g)`` of one draw, with ``1 + n_q % n_v``
+    multipliers."""
     n_q = 1 + n_q % n_v                             # n_q <= n_v
     rng = np.random.RandomState(seed)
     r = rng.standard_normal((n_v, n_v))
     a = r @ r.T + n_v * np.eye(n_v)
     a = 0.5 * (a + a.T)
     b = rng.standard_normal((n_q, n_v))
-    assume(np.linalg.cond(b) < 1e3)                 # full row rank
     kernels = []
     for name in (k1, k2, k3):
         make = KERNELS[name]
         c = rng.uniform(-4.0, 4.0)
         kernels.append(None if make is None
                        else make(c, rng.uniform(0.0, 3.0), rng.uniform(-0.5, 0.5)))
+    f, g = loads(rng, n_v, N, separable), loads(rng, n_q, N, separable)
+    return a, b, kernels, f, g
+
+
+def run_states(stepper, f, g):
+    """``(u, p)`` of a run on the loads ``f`` and ``g``, a column a node."""
+    times = stepper.grid.times
+    us, ps = [], []
+    stepper.run(lambda t: f[:, np.searchsorted(times, t)],
+                lambda t: g[:, np.searchsorted(times, t)],
+                on_step=lambda n, t, u, p, basis: (us.append(u), ps.append(p)))
+    return np.hstack(us), np.hstack(ps)
+
+
+def check_draw(seed, n_v, n_q, N, T, k1, k2, k3, separable, audited=True):
+    """The run of one draw against the oracle, and its audit."""
+    a, b, kernels, f, g = make_draw(seed, n_v, n_q, N, k1, k2, k3, separable)
+    assume(np.linalg.cond(b) < 1e3)                 # full row rank
     # inside the stability gate |(dt/2) k(t, t)| < 1
     assume(all(kern is None or 0.5 * T / N * kern.bound < 0.9
                for kern in kernels))
-    f, g = loads(rng, n_v, N, separable), loads(rng, n_q, N, separable)
     u_ref, p_ref = oracle(a, b, kernels, T, N, f, g)
     grid = TimeGrid(T=T, n_steps=N)
 
@@ -155,11 +172,8 @@ def check_draw(seed, n_v, n_q, N, T, k1, k2, k3, separable, audited=True):
         return lambda times: x[:, np.searchsorted(grid.times, times)]
 
     sys_ = BlockSaddleSystem(sp.csr_matrix(a), sp.csr_matrix(b), *kernels)
-    us, ps = [], []
-    VolterraStepper(sys_, grid).run(
-        columns(f), columns(g),
-        on_step=lambda n, times, u, p, basis: (us.append(u), ps.append(p)))
-    for x, ref in ((np.hstack(us), u_ref), (np.hstack(ps), p_ref)):
+    states = run_states(VolterraStepper(sys_, grid), f, g)
+    for x, ref in zip(states, (u_ref, p_ref)):
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
     if not audited:
         return
@@ -173,3 +187,24 @@ def check_draw(seed, n_v, n_q, N, T, k1, k2, k3, separable, audited=True):
                              grid, columns(f), columns(g))
     assert steps == (N if "exponential" in (k1, k2, k3) else 0)
     assert deviation <= 1e-10
+
+
+def test_node_by_node_general_k3_reads_q_as_row_2_fixed_it():
+    # the draw seed=1206959966, n_v=5, n_q=4, N=102, T=1.6811228533893323,
+    # k3 general, full-rank loads: a square B with cond(B) = 317.  Run
+    # node by node (a zero k2 attached: the same scheme at width 1) and in
+    # blocks, each reads 2.4e-12 from the oracle.  When the node-by-node
+    # history of q read B u_j of the stored u, up to cond(B) ulps off the
+    # q_j that row 2 fixed, that run read 2.9e-11 and the blocked 4.7e-12
+    T, N = 1.6811228533893323, 102
+    a, b, kernels, f, g = make_draw(1206959966, 5, 4, N, "absent", "absent",
+                                    "general", False)
+    assert 300 < np.linalg.cond(b) < 400 and b.shape == (5, 5)
+    u_ref, p_ref = oracle(a, b, kernels, T, N, f, g)
+    grid = TimeGrid(T=T, n_steps=N)
+    for k2, width in ((MemoryKernel.exp_convolution(0.0, 0.0), 1), (None, 64)):
+        stepper = VolterraStepper(BlockSaddleSystem(
+            sp.csr_matrix(a), sp.csr_matrix(b), k2=k2, k3=kernels[2]), grid)
+        assert stepper.width == width
+        for x, ref in zip(run_states(stepper, f, g), (u_ref, p_ref)):
+            assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))

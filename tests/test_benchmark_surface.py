@@ -78,8 +78,9 @@ def test_tracer_and_meter_wrap_three_runs(tmp_path):
     assert metrics["volterra.step_count"] == 3 * 1 + 2
     assert metrics["volterra.history_count"] == 1
     assert meter.dof_steps > 0
-    # the general kernel stores the 101 states of u, 18 dofs on 8 elements
-    assert metrics["volterra.history_peak_bytes"] == 101 * 18 * 8
+    # the general kernel stores no states of u or p: its history is its
+    # q rows, one coefficient a node on the one load vector
+    assert metrics["volterra.history_peak_bytes"] == 0
 
 
 def test_meter_probes_a_blocked_run_once_per_block():

@@ -12,6 +12,7 @@ from memfem.kernels import (
     fickian_kernel,
     modulus_kernel,
     sls_relaxation,
+    _trapezoid_creep,
 )
 from memfem.volterra import TimeGrid
 
@@ -124,6 +125,38 @@ def test_creep_quadrature_path_matches_closed_form():
     exact = closed_form_creep(k.c, k.rate, grid.times)
     assert_allclose(phi.samples, exact, rtol=0, atol=1e-8)
     assert phi.residual < 1e-10
+
+
+def loop_trapezoid_creep(kernel, T, n):
+    """The implicit trapezoid creep recurrence, row by row (reference)."""
+    dt = T / n
+    t = dt * np.arange(n + 1)
+    phi = np.ones(n + 1)
+    for j in range(1, n + 1):
+        k_row = np.asarray(kernel.eval(t[j], t[:j + 1]), float)
+        acc = dt * (np.dot(k_row[1:j], phi[1:j]) + 0.5 * k_row[0] * phi[0])
+        phi[j] = (1.0 + acc) / (1.0 - 0.5 * dt * k_row[j])
+    return phi
+
+
+def test_trapezoid_creep_evaluates_the_kernel_by_blocks_of_rows():
+    # one eval per block of rows, at most 16384 values and never above
+    # the diagonal, and the samples of the row-by-row recurrence
+    calls = []
+
+    def k(t, s):
+        t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
+        calls.append((t.size, bool((s <= t).all())))
+        return -1.2 * np.exp(-0.8 * (t - s)) * (1.0 + 0.5 * np.sin(t + 1.0))
+
+    kernel = MemoryKernel.from_callable(k, bound=1.8)
+    for n, blocks in ((300, 6), (1000, 63)):    # 54 and 16 rows a block
+        calls.clear()
+        phi = _trapezoid_creep(kernel, 15.0, n)
+        assert len(calls) == blocks
+        assert all(size <= 16384 and below for size, below in calls)
+        assert_allclose(phi, loop_trapezoid_creep(kernel, 15.0, n),
+                        rtol=1e-14, atol=0)
 
 
 def test_creep_resubstitution_residual():

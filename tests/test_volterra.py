@@ -217,8 +217,8 @@ def test_states_free_laplace_m64_steps_64_node_blocks():
 
 
 @pytest.mark.parametrize("kernels, width, loads", [
-    ({"k3": direct_form(MemoryKernel.exp_convolution(c=-1.0, rate=1.0))},
-     22, "pairs"),                                        # u is stored
+    ({"k1": direct_form(MemoryKernel.exp_convolution(c=-1.0, rate=1.0))},
+     1, "pairs"),                                         # u is stored
     ({"k2": MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}, 1, "pairs"),
     ({"k3": MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}, 64, "dense")])
 def test_states_free_run_forms_the_states_it_cannot_skip(kernels, width,
@@ -247,8 +247,9 @@ def test_states_free_run_forms_the_states_it_cannot_skip(kernels, width,
 def test_append_counts_nodes_only_where_no_states_are_read():
     grid = TimeGrid(T=1.0, n_steps=10)
     exp = MemoryKernel.exp_convolution(c=-1.0, rate=2.0)
+    # a general k3 reads the q rows that step stores, not the states
     for kernels, reads in [({}, False), ({"k3": exp}, False),
-                           ({"k3": direct_form(exp)}, True),
+                           ({"k3": direct_form(exp)}, False),
                            ({"k1": exp}, True), ({"k2": exp}, True)]:
         hist = HistoryBuffer(sized_system(6, 3, **kernels), grid)
         assert hist.reads_states == reads
@@ -599,13 +600,15 @@ def test_history_sum_recurrence_matches_direct():
     kernel = MemoryKernel.exp_convolution(c=-0.8, rate=1.7)
     general = direct_form(kernel)
     b = sp.csr_matrix(rng.standard_normal((3, 7)))
-    # k1 sums u; k3 sums q = B u, the recurrence on the q that step takes
-    # from row 2 and the direct sum on the stored solved u
+    # k1 sums u and k3 sums q = B u as row 2 fixes it: the recurrences on
+    # the solved u and on row 2's q, and the direct sums on the u and q
+    # rows of the same steps in direct form
     recur_sys = BlockSaddleSystem(sp.identity(7, format="csr"), b,
                                   k1=kernel, k3=kernel)
+    direct_sys = BlockSaddleSystem(sp.identity(7, format="csr"), b,
+                                   k1=general, k3=general)
     recur_hist = HistoryBuffer(recur_sys, grid)
-    direct_hist = HistoryBuffer(BlockSaddleSystem(
-        sp.identity(7, format="csr"), b, k1=general, k3=general), grid)
+    direct_hist = HistoryBuffer(direct_sys, grid)
     assert not recur_hist.store_full and direct_hist.store_full
     for n in range(51):
         if n >= 1:
@@ -615,9 +618,9 @@ def test_history_sum_recurrence_matches_direct():
                 denom = np.max(np.abs(direct))
                 assert np.max(np.abs(direct - recur)) \
                     <= 1e-12 * max(denom, 1e-30)
-        u, _, _ = step(recur_sys, recur_hist, rng.standard_normal((7, 1)),
-                       rng.standard_normal((3, 1)))
-        direct_hist.append(u[:, 0], np.zeros(3))
+        f, g = rng.standard_normal((7, 1)), rng.standard_normal((3, 1))
+        step(recur_sys, recur_hist, f, g)
+        step(direct_sys, direct_hist, f, g)
 
 
 def loop_history_sum(xs, grid, kernel, n):
@@ -639,8 +642,8 @@ def test_direct_history_sum_matches_loop():
     kernel = MemoryKernel.from_callable(
         lambda t, s: np.cos(3.0 * np.asarray(s, float)) * (2.0 + np.sin(t)),
         bound=3.0)
-    # k2 reads p and k3 reads u, so both families are stored
-    hist = HistoryBuffer(sized_system(11, 4, k2=kernel, k3=kernel), grid)
+    # k1 reads u and k2 reads p, so both families are stored
+    hist = HistoryBuffer(sized_system(11, 4, k1=kernel, k2=kernel), grid)
     us, ps = [], []
     for n in range(grid.n_steps + 1):
         if n >= 1:
@@ -655,8 +658,9 @@ def test_direct_history_sum_matches_loop():
 
 def test_block_history_sum_is_the_part_before_the_block():
     # column i of the sum at the k nodes from n is the direct sum over the
-    # stored j < n at node n + i; the kernel is evaluated on equal-length
-    # 1-D arrays of at most 4096 values, never on the whole block at once
+    # q = B u of the j < n stepped at node n + i; the kernel is evaluated
+    # on equal-length 1-D arrays of at most 4096 values, never on the
+    # whole block at once
     rng = np.random.RandomState(5)
     grid = TimeGrid(T=3.0, n_steps=300)
     shapes = []
@@ -668,9 +672,10 @@ def test_block_history_sum_is_the_part_before_the_block():
     kernel = MemoryKernel.from_callable(k, bound=3.0)
     sys_ = sized_system(6, 2, k3=kernel)
     hist = HistoryBuffer(sys_, grid)
-    us = rng.standard_normal((240, 6))
-    for u in us:
-        hist.append(u, np.zeros(2))
+    us = np.hstack([step(sys_, hist, np.zeros((6, 60)),
+                         rng.standard_normal((2, 60)))[0]
+                    for _ in range(4)]).T
+    assert hist.vectors("q").shape == (240, 2)     # dense loads: q's values
     for nodes in (1, 5, 61):
         shapes.clear()
         out = history_sum(hist, kernel, "q", nodes)
@@ -691,7 +696,7 @@ def test_history_vectors_are_the_filled_rows():
     rng = np.random.RandomState(9)
     grid = TimeGrid(T=1.0, n_steps=10)
     general = direct_form(MemoryKernel.exp_convolution(c=1.0, rate=1.0))
-    hist = HistoryBuffer(sized_system(5, 2, k2=general, k3=general), grid)
+    hist = HistoryBuffer(sized_system(5, 2, k1=general, k2=general), grid)
     us = [rng.standard_normal(5) for _ in range(4)]
     for u in us:
         hist.append(u, np.zeros(2))
@@ -711,7 +716,8 @@ def test_history_stores_only_the_families_kernels_read():
     exp = MemoryKernel.exp_convolution(c=-1.0, rate=2.0)
     general = direct_form(exp)
     cases = [  # kernels -> stored families
-        ({"k3": general}, {"u"}),
+        ({"k1": general}, {"u"}),
+        ({"k3": general}, set()),       # q rows, which step fills
         ({"k2": general}, {"p"}),
         ({"k1": exp, "k2": general}, {"p"}),
         ({"k2": exp}, set()),
@@ -859,11 +865,14 @@ def test_audit_sees_perturbed_recycled_solves(monkeypatch):
     def off(fact, f, g):
         calls.append(f.shape)
         u, p = checked(fact, f, g)
+        if len(calls) > 1:          # a solve of the direct side
+            return u, p
         return u * (1.0 + 1e-9), p * (1.0 + 1e-9)
 
     monkeypatch.setattr(SaddleFactorization, "checked_solve", off)
     deviation = audit(sys_, grid, *loads)[1]
-    assert calls == [(6, 1)]
+    # the run's one solve, then the direct side's 101 dense ones, checked
+    assert calls == [(6, 1)] * 102
     assert deviation > 1e-12 and abs(deviation - 1e-9) < 1e-11
 
 
@@ -1071,7 +1080,10 @@ def test_step_node_by_node_equals_a_blocked_run_under_a_general_k3(
             * (1.0 + 0.5 * np.sin(3.0 * np.asarray(t))), bound=1.05))
     assert sums == [(64, 64), (128, 23)] + [(n, 1) for n in range(1, 151)]
     assert blocked._maps == single._maps == {}
-    assert_array_equal(blocked.vectors("u").shape, (151, 8))
+    # no u is stored: q is, as row 2 fixed it, here all of it dense
+    for hist in (blocked, single):
+        assert not hist.store_full and hist.vectors("u").size == 0
+        assert hist.vectors("q").shape == (151, 3)
 
 
 def test_blocked_run_has_no_per_node_python(monkeypatch):
@@ -1204,7 +1216,8 @@ def test_loads_may_switch_between_pairs_and_arrays(general):
     # row 2 loaded by a pair, then by the same load as an array for one
     # block, then by pairs on a new vector: the history of q gains a dense
     # part, so the later blocks are dense solves too, and every state is
-    # that of the run on arrays throughout
+    # that of the run on arrays throughout; a general k3 keeps that
+    # history on q rows, coefficients then the dense part, and no u
     kernel = MemoryKernel.exp_convolution(c=-1.5, rate=0.7)
     sys_ = sized_system(5, 2, k3=direct_form(kernel) if general else kernel)
     grid = TimeGrid(T=2.0, n_steps=200)
@@ -1217,18 +1230,74 @@ def test_loads_may_switch_between_pairs_and_arrays(general):
             return v @ np.cos(times)[None, :]
         return w, 0.5 * np.cos(times)[None, :]
 
-    runs = []
+    runs, hists = [], []
     for load in (pairs, lambda times: dense_load(pairs(times))):
         blocks = []
-        VolterraStepper(sys_, grid).run(
+        stepper = VolterraStepper(sys_, grid).run(
             sys_.zero_load, load,
             on_step=lambda n, times, u, p, basis: blocks.append(
-                (np.concatenate((u, p)), basis is None)))
+                (u, p, basis is None)))
         runs.append(blocks)
-    assert [dense for _, dense in runs[0]] == [False, True, True, True]
-    assert [dense for _, dense in runs[1]] == [True] * 4
-    x, ref = (np.hstack([x for x, _ in blocks]) for blocks in runs)
+        hists.append(stepper.hist)
+    assert [dense for *_, dense in runs[0]] == [False, True, True, True]
+    assert [dense for *_, dense in runs[1]] == [True] * 4
+    x, ref = (np.vstack([np.hstack(family) for family in zip(*blocks)][:2])
+              for blocks in runs)
     assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for family in (slice(0, 5), slice(5, 7)):       # u, then p
+        assert np.max(np.abs(x[family] - ref[family])) \
+            <= 1e-12 * np.max(np.abs(ref[family]))
+    for hist in hists:
+        assert not hist.store_full and hist.vectors("u").size == 0
+    if general:             # v and w's coefficients, then the dense part
+        assert hists[0].vectors("q").shape == (201, 2 + 2)
+        assert not hists[0].vectors("q")[:64, 2:].any()
+        assert hists[1].vectors("q").shape == (201, 2)
+
+
+def test_general_k3_on_pairs_keeps_q_on_their_coefficients(monkeypatch):
+    # a general k3 under pair loads in both rows: one LU solve per load
+    # direction and a basis for every block, no u stored, and q's rows
+    # are its coefficients alone; the states are those of the run on the
+    # loads made dense, and a run that forms none steps 64 nodes a block
+    solves = record_solves(monkeypatch)
+    sys_ = sized_system(5, 2, k3=time_varying_kernel())
+    grid = TimeGrid(T=2.0, n_steps=150)
+    v = frozen([[1.0], [0.5], [-1.0], [2.0], [0.0]])
+    w = frozen([[1.0], [-2.0]])
+
+    def f_of_t(times):
+        return v, np.sin(times)[None, :]
+
+    def g_of_t(times):
+        return w, np.cos(times)[None, :]
+
+    blocks, dense = [], []
+    stepper = VolterraStepper(sys_, grid).run(
+        f_of_t, g_of_t, on_step=lambda n, times, u, p, basis: blocks.append(
+            (np.concatenate((u, p)), basis)))
+    assert [(f.shape, g.shape) for _, f, g in solves] \
+        == [((5, 1), (2, 1)), ((5, 1), (2, 1))]
+    assert [x.shape[1] for x, _ in blocks] == [64, 64, 23]
+    assert all(basis is not None for _, basis in blocks)
+    hist = stepper.hist
+    assert not hist.store_full and hist.vectors("u").size == 0
+    assert hist.vectors("q").shape == (151, 2) and not hist.vectors("q")[:, 0].any()
+    VolterraStepper(sys_, grid).run(
+        lambda times: dense_load(f_of_t(times)),
+        lambda times: dense_load(g_of_t(times)),
+        on_step=lambda n, times, u, p, basis: dense.append(
+            np.concatenate((u, p))))
+    x, ref = np.hstack([x for x, _ in blocks]), np.hstack(dense)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    free = []
+    del solves[:]
+    stepper = VolterraStepper(sys_, grid, states=False)
+    stepper.run(f_of_t, g_of_t, on_step=lambda n, times, u, p, basis:
+                free.append((u, p, basis[0] @ basis[1])))
+    assert stepper.width == 64 and len(solves) == 2
+    assert all(u is None and p is None for u, p, _ in free)
+    assert_allclose(np.vstack([x for *_, x in free]).T, x, rtol=1e-15)
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["writeable", "view"])
