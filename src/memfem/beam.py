@@ -19,7 +19,11 @@ The exact-solution oracle uses the separability of step loads: every
 field equals its memory-free spatial solution times the scalar creep
 factor.  The spatial part is taken from a fine reference mesh, the time
 factor from the closed-form creep solution, so the oracle never touches
-the Volterra stepping path it is used to check.
+the Volterra stepping path it is used to check.  In node order (M_i,
+V_i, beta_i, w_i for each node i) the fine mesh's saddle matrix is a
+band of half-width 4, which the oracle factors by a banded LU with
+partial pivoting (LAPACK dgbtrf), not by the SuperLU LU of the stepper;
+its solve is residual-checked as the stepper's are.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
-from .errors import ConfigError
+from .errors import ConfigError, SaddleSolverError
 from .kernels import CreepFactor, MemoryKernel, creep_factor
 from .mesh import Mesh1D, uniform_mesh1d
-from .sparsela import assemble, factorize_saddle
+from .sparsela import SaddleFactorization, assemble
 from .volterra import (BlockSaddleSystem, L1NormAccumulator, TimeGrid,
                        VolterraStepper)
 
@@ -282,6 +287,48 @@ class BeamReference:
                 if not k.startswith("d")}
 
 
+class _NodeBand:
+    """Banded LU of the beam's ``K = [[A, B^T], [B, 0]]`` in node order.
+
+    The unknown at block-order position j sits at ``order[j]`` of the node
+    order M_i, V_i, beta_i, w_i (node i and the cell right of it), in
+    which ``K`` has ``kl`` sub- and ``ku`` superdiagonals.  LAPACK
+    ``dgbtrf`` factors that band with partial pivoting; a zero pivot
+    raises :class:`SaddleSolverError`.  :meth:`solve` takes and returns
+    block order, so the object serves :class:`SaddleFactorization`.
+    """
+
+    def __init__(self, a, b):
+        n = b.shape[0] // 2
+        i = np.arange(n + 1)
+        self.order = np.concatenate((4 * i, 4 * i + 1, 4 * i[:-1] + 2,
+                                     4 * i[:-1] + 3))
+        self._perm = np.empty_like(self.order)      # node -> block order
+        self._perm[self.order] = np.arange(len(self.order))
+        kkt = sp.bmat([[a, b.T], [b, None]], format="coo")
+        cols = self.order[kkt.col]
+        off = self.order[kkt.row] - cols
+        self.kl, self.ku = int(off.max()), int(-off.min())
+        # LAPACK band storage, column-major: K[r, c] at row kl + ku + r - c
+        # of column c; the first kl rows are room for dgbtrf's fill-in
+        height = 2 * self.kl + self.ku + 1
+        band = np.bincount(self.kl + self.ku + off + height * cols, kkt.data,
+                           minlength=height * len(self.order))
+        band = band.reshape((height, len(self.order)), order="F")
+        self._lu, self._piv, info = lapack.dgbtrf(band, self.kl, self.ku,
+                                                  overwrite_ab=True)
+        if info > 0:
+            raise SaddleSolverError(
+                f"beam reference matrix is singular (zero pivot {info})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``K^{-1} rhs`` for a stacked right-hand side, one column or
+        ``(n, k)``."""
+        x, _ = lapack.dgbtrs(self._lu, self.kl, self.ku,
+                             rhs[self._perm].reshape(len(rhs), -1), self._piv)
+        return x[self.order].reshape(rhs.shape)
+
+
 def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
                          g_space: Optional[Callable], grid: TimeGrid,
                          kernel: Optional[MemoryKernel], e0: float = 1.0,
@@ -289,14 +336,16 @@ def beam_exact_reference(cfg: BeamConfig, f_space: Callable,
     """Reference evaluator for a separable step load ``q(x) H(t)``.
 
     Solves the memory-free mixed system on a fine mesh (``n_ref``
-    elements) and modulates it with the closed-form creep factor of the
-    attached kernel.
+    elements) by a banded LU in node order, residual-checked
+    (:meth:`SaddleFactorization.checked_solve`), and modulates it with the
+    closed-form creep factor of the attached kernel.
     """
     if cfg.profile == "joined" and n_ref % 2 != 0:
         n_ref += 1
     fine = BeamProblem(cfg, n_ref, None, e0, f_space, g_space)
-    u, p = factorize_saddle(fine.a, fine.b).solve(np.zeros(fine.n_v),
-                                                  fine._load[:, 0])
+    band = _NodeBand(fine.a, fine.b)
+    u, p = SaddleFactorization(band, fine.a, fine.b).checked_solve(
+        np.zeros(fine.n_v), fine._load[:, 0])
     if kernel is None:          # the zero kernel: its creep factor is 1 + 0 t
         kernel = MemoryKernel.exp_convolution(0.0, 0.0)
     return BeamReference(fine.mesh, u, p, creep_factor(kernel, grid))

@@ -39,7 +39,7 @@ from .report import ConvergenceReport, LevelRow, render_csv, render_markdown, re
 from .sparsela import (infsup_estimate, kernel_ellipticity, operator_norm_b,
                        operator_norm_estimate)
 from .volterra import (L1NormAccumulator, TimeGrid, VolterraStepper, audit,
-                       dense_load, error_constants, stability_constants)
+                       error_constants, stability_constants)
 
 __all__ = ["main", "load_config", "run_study", "emit_report", "emit_certificate"]
 
@@ -249,7 +249,9 @@ class RunNorms:
     :class:`~memfem.volterra.L1NormAccumulator` of ``u`` in the V Gram and
     ``p`` in the Q Gram that it feeds.  ``add_load`` takes the constraint
     row's block loads (arrays or pairs) in node order, as the stepper
-    requests them.  The Q Gram must be diagonal, as both drivers' are.
+    requests them; a pair ``(V, C)`` has its norms from ``C`` and the
+    ``r x r`` Gram ``V^T D^{-1} V``, formed once per ``V``.  The Q Gram
+    ``D`` must be diagonal, as both drivers' are.
     """
 
     def __init__(self, gram_v, gram_q, grid: TimeGrid):
@@ -265,16 +267,24 @@ class RunNorms:
         self.weights = grid.weights
         self.g_dual_l1 = 0.0
         self._loads = 0
+        self._grams = {}            # id(V) -> (V, V^T D^{-1} V)
 
     def add(self, n: int, times, u, p, basis):
         self.states.add(n, u, p, basis)
 
     def add_load(self, g):
-        g = dense_load(g)
+        if isinstance(g, tuple):    # |V c|^2 = c . (V^T D^{-1} V) c
+            v, g = g
+            if id(v) not in self._grams:
+                # an overflow is an infinite norm: emit_certificate refuses it
+                with np.errstate(over="ignore"):
+                    self._grams[id(v)] = v, v.T @ (v / self._gq_diag[:, None])
+            weighted = self._grams[id(v)][1] @ g
+        else:
+            weighted = g / self._gq_diag[:, None]
         w = self.weights[self._loads:self._loads + g.shape[1]]
         self._loads += g.shape[1]
-        self.g_dual_l1 += w @ np.sqrt(
-            np.einsum("ij,ij->j", g, g / self._gq_diag[:, None]))
+        self.g_dual_l1 += w @ np.sqrt(np.einsum("ij,ij->j", g, weighted))
 
 
 def _single_problem(cfg: dict):

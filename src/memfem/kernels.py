@@ -98,7 +98,10 @@ class MemoryKernel:
     Attributes
     ----------
     eval : callable
-        ``eval(t, s)`` with s <= t, vectorized over numpy arrays.
+        ``eval(t, s)`` with s <= t, vectorized over numpy arrays that
+        broadcast together, such as a ``(rows, 1)`` column of ``t``
+        against a ``(1, cols)`` row of ``s``; a result that broadcasts to
+        their shape, a factor in ``t`` alone say, is enough.
     bound : float
         A constant ``C_k`` with ``|eval(t, s)| <= C_k``.
     c, rate : float or None

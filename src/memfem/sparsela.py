@@ -53,9 +53,10 @@ SOLVE_BACKWARD_TOL = 1e-12
 class SaddleFactorization:
     """Reusable factorization of ``K = [[A, B^T], [B, 0]]``.
 
-    ``lu`` is the SuperLU object of ``K``: it solves for a stacked
-    right-hand side (``lu.solve``) and counts its stored entries
-    (``lu.nnz``).  The CSR blocks ``a`` and ``b`` check solves.
+    ``lu`` is an LU of ``K`` that solves for a stacked right-hand side
+    (``lu.solve``): the SuperLU object of :func:`factorize_saddle`, which
+    also counts its stored entries (``lu.nnz``), or the beam oracle's
+    banded LU.  The CSR blocks ``a`` and ``b`` check solves.
     """
 
     def __init__(self, lu, a, b):

@@ -459,13 +459,16 @@ def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
     if len(xs) < n:
         raise ValueError(f"history sum of {which!r} at step {n} needs {n} "
                          f"stored states, and the buffer holds {len(xs)}")
-    # eval on equal-length 1-D arrays of at most 4096 values
-    cols, direct = max(1, 4096 // rows), np.zeros((rows, xs.shape[1]))
+    # eval on a (rows, 1) column of the block's times against a (1, cols)
+    # row of past ones, at most 4096 pairs a call; a factor in t alone is
+    # computed once a row
+    t, cols = times[n:n + rows, None], max(1, 4096 // rows)
+    direct = np.zeros((rows, xs.shape[1]))
     for j in range(0, n, cols):
         s = times[j:min(j + cols, n)]
-        kv = kernel.eval(np.repeat(times[n:n + rows], len(s)), np.tile(s, rows))
-        direct += (weights[j:j + len(s)] * np.reshape(
-            np.asarray(kv, dtype=float), (rows, len(s)))) @ xs[j:j + len(s)]
+        kv = np.broadcast_to(np.asarray(kernel.eval(t, s[None]), dtype=float),
+                             (rows, len(s)))
+        direct += (weights[j:j + len(s)] * kv) @ xs[j:j + len(s)]
     return direct.T if k else direct[0]
 
 
@@ -568,8 +571,9 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
                             if gd is None else gd))
         if n >= 1:              # the history before the block
             q += history_sum(hist, sys.k3, "q", k)
-        t = grid.times[n:n + k]
-        kv = np.reshape(sys.k3.eval(np.repeat(t, k), np.tile(t, k)), (k, k))
+        t = grid.times[n:n + k, None]       # s = min(t_i, t_j) keeps s <= t
+        kv = np.broadcast_to(np.asarray(sys.k3.eval(t, np.minimum(t, t.T)),
+                                        dtype=float), (k, k))
         low = np.tril(kv * grid.weights[n:n + k], -1) / g3[:, None]
         rows[n:n + k] = q = solve_triangular(     # a block of one: q / g3
             -low, (q / g3).T, lower=True, unit_diagonal=True, check_finite=False)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from memfem.beam import (
     BeamConfig,
+    _NodeBand,
     BeamProblem,
     assemble_beam_a,
     assemble_beam_b,
@@ -22,10 +23,11 @@ from memfem.beam import (
     joined_profile,
     smooth_profile,
 )
-from memfem.errors import ConfigError
+from memfem.errors import ConfigError, SaddleSolverError
 from memfem.kernels import PronySLS, beam_kernel
 from memfem.mesh import Mesh1D, uniform_mesh1d
-from memfem.sparsela import infsup_estimate, kernel_ellipticity
+from memfem.sparsela import (factorize_saddle, infsup_estimate,
+                             kernel_ellipticity)
 from memfem.volterra import TimeGrid, dense_load
 
 EXP_LOAD = lambda x: np.exp(x)
@@ -234,6 +236,51 @@ def test_exact_reference_sls_time_ratio():
             mask = np.abs(base[name]) > 1e-12
             assert_allclose(vals[name][mask] / base[name][mask], expect,
                             rtol=1e-10)
+
+
+@pytest.mark.parametrize("cfg", [joined_profile(d=0.01), smooth_profile()],
+                         ids=["joined", "smooth"])
+def test_exact_reference_band_solve_matches_the_saddle_lu(cfg):
+    # the oracle's banded LU in node order against the stepper's SuperLU
+    grid = TimeGrid(T=1.0, n_steps=4)
+    ref = beam_exact_reference(cfg, EXP_LOAD, None, grid, None, n_ref=48)
+    fine = BeamProblem(cfg, 48, None, 1.0, EXP_LOAD, None)
+    u, p = factorize_saddle(fine.a, fine.b).solve(np.zeros(fine.n_v),
+                                                  fine._load[:, 0])
+    c = ref.coeff
+    for got, want in ((np.concatenate((c["M"], c["V"])), u),
+                      (np.concatenate((c["beta"], c["w"])), p)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_node_order_band_has_half_width_4(n):
+    # M_i, V_i, beta_i, w_i per node: A couples the nodes i and i + 1, B
+    # each cell with its two ends
+    cfg = smooth_profile()
+    mesh = uniform_mesh1d(1.0, n)
+    band = _NodeBand(assemble_beam_a(cfg, mesh), assemble_beam_b(mesh))
+    assert (band.kl, band.ku) == (4, 4)
+    assert_array_equal(np.sort(band.order), np.arange(4 * n + 2))
+
+
+def test_exact_reference_solve_is_residual_checked(monkeypatch):
+    # a band solve that is off by 1e-9 fails the oracle's residual check
+    orig = _NodeBand.solve
+    monkeypatch.setattr(_NodeBand, "solve",
+                        lambda self, rhs: orig(self, rhs) * (1.0 + 1e-9))
+    with pytest.raises(SaddleSolverError, match="backward error"):
+        beam_exact_reference(joined_profile(d=0.01), EXP_LOAD, None,
+                             TimeGrid(T=1.0, n_steps=4), None, n_ref=16)
+
+
+def test_singular_band_raises_saddle_solver_error():
+    # B with a zero row: its multiplier's column of K is zero, a zero pivot
+    mesh = uniform_mesh1d(1.0, 6)
+    b = assemble_beam_b(mesh).tolil()
+    b[3, :] = 0.0
+    with pytest.raises(SaddleSolverError, match="zero pivot"):
+        _NodeBand(assemble_beam_a(smooth_profile(), mesh), b.tocsr())
 
 
 def beam_errors(series, ref, grid, mesh):

@@ -580,6 +580,29 @@ def test_run_norms_blocks_give_the_per_node_formula(width):
     assert norms.g_dual_l1 == pytest.approx(g_l1, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_run_norms_of_a_pair_are_those_of_its_array(rank):
+    # a pair (V, C) has its dual norms from C and the Gram V^T Gq^-1 V,
+    # formed once per V: the same sum as of the array V C, summed in
+    # another order
+    import scipy.sparse as sp
+
+    from memfem.cli import RunNorms
+
+    rng = np.random.default_rng(rank)
+    grid = TimeGrid(T=1.0, n_steps=43)
+    gram_q = rng.uniform(0.5, 2.0, 5)
+    v, c = rng.standard_normal((5, rank)), rng.standard_normal((rank, 44))
+    pairs, arrays = (RunNorms(sp.identity(3), sp.diags(gram_q), grid)
+                     for _ in range(2))
+    for n in range(0, 44, 22):
+        pairs.add_load((v, c[:, n:n + 22]))
+        arrays.add_load(v @ c[:, n:n + 22])
+    assert list(pairs._grams) == [id(v)]
+    assert pairs.g_dual_l1 == pytest.approx(arrays.g_dual_l1, rel=1e-14,
+                                            abs=0.0)
+
+
 def test_run_norms_refuse_a_non_diagonal_q_gram():
     import scipy.sparse as sp
 

@@ -659,8 +659,8 @@ def test_direct_history_sum_matches_loop():
 def test_block_history_sum_is_the_part_before_the_block():
     # column i of the sum at the k nodes from n is the direct sum over the
     # q = B u of the j < n stepped at node n + i; the kernel is evaluated
-    # on equal-length 1-D arrays of at most 4096 values, never on the
-    # whole block at once
+    # on a (rows, 1) column of t against a (1, cols) row of s, at most
+    # 4096 pairs a call, never on the whole block at once
     rng = np.random.RandomState(5)
     grid = TimeGrid(T=3.0, n_steps=300)
     shapes = []
@@ -680,8 +680,8 @@ def test_block_history_sum_is_the_part_before_the_block():
         shapes.clear()
         out = history_sum(hist, kernel, "q", nodes)
         assert out.shape == (2, nodes)
-        assert sum(t[0] for t, _ in shapes) == nodes * 240
-        assert all(len(t) == len(s) == 1 and t[0] == s[0] <= 4096
+        assert sum(t[0] * s[1] for t, s in shapes) == nodes * 240
+        assert all(t == (nodes, 1) and s[0] == 1 and t[0] * s[1] <= 4096
                    for t, s in shapes)
         for i in range(nodes):
             ref = sys_.b @ ((grid.weights[:240]
@@ -1084,6 +1084,29 @@ def test_step_node_by_node_equals_a_blocked_run_under_a_general_k3(
     for hist in (blocked, single):
         assert not hist.store_full and hist.vectors("u").size == 0
         assert hist.vectors("q").shape == (151, 3)
+
+
+def test_a_blocked_general_k3_is_evaluated_on_s_at_most_t():
+    # MemoryKernel.eval is defined for s <= t only: a kernel that refuses
+    # s > t runs a block of 64 nodes, and steps as its exponential form
+    def refuses_the_upper_triangle(t, s):
+        t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
+        if np.any(s > t):
+            raise ValueError("k3 evaluated at s > t")
+        return -0.5 * np.exp(s - t)
+
+    grid = TimeGrid(T=1.0, n_steps=20)
+    states = []
+    for k3 in (MemoryKernel.from_callable(refuses_the_upper_triangle, 0.5),
+               MemoryKernel.exp_convolution(c=-0.5, rate=1.0)):
+        sys_ = sized_system(6, 2, k3=k3)
+        stepper = VolterraStepper(sys_, grid)
+        blocks = []
+        stepper.run(sys_.zero_load, const_load(1.0, -2.0),
+                    on_step=lambda n, times, u, p, basis: blocks.append(u))
+        assert stepper.width == 64 and len(blocks) == 1
+        states.append(blocks[0])
+    assert_allclose(states[0], states[1], rtol=1e-13)
 
 
 def test_blocked_run_has_no_per_node_python(monkeypatch):
