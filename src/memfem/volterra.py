@@ -14,8 +14,8 @@ initial condition).  Scheme well-posedness requires the stability gate
 ``|w_{n,n} k(t_n, t_n)| < 1`` for every attached kernel.
 
 The scalings are scalars, so every step shares one SuperLU LU of the
-unscaled ``K = [[A, B^T], [B, 0]]``, and :func:`step` applies them around
-its solves.  A load block is a dense ``(n, k)`` array or a pair ``(V,
+unscaled ``K = [[A, B^T], [B, 0]]``, and :func:`step` applies them in
+time.  A load block is a dense ``(n, k)`` array or a pair ``(V,
 C)`` of vectors ``V`` ``(n, r)`` and coefficients ``C`` ``(r, k)``, the
 load ``V C``.  A run solves ``Y = K^{-1} V`` once per read-only ``V``
 and steps the coefficients alone: both drivers load row 2 with one
@@ -25,17 +25,15 @@ recurrence, a general kernel one product of its weighted values with
 the stored ``(N+1, n)`` rows of the family it reads.  :func:`audit`
 checks a run against the same kernels in that direct form.
 
-Row 2 alone reads ``g3_n q_n - sum_{j<n} w_{n,j} k3(t_n,t_j) q_j = g_n``:
-its history is kept on the ``q`` it fixes, never read back as ``B u``.
-Without ``k1`` and ``k2`` (``HistoryBuffer.blocked``), every ``(f_n,
-q_n)`` is known before any solve: the stepper solves blocks after row 2,
-which under a general ``k3`` is one product with the ``q`` before the
-block and one triangular solve inside it (Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6, 1985).  A block of ``max(1, min(64, 65536
-// (n_v + n_q)))`` nodes, 512 KiB of right-hand side, keeps its states
-about cache-sized; wider blocks saved at most a few percent, or lost.  A
-run that forms no states (``states=False``) takes 64 nodes.  Every
-other system solves one node at a time.
+Every kernel is scalar, so in time slot i is a lower-triangular matrix
+``L_i`` (``g_i`` on its diagonal, ``-w_{n,j} k_i(t_n,t_j)`` below).  Row
+2 alone reads ``Q L3^T = G``, its history kept on the ``q`` it fixes,
+never read back as ``B u``; then ``K [U L1^T; P L2^T] = [F; Q L1^T]``,
+so every system steps in blocks (Hairer, Lubich & Schlichte, SIAM J.
+Sci. Stat. Comput. 6, 1985; see :func:`step`).  A block of ``max(1,
+min(64, 65536 // (n_v + n_q)))`` nodes, 512 KiB of right-hand side,
+keeps its states about cache-sized; wider blocks saved at most a few
+percent, or lost.  A run that forms no states takes 64 nodes.
 
 L1-in-time error norms take each solved block at once: from the
 coefficients of its states on ``Y``, or else in dof space (see
@@ -356,9 +354,8 @@ class HistoryBuffer:
     ``q = B u``, as row 2 fixes it.  The attached kernels fix what is kept:
 
     * an exponential kernel gets a recurrence per (kernel, family),
-      updated in place, that holds the history sum of node ``len(self)``
-      (see :func:`history_sum`): :meth:`append` advances those of ``u``
-      and ``p`` by one node, and :func:`step` that of ``q`` by a block;
+      updated in place by :func:`step`, a block at a time, that holds the
+      history sum of node ``len(self)``;
     * ``u`` or ``p`` is stored, as the rows of an ``(n_steps + 1, n)``
       array, only when a general kernel reads it: ``(n_steps + 1) * n *
       8`` bytes, with ``n = n_v`` for ``u`` and ``n = n_q`` for ``p``;
@@ -370,13 +367,10 @@ class HistoryBuffer:
     The rows of ``y`` are ``K^{-1}`` of the columns of each ``V`` that
     the run solved (see :func:`step`), on its block row of ``K``, and are
     only added; an exponential ``k3`` keeps its history of ``q`` on them.
-
-    ``blocked``: several nodes may share a solve (see the module docstring).
     """
 
     def __init__(self, sys: BlockSaddleSystem, grid: TimeGrid):
         self.grid = grid
-        self.blocked = sys.k1 is None and sys.k2 is None
         reads = [(kernel, which) for kernel, which
                  in zip(sys.kernels, ("u", "p", "q")) if kernel is not None]
         size = {"u": sys.n_v, "p": sys.n_q, "q": sys.n_q}
@@ -387,11 +381,13 @@ class HistoryBuffer:
         # family -> (n_steps + 1, n) rows; q's start with no columns
         self._stored = {w: np.empty((grid.n_steps + 1, 0 if w == "q" else size[w]))
                         for kernel, w in reads if not kernel.is_exp}
-        self._maps = {}         # (block starts at node 0, k) -> row 2's map
+        self._maps = {}         # (family, block starts at node 0, k) -> map
         self._count = 0         # solved states appended
         self._loads = {}        # (block row, id(V)) -> (V, its rows of y)
         self.y = np.empty((0, sys.n_v + sys.n_q))   # K^{-1} [V; 0] or [0; V]
         self._q = np.zeros(0)   # an exponential k3's q history on y
+        # whether it reads the solved states: a k1 or k2 keeps u or p
+        self.reads_states = sys.k1 is not None or sys.k2 is not None
 
     def __len__(self) -> int:
         return self._count
@@ -401,17 +397,11 @@ class HistoryBuffer:
         """Whether the states ``u`` or ``p`` are stored."""
         return "u" in self._stored or "p" in self._stored
 
-    @property
-    def reads_states(self) -> bool:
-        """Whether :meth:`append` reads the states: ``u`` or ``p`` is
-        stored, or ``k1`` or ``k2`` keeps a recurrence of one."""
-        return self.store_full or not self.blocked
-
     def append(self, u, p, k: int = 1) -> None:
         """Add solved states from node ``len(self)`` on: the vectors of
         one node, or ``(n, k)`` arrays with one column per node; or, when
         the history reads no states, count ``k`` nodes with ``u = p =
-        None``."""
+        None``.  Stores the families a general kernel reads."""
         if u is None and self.reads_states:
             raise ValueError("this history reads the states it is given")
         n = self._count
@@ -420,13 +410,6 @@ class HistoryBuffer:
             rows = self._stored.get(which)
             if rows is not None:
                 rows[n:n + k] = x.T
-        # k1 and k2 step one node at a time: node n's trapezoid weight
-        w = self.grid.dt if n else 0.5 * self.grid.dt
-        for (kernel, which), (decay, acc) in self._recur.items():
-            if which != "q":
-                x = u if which == "u" else p
-                acc += w * kernel.c * x.reshape(acc.shape)
-                acc *= decay
         self._count += k
 
     def vectors(self, which: str) -> np.ndarray:
@@ -439,21 +422,14 @@ class HistoryBuffer:
 def history_sum(hist: HistoryBuffer, kernel: MemoryKernel, which: str,
                 k: Optional[int] = None) -> np.ndarray:
     """Weighted history sum ``sum_{j<n} w_{n,j} k(t_n, t_j) x_j`` of one
-    family at the next node, ``n = len(hist)``; given ``k``, its part
+    stored family at the next node, ``n = len(hist)``, as one product of
+    the weighted kernel values with the stored rows; given ``k``, its part
     over j < n at each of the k nodes from n, one column a node.  That of
-    ``q`` is its coefficients on the rows of ``hist.y``, then its dense
-    part, once there is one.
-
-    Taken from the buffer's recurrence for ``(kernel, which)`` when it
-    holds one and ``k`` is not given, and otherwise as one product of the
-    weighted ``(k, n)`` kernel block with the stored rows.
+    ``q`` is its coefficients on ``hist.y``, then its dense part, if any.
     """
     n = len(hist)
     if n < 1:
         raise ValueError("history sums start at step 1")
-    recur = hist._recur.get((kernel, which))
-    if recur is not None and k is None:     # a copy: append updates it
-        return np.concatenate((hist._q if which == "q" else [], recur[1]))
     times, weights, rows = hist.grid.times, hist.grid.weights, k or 1
     xs = hist.vectors(which)
     if len(xs) < n:
@@ -498,16 +474,27 @@ def step_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int):
     return tuple(gammas)
 
 
-def _k3_gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int, k: int):
-    """``g3`` of a general ``k3`` at the k nodes from n; the first node
-    that fails the gate raises as in :func:`step_gammas`."""
-    t = grid.times[n:n + k]
-    diag = np.asarray(sys.k3.eval(t, t), dtype=float)
-    wk = np.where(np.arange(n, n + k) > 0, 0.5 * grid.dt * diag, 0.0)
-    bad = np.flatnonzero(~np.isfinite(diag) | (np.abs(wk) >= 1.0))
-    if bad.size:
-        step_gammas(sys, grid, n + int(bad[0]))
-    return 1.0 - wk
+def _gammas(sys: BlockSaddleSystem, grid: TimeGrid, n: int, k: int):
+    """``[g1, g2, g3]`` of the k nodes from n: the scalar of every node
+    after node 0 for an absent or exponential kernel, the k nodes' array
+    for a general one.  The gate is checked at node n, at node 1 in a block
+    holding node 0 and at every node of a general kernel, as by
+    :func:`step_gammas`, which raises at the first node that fails."""
+    gammas = step_gammas(sys, grid, n)
+    if n == 0 and k > 1:
+        gammas = step_gammas(sys, grid, 1)      # nodes 1, ..., k - 1
+    gammas, bad = list(gammas), k
+    for i, kernel in enumerate(sys.kernels):
+        if kernel is not None and not kernel.is_exp:    # k(t, t) varies
+            t = grid.times[n:n + k]
+            diag = np.asarray(kernel.eval(t, t), dtype=float)
+            wk = np.where(np.arange(n, n + k) > 0, 0.5 * grid.dt * diag, 0.0)
+            fails = np.flatnonzero(~np.isfinite(diag) | (np.abs(wk) >= 1.0))
+            bad = min([bad, *fails[:1]])
+            gammas[i] = 1.0 - wk
+    if bad < k:
+        step_gammas(sys, grid, n + int(bad))
+    return gammas
 
 
 def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
@@ -515,90 +502,49 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
     """Advance the k nodes ``n = len(hist), ...`` loaded by the block
     loads ``f`` (row 1, ``n_v`` rows) and ``g`` (row 2, ``n_q`` rows):
     each a dense ``(rows, k)`` array or a pair ``(V, C)`` (see the module
-    docstring); more than one node needs ``hist.blocked``.  Returns ``(u,
-    p, basis)``: one column per node, and ``basis`` ``(C, Y)``, the
-    block's ``(k, r)`` coefficients on the rows ``Y = hist.y`` with
-    ``[u; p] = (C Y)^T``, or None when a dense part entered the solve.
-    Without ``states``, a block solved on the basis forms no states, u =
-    p = None, when its history reads none (not ``hist.reads_states``).
+    docstring).  Returns ``(u, p, basis)``: one column per node, and
+    ``basis`` ``(C, Y)``, the block's ``(k, r)`` coefficients on the rows
+    ``Y = hist.y`` with ``[u; p] = (C Y)^T``, or None when a dense part
+    entered the solve or ``k1`` or ``k2`` is attached.  Without
+    ``states``, a block solved on the basis forms no states, u = p =
+    None, when its history reads none (not ``hist.reads_states``).
 
     A pair's ``V`` is known by identity and solved once per run, by
     :meth:`SaddleFactorization.checked_solve`, only when it owns its data
     and is read-only, as it must stay for the run; any other pair, or one
     past the run's first ``_LOAD_VECTORS`` solved vectors, loads as ``V C``.
 
-    The stability gate is checked before the solve: at node n and, in a
-    block holding node 0, at node 1, whose scalings every later node
-    shares, or under a general ``k3`` at every node.  Row 2 then gives
-    ``q = B u`` of every node: under an exponential ``k3`` as one affine
-    map of the loads ``G`` and the history ``H``, ``Q = G M + H v`` and
-    ``H <- G d + e H``; under a general one by a triangular solve, with
-    ``g3_i`` and ``-w_ij k3(t_i, t_j)``, of the loads plus the history
-    before the block, on the stored ``q`` rows, to which it adds the
-    block's.  Both act on the time axis alone, so they step a pair's
-    coefficients and the dense part apart.  The scalings are scalars, so
-
-        [[g1 A, g2 B^T], [g3 B, 0]] = diag(g1 I, g3 I) K diag(I, (g2/g1) I)
-
-    with ``K = [[A, B^T], [B, 0]]``: ``g3`` is folded into ``q``, and the
-    columns ``(f_n / g1, q_n)`` give ``u`` and ``(g2 / g1) p``: from the
-    solutions ``Y`` of the pairs' vectors, or, when the block has a dense
-    part (dense loads, ``k1`` or ``k2``, or a dense ``q``), by one checked
-    multi-column LU solve of the whole right-hand side.  Every block
-    scaling is applied here.
+    The gate is checked before the solve (see :func:`_gammas`).  With
+    ``L_ib`` slot i's ``(k, k)`` block of ``L_i`` and ``H_i`` its history
+    from before the block, row 2 gives ``Q = (G + H3) L3b^{-T}``, one
+    solve ``K [U'; P'] = [F; Q L1b^T - B H1]`` and ``U = (U' + H1)
+    L1b^{-T}``, ``P = (P' + H2) L2b^{-T}`` (see :func:`_in_time`).  These
+    act on the time axis alone, so they step a pair's coefficients and
+    the dense part apart.  ``[U'; P']`` comes from the solutions ``Y`` of
+    the pairs' vectors or, when the block has a dense part (dense loads,
+    ``k1``'s history or a dense ``q``), one checked multi-column LU solve.
     """
     grid, n = hist.grid, len(hist)
     k = (f[1] if isinstance(f, tuple) else f).shape[1]
-    if k > 1 and not hist.blocked:
-        raise ValueError("a block of several nodes needs k1 and k2 absent")
-    general = sys.k3 is not None and not sys.k3.is_exp
-    g1, g2, g3 = step_gammas(sys, grid, n)
-    if general:
-        g3 = _k3_gammas(sys, grid, n, k)        # k3(t, t) varies with t
-    elif n == 0 and k > 1:
-        g3 = step_gammas(sys, grid, 1)[2]       # that of nodes 1, ..., k - 1
+    gammas = _gammas(sys, grid, n, k)
     (fd, fc), (gd, gc) = _load_parts(sys, hist, f, g, k)
-    if n >= 1:                  # one node, unless the system is blocked
-        if sys.k1 is not None:
-            fd = _plus(fd, sys.a @ history_sum(hist, sys.k1, "u")[:, None])
-        if sys.k2 is not None:
-            fd = _plus(fd, sys.b.T @ history_sum(hist, sys.k2, "p")[:, None])
-    if general:                 # on q's rows: coefficients, then dense part
-        rows, r = hist._stored["q"], len(gc)
-        if gd is not None and rows.shape[1] == r:       # the first dense part
-            rows = hist._stored["q"] = np.pad(rows, ((0, 0), (0, sys.n_q)))
-        q = np.concatenate((gc, np.zeros((rows.shape[1] - r, k))
-                            if gd is None else gd))
-        if n >= 1:              # the history before the block
-            q += history_sum(hist, sys.k3, "q", k)
-        t = grid.times[n:n + k, None]       # s = min(t_i, t_j) keeps s <= t
-        kv = np.broadcast_to(np.asarray(sys.k3.eval(t, np.minimum(t, t.T)),
-                                        dtype=float), (k, k))
-        low = np.tril(kv * grid.weights[n:n + k], -1) / g3[:, None]
-        rows[n:n + k] = q = solve_triangular(     # a block of one: q / g3
-            -low, (q / g3).T, lower=True, unit_diagonal=True, check_finite=False)
-        qc, qd = q[:, :r].T, q[:, r:].T if q.shape[1] > r else None
-    elif sys.k3 is not None:
-        decay, h = hist._recur[(sys.k3, "q")]
-        key = (n == 0, k)
-        if key not in hist._maps:
-            hist._maps[key] = _constraint_map(sys.k3.c, decay, grid.dt, g3, *key)
-        m, v, d, e = hist._maps[key]
-        qc = gc @ m + hist._q[:, None] * v
-        hist._q = hist._q * e + gc @ d
-        qd = _plus(None if gd is None else gd @ m,
-                   h[:, None] * v if h.any() else None)
-        h *= e
-        if gd is not None:
-            h += gd @ d
-    else:
-        qd, qc = (None if gd is None else gd / g3), gc / g3
-    # g1 and g2 are those of every node of the block
-    c = fc / g1 + qc if g1 != 1.0 else fc + qc
+    qc, qd = _in_time(sys, hist, 2, n, k, gammas[2], gc, gd)
+    h1 = None
+    if sys.k1 is not None:      # row 2 of the solve: Q L1^T - B H1
+        l1t = (np.diag(np.where(np.arange(n, n + k) > 0, gammas[0], 1.0))
+               - _in_block(sys.k1, grid, n, k)).T
+        qc, qd = qc @ l1t, None if qd is None else qd @ l1t
+        if n >= 1 and sys.k1.is_exp:
+            decay, h = hist._recur[(sys.k1, "u")]
+            qd = _plus(qd, np.outer(sys.b @ -h, decay ** np.arange(k)))
+        elif n >= 1:
+            h1 = history_sum(hist, sys.k1, "u", k)
+            qd = _plus(qd, sys.b @ -h1)
+    c = fc + qc
     if fd is None and qd is None:
         if not np.isfinite(c).all():
             raise SaddleSolverError("non-finite load coefficients")
-        if not (states or hist.reads_states):  # blocked: g1 = g2 = 1
+        if not (states or hist.reads_states):
             hist.append(None, None, k)
             return None, None, (c.T, hist.y)
         x, basis = np.dot(hist.y.T, c), (c.T, hist.y)
@@ -607,17 +553,70 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
         for (row, _), (v, rows) in hist._loads.items():
             x[slice(sys.n_v, None) if row else slice(sys.n_v)] += v @ c[rows]
         if fd is not None:
-            x[:sys.n_v] += fd / g1 if g1 != 1.0 else fd
+            x[:sys.n_v] += fd
         if qd is not None:
             x[sys.n_v:] += qd
         x, basis = np.concatenate(sys.saddle.checked_solve(
             x[:sys.n_v], x[sys.n_v:])), None
     u, p = x[:sys.n_v], x[sys.n_v:]
-    if g1 != g2:
-        p *= g1 / g2
-        basis = None                # p is no longer that of the basis
+    if sys.k1 is not None or sys.k2 is not None:
+        u = _in_time(sys, hist, 0, n, k, gammas[0], None, u, h1)[1]
+        p = _in_time(sys, hist, 1, n, k, gammas[1], None, p)[1]
+        basis = None                # u and p have their own coefficients
     hist.append(u, p)
     return u, p, basis
+
+
+def _in_block(kernel: MemoryKernel, grid: TimeGrid, n: int, k: int):
+    """``w_j k(t_i, t_j)`` of the k nodes from n below the diagonal, else 0."""
+    t = grid.times[n:n + k, None]           # s = min(t_i, t_j) keeps s <= t
+    kv = np.broadcast_to(np.asarray(kernel.eval(t, np.minimum(t, t.T)),
+                                    dtype=float), (k, k))
+    return np.tril(kv * grid.weights[n:n + k], -1)
+
+
+def _in_time(sys, hist, slot, n, k, g, xc, xd, before=None):
+    """``(xc, xd)`` of ``X = (X' + H) L^{-T}`` for slot 0, 1 or 2 (``u``,
+    ``p``, ``q``) at the k nodes from n, from those of ``X'``: its
+    coefficients on ``hist.y`` (``q``'s alone, else None) and dense part;
+    the history gains ``X``.  An exponential kernel takes the affine map
+    ``X = X' M + h v``, ``h <- X' d + e h`` (:func:`_constraint_map`); a
+    general one adds ``H`` (``before``, if given) and solves ``L``, each
+    row divided by its ``g_i``, as a block of one is ``x / g`` bit for bit."""
+    kernel, which = sys.kernels[slot], "upq"[slot]
+    if kernel is None:
+        return xc, xd
+    if kernel.is_exp:
+        decay, h = hist._recur[(kernel, which)]
+        key = (which, n == 0, k)
+        if key not in hist._maps:
+            hist._maps[key] = _constraint_map(kernel.c, decay, hist.grid.dt,
+                                              g, *key[1:])
+        m, v, d, e = hist._maps[key]
+        if xc is not None:
+            xc, hist._q = xc @ m + hist._q[:, None] * v, hist._q * e + xc @ d
+        out = _plus(None if xd is None else xd @ m,
+                    h[:, None] * v if h.any() else None)
+        h *= e
+        if xd is not None:
+            h += xd @ d
+        return xc, out
+    x = xd
+    if which == "q":            # on q's rows: coefficients, then dense part
+        rows, r = hist._stored["q"], len(xc)
+        if xd is not None and rows.shape[1] == r:       # the first dense part
+            rows = hist._stored["q"] = np.pad(rows, ((0, 0), (0, sys.n_q)))
+        x = np.concatenate((xc, np.zeros((rows.shape[1] - r, k))
+                            if xd is None else xd))
+    if n >= 1:                  # the history before the block
+        x += history_sum(hist, kernel, which, k) if before is None else before
+    low = _in_block(kernel, hist.grid, n, k) / g[:, None]
+    x = solve_triangular(-low, (x / g).T, lower=True, unit_diagonal=True,
+                         check_finite=False)
+    if which != "q":
+        return None, x.T
+    rows[n:n + k] = x
+    return x[:, :r].T, x[:, r:].T if x.shape[1] > r else None
 
 
 def _plus(x, y):
@@ -667,14 +666,15 @@ def _load_parts(sys, hist, f, g, k):
     return parts
 
 
-def _constraint_map(c, decay, dt, g3, first, k):
-    """``(M, v, d, e)`` of row 2 over k nodes under ``k3 = c e^{-rate t}``,
-    from the scalar trapezoid recurrence run once on k + 1 unit inputs:
-    the k loads, then the history.  Node 0 (``first``) has weight dt/2."""
+def _constraint_map(c, decay, dt, g, first, k):
+    """``(M, v, d, e)`` of one family over k nodes under the kernel ``c
+    e^{-rate t}``, from the scalar trapezoid recurrence run once on k + 1
+    unit inputs: the k loads, then the history.  Node 0 (``first``) has
+    weight dt/2 and scaling 1, every other node ``g``."""
     q = np.eye(k + 1, k)                # one row per unit input
     h = np.eye(k + 1)[k]
     for i in range(k):
-        w, s = (0.5 * dt, 1.0) if first and i == 0 else (dt, g3)
+        w, s = (0.5 * dt, 1.0) if first and i == 0 else (dt, g)
         q[:, i] = (q[:, i] + h) / s
         h = (h + w * c * q[:, i]) * decay
     return q[:k], q[k], h[:k], h[k]
@@ -692,8 +692,7 @@ class VolterraStepper:
 
     The history it keeps is what the system's kernels read (see
     :class:`HistoryBuffer`).  ``width`` nodes share a solve (see the
-    module docstring): one for a system with ``k1`` or ``k2``, whose sums
-    read solved states.  ``states=False`` promises an observer that reads
+    module docstring).  ``states=False`` promises an observer that reads
     only each block's ``basis`` where it has one (see :func:`step`).
     """
 
@@ -704,8 +703,7 @@ class VolterraStepper:
         self.hist = HistoryBuffer(sys, grid)
         self.states = states
         free = not (states or self.hist.reads_states)
-        self.width = (64 if free else max(1, min(64, 65536 // (
-            sys.n_v + sys.n_q)))) if self.hist.blocked else 1
+        self.width = 64 if free else max(1, min(64, 65536 // (sys.n_v + sys.n_q)))
 
     @property
     def n_done(self) -> int:
@@ -729,11 +727,11 @@ class VolterraStepper:
         Without ``k1`` and ``k2``, pairs alone give every block a basis.
         """
         times, k3 = self.grid.times, self.sys.k3
-        general = self.hist.blocked and k3 is not None and not k3.is_exp
+        general = k3 is not None and not k3.is_exp
         for start in range(0, len(times), self.width):
             block = times[start:start + self.width]
             if general:         # the block's gate, then its loads node by node
-                _k3_gammas(self.sys, self.grid, start, len(block))
+                _gammas(self.sys, self.grid, start, len(block))
                 f, g = map(_join, zip(*[(f_of_t(t), g_of_t(t))
                                         for t in block[:, None]]))
             else:

@@ -24,7 +24,8 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from memfem.kernels import MemoryKernel
-from memfem.volterra import BlockSaddleSystem, TimeGrid, VolterraStepper, audit
+from memfem.volterra import (BlockSaddleSystem, HistoryBuffer, TimeGrid,
+                             VolterraStepper, audit, step)
 
 
 def oracle(a, b, kernels, T, N, f, g):
@@ -110,6 +111,11 @@ DRAWS = dict(
          k3="general", separable=False)
 @example(seed=8, n_v=4, n_q=2, N=140, T=2.5, k1="absent", k2="absent",
          k3="wrapped", separable=True)
+# memory in row 1 too: blocks of 64, 64 and 23 nodes under each slot
+@example(seed=9, n_v=7, n_q=2, N=150, T=2.0, k1="exponential", k2="general",
+         k3="general", separable=False)
+@example(seed=10, n_v=5, n_q=3, N=150, T=1.5, k1="general", k2="wrapped",
+         k3="exponential", separable=True)
 @given(**DRAWS)
 def test_stepper_matches_the_all_at_once_oracle(seed, n_v, n_q, N, T, k1, k2,
                                                 k3, separable):
@@ -118,7 +124,8 @@ def test_stepper_matches_the_all_at_once_oracle(seed, n_v, n_q, N, T, k1, k2,
 
 @settings(phases=[Phase.explicit], deadline=None)
 # condition number 7.6e7, k1 at |w k| = 0.85, and p 4e6 times smaller
-# than u at the last node: the run reads p 2.7e-11 from the oracle.  Its
+# than u at the last node: the run, one block of 8 nodes, reads p 6.7e-11
+# from the oracle (2.7e-11 when it stepped node by node).  Its
 # audit is not checked: the direct form that audit steps beside it reads
 # p 2.1e-10 from the oracle, 5e-17 of the largest state
 @example(seed=333838, n_v=4, n_q=0, N=7, T=3.0, k1="exponential",
@@ -191,20 +198,24 @@ def check_draw(seed, n_v, n_q, N, T, k1, k2, k3, separable, audited=True):
 
 def test_node_by_node_general_k3_reads_q_as_row_2_fixed_it():
     # the draw seed=1206959966, n_v=5, n_q=4, N=102, T=1.6811228533893323,
-    # k3 general, full-rank loads: a square B with cond(B) = 317.  Run
-    # node by node (a zero k2 attached: the same scheme at width 1) and in
-    # blocks, each reads 2.4e-12 from the oracle.  When the node-by-node
-    # history of q read B u_j of the stored u, up to cond(B) ulps off the
-    # q_j that row 2 fixed, that run read 2.9e-11 and the blocked 4.7e-12
+    # k3 general, full-rank loads: a square B with cond(B) = 317.  Stepped
+    # node by node (one-column step calls) and in blocks, each reads
+    # 2.4e-12 from the oracle.  When the node-by-node history of q read
+    # B u_j of the stored u, up to cond(B) ulps off the q_j that row 2
+    # fixed, that run read 2.9e-11 and the blocked 4.7e-12
     T, N = 1.6811228533893323, 102
     a, b, kernels, f, g = make_draw(1206959966, 5, 4, N, "absent", "absent",
                                     "general", False)
     assert 300 < np.linalg.cond(b) < 400 and b.shape == (5, 5)
     u_ref, p_ref = oracle(a, b, kernels, T, N, f, g)
     grid = TimeGrid(T=T, n_steps=N)
-    for k2, width in ((MemoryKernel.exp_convolution(0.0, 0.0), 1), (None, 64)):
-        stepper = VolterraStepper(BlockSaddleSystem(
-            sp.csr_matrix(a), sp.csr_matrix(b), k2=k2, k3=kernels[2]), grid)
-        assert stepper.width == width
-        for x, ref in zip(run_states(stepper, f, g), (u_ref, p_ref)):
+    sys_ = BlockSaddleSystem(sp.csr_matrix(a), sp.csr_matrix(b), k3=kernels[2])
+    stepper = VolterraStepper(sys_, grid)
+    assert stepper.width == 64
+    hist = HistoryBuffer(sys_, grid)
+    single = [step(sys_, hist, f[:, n:n + 1], g[:, n:n + 1])[:2]
+              for n in range(N + 1)]
+    for states in (run_states(stepper, f, g),
+                   [np.hstack(x) for x in zip(*single)]):
+        for x, ref in zip(states, (u_ref, p_ref)):
             assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))

@@ -21,7 +21,7 @@ from memfem.sparsela import (
     operator_norm_estimate,
 )
 from memfem.volterra import (BlockSaddleSystem, HistoryBuffer, TimeGrid,
-                             dense_load, history_sum, step, step_gammas)
+                             dense_load, step, step_gammas)
 
 
 def random_spd(n, rng):
@@ -89,9 +89,10 @@ def test_factor_solve_random_residuals():
 
 
 def check_steps_against_scaled_kkt(a, b, rng):
-    """Step an exponential k1 + k2 + k3 system on ``(a, b)``: each node
-    n >= 1 equals an LU solve of ``[[g1 A, g2 B^T], [g3 B, 0]]`` with its
-    history sums, although the factorization holds the unscaled ``K``."""
+    """Step an exponential k1 + k2 + k3 system on ``(a, b)`` node by
+    node: each node n >= 1 equals an LU solve of ``[[g1 A, g2 B^T], [g3 B,
+    0]]`` with its history sums over the states solved before it,
+    although the factorization holds the unscaled ``K``."""
     exp = MemoryKernel.exp_convolution
     sys_ = BlockSaddleSystem(a, b, exp(-2.4, 1.0), exp(5.6, 0.5),
                              exp(7.992, 2.0))
@@ -102,15 +103,23 @@ def check_steps_against_scaled_kkt(a, b, rng):
     kkt = sp.bmat([[g1 * a, g2 * b.T], [g3 * b, None]], format="csc")
     scaled = spla.splu(kkt)
     hist = HistoryBuffer(sys_, grid)
+    us, ps = [], []
     for n in range(grid.n_steps + 1):
         f = rng.standard_normal(b.shape[1])
         g = rng.standard_normal(b.shape[0])
+
+        def past(kernel, xs):
+            """The history sum at node n, by a plain loop over the states."""
+            return sum(w * kernel.eval(grid.times[n], t) * x
+                       for w, t, x in zip(grid.weights[:n], grid.times, xs))
+
         if n:
             rhs = np.concatenate([
-                f + a @ history_sum(hist, sys_.k1, "u")
-                + b.T @ history_sum(hist, sys_.k2, "p"),
-                g + history_sum(hist, sys_.k3, "q")])
+                f + a @ past(sys_.k1, us) + b.T @ past(sys_.k2, ps),
+                g + past(sys_.k3, [b @ u for u in us])])
         u, p, _ = step(sys_, hist, f[:, None], g[:, None])
+        us.append(u[:, 0])
+        ps.append(p[:, 0])
         if n:
             ref = scaled.solve(rhs)
             x = np.concatenate([u[:, 0], p[:, 0]])

@@ -218,14 +218,14 @@ def test_states_free_laplace_m64_steps_64_node_blocks():
 
 @pytest.mark.parametrize("kernels, width, loads", [
     ({"k1": direct_form(MemoryKernel.exp_convolution(c=-1.0, rate=1.0))},
-     1, "pairs"),                                         # u is stored
-    ({"k2": MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}, 1, "pairs"),
+     22, "pairs"),                                        # u is stored
+    ({"k2": MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}, 22, "pairs"),
     ({"k3": MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}, 64, "dense")])
 def test_states_free_run_forms_the_states_it_cannot_skip(kernels, width,
                                                           loads):
-    # a history that reads its states gets them, at the capped width or
-    # one node at a time, and so does the observer; a dense block hands
-    # on the states its solve made, at the free width
+    # a history that reads its states gets them, at the capped width, and
+    # so does the observer; a dense block hands on the states its solve
+    # made, at the free width
     sys_ = sized_system(2000, 900, **kernels)
     grid = TimeGrid(T=0.2, n_steps=30)
     f_of_t = sys_.zero_load if loads == "pairs" else const_load(*[0.5] * 2000)
@@ -505,23 +505,6 @@ def constant_kernel(value):
         lambda t, s: np.full(np.broadcast(t, s).shape, value), bound=1.0)
 
 
-def test_step_takes_a_block_only_without_k1_and_k2():
-    # a k1 or k2 sum would read the solved states of the block's own
-    # nodes; a k3 alone, general or not, steps a block
-    grid = TimeGrid(T=1.0, n_steps=4)
-    exp = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
-    for kernels in ({"k1": exp}, {"k2": exp, "k3": constant_kernel(-1.0)}):
-        sys_ = sized_system(3, 2, **kernels)
-        with pytest.raises(ValueError, match="needs k1 and k2 absent"):
-            step(sys_, HistoryBuffer(sys_, grid), np.zeros((3, 2)),
-                 np.ones((2, 2)))
-    for k3 in (exp, constant_kernel(-1.0)):
-        sys_ = sized_system(3, 2, k3=k3)
-        u, p, _ = step(sys_, HistoryBuffer(sys_, grid), np.zeros((3, 2)),
-                       np.ones((2, 2)))
-        assert u.shape == (3, 2) and p.shape == (2, 2)
-
-
 def test_gate_rejects_singular_scalings():
     # the solve of K takes no scalings: a zero or non-finite one is
     # stopped by the gate, in each kernel slot, before any solve
@@ -572,26 +555,45 @@ def test_non_finite_kernel_diagonal_stops_the_run_before_its_solve(
     assert len(stepper.hist) == 0
 
 
+def recurrence(hist, kernel, which):
+    """The history sum at node ``len(hist)`` that an exponential kernel's
+    recurrence holds: for ``q``, its coefficients, then its dense part."""
+    return np.concatenate((hist._q if which == "q" else [],
+                           hist._recur[(kernel, which)][1]))
+
+
 def test_history_sum_single_panel_constant_kernel():
     grid = TimeGrid(T=1.0, n_steps=4)
     const = MemoryKernel.exp_convolution(c=3.0, rate=0.0)
     x0 = np.array([2.0, -1.0])
-    # the recurrence and the direct sum
-    for kernel in (const, direct_form(const)):
-        hist = HistoryBuffer(sized_system(2, 1, k1=kernel), grid)
-        hist.append(x0, np.zeros(1))
-        out = history_sum(hist, kernel, "u")
-        assert_allclose(out, 0.5 * grid.dt * 3.0 * x0, rtol=1e-15)
+    # the direct sum of the stored u, and the recurrence that a step of
+    # node 0 to u_0 = x0 leaves (A = I and B = [1, 0]: p_0 = 0)
+    hist = HistoryBuffer(sized_system(2, 1, k1=direct_form(const)), grid)
+    hist.append(x0, np.zeros(1))
+    out = history_sum(hist, direct_form(const), "u")
+    assert_allclose(out, 0.5 * grid.dt * 3.0 * x0, rtol=1e-15)
+    sys_ = sized_system(2, 1, k1=const)
+    hist = HistoryBuffer(sys_, grid)
+    u, p, _ = step(sys_, hist, x0[:, None], x0[:1, None])
+    assert_array_equal(u[:, 0], x0)
+    assert_array_equal(p, [[0.0]])
+    assert_allclose(recurrence(hist, const, "u"), 0.5 * grid.dt * 3.0 * x0,
+                    rtol=1e-15)
 
 
 def test_history_sum_zero_kernel():
     grid = TimeGrid(T=1.0, n_steps=4)
     zero = MemoryKernel.exp_convolution(c=0.0, rate=1.0)
-    for kernel in (zero, direct_form(zero)):
-        hist = HistoryBuffer(sized_system(3, 1, k1=kernel), grid)
-        for _ in range(3):
-            hist.append(np.ones(3), np.zeros(1))
-        assert_array_equal(history_sum(hist, kernel, "u"), np.zeros(3))
+    hist = HistoryBuffer(sized_system(3, 1, k1=direct_form(zero)), grid)
+    for _ in range(3):
+        hist.append(np.ones(3), np.zeros(1))
+    assert_array_equal(history_sum(hist, direct_form(zero), "u"), np.zeros(3))
+    # the recurrence, over three nodes stepped one at a time
+    sys_ = sized_system(3, 1, k1=zero)
+    hist = HistoryBuffer(sys_, grid)
+    for _ in range(3):
+        step(sys_, hist, np.ones((3, 1)), np.ones((1, 1)))
+    assert_array_equal(recurrence(hist, zero, "u"), np.zeros(3))
 
 
 def test_history_sum_recurrence_matches_direct():
@@ -614,7 +616,7 @@ def test_history_sum_recurrence_matches_direct():
         if n >= 1:
             for which in ("u", "q"):
                 direct = history_sum(direct_hist, general, which)
-                recur = history_sum(recur_hist, kernel, which)
+                recur = recurrence(recur_hist, kernel, which)
                 denom = np.max(np.abs(direct))
                 assert np.max(np.abs(direct - recur)) \
                     <= 1e-12 * max(denom, 1e-30)
@@ -760,16 +762,21 @@ def test_history_sum_errors():
             history_sum(HistoryBuffer(sized_system(2, 1, k1=k), grid), k, "u")
         with pytest.raises(ValueError, match="start at step 1"):
             history_sum(HistoryBuffer(sized_system(2, 1, k3=k), grid), k, "q")
-    hist = HistoryBuffer(sized_system(2, 1, k1=kernel), grid)
+    hist = HistoryBuffer(sized_system(2, 1, k1=general), grid)
     for _ in range(3):
         hist.append(np.ones(2), np.zeros(1))
-    assert history_sum(hist, kernel, "u").shape == (2,)
-    # p is read by no kernel, so it has neither a recurrence nor rows
+    assert history_sum(hist, general, "u").shape == (2,)
+    # p is read by no kernel, so it has no rows
     with pytest.raises(ValueError, match="stored states"):
-        history_sum(hist, kernel, "p")
+        history_sum(hist, general, "p")
     # q is read by no kernel either: its direct sum would read stored u
     with pytest.raises(ValueError, match="needs 3 stored states"):
-        history_sum(hist, kernel, "q")
+        history_sum(hist, general, "q")
+    # an exponential kernel keeps a recurrence, and no rows to sum
+    hist = HistoryBuffer(sized_system(2, 1, k1=kernel), grid)
+    hist.append(np.ones(2), np.zeros(1))
+    with pytest.raises(ValueError, match="needs 1 stored states"):
+        history_sum(hist, kernel, "u")
 
 
 def test_scalar_stepper_tracks_creep_factor_second_order():
@@ -903,10 +910,11 @@ def assert_stepper_paths_agree(*slots):
     def run(k):
         stepper = VolterraStepper(BlockSaddleSystem(a, b, **dict.fromkeys(slots, k)),
                                   grid)
-        out = []
+        out = []                    # (u, p) of each node
         stepper.run(block_load(lambda t: np.full(n, math.sin(t))),
                     block_load(lambda t: np.full(m, math.cos(t))),
-                    on_step=lambda nn, times, u, p, basis: out.append((u.copy(), p.copy())))
+                    on_step=lambda nn, times, u, p, basis: out.extend(
+                        zip(u.T.copy(), p.T.copy())))
         return out
 
     direct = run(direct_form(kernel))
@@ -988,16 +996,17 @@ def test_blocked_states_match_the_direct_form(runner, width, n_steps):
                                                         1e-300)
 
 
-@pytest.mark.parametrize("n_v, n_q, width, n_steps", [
-    (1, 1, 64, 150), (2000, 900, 22, 50), (15000, 6000, 3, 10),
-    (3, 2, 1, 5)], ids=["64", "22", "3", "1"])
-def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
-    # the stepper's width follows from the system's size (one node at a
-    # time under a k1 or k2); the last block is shorter than the rest
+@pytest.mark.parametrize("n_v, n_q, slot, width, n_steps", [
+    (1, 1, "k3", 64, 150), (2000, 900, "k3", 22, 50),
+    (15000, 6000, "k3", 3, 10), (3, 2, "k2", 64, 150)],
+    ids=["64", "22", "3", "k2"])
+def test_on_step_sees_every_block_once_in_order(n_v, n_q, slot, width,
+                                                n_steps):
+    # the stepper's width follows from the system's size, under any
+    # kernel; the last block is shorter than the rest
     kernel = MemoryKernel.exp_convolution(c=-1.0, rate=1.0)
-    slots = {"k2": kernel} if width == 1 else {"k3": kernel}
     sys_ = BlockSaddleSystem(sp.identity(n_v, format="csr"),
-                             sp.eye(n_q, n_v, format="csr"), **slots)
+                             sp.eye(n_q, n_v, format="csr"), **{slot: kernel})
     grid = TimeGrid(T=1.0, n_steps=n_steps)
     blocks = []
 
@@ -1010,7 +1019,7 @@ def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
                 lambda times: np.full((n_q, len(times)), 1.0 + times),
                 on_step=on_step)
     assert [n for n, *_ in blocks] == list(range(0, n_steps + 1, width))
-    assert width == 1 or (n_steps + 1) % width != 0
+    assert (n_steps + 1) % width != 0
     for n, times, u, p, u_copy, p_copy in blocks:
         k = min(width, n_steps + 1 - n)
         assert_array_equal(times, grid.times[n:n + k])
@@ -1021,15 +1030,16 @@ def test_on_step_sees_every_block_once_in_order(n_v, n_q, width, n_steps):
     assert stepper.n_done == n_steps + 1
 
 
-def step_node_by_node_and_in_blocks(k3):
+def step_node_by_node_and_in_blocks(**kernels):
     """The blocks of 64, 64 and 23 nodes that a run of an 8 x 3 system
-    under ``k3`` takes, and ``step`` fed one node at a time: ``(blocks,
-    single, run history, node-by-node history)``."""
+    under ``kernels`` takes, and ``step`` fed one node at a time, agree
+    to 1e-12: ``(run history, node-by-node history)``."""
     rng = np.random.RandomState(21)
     n, m = 8, 3
     r = rng.standard_normal((n, n))
     sys_ = BlockSaddleSystem(sp.csr_matrix(r @ r.T + n * np.eye(n)),
-                             sp.csr_matrix(rng.standard_normal((m, n))), k3=k3)
+                             sp.csr_matrix(rng.standard_normal((m, n))),
+                             **kernels)
     grid = TimeGrid(T=1.5, n_steps=150)
 
     def f_of_t(t):
@@ -1054,12 +1064,32 @@ def step_node_by_node_and_in_blocks(k3):
     return stepper.hist, hist
 
 
+@pytest.mark.parametrize("make", [lambda k: k, direct_form],
+                         ids=["exp", "general"])
+def test_k1_k2_k3_blocks_equal_their_one_column_steps(make):
+    # memory in all three slots steps in blocks, each slot by its own
+    # time operator, as step fed one node at a time does; the width
+    # follows the 512 KiB rule, with states or without
+    exp = MemoryKernel.exp_convolution
+    kernels = dict(k1=make(exp(-0.9, 0.8)), k2=make(exp(1.1, 2.0)),
+                   k3=make(exp(-0.7, 1.3)))
+    blocked, single = step_node_by_node_and_in_blocks(**kernels)
+    assert blocked.store_full == single.store_full == (make is direct_form)
+    assert {family for family, *_ in blocked._maps} \
+        == (set() if make is direct_form else {"u", "p", "q"})
+    for states in (True, False):
+        stepper = VolterraStepper(sized_system(2000, 900, **kernels),
+                                  TimeGrid(T=1.0, n_steps=50), states=states)
+        assert stepper.width == 65536 // 2900 == 22
+
+
 def test_step_node_by_node_equals_a_blocked_run():
     # each node with the row-2 map of a block of one
     blocked, single = step_node_by_node_and_in_blocks(
-        MemoryKernel.exp_convolution(c=-0.7, rate=1.3))
-    assert set(blocked._maps) == {(True, 64), (False, 64), (False, 23)}
-    assert set(single._maps) == {(True, 1), (False, 1)}
+        k3=MemoryKernel.exp_convolution(c=-0.7, rate=1.3))
+    assert set(blocked._maps) == {("q", True, 64), ("q", False, 64),
+                                  ("q", False, 23)}
+    assert set(single._maps) == {("q", True, 1), ("q", False, 1)}
 
 
 def test_step_node_by_node_equals_a_blocked_run_under_a_general_k3(
@@ -1075,7 +1105,7 @@ def test_step_node_by_node_equals_a_blocked_run_under_a_general_k3(
 
     monkeypatch.setattr(volterra, "history_sum", counted)
     blocked, single = step_node_by_node_and_in_blocks(
-        MemoryKernel.from_callable(
+        k3=MemoryKernel.from_callable(
             lambda t, s: -0.7 * np.exp(-1.3 * (np.asarray(t) - np.asarray(s)))
             * (1.0 + 0.5 * np.sin(3.0 * np.asarray(t))), bound=1.05))
     assert sums == [(64, 64), (128, 23)] + [(n, 1) for n in range(1, 151)]
@@ -1215,8 +1245,8 @@ def test_error_constants_unit_inputs_frozen():
 @pytest.mark.parametrize("slot", ["k3", "k2"])
 def test_observer_of_five_arguments_gets_the_basis(slot):
     # each block's states are (C Y)^T on the solved load vectors; a k2
-    # adds a dense history sum from node 1 on, so those nodes are one
-    # dense solve each, without a basis
+    # maps p by its own time operator after the solve, so p has other
+    # coefficients than u and its block has no basis
     kernel = {slot: MemoryKernel.exp_convolution(c=-1.0, rate=1.0)}
     sys_ = sized_system(3, 2, **kernel)
     grid = TimeGrid(T=1.0, n_steps=8)
@@ -1224,14 +1254,13 @@ def test_observer_of_five_arguments_gets_the_basis(slot):
     VolterraStepper(sys_, grid).run(
         pair_load(1.0, 0.0, 2.0), pair_load(1.0, -1.0),
         on_step=lambda n, times, u, p, basis: blocks.append((u, p, basis)))
-    for n, (u, p, basis) in enumerate(blocks):
-        if slot == "k2" and n:
-            assert basis is None
-            continue
+    [(u, p, basis)] = blocks
+    if slot == "k2":
+        assert basis is None
+    else:
         c, y = basis
         x = np.concatenate((u, p))
         assert np.max(np.abs(c @ y - x.T)) <= 1e-14 * np.max(np.abs(x))
-    assert len(blocks) == (1 if slot == "k3" else grid.n_steps + 1)
 
 
 @pytest.mark.parametrize("general", [False, True], ids=["exp", "general"])
@@ -1375,7 +1404,8 @@ def test_new_vectors_past_the_bound_load_as_their_arrays(monkeypatch):
                                   dense_load(g))[:2])
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert len(hists[0].y) == 3 * kept and len(hists[1].y) == 0
-    # per node: the run's solve of a kept V, then, with k2's history
-    # from node 1 on, its dense solve; then the reference's solve
+    # per node: the run's solve of a kept V, whose block needs no other
+    # (k2's history enters after the solve), or its dense solve past the
+    # bound; then the reference's solve
     assert [f.shape[1] for _, f, _ in solves] \
-        == [3, 1] + [3, 1, 1] * (kept - 1) + [1, 1] * (31 - kept)
+        == [3, 1] * kept + [1, 1] * (31 - kept)
