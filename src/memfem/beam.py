@@ -180,8 +180,9 @@ def assemble_beam_a(cfg: BeamConfig, mesh: Mesh1D) -> sp.csr_matrix:
     w_v = wq * (cfg.eps ** 2) / cfg.kappa(xq)
     if np.any(~np.isfinite(w_m)) or np.any(~np.isfinite(w_v)):
         raise ConfigError("beam coefficients evaluate to non-finite values")
-    outer = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
-    loc_m, loc_v = ((w @ outer).reshape(-1, 2, 2) for w in (w_m, w_v))
+    # sum over points of (w phi_i) phi_j, rounded as the pinned digests are
+    loc_m, loc_v = (sum((w[:, q, None] * phi[q])[:, :, None] * phi[q]
+                        for q in range(len(phi))) for w in (w_m, w_v))
 
     n = mesh.n_elements
     conn = np.column_stack([np.arange(n), np.arange(1, n + 1)])

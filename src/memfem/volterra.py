@@ -580,7 +580,7 @@ def _in_time(sys, hist, slot, n, k, g, xc, xd, before=None):
     ``p``, ``q``) at the k nodes from n, from those of ``X'``: its
     coefficients on ``hist.y`` (``q``'s alone, else None) and dense part;
     the history gains ``X``.  An exponential kernel takes the affine map
-    ``X = X' M + h v``, ``h <- X' d + e h`` (:func:`_constraint_map`); a
+    ``X = X' M + h v``, ``h <- X' d + e h`` (:func:`_exp_map`); a
     general one adds ``H`` (``before``, if given) and solves ``L``, each
     row divided by its ``g_i``, as a block of one is ``x / g`` bit for bit."""
     kernel, which = sys.kernels[slot], "upq"[slot]
@@ -590,8 +590,8 @@ def _in_time(sys, hist, slot, n, k, g, xc, xd, before=None):
         decay, h = hist._recur[(kernel, which)]
         key = (which, n == 0, k)
         if key not in hist._maps:
-            hist._maps[key] = _constraint_map(kernel.c, decay, hist.grid.dt,
-                                              g, *key[1:])
+            hist._maps[key] = _exp_map(kernel.c, decay, hist.grid.dt, g,
+                                       *key[1:])
         m, v, d, e = hist._maps[key]
         if xc is not None:
             xc, hist._q = xc @ m + hist._q[:, None] * v, hist._q * e + xc @ d
@@ -666,7 +666,7 @@ def _load_parts(sys, hist, f, g, k):
     return parts
 
 
-def _constraint_map(c, decay, dt, g, first, k):
+def _exp_map(c, decay, dt, g, first, k):
     """``(M, v, d, e)`` of one family over k nodes under the kernel ``c
     e^{-rate t}``, from the scalar trapezoid recurrence run once on k + 1
     unit inputs: the k loads, then the history.  Node 0 (``first``) has

@@ -1145,7 +1145,7 @@ def test_blocked_run_has_no_per_node_python(monkeypatch):
     # tail only
     from memfem.beam import BeamProblem, joined_profile
     calls = {"step": 0, "history_sum": 0, "step_gammas": 0,
-             "_constraint_map": 0}
+             "_exp_map": 0}
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(volterra, name)):
             calls[_name] += 1
@@ -1158,7 +1158,7 @@ def test_blocked_run_has_no_per_node_python(monkeypatch):
     assert calls["step"] == 5                   # 4 x 64 + 45 nodes
     assert calls["history_sum"] == 0
     assert calls["step_gammas"] == calls["step"] + 1
-    assert calls["_constraint_map"] == 3
+    assert calls["_exp_map"] == 3
 
 
 def test_stability_constants_zero_kernels():
