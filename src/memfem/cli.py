@@ -250,7 +250,7 @@ class RunNorms:
     ``p`` in the Q Gram that it feeds.  ``add_load`` takes the constraint
     row's block loads (arrays or pairs) in node order, as the stepper
     requests them; a pair ``(V, C)`` has its norms from ``C`` and the
-    ``r x r`` Gram ``V^T D^{-1} V``, formed once per ``V``.  The Q Gram
+    ``r x r`` Gram ``V^T D^{-1} V``, formed for each block.  The Q Gram
     ``D`` must be diagonal, as both drivers' are.
     """
 
@@ -267,7 +267,6 @@ class RunNorms:
         self.weights = grid.weights
         self.g_dual_l1 = 0.0
         self._loads = 0
-        self._grams = {}            # id(V) -> (V, V^T D^{-1} V)
 
     def add(self, n: int, times, u, p, basis):
         self.states.add(n, u, p, basis)
@@ -275,11 +274,9 @@ class RunNorms:
     def add_load(self, g):
         if isinstance(g, tuple):    # |V c|^2 = c . (V^T D^{-1} V) c
             v, g = g
-            if id(v) not in self._grams:
-                # an overflow is an infinite norm: emit_certificate refuses it
-                with np.errstate(over="ignore"):
-                    self._grams[id(v)] = v, v.T @ (v / self._gq_diag[:, None])
-            weighted = self._grams[id(v)][1] @ g
+            # an overflow is an infinite norm: emit_certificate refuses it
+            with np.errstate(over="ignore"):
+                weighted = (v.T @ (v / self._gq_diag[:, None])) @ g
         else:
             weighted = g / self._gq_diag[:, None]
         w = self.weights[self._loads:self._loads + g.shape[1]]

@@ -220,9 +220,12 @@ def operator_norm_b(b, gram_v, gram_q) -> float:
     positive definite exactly when ``s > mu``: its Schur complement is
     ``s Gq - S``.  So ``mu`` is bracketed by sparse LUs of ``Q`` alone:
 
-    * the lower end starts at a Lanczos Ritz value of ``(B^T Gq^{-1} B, Gv)``,
-      a Rayleigh quotient and so at most ``mu``; the upper end grows from
-      it by doubling steps until ``Q`` is definite there;
+    * the lower end starts at 0 and the first test sits at ``s = 1``; the
+      upper end grows from there by doubling steps until ``Q`` is
+      definite.  One is the scale of ``mu``: in the V and Q Gram norms
+      ``||b||`` is the form's continuity constant (1.0 on RT0 x P0, 1.39
+      on the beam), and any other scale costs only doublings or
+      bisections within the 200 tests;
     * the inertia test then shrinks the bracket.  Each definite ``Q(s)``
       also runs four steps of inverse iteration with
       ``(s Gq - S)^{-1} Gq``, which raise the lower end to a Rayleigh
@@ -238,8 +241,8 @@ def operator_norm_b(b, gram_v, gram_q) -> float:
 
     The spectrum clusters at the top (RT0: within 5e-7 of ``mu`` at
     m = 24), where Lanczos alone stalls; nothing dense is formed.  At
-    Laplace m = 24, 48 and 64 that takes 8, 9 and 10 tests (0.08, 0.38
-    and 0.73 s on a 2-core Xeon, one BLAS thread).
+    Laplace m = 24, 48 and 64 that takes 8, 8 and 9 tests (0.05, 0.19
+    and 0.34 s on a Xeon, one BLAS thread).
     """
     rtol = 1e-13
     b = as_csr(b)
@@ -248,24 +251,12 @@ def operator_norm_b(b, gram_v, gram_q) -> float:
         return 0.0
     gram_v, gram_q = as_csr(gram_v), as_csr(gram_q)
     bt = b.T.tocsr()
-    gv_lu = spla.splu(sp.csc_matrix(gram_v))
-    gq_lu = spla.splu(sp.csc_matrix(gram_q))
-    pencil = spla.LinearOperator(
-        (n_v, n_v), dtype=float, matvec=lambda x: bt @ gq_lu.solve(b @ x))
-    gv_inv = spla.LinearOperator((n_v, n_v), dtype=float, matvec=gv_lu.solve)
-    try:
-        ritz = spla.eigsh(pencil, k=1, M=gram_v, Minv=gv_inv, which="LA",
-                          tol=1e-3, return_eigenvectors=False,
-                          v0=np.random.RandomState(1).standard_normal(n_v))
-    except spla.ArpackError as exc:
-        raise EstimatorError(f"norm of b: Lanczos failed: {exc}") from exc
     fixed = sp.bmat([[gram_v, bt], [b, None]], format="csc")
     q_block = sp.bmat([[sp.csc_matrix((n_v, n_v)), None], [None, gram_q]],
                       format="csc")
     p = np.random.RandomState(1).standard_normal(n_q)
-    lo, hi = max(float(ritz[0]), 0.0), math.inf
-    step = 1e-4 * lo or 1.0
-    trial = lo + step
+    lo, hi = 0.0, math.inf
+    step = trial = 1.0
     for _ in range(200):
         lu = _definite_lu(fixed + trial * q_block)
         if lu is None:

@@ -152,10 +152,7 @@ class L1NormAccumulator:
         self._keys = list(norms)
         take, grams, rho, s, res = zip(*(_project(*norm)
                                          for norm in norms.values()))
-        n_state = next(iter(norms.values()))[0].shape[1]
         self._take = np.concatenate(take)
-        if np.array_equal(self._take, np.arange(n_state)):
-            self._take = None                   # every dof once, in order
         sizes = [x.size for x in take]
         self._starts = starts = np.cumsum(sizes) - sizes
         nnz = np.cumsum([0] + [g.nnz for g in grams])
@@ -205,9 +202,7 @@ class L1NormAccumulator:
                              f"node {len(self._weights) - 1} of the grid")
         c = self._scale[n:n + k, None]
         if basis is None:
-            z = np.concatenate((u, p), axis=1)
-            if self._take is not None:
-                z = z[:, self._take]
+            z = np.concatenate((u, p), axis=1)[:, self._take]
             z -= c * self._rho
             q = np.ascontiguousarray((self._gram @ z.T).T)  # a row per node
             q -= (2.0 * c) * self._s
@@ -230,7 +225,7 @@ class L1NormAccumulator:
         """Split one more basis row ``y``; ``R`` gains a column by
         Gram-Schmidt in G, run twice (Daniel et al., Math. Comp. 30, 1976)."""
         starts, sizes, gram, q = self._starts, self._sizes, self._gram, self._q
-        y = y if self._take is None else y[self._take]
+        y = y[self._take]
         mu = np.divide(np.add.reduceat(y * self._grho, starts), self._rgr,
                        out=np.zeros(len(sizes)), where=self._rgr > 0.0)
         # y and mu rho are near: their difference in long double, as t
@@ -520,9 +515,10 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
     solve ``K [U'; P'] = [F; Q L1b^T - B H1]`` and ``U = (U' + H1)
     L1b^{-T}``, ``P = (P' + H2) L2b^{-T}`` (see :func:`_in_time`).  These
     act on the time axis alone, so they step a pair's coefficients and
-    the dense part apart.  ``[U'; P']`` comes from the solutions ``Y`` of
-    the pairs' vectors or, when the block has a dense part (dense loads,
-    ``k1``'s history or a dense ``q``), one checked multi-column LU solve.
+    the dense part apart.  ``[U'; P']`` is ``Y^T C`` on the solutions ``Y``
+    of the pairs' vectors plus, when the block has a dense part (dense
+    loads, ``k1``'s history or a dense ``q``), one checked multi-column LU
+    solve of that part alone.
     """
     grid, n = hist.grid, len(hist)
     k = (f[1] if isinstance(f, tuple) else f).shape[1]
@@ -541,23 +537,17 @@ def step(sys: BlockSaddleSystem, hist: HistoryBuffer, f, g,
             h1 = history_sum(hist, sys.k1, "u", k)
             qd = _plus(qd, sys.b @ -h1)
     c = fc + qc
-    if fd is None and qd is None:
-        if not np.isfinite(c).all():
-            raise SaddleSolverError("non-finite load coefficients")
-        if not (states or hist.reads_states):
-            hist.append(None, None, k)
-            return None, None, (c.T, hist.y)
-        x, basis = np.dot(hist.y.T, c), (c.T, hist.y)
-    else:                       # one solve of the whole right-hand side
-        x = np.zeros((sys.n_v + sys.n_q, k))
-        for (row, _), (v, rows) in hist._loads.items():
-            x[slice(sys.n_v, None) if row else slice(sys.n_v)] += v @ c[rows]
-        if fd is not None:
-            x[:sys.n_v] += fd
-        if qd is not None:
-            x[sys.n_v:] += qd
-        x, basis = np.concatenate(sys.saddle.checked_solve(
-            x[:sys.n_v], x[sys.n_v:])), None
+    if not np.isfinite(c).all():
+        raise SaddleSolverError("non-finite load coefficients")
+    dense = fd is not None or qd is not None
+    if not (dense or states or hist.reads_states):
+        hist.append(None, None, k)
+        return None, None, (c.T, hist.y)
+    x, basis = np.dot(hist.y.T, c), None if dense else (c.T, hist.y)
+    if dense:                   # one checked solve of the dense part alone
+        x += np.concatenate(sys.saddle.checked_solve(
+            np.zeros((sys.n_v, k)) if fd is None else fd,
+            np.zeros((sys.n_q, k)) if qd is None else qd))
     u, p = x[:sys.n_v], x[sys.n_v:]
     if sys.k1 is not None or sys.k2 is not None:
         u = _in_time(sys, hist, 0, n, k, gammas[0], None, u, h1)[1]

@@ -29,6 +29,22 @@ def random_spd(n, rng):
     return r @ r.T + n * np.eye(n)
 
 
+@pytest.fixture
+def inertia_tests(monkeypatch):
+    """The outcomes of ``sparsela._definite_lu`` in order, True where the
+    matrix tested definite."""
+    from memfem import sparsela
+    definite_lu, tests = sparsela._definite_lu, []
+
+    def counted(matrix):
+        lu = definite_lu(matrix)
+        tests.append(lu is not None)
+        return lu
+
+    monkeypatch.setattr(sparsela, "_definite_lu", counted)
+    return tests
+
+
 def test_as_csr_copies_rather_than_rewrites_its_input():
     # a CSR matrix shares its arrays with sp.csr_matrix(m): sorting in
     # place would reorder the caller's matrix
@@ -483,35 +499,31 @@ def test_operator_norm_b_exact_case():
     assert s_val <= norm <= s_val * (1.0 + 1e-12)
 
 
-def test_operator_norm_b_grows_from_a_low_start(monkeypatch):
-    # a Ritz value far below mu must grow the upper end by doubling
-    # steps until Q is definite, never stop at an infinite upper end
-    from memfem import sparsela
-    from memfem.laplace_mem import LaplaceProblem
-    eigsh, definite_lu = sparsela.spla.eigsh, sparsela._definite_lu
-    tests = []
-
-    def low_ritz(*args, **kwargs):
-        return 0.5 * eigsh(*args, **kwargs)
-
-    def counted(matrix):
-        lu = definite_lu(matrix)
-        tests.append(lu is not None)
-        return lu
-
-    monkeypatch.setattr(sparsela.spla, "eigsh", low_ritz)
-    monkeypatch.setattr(sparsela, "_definite_lu", counted)
-    prob = LaplaceProblem(4, delta=0.01)
+@pytest.mark.parametrize("scale", [100.0, 1e-3])
+def test_operator_norm_b_from_one_reaches_any_scale(inertia_tests, scale):
+    # the bracket starts at s = 1: a form far above it grows the upper
+    # end by doubling steps, one far below it is bisected down, and both
+    # close within the 200 inertia tests (19 and 40 here)
+    prob = BeamProblem(joined_profile(0.001), 8, None, 1.0, np.exp, None)
     gv, gq = prob.grams()
-    b = prob.system.b
+    b = scale * prob.system.b
     norm = operator_norm_b(b, gv, gq)
     weighted = np.linalg.solve(gram_sqrt(gq.toarray()), b.toarray()) \
         @ np.linalg.inv(gram_sqrt(gv.toarray()))
     ref = np.linalg.svd(weighted, compute_uv=False).max()
-    assert np.isfinite(norm)
     assert_allclose(norm, ref, rtol=1e-10)
-    # from mu / 2 with a first step of 1e-4 lo, 13 doublings reach mu
-    assert tests.index(True) >= 10
+    assert len(inertia_tests) < 200 and inertia_tests[-1]
+    assert inertia_tests[0] == (scale < 1.0)
+
+
+def test_operator_norm_b_at_laplace_m24_takes_eight_tests(inertia_tests):
+    # the certificate workload's mesh: from s = 1 the bracket closes in
+    # 8 inertia tests
+    from memfem.laplace_mem import LaplaceProblem
+    prob = LaplaceProblem(24)
+    gv, gq = prob.grams()
+    operator_norm_b(prob.system.b, gv, gq)
+    assert len(inertia_tests) <= 8
 
 
 def test_operator_norm_b_zero_form():
@@ -656,25 +668,15 @@ def test_operator_norm_estimate():
     np.linalg.cholesky(lam * (1.0 + 1e-10) * gv - a)
 
 
-def test_operator_norm_estimate_tests_inertia_sparingly(monkeypatch):
+def test_operator_norm_estimate_tests_inertia_sparingly(inertia_tests):
     # a top gap of 1e-2 contracts slowly: the change per step is within
     # tol long before lam is, and each failed test must not be repeated
     # every step (that cost 195 LUs here) but wait for a tenfold fall
-    from memfem import sparsela
-    definite_lu = sparsela._definite_lu
-    tests = []
-
-    def counted(matrix):
-        lu = definite_lu(matrix)
-        tests.append(lu is not None)
-        return lu
-
-    monkeypatch.setattr(sparsela, "_definite_lu", counted)
     d = np.r_[np.linspace(0.1, 0.9, 18), 1.0 - 1e-2, 1.0]
     lam = operator_norm_estimate(sp.diags(d).tocsr(),
                                  sp.identity(20, format="csr"))
     assert lam <= 1.0 <= lam * (1.0 + 1e-10)
-    assert len(tests) <= 4 and tests[-1]
+    assert len(inertia_tests) <= 4 and inertia_tests[-1]
 
 
 @pytest.mark.parametrize("driver", ["laplace", "joined", "smooth"])
@@ -701,6 +703,53 @@ def test_sparse_estimators_match_dense_reference(driver):
     assert_allclose(kernel_ellipticity(a, b, gv), alpha_ref, rtol=1e-10)
     # the certificate prints n_v - n_q as the dimension of null(B)
     assert z.shape[1] == b.shape[1] - b.shape[0]
+
+
+@pytest.mark.parametrize("driver,size", [("laplace", 48), ("joined", 8),
+                                         ("joined", 160)])
+def test_estimator_solves_are_backward_stable(monkeypatch, driver, size):
+    # the estimators' shift-invert solves use SaddleFactorization.solve,
+    # unchecked; here each one gets the backward errors of checked_solve,
+    # per block row (f, g), and that of the whole K in one norm.
+    # Measured worst per row: Laplace m = 48 1.7e-14 (f) and 1.2e-8 (g),
+    # both in kernel_ellipticity.  On the beam the g row of its late
+    # Lanczos solves reads up to 0.51 (n = 8) and 0.16 (n = 160): their
+    # right-hand sides lie in range(B^T) up to rounding, so the exact u
+    # is 0 and the computed one 1e-16, and B u measured against
+    # ||B|| max|u| alone is rounding over rounding.  The whole K reads
+    # at most 1.4e-14.
+    from memfem.laplace_mem import LaplaceProblem
+    solve = SaddleFactorization.solve
+    rows, whole = [], []
+
+    def measured(fact, f, g):
+        u, p = solve(fact, f, g)
+        (bt, norms), n_v = fact._check, fact.n_v
+        x, r = np.concatenate((u, p)), np.concatenate((f, g))
+        res = np.concatenate((fact._a @ u + bt @ p, fact._b @ u)) - r
+        peak_x, peak_r, worst = (np.maximum.reduceat(abs(m), [0, n_v])
+                                 for m in (x, r, res))
+        rows.append(np.where(worst == 0.0, 0.0,
+                             worst / (norms.T @ peak_x + peak_r)))
+        whole.append(worst.max() / (norms.sum(axis=1).max() * peak_x.max()
+                                    + peak_r.max()))
+        return u, p
+
+    monkeypatch.setattr(SaddleFactorization, "solve", measured)
+    if driver == "laplace":
+        prob = LaplaceProblem(size)
+    else:
+        prob = BeamProblem(joined_profile(0.001), size, None, 1.0, np.exp,
+                           None)
+    gv, gq = prob.grams()
+    infsup_estimate(gv, gq, prob.system.b)
+    kernel_ellipticity(prob.system.a, prob.system.b, gv)
+    rows = np.array(rows)
+    assert len(rows) > 10
+    assert max(whole) <= 1e-12
+    assert rows[:, 0].max() <= 1e-6
+    if driver == "laplace":
+        assert rows[:, 1].max() <= 1e-6
 
 
 def test_kernel_ellipticity_zero_row_raises():
